@@ -133,14 +133,11 @@ class TriMesh:
 
     def boundary_edges_conform(self):
         """Every boundary edge is an edge of exactly one triangle."""
-        t = self.triangles
-        all_edges = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]],
-                                       t[:, [2, 0]]]), axis=1)
-        uniq, counts = np.unique(all_edges, axis=0, return_counts=True)
-        once = {tuple(e) for e, c in zip(uniq.tolist(), counts.tolist())
-                if c == 1}
-        return all(tuple(sorted(e)) in once
-                   for e in self.boundary_edges.tolist())
+        t, be, n = self.triangles, self.boundary_edges, self.n_vertices
+        keys, counts = np.unique(_edge_keys(t, np.roll(t, -1, axis=1), n),
+                                 return_counts=True)
+        return bool(np.isin(_edge_keys(be[:, 0], be[:, 1], n),
+                            keys[counts == 1]).all())
 
     def boundary_loops_ok(self):
         """Each tag's edges form one closed loop."""
@@ -330,49 +327,46 @@ class _StripMesh:
 # polyline helpers
 # ---------------------------------------------------------------------------
 
-def _points_in_loops_fast(pts, loops):
-    """Vectorized even-odd test (loops concatenated, segment-major)."""
+_PAIR_CAP = 1 << 20   # (point, segment) pairs tested at once
+
+
+def _points_in_loops(pts, a, b):
+    """Even-odd test of points against the closed loops with segments a -> b.
+
+    A segment can cross the rightward ray from (x, y) only for y in the
+    half-open range [min(y1, y2), max(y1, y2)), where (y1 > y) != (y2 > y);
+    horizontal segments have none.  The points are sorted by y once, and each
+    segment tests only the points in its range.
+    """
     pts = np.atleast_2d(pts)
-    segs_a, segs_b = [], []
-    for loop in loops:
-        segs_a.append(loop)
-        segs_b.append(np.roll(loop, -1, axis=0))
-    a = np.vstack(segs_a)
-    b = np.vstack(segs_b)
     x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=np.int64)
-    # chunk over segments to bound memory
-    chunk = max(1, int(4e6 / max(1, len(pts))))
-    for s in range(0, len(a), chunk):
-        a1 = a[s:s + chunk]
-        b1 = b[s:s + chunk]
-        y1 = a1[:, 1][:, None]
-        y2 = b1[:, 1][:, None]
-        x1 = a1[:, 0][:, None]
-        x2 = b1[:, 0][:, None]
-        cond = (y1 > y[None, :]) != (y2 > y[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xc = x1 + (y[None, :] - y1) * (x2 - x1) / (y2 - y1)
-        inside += np.sum(cond & (x[None, :] < xc), axis=0)
-    return inside % 2 == 1
+    order = np.argsort(y)
+    ys = y[order]
+    start = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]))
+    count = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1])) - start
+    ends = np.cumsum(count)
+    crossings = np.zeros(len(pts), dtype=np.int64)
+    for k0 in range(0, int(ends[-1]), _PAIR_CAP):
+        k = np.arange(k0, min(k0 + _PAIR_CAP, int(ends[-1])))
+        s = np.searchsorted(ends, k, side="right")
+        p = order[start[s] + k - (ends[s] - count[s])]
+        x1, y1, x2, y2 = a[s, 0], a[s, 1], b[s, 0], b[s, 1]
+        xc = x1 + (y[p] - y1) * (x2 - x1) / (y2 - y1)
+        crossings += np.bincount(p[x[p] < xc], minlength=len(pts))
+    return crossings % 2 == 1
 
 
 class _SegmentField:
-    """Nearest-distance queries against a set of polyline segments."""
+    """The segments a[i] -> b[i] of closed loops, and distances to them."""
 
     def __init__(self, loops):
-        a, b = [], []
-        for loop in loops:
-            a.append(loop)
-            b.append(np.roll(loop, -1, axis=0))
-        self.a = np.vstack(a)
-        self.b = np.vstack(b)
-        self.mid = 0.5 * (self.a + self.b)
-        self.tree = cKDTree(self.mid)
+        self.a = np.vstack(loops)
+        self.b = np.vstack([np.roll(loop, -1, axis=0) for loop in loops])
+        self.tree = cKDTree(0.5 * (self.a + self.b))
 
     def distance(self, pts, k=8):
         pts = np.atleast_2d(pts)
-        k = min(k, len(self.mid))
+        k = min(k, len(self.a))
         _, idx = self.tree.query(pts, k=k)
         idx = idx.reshape(len(pts), -1)
         best = np.full(len(pts), np.inf)
@@ -455,7 +449,7 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
         # structured helpers (wall pockets); placed first so the rejection
         # below keeps them rather than nearby lattice candidates
         cand = np.vstack([np.asarray(extra_seeds, dtype=float), cand])
-    cand = cand[_points_in_loops_fast(cand, loops_pts)]
+    cand = cand[_points_in_loops(cand, segfield.a, segfield.b)]
     dist = segfield.distance(cand)
     cand = cand[dist > 0.55 * np.atleast_1d(size(cand))]
     # thin mutually close candidates, earliest wins
@@ -476,24 +470,24 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
         pts = pool.pts[active]
         tri = Delaunay(pts)
         cent = pts[tri.simplices].mean(axis=1)
-        keep = _points_in_loops_fast(cent, loops_pts)
+        keep = _points_in_loops(cent, segfield.a, segfield.b)
         return active[tri.simplices[keep]]
 
     free_mask = active >= n_fixed_total
     for it in range(n_iter):
         tris = triangulate()
-        edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        edges = np.unique(np.sort(edges, axis=1), axis=0)
-        pa = pool.pts[edges[:, 0]]
-        pb = pool.pts[edges[:, 1]]
+        keys = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), pool.n))
+        lo, hi = np.divmod(keys, pool.n)
+        pa = pool.pts[lo]
+        pb = pool.pts[hi]
         vec = pb - pa
         L = np.linalg.norm(vec, axis=1)
         L0 = 1.18 * np.atleast_1d(size(0.5 * (pa + pb)))
         f = np.maximum(L0 - L, 0.0) / np.maximum(L, 1e-300)
         push = vec * f[:, None]
         force = np.zeros((pool.n, 2))
-        np.add.at(force, edges[:, 0], -push)
-        np.add.at(force, edges[:, 1], push)
+        np.add.at(force, lo, -push)
+        np.add.at(force, hi, push)
         move = 0.25 * force[active[free_mask]]
         cap = 0.4 * np.atleast_1d(size(pool.pts[active[free_mask]]))
         norm = np.linalg.norm(move, axis=1)
@@ -501,7 +495,7 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
         move *= scalef[:, None]
         idx = active[free_mask]
         newpos = pool.pts[idx] + move
-        ok = _points_in_loops_fast(newpos, loops_pts)
+        ok = _points_in_loops(newpos, segfield.a, segfield.b)
         ok &= segfield.distance(newpos) > 0.35 * np.atleast_1d(size(newpos))
         pool.pts[idx[ok]] = newpos[ok]
         if norm.size and norm.max() < 0.005 * h0:
@@ -519,7 +513,7 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
             np.add.at(nbr_cnt, tris[:, b], 1.0)
         idx = active[free_mask]
         tgt = nbr_sum[idx] / np.maximum(nbr_cnt[idx], 1.0)[:, None]
-        ok = _points_in_loops_fast(tgt, loops_pts)
+        ok = _points_in_loops(tgt, segfield.a, segfield.b)
         ok &= segfield.distance(tgt) > 0.3 * np.atleast_1d(size(tgt))
         pool.pts[idx[ok]] = tgt[ok]
 
@@ -529,16 +523,20 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
 
 
 def _check_loops_covered(tris, loop_indices):
-    edge_set = set()
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        for e in zip(tris[:, a].tolist(), tris[:, b].tolist()):
-            edge_set.add((min(e), max(e)))
+    n = int(np.concatenate([tris.ravel(), *loop_indices]).max()) + 1
+    have = _edge_keys(tris, np.roll(tris, -1, axis=1), n)
     for idx in loop_indices:
-        for k in range(len(idx)):
-            a, b = int(idx[k]), int(idx[(k + 1) % len(idx)])
-            if (min(a, b), max(a, b)) not in edge_set:
-                raise MeshError("far-field triangulation missed a boundary edge; "
-                                "adjust target_h")
+        if not np.isin(_edge_keys(idx, np.roll(idx, -1), n), have).all():
+            raise MeshError("far-field triangulation missed a boundary edge; "
+                            "adjust target_h")
+
+
+def _edge_keys(i, j, n):
+    """int64 keys lo*n + hi of the undirected edges (i, j) among n vertices
+    (for triangles t, pass t and np.roll(t, -1, axis=1)).  Sorted keys order
+    the edges as np.unique(axis=0) orders (lo, hi) pairs; np.divmod(key, n)
+    gives the pair back."""
+    return np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j)
 
 
 class _VertexPool:
@@ -898,21 +896,18 @@ def refine_uniform(mesh):
     back onto the analytic boundary curves when a geometry is attached."""
     pts = mesh.vertices
     tris = mesh.triangles
-    edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    edges_sorted = np.sort(edges, axis=1)
-    uniq, inv = np.unique(edges_sorted, axis=0, return_inverse=True)
-    mid = 0.5 * (pts[uniq[:, 0]] + pts[uniq[:, 1]])
-    mid_idx = len(pts) + np.arange(len(uniq))
+    n = len(pts)
+    keys, inv = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), n).ravel(),
+                          return_inverse=True)
+    lo, hi = np.divmod(keys, n)
+    mid = 0.5 * (pts[lo] + pts[hi])
+    mid_idx = n + np.arange(len(keys))
 
     # which unique edges are boundary edges, and their tags
-    be_sorted = np.sort(mesh.boundary_edges, axis=1)
-    key = uniq[:, 0].astype(np.int64) * len(pts) + uniq[:, 1]
-    bkey = be_sorted[:, 0].astype(np.int64) * len(pts) + be_sorted[:, 1]
-    order = np.argsort(key)
-    pos = np.searchsorted(key[order], bkey)
-    uniq_of_bedge = order[pos]
+    be = mesh.boundary_edges
+    uniq_of_bedge = np.searchsorted(keys, _edge_keys(be[:, 0], be[:, 1], n))
 
-    mid_tag = np.zeros(len(uniq), dtype=np.int64)
+    mid_tag = np.zeros(len(keys), dtype=np.int64)
     mid_tag[uniq_of_bedge] = mesh.boundary_tags
     if mesh.geometry is not None:
         for tag in (OUTER, INC1, INC2):
@@ -923,10 +918,7 @@ def refine_uniform(mesh):
                     mid[sel] = curve.project(mid[sel])
 
     new_pts = np.vstack([pts, mid])
-    nt = len(tris)
-    e01 = mid_idx[inv[0:nt]]
-    e12 = mid_idx[inv[nt:2 * nt]]
-    e20 = mid_idx[inv[2 * nt:3 * nt]]
+    e01, e12, e20 = mid_idx[inv.reshape(-1, 3)].T
     new_tris = np.concatenate([
         np.column_stack([tris[:, 0], e01, e20]),
         np.column_stack([tris[:, 1], e12, e01]),
@@ -951,7 +943,7 @@ def refine_uniform(mesh):
 
 def save_mesh(mesh, path):
     """Header `nv nt nbe`, vertex lines `x y`, triangle lines `i j k`,
-    boundary-edge lines `i j tag`."""
+    boundary-edge lines `i j tag`, then a `neck_layers k` line."""
     with open(path, "w") as fh:
         fh.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary_edges)}\n")
         for x, y in mesh.vertices:
@@ -960,6 +952,7 @@ def save_mesh(mesh, path):
             fh.write(f"{i} {j} {k}\n")
         for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
             fh.write(f"{i} {j} {TAG_NAMES[int(tag)]}\n")
+        fh.write(f"neck_layers {mesh.grading_report.neck_layers}\n")
 
 
 def load_mesh(path, geometry=None):
@@ -978,7 +971,11 @@ def load_mesh(path, geometry=None):
             i, j, tag = fh.readline().split()
             bedges[k] = int(i), int(j)
             btags[k] = TAG_IDS[tag] if tag in TAG_IDS else int(tag)
-    return TriMesh(verts, tris, bedges, btags, geometry=geometry)
+        # files written before the neck_layers line existed load with 0
+        tail = fh.readline().split()
+        neck_layers = int(tail[1]) if tail[:1] == ["neck_layers"] else 0
+    return TriMesh(verts, tris, bedges, btags, geometry=geometry,
+                   neck_layers=neck_layers)
 
 
 def check_mesh(mesh, min_angle=20.0, expect_loops=True):

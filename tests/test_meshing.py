@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
                       build_annulus, build_parabola_example,
                       build_symmetric_disc_example, check_mesh, gap_width,
-                      generate, generate_neck_strip, load_mesh, refine_uniform,
-                      save_mesh, solve)
+                      generate, generate_neck_strip, load_mesh, meshing,
+                      refine_uniform, save_mesh, solve)
 from neckflow.errors import MeshError
+from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
+                               LinearPotential, MirroredCurve, NegatedProfile,
+                               ParabolaProfile, _c2_bound)
+from neckflow.meshing import (TriMesh, _check_loops_covered, _points_in_loops,
+                              _SegmentField)
 
 
 @pytest.fixture(scope="module")
@@ -109,12 +115,9 @@ def test_parabola_geometry_meshes():
     check_mesh(m, min_angle=20.0)
 
 
-def test_asymmetric_geometry_far_field():
+def _asymmetric_geometry(eps):
     # different nose curvatures break the mirror symmetry and route meshing
     # through the general far-field path
-    from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile,
-                                   Geometry, LinearPotential, MirroredCurve,
-                                   NegatedProfile, ParabolaProfile, _c2_bound)
     h1 = ParabolaProfile(0.3)
     h2 = ParabolaProfile(0.5)
     gap = GapProfile(h1=h1, h2=NegatedProfile(h2), c1=0.79,
@@ -122,9 +125,14 @@ def test_asymmetric_geometry_far_field():
     geom = Geometry(outer=Circle((0, 0), 5.0),
                     inclusion1=CappedGraphCurve(h1, 0.999),
                     inclusion2=MirroredCurve(CappedGraphCurve(h2, 0.999)),
-                    eps=5e-3, gap=gap, phi=LinearPotential(), name="asym")
+                    eps=eps, gap=gap, phi=LinearPotential(), name="asym")
     geom.validate()
     assert not geom.is_mirror_symmetric()
+    return geom
+
+
+def test_asymmetric_geometry_far_field():
+    geom = _asymmetric_geometry(5e-3)
     m = generate(geom, 0.12, 6, seed=0)
     check_mesh(m, min_angle=20.0)
     assert m.boundary_edges_conform()
@@ -204,6 +212,19 @@ class TestMeshIO:
         assert np.array_equal(m2.triangles, m.triangles)
         assert np.array_equal(m2.boundary_edges, m.boundary_edges)
         assert np.array_equal(m2.boundary_tags, m.boundary_tags)
+        assert m2.grading_report == m.grading_report
+        assert m2.grading_report.neck_layers >= 6
+
+    def test_file_without_neck_layers_line_loads(self, disc_mesh, tmp_path):
+        _, m = disc_mesh
+        path = tmp_path / "mesh.txt"
+        save_mesh(m, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[-1] == f"neck_layers {m.grading_report.neck_layers}"
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        m2 = load_mesh(str(path))
+        assert np.array_equal(m2.triangles, m.triangles)
+        assert m2.grading_report.neck_layers == 0
 
     def test_header_format(self, disc_mesh, tmp_path):
         _, m = disc_mesh
@@ -219,3 +240,113 @@ def test_determinism_same_seed(disc_mesh):
     m2 = generate(g, 0.1, 6, seed=0)
     assert np.array_equal(m.vertices, m2.vertices)
     assert np.array_equal(m.triangles, m2.triangles)
+
+
+def test_determinism_same_seed_general_far_field():
+    g = _asymmetric_geometry(5e-3)
+    m, m2 = (generate(g, 0.2, 6, seed=5) for _ in range(2))
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        assert np.array_equal(getattr(m, name), getattr(m2, name)), name
+
+
+# ---------------------------------------------------------------------------
+# even-odd test against the brute-force reference
+# ---------------------------------------------------------------------------
+
+def _points_in_loops_brute(pts, loops):
+    """Reference even-odd test: every point against every loop segment."""
+    a = np.vstack(loops)
+    b = np.vstack([np.roll(loop, -1, axis=0) for loop in loops])
+    x, y = pts[:, 0][None, :], pts[:, 1][None, :]
+    x1, y1 = a[:, 0][:, None], a[:, 1][:, None]
+    x2, y2 = b[:, 0][:, None], b[:, 1][:, None]
+    cond = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    return np.sum(cond & (x < xc), axis=0) % 2 == 1
+
+
+def _assert_matches_brute(pts, loops, cap):
+    field = _SegmentField(loops)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshing, "_PAIR_CAP", cap)
+        got = _points_in_loops(pts, field.a, field.b)
+    assert np.array_equal(got, _points_in_loops_brute(pts, loops))
+
+
+# a coarse grid makes shared y values and horizontal segments common
+_grid = st.integers(-8, 8).map(lambda k: k / 4)
+_caps = st.sampled_from([1, 3, 7, meshing._PAIR_CAP])
+
+
+@st.composite
+def _loops_and_points(draw):
+    loops = [np.asarray(loop, dtype=float) for loop in draw(st.lists(
+        st.lists(st.tuples(_grid, _grid), min_size=3, max_size=10),
+        min_size=1, max_size=3))]
+    vertex_y = sorted(set(np.vstack(loops)[:, 1].tolist()))
+    xs = st.one_of(_grid, st.floats(-2.5, 2.5))
+    ys = st.one_of(st.sampled_from(vertex_y), _grid, st.floats(-2.5, 2.5))
+    pts = draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=40))
+    return loops, np.asarray(pts, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_loops_and_points(), cap=_caps)
+def test_points_in_loops_random_polygons(case, cap):
+    loops, pts = case
+    _assert_matches_brute(pts, loops, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radii=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=40),
+       n_out=st.integers(16, 64), seed=st.integers(0, 2**32 - 1), cap=_caps)
+def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
+    # as in _far_general: a CCW outer circle around a clockwise star hole
+    ang = 2 * math.pi * np.arange(n_out) / n_out
+    outer = 5.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    ang = 2 * math.pi * np.arange(len(radii)) / len(radii)
+    hole = (np.asarray(radii)[:, None]
+            * np.column_stack([np.cos(ang), np.sin(ang)]))[::-1]
+    loops = [outer, hole]
+    rng = np.random.default_rng(seed)
+    vertex_y = np.vstack(loops)[:, 1]
+    on_vertex_y = np.column_stack([rng.uniform(-6, 6, len(vertex_y)),
+                                   vertex_y])
+    pts = np.vstack([rng.uniform(-6, 6, (300, 2)), on_vertex_y, hole, outer])
+    _assert_matches_brute(pts, loops, cap)
+
+
+# ---------------------------------------------------------------------------
+# edge-key checks: failure paths
+# ---------------------------------------------------------------------------
+
+class TestEdgeKeyChecks:
+    # the unit square split along its diagonal 0-2
+    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    TRIS = np.array([[0, 1, 2], [0, 2, 3]])
+    RIM = [[0, 1], [1, 2], [2, 3], [3, 0]]
+
+    def _mesh(self, edges):
+        return TriMesh(self.SQUARE, self.TRIS, np.asarray(edges),
+                       np.full(len(edges), OUTER))
+
+    def test_rim_conforms(self):
+        assert self._mesh(self.RIM).boundary_edges_conform()
+
+    def test_interior_edge_does_not_conform(self):
+        assert not self._mesh(self.RIM + [[2, 0]]).boundary_edges_conform()
+
+    def test_absent_edge_does_not_conform(self):
+        edges = self.RIM[:3] + [[1, 3]]
+        assert not self._mesh(edges).boundary_edges_conform()
+
+    def test_loop_covered(self):
+        _check_loops_covered(self.TRIS, [np.array([0, 1, 2, 3])])
+
+    def test_missing_loop_edge_raises(self):
+        with pytest.raises(MeshError):
+            _check_loops_covered(self.TRIS[:1], [np.array([0, 1, 2, 3])])
+        with pytest.raises(MeshError):
+            _check_loops_covered(self.TRIS, [np.array([0, 1, 2, 3]),
+                                             np.array([0, 1, 3])])
