@@ -10,6 +10,7 @@ boundary data) lives here.  All objects are immutable after construction and
 picklable, so they can be shared across worker processes.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -70,7 +71,8 @@ class ParabolaProfile:
 class TableProfile:
     """Profile interpolated from a sampled (x, h) table with a cubic spline.
 
-    The table must bracket the chart; h is shifted so h(0) = 0.
+    The table must bracket the chart; h is shifted so h(0) = 0.  The sorted
+    input rows are kept as `x`, `h` (before the shift).
     """
 
     def __init__(self, x, h):
@@ -84,6 +86,7 @@ class TableProfile:
         x, h = x[order], h[order]
         if np.any(np.diff(x) <= 0):
             raise GeometryError("profile table has repeated x values")
+        self.x, self.h = x, h
         self._spline = CubicSpline(x, h)
         self._spline = CubicSpline(x, h - self._spline(0.0))
         self.x_range = (x[0], x[-1])
@@ -609,6 +612,9 @@ def build_table_example(table_path_or_profile, eps=0.0, scale=1.0, phi=None, cha
     gap = GapProfile(h1=prof, h2=NegatedProfile(prof), c1=2 * 0.99 * c1_half,
                      c2=_c2_bound(prof, chart), chart=chart)
     inc1 = CappedGraphCurve(prof, xc=0.999 * chart)
+    # the name keys the mesh cache, so it must tell different tables apart
+    rows = np.concatenate([prof.x, prof.h, [chart]])
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()[:12]
     return Geometry(
         outer=Circle((0.0, 0.0), 5.0 * scale),
         inclusion1=inc1,
@@ -617,7 +623,7 @@ def build_table_example(table_path_or_profile, eps=0.0, scale=1.0, phi=None, cha
         gap=gap,
         phi=phi if phi is not None else LinearPotential(),
         scale=float(scale),
-        name="table",
+        name=f"table_{digest}",
     )
 
 

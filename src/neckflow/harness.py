@@ -169,6 +169,7 @@ def run_case(geom, p, eps, spec, mesh=None):
                     for r in spec.flux_windows},
         "probes": [],
         "history": [(e, en, res) for (e, en, res) in sol.energy_history],
+        "linear_fallbacks": sol.linear_fallbacks,
     }
     for xp in spec.probes:
         pr = fa.gradient_probe(sol, mesh, xp)

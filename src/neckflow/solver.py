@@ -11,7 +11,7 @@ the energy is already C^2 and eta = 0 is used directly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +20,15 @@ import scipy.sparse.linalg as spla
 from .errors import SolverError
 from .geometry import INC1, INC2, OUTER
 from .meshing import TriMesh
+
+# Continuation stages before the last two only supply the next stage's start,
+# so they stop at max(newton_tol, LOOSE_STAGE_TOL) and take no polish steps.
+LOOSE_STAGE_TOL = 1e-6
+# A direct solve with a larger relative residual (max norm) is redone with
+# Levenberg damping.
+LINEAR_RESIDUAL_TOL = 1e-8
+_SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
 
 
 def default_eta_schedule(p):
@@ -83,6 +92,7 @@ class Solution:
     energy_history: list = field(default_factory=list)
     eta_sensitivity: float = None
     newton_iters: int = 0
+    linear_fallbacks: int = 0   # Newton steps solved with Levenberg damping
 
     @property
     def ugap(self):
@@ -242,15 +252,39 @@ class Condenser:
 # Newton iteration
 # ---------------------------------------------------------------------------
 
-def _linear_solve(H, rhs):
+@dataclass
+class _Stats:
+    """History and counters of one solve, accumulated over its Newton runs."""
+
+    history: list = field(default_factory=list)   # (eta, energy, residual)
+    newton_iters: int = 0
+    linear_fallbacks: int = 0
+
+
+def _linear_solve(H, rhs, stats):
+    """Solve H d = rhs for the reduced Newton Hessian H (CSC).
+
+    H is symmetric positive semidefinite, so SuperLU runs in symmetric mode:
+    the fill-reducing ordering is computed on the pattern of H + H^T and the
+    pivots are taken from the diagonal (threshold 0).  That keeps the
+    symmetric ordering intact and gives far less fill than the default
+    COLAMD ordering with partial pivoting.  A zero diagonal entry still gets
+    an off-diagonal pivot.  Without partial pivoting a near-singular H can
+    give an inaccurate d, so the residual is checked; a solve that fails the
+    check (a non-finite d included) or finds H exactly singular is redone
+    with Levenberg damping H + lam I and counted in stats.linear_fallbacks.
+    """
     try:
-        lu = spla.splu(H)
+        lu = spla.splu(H, **_SPLU_SYMMETRIC)
         d = lu.solve(rhs)
-        if np.all(np.isfinite(d)):
+        tol = LINEAR_RESIDUAL_TOL * np.abs(rhs).max()
+        # NaN compares false, so a non-finite d fails this test too
+        if np.abs(H @ d - rhs).max() <= tol:
             return d
     except RuntimeError:
         pass
     # Levenberg fallback for semidefinite Hessians (p > 2 with flat spots)
+    stats.linear_fallbacks += 1
     diag = H.diagonal()
     scale = max(float(np.abs(diag).max()), 1e-30)
     lam = 1e-10
@@ -258,7 +292,7 @@ def _linear_solve(H, rhs):
     eye = sp.identity(n, format="csc")
     while lam <= 1e3:
         try:
-            lu = spla.splu((H + lam * scale * eye).tocsc())
+            lu = spla.splu((H + lam * scale * eye).tocsc(), **_SPLU_SYMMETRIC)
             d = lu.solve(rhs)
             if np.all(np.isfinite(d)):
                 return d
@@ -274,14 +308,14 @@ def _scaled_residual(cond, ops, q, p, eta):
     return float(np.abs(cond.reduce_grad(grad_full)).max()) / max(1.0, abs(energy))
 
 
-def _newton(cond, ops, q, p, eta, cfg, history):
-    """Damped Newton on the reduced energy; returns (q, scaled residual, its).
+def _newton(cond, ops, q, p, eta, cfg, stats):
+    """Damped Newton on the reduced energy; returns (q, scaled residual).
 
     After the tolerance is met, up to cfg.polish_iters extra full steps are
     taken while they keep lowering the residual; downstream flux sums benefit
     from residuals well below the stopping tolerance."""
     polish_left = cfg.polish_iters
-    steps = 0
+    # every pass that does not return takes one step, so `it` counts steps
     for it in range(cfg.max_newton_iters + cfg.polish_iters):
         u = cond.nodal(q)
         energy, grad_full, g, w = ops.energy_grad(u, p, eta)
@@ -289,21 +323,21 @@ def _newton(cond, ops, q, p, eta, cfg, history):
         scale = max(1.0, abs(energy))
         res = float(np.abs(grad).max()) / scale
         if cfg.record_history:
-            history.append((eta, energy, res))
-        done = res <= cfg.newton_tol and steps > 0
+            stats.history.append((eta, energy, res))
+        done = res <= cfg.newton_tol and it > 0
         if done and (polish_left <= 0 or res <= 1e-3 * cfg.newton_tol):
-            return q, res, steps
+            return q, res
         H = ops.hessian(g, w, p)
         Hr = cond.reduce_hess(H)
-        d = _linear_solve(Hr, -grad)
+        d = _linear_solve(Hr, -grad, stats)
         if done:
             polish_left -= 1
             q_try = q + d
             if _scaled_residual(cond, ops, q_try, p, eta) < res:
                 q = q_try
-                steps += 1
+                stats.newton_iters += 1
                 continue
-            return q, res, steps
+            return q, res
         slope = float(grad @ d)
         if slope > 0:
             d = -d
@@ -319,44 +353,55 @@ def _newton(cond, ops, q, p, eta, cfg, history):
             t *= cfg.backtrack
         if not accepted:
             if res <= 100 * cfg.newton_tol:
-                return q, res, steps   # at the rounding floor; accept
+                return q, res   # at the rounding floor; accept
             raise SolverError("line search stagnated", residual=res, eta=eta)
         q = q + t * d
-        steps += 1
+        stats.newton_iters += 1
     res = _scaled_residual(cond, ops, q, p, eta)
     if res > cfg.newton_tol:
         raise SolverError(f"Newton did not converge in {cfg.max_newton_iters} "
                           f"iterations", residual=res, eta=eta)
-    return q, res, steps
+    return q, res
+
+
+def _continuation(cond, ops, q, cfg, stats):
+    """Newton through cfg.eta_schedule from q; returns (q, eta_sensitivity).
+
+    Stages before the last two run at the looser of newton_tol and
+    LOOSE_STAGE_TOL without polish (inexact continuation).  The last two run
+    at newton_tol: the solution is the final stage's, and eta_sensitivity,
+    the relative change of the gap U1 - U2 between the last two stages, is
+    only meaningful when both are converged tightly.
+    """
+    sched = cfg.eta_schedule
+    loose = replace(cfg, newton_tol=max(cfg.newton_tol, LOOSE_STAGE_TOL),
+                    polish_iters=0)
+    gaps = []
+    for stage, eta in enumerate(sched):
+        stage_cfg = loose if stage < len(sched) - 2 else cfg
+        q, _ = _newton(cond, ops, q, cfg.p, eta, stage_cfg, stats)
+        pots = cond.potentials(q)
+        gaps.append(pots[INC1] - pots[INC2])
+    sensitivity = None
+    if len(gaps) > 1 and not math.isnan(gaps[-1]):
+        sensitivity = abs(gaps[-1] - gaps[-2]) / max(abs(gaps[-1]), 1e-300)
+    return q, sensitivity
 
 
 def solve(mesh, geom, cfg: SolveConfig) -> Solution:
     """Continuation-Newton solve of the condensed minimization problem."""
     ops = ElementOps(mesh)
     cond = Condenser(mesh, geom, cfg.inclusion_values)
-    history = []
+    stats = _Stats()
     q = cond.initial_q()
-    total_iters = 0
 
     if cfg.warm_start_p2 and cfg.p != 2.0:
         cfg2 = SolveConfig(p=2.0, eta_schedule=(0.0,), newton_tol=1e-9,
                            max_newton_iters=10, record_history=False,
                            inclusion_values=cfg.inclusion_values,
                            warm_start_p2=False)
-        q, _, its = _newton(cond, ops, q, 2.0, 0.0, cfg2, history)
-        total_iters += its
-
-    gap_prev = None
-    sensitivity = None
-    for stage, eta in enumerate(cfg.eta_schedule):
-        is_last = stage == len(cfg.eta_schedule) - 1
-        q, res, its = _newton(cond, ops, q, cfg.p, eta, cfg, history)
-        total_iters += its
-        pots = cond.potentials(q)
-        gap = pots.get(INC1, 0.0) - pots.get(INC2, 0.0)
-        if gap_prev is not None and is_last and not math.isnan(gap):
-            sensitivity = abs(gap - gap_prev) / max(abs(gap), 1e-300)
-        gap_prev = gap
+        q, _ = _newton(cond, ops, q, 2.0, 0.0, cfg2, stats)
+    q, sensitivity = _continuation(cond, ops, q, cfg, stats)
 
     eta_final = cfg.eta_schedule[-1]
     u = cond.nodal(q)
@@ -383,9 +428,10 @@ def solve(mesh, geom, cfg: SolveConfig) -> Solution:
         p=cfg.p,
         eta_final=eta_final,
         grad_full=grad_full,
-        energy_history=history,
+        energy_history=stats.history,
         eta_sensitivity=sensitivity,
-        newton_iters=total_iters,
+        newton_iters=stats.newton_iters,
+        linear_fallbacks=stats.linear_fallbacks,
     )
 
 
@@ -409,9 +455,7 @@ def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
     sols = []
     for k in range(n_starts):
         q = rng.uniform(lo - 0.1, hi + 0.1, cond.n_dofs) if k else cond.initial_q()
-        history = []
-        for eta in cfg.eta_schedule:
-            q, _, _ = _newton(cond, ops, q, cfg.p, eta, cfg, history)
+        q, _ = _continuation(cond, ops, q, cfg, _Stats())
         sols.append(cond.nodal(q))
     floor = math.sqrt(mesh.n_vertices)
     dist = 0.0

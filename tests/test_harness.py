@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from neckflow import (NeckflowError, SweepSpec, build_symmetric_disc_example,
-                      run_sweep)
+                      build_table_example, run_sweep)
 from neckflow.cli import main as cli_main
-from neckflow.harness import CSV_BASE_COLUMNS, compare_prediction
+from neckflow.geometry import TableProfile
+from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
+                              compare_prediction)
 
 
 def tiny_spec(out_dir=None, **kw):
@@ -33,6 +35,7 @@ class TestSingleCaseSweep:
     def test_one_row_insufficient_slope(self, tmp_path):
         report = run_sweep(tiny_spec(str(tmp_path / "out")))
         assert len(report.rows) == 1
+        assert report.rows[0]["linear_fallbacks"] == 0
         assert report.fits[2.0]["slope_fit"]["status"] == "insufficient points"
         assert math.isnan(report.fits[2.0]["slope_fit"]["slope"])
         out = tmp_path / "out"
@@ -76,6 +79,25 @@ def test_mesh_cache_reuse(tmp_path):
     mtime = os.path.getmtime(os.path.join(cache, files[0]))
     run_sweep(tiny_spec(str(tmp_path / "out2"), cache_dir=cache))
     assert os.path.getmtime(os.path.join(cache, files[0])) == mtime
+
+
+def test_table_geometries_get_their_own_cache_entries(tmp_path):
+    x = np.linspace(-1.3, 1.3, 80)
+    g1 = build_table_example(TableProfile(x, 0.3 * x * x))
+    g2 = build_table_example(TableProfile(x, 0.5 * x * x))
+    # the name depends on the table rows, not on their order
+    xr = x[::-1]
+    assert build_table_example(TableProfile(xr, 0.3 * xr * xr)).name == g1.name
+    cache = str(tmp_path / "cache")
+    spec = tiny_spec(cache_dir=cache)
+    assert _mesh_key(g1, spec, 1e-2) != _mesh_key(g2, spec, 1e-2)
+    m1 = case_mesh(g1, spec, 1e-2)
+    m2 = case_mesh(g2, spec, 1e-2)
+    assert len(os.listdir(cache)) == 2
+    assert (m1.vertices.shape != m2.vertices.shape
+            or not np.array_equal(m1.vertices, m2.vertices))
+    # a second request for the second table reads its own mesh back
+    assert np.array_equal(case_mesh(g2, spec, 1e-2).vertices, m2.vertices)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from neckflow import (INC1, OUTER, ConstantPotential, SolveConfig,
+from neckflow import (INC1, INC2, OUTER, ConstantPotential, SolveConfig,
                       SolverError, TriMesh, assemble_energy, build_annulus,
                       build_symmetric_disc_example, generate, solve,
                       uniqueness_probe)
-from neckflow.solver import Condenser, ElementOps, reduced_hessian
+from neckflow.solver import (Condenser, ElementOps, _linear_solve, _newton,
+                             _Stats, reduced_hessian)
 
 
 def radial_exact(r, p):
@@ -168,6 +170,80 @@ class TestDiscFixture:
         assert sol.eta_sensitivity < 0.01
 
 
+class TestContinuation:
+    def test_loose_early_stages_match_full_tolerance(self, disc_geom,
+                                                     disc_mesh_1e2,
+                                                     disc_solutions_1e2):
+        # reference: the same p=2 warm start, then every stage at the full cfg
+        g = disc_geom.with_eps(1e-2)
+        cfg = SolveConfig(p=1.3)
+        ops, cond = ElementOps(disc_mesh_1e2), Condenser(disc_mesh_1e2, g)
+        stats = _Stats()
+        warm = SolveConfig(p=2.0, newton_tol=1e-9, max_newton_iters=10)
+        q, _ = _newton(cond, ops, cond.initial_q(), 2.0, 0.0, warm, stats)
+        gaps = []
+        for eta in cfg.eta_schedule:
+            q, _ = _newton(cond, ops, q, cfg.p, eta, cfg, stats)
+            gaps.append(q[cond.iU[INC1]] - q[cond.iU[INC2]])
+        sol = disc_solutions_1e2[1.3]
+        assert sol.eta_sensitivity == pytest.approx(
+            abs(gaps[-1] - gaps[-2]) / abs(gaps[-1]), rel=1e-8)
+        assert sol.U1 == pytest.approx(q[cond.iU[INC1]], rel=1e-8)
+        assert sol.U2 == pytest.approx(q[cond.iU[INC2]], rel=1e-8)
+        assert sol.newton_iters < stats.newton_iters
+
+
+class TestLinearSolve:
+    def test_sparse_spd_matches_dense(self, rng):
+        # weighted graph Laplacian of a random sparse graph plus a diagonal
+        n = 300
+        i = rng.integers(0, n, 4 * n)
+        j = rng.integers(0, n, 4 * n)
+        keep = i != j
+        W = sp.coo_matrix((rng.uniform(0.1, 1.0, keep.sum()),
+                           (i[keep], j[keep])), shape=(n, n)).tocsr()
+        W = W + W.T
+        L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
+        H = (L + sp.diags(rng.uniform(1e-3, 1.0, n))).tocsc()
+        rhs = rng.normal(size=n)
+        stats = _Stats()
+        d = _linear_solve(H, rhs, stats)
+        ref = np.linalg.solve(H.toarray(), rhs)
+        assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert stats.linear_fallbacks == 0
+
+    def test_indefinite_zero_diagonal_block(self):
+        H = sp.block_diag([np.array([[0.0, 1.0], [1.0, 0.0]]), [[2.0]]],
+                          format="csc")
+        stats = _Stats()
+        d = _linear_solve(H, np.array([1.0, 2.0, 3.0]), stats)
+        assert np.allclose(d, [2.0, 1.0, 1.5], rtol=0, atol=1e-15)
+        assert stats.linear_fallbacks == 0
+
+    def test_singular_psd_takes_levenberg(self):
+        H = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        rhs = np.array([1.0, 1.0])
+        stats = _Stats()
+        d = _linear_solve(H, rhs, stats)
+        assert stats.linear_fallbacks == 1
+        assert np.abs(H @ d - rhs).max() <= 1e-8
+
+    def test_inaccurate_direct_solve_takes_levenberg(self):
+        # the ordering puts the 1e-20 entry first, and a diagonal pivot that
+        # small loses the solution; the residual check catches it
+        H = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1e-20]]))
+        rhs = np.array([1.0, 2.0])
+        stats = _Stats()
+        d = _linear_solve(H, rhs, stats)
+        assert stats.linear_fallbacks == 1
+        assert np.abs(H @ d - rhs).max() <= 1e-6
+
+    def test_nan_matrix_raises(self):
+        H = sp.csc_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(SolverError):
+            _linear_solve(H, np.array([1.0, 1.0]), _Stats())
+
+
 class TestLinearCase:
     def test_one_newton_step(self, disc_geom, disc_mesh_1e2):
         g = disc_geom.with_eps(1e-2)
@@ -175,6 +251,7 @@ class TestLinearCase:
         sol = solve(disc_mesh_1e2, g, cfg)
         assert sol.newton_iters == 1
         assert sol.kkt_residual <= 1e-10
+        assert sol.linear_fallbacks == 0
 
 
 class TestManufactured:
