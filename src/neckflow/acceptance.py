@@ -91,7 +91,7 @@ def criterion_kkt(report):
 
 
 def criterion_potential_bounds(report, geom):
-    lo, hi = _phi_range(geom)
+    lo, hi = geom.phi_range()
     ok = all(lo - 1e-8 <= r[k] <= hi + 1e-8
              for r in report.rows for k in ("U1", "U2"))
     worst = max(max(r["U1"] - hi, lo - r["U1"], r["U2"] - hi, lo - r["U2"])
@@ -249,7 +249,7 @@ def criterion_properties(report, geom, spec):
     ok &= mono
     details.append(f"energy monotone per stage: {mono}")
     # discrete maximum principle surrogate
-    lo, hi = _phi_range(geom)
+    lo, hi = geom.phi_range()
     osc = hi - lo
     worst_mp = max(max(r["u_max"] - hi, lo - r["u_min"]) for r in report.rows)
     ok_mp = worst_mp <= 1e-8 * osc
@@ -268,14 +268,6 @@ def criterion_properties(report, geom, spec):
     details.append(f"uniqueness dist p=2 {d2:.1e} (gate 1e-9), "
                    f"p=1.3 {d13:.1e} (gate 1e-8)")
     return CriterionResult(12, "property suite", ok, "; ".join(details))
-
-
-def _phi_range(geom, n=720):
-    a = np.linspace(0, 2 * math.pi, n, endpoint=False)
-    c, r = geom.outer.center, geom.outer.radius
-    pts = np.column_stack([c[0] + r * np.cos(a), c[1] + r * np.sin(a)])
-    vals = geom.phi(pts)
-    return float(vals.min()), float(vals.max())
 
 
 # ---------------------------------------------------------------------------

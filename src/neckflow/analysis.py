@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import FitError, GeometryError
 from .geometry import INC2, NeckPoint, TAG_NAMES, gap_width, model_gap_width
-from .solver import ElementOps
 
 BELOW_NECK = "BELOW_NECK"
+MAX_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def kkt_condensed_flux(sol, mesh, tag):
 
 def cutoff_volume_flux(sol, mesh, tag, band=None):
     """Current out of the tagged component via the volume form
-    -int |grad u|^(p-2) grad u . grad chi over an explicit cutoff layer."""
+    -int |grad u|^(p-2) grad u . grad chi over an explicit cutoff layer,
+    evaluated in its exact dual form -(1/p) sum_i chi_i dE/du_i."""
     pts = mesh.vertices
     bverts = np.flatnonzero(mesh.vertex_tag == tag)
     if band is None:
@@ -59,12 +60,7 @@ def cutoff_volume_flux(sol, mesh, tag, band=None):
     chi = np.clip(1.0 - d / band, 0.0, 1.0)
     chi[mesh.vertex_tag == tag] = 1.0
     chi[(mesh.vertex_tag != tag) & (mesh.vertex_tag != 0)] = 0.0
-    ops = ElementOps(mesh)
-    gchi = ops.gradients(chi)
-    g = sol.element_gradients
-    w = sol.eta_final**2 + np.einsum("ti,ti->t", g, g)
-    coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (sol.p / 2.0 - 1.0), 0.0)
-    val = -float(np.dot(ops.area, coef * np.einsum("ti,ti->t", g, gchi)))
+    val = -float(chi @ sol.grad_full) / sol.p
     return FluxEstimate(val, "CUTOFF_VOLUME", TAG_NAMES[tag])
 
 
@@ -97,17 +93,12 @@ def cross_section_flux(sol, mesh, r, side=BELOW_NECK):
 
 def annulus_circle_flux(sol, mesh, r, band_cells=4.0):
     """Current flowing outward through the circle |x| = r in an annulus mesh,
-    in cutoff-volume form."""
+    in cutoff-volume (dual) form."""
     pts = mesh.vertices
     rr = np.linalg.norm(pts, axis=1)
     band = band_cells * mesh.grading_report.h_max
     chi = np.clip((r - rr) / band + 0.5, 0.0, 1.0)
-    ops = ElementOps(mesh)
-    gchi = ops.gradients(chi)
-    g = sol.element_gradients
-    w = sol.eta_final**2 + np.einsum("ti,ti->t", g, g)
-    coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (sol.p / 2.0 - 1.0), 0.0)
-    val = -float(np.dot(ops.area, coef * np.einsum("ti,ti->t", g, gchi)))
+    val = -float(chi @ sol.grad_full) / sol.p
     return FluxEstimate(val, "CUTOFF_VOLUME", r)
 
 
@@ -118,7 +109,9 @@ def annulus_circle_flux(sol, mesh, r, band_cells=4.0):
 def max_gradient(sol, mesh, window=None):
     """Largest element-gradient magnitude among triangles whose centroid has
     |x'| <= window (whole domain when window is None); returns (value,
-    centroid location)."""
+    centroid location).  Mirror-image triangles tie up to rounding, so the
+    location is the centroid with the largest y, then the largest x, among
+    those within MAX_TIE_RTOL (relative) of the maximum."""
     g = sol.element_gradients
     mag = np.linalg.norm(g, axis=1)
     cent = mesh.centroids()
@@ -128,8 +121,10 @@ def max_gradient(sol, mesh, window=None):
             return 0.0, (math.nan, math.nan)
         mag = mag[sel]
         cent = cent[sel]
-    k = int(np.argmax(mag))
-    return float(mag[k]), (float(cent[k, 0]), float(cent[k, 1]))
+    top = float(mag.max())
+    near = np.flatnonzero(mag >= top * (1.0 - MAX_TIE_RTOL))
+    k = near[np.lexsort((cent[near, 0], cent[near, 1]))[-1]]
+    return top, (float(cent[k, 0]), float(cent[k, 1]))
 
 
 def gradient_probe(sol, mesh, xprime, frac=0.5):
@@ -160,13 +155,13 @@ def probe_value_and_gradient(sol, mesh, pts):
 def recovered_vertex_gradients(sol, mesh):
     """Area-weighted average of element gradients at vertices."""
     nv = mesh.n_vertices
-    ops = ElementOps(mesh)
+    area = mesh.signed_areas()
     acc = np.zeros((nv, 2))
     wts = np.zeros(nv)
     t = mesh.triangles
     for k in range(3):
-        np.add.at(acc, t[:, k], sol.element_gradients * ops.area[:, None])
-        np.add.at(wts, t[:, k], ops.area)
+        np.add.at(acc, t[:, k], sol.element_gradients * area[:, None])
+        np.add.at(wts, t[:, k], area)
     return acc / wts[:, None]
 
 
@@ -304,10 +299,13 @@ def write_probe_csv(path, rows):
     with open(path, "w") as fh:
         fh.write(PROBE_CSV_HEADER + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in PROBE_CSV_HEADER.split(",")) + "\n")
+            fh.write(",".join(csv_field(row[k])
+                              for k in PROBE_CSV_HEADER.split(",")) + "\n")
 
 
-def _fmt(x):
+def csv_field(x):
+    """How rows.csv and probes.csv print a value: floats (nan included) with
+    12 significant digits, everything else with str."""
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)

@@ -370,7 +370,7 @@ def extrapolate_flux(rows):
         if not np.all(np.isfinite(popt)) or np.abs(resid).max() > 0.2 * scale:
             return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
         return FluxExtrapolation(float(popt[0]), float(popt[1]), float(popt[2]))
-    except Exception:
+    except (RuntimeError, ValueError):
         return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
 
 
@@ -415,7 +415,7 @@ def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
                                             [np.inf, np.inf, 1.5]),
                                     maxfev=20000)
             rows.append((r, float(popt[0])))
-        except Exception:
+        except (RuntimeError, ValueError):
             rows.append((r, float(vals[-1])))
     return rows
 

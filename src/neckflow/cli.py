@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 
 def _parse_list(text, cast=float):
     return tuple(cast(tok) for tok in text.replace(",", " ").split())
@@ -76,6 +74,7 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     from . import asymptotics as asy
+    from .acceptance import criterion_oracle
     ok = True
     print("gamma-function spot checks:")
     exact = {1.0: 1.0, 0.5: math.sqrt(math.pi), 2.0: 1.0, 5.0: 24.0,
@@ -84,15 +83,9 @@ def cmd_oracle(args):
         rel = abs(asy.gamma_fn(z) - val) / val
         ok &= rel < 1e-12
         print(f"  gamma({z:g}) rel err {rel:.2e}")
-    print("neck-integral iterated limits vs 1/K:")
-    for n, p in ((2, 2.0), (2, 3.0), (3, 2.0), (4, 2.5)):
-        reg = asy.Regime(p, n)
-        H = 2.0 * np.eye(n - 1)
-        lim = asy.neck_integral_limit(reg, H)
-        rel = abs(lim * asy.gap_constant(H, reg) - 1.0)
-        ok &= rel <= 1e-2
-        print(f"  (n={n}, p={p:g}, {reg.branch}): limit {lim:.8f}, "
-              f"rel dev {rel:.2e}")
+    result = criterion_oracle()
+    ok &= result.passed
+    print(result.line())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "oracle.txt"), "w") as fh:

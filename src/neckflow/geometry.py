@@ -438,13 +438,18 @@ class Geometry:
     def lower_wall(self, xprime):
         return -self.eps / 2.0 + self.gap.h2(xprime)
 
-    def phi_oscillation(self, n=720):
+    def phi_range(self, n=720):
+        """(min, max) of the boundary data over n points of the outer curve."""
         a = np.linspace(0, 2 * math.pi, n, endpoint=False)
         # outer curves are circles in every built-in construction
         c, r = self.outer.center, self.outer.radius
         pts = np.column_stack([c[0] + r * np.cos(a), c[1] + r * np.sin(a)])
         vals = self.phi(pts)
-        return float(vals.max() - vals.min())
+        return float(vals.min()), float(vals.max())
+
+    def phi_oscillation(self, n=720):
+        lo, hi = self.phi_range(n)
+        return hi - lo
 
     def is_mirror_symmetric(self, n=50, tol=1e-12):
         """Domain symmetry under x_n -> -x_n (not symmetry of phi)."""

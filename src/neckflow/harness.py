@@ -11,11 +11,17 @@ Outputs in the chosen directory:
   report.json         everything, including fits and per-case runtimes
   solution_<p>_<eps>.txt / .json   nodal values + scalar summary per case
 
+Each separation is meshed once and solved for every exponent.  With
+SweepSpec.workers = K > 1 the separations run in K worker processes, each
+meshing its own eps; no disk cache is forced.
+
 Mesh reuse: set NECKFLOW_CACHE (or SweepSpec.cache_dir) to a directory and
 meshes are stored there in the plain-text mesh format, keyed by geometry,
-separation, and grading parameters.
+separation, grading parameters and the mesher version.
 """
 
+import functools
+import hashlib
 import json
 import math
 import os
@@ -27,6 +33,7 @@ import numpy as np
 
 from . import analysis as fa
 from . import asymptotics as asy
+from . import meshing
 from .errors import NeckflowError
 from .geometry import INC1, INC2, load_geometry_config
 from .meshing import generate, load_mesh, refine_uniform, save_mesh
@@ -70,6 +77,8 @@ class SweepSpec:
             raise NeckflowError("all exponents must exceed 1")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise NeckflowError("eps_list must be strictly decreasing")
+        if self.workers < 1:
+            raise NeckflowError("workers must be at least 1")
         if self.out_dir is not None:
             os.makedirs(self.out_dir, exist_ok=True)
             probe = os.path.join(self.out_dir, ".write_probe")
@@ -114,8 +123,7 @@ def _cache_dir(spec):
 def _mesh_key(geom, spec, eps):
     raw = (getattr(geom, "name", "geom"), float(geom.scale), float(eps),
            float(spec.target_h), int(spec.neck_layers), int(spec.refine),
-           int(spec.seed))
-    import hashlib
+           int(spec.seed), meshing.MESHER_VERSION)
     return hashlib.md5(repr(raw).encode()).hexdigest()[:16]
 
 
@@ -203,12 +211,24 @@ def _persist_solution(sol, mesh, row, out_dir):
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def _case_task(args):
-    geom, p, eps, spec = args
+def _separation_task(geom, spec, eps):
+    """Mesh one separation once and solve it for every exponent; returns
+    (rows, failures).  A NeckflowError from the mesh or a solve becomes a
+    failure entry for the (p, eps) cases it stops."""
+    def failure(p, exc):
+        return {"p": p, "eps": eps, "error": f"{type(exc).__name__}: {exc}"}
+
     try:
-        return ("ok", p, eps, run_case(geom, p, eps, spec))
+        mesh = case_mesh(geom, spec, eps)
     except NeckflowError as exc:
-        return ("failed", p, eps, f"{type(exc).__name__}: {exc}")
+        return [], [failure(p, exc) for p in spec.p_list]
+    rows, failures = [], []
+    for p in spec.p_list:
+        try:
+            rows.append(run_case(geom, p, eps, spec, mesh=mesh))
+        except NeckflowError as exc:
+            failures.append(failure(p, exc))
+    return rows, failures
 
 
 # ---------------------------------------------------------------------------
@@ -312,42 +332,16 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     if geom.kind != "two_inclusion":
         raise NeckflowError("sweeps require a two-inclusion geometry")
     geom.validate(eps_values=spec.eps_list)
-    results = []
-    if spec.workers > 1:
-        if not _cache_dir(spec):
-            spec.cache_dir = os.path.join(spec.out_dir or ".", "mesh_cache")
-        for eps in spec.eps_list:   # prewarm the mesh cache serially
-            case_mesh(geom, spec, eps)
-        cases = [(geom, p, eps, spec) for p in spec.p_list
-                 for eps in spec.eps_list]
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_case_task, cases))
+    task = functools.partial(_separation_task, geom, spec)
+    if spec.workers == 1:
+        results = list(map(task, spec.eps_list))
     else:
-        meshes = {}
-        for p in spec.p_list:
-            for eps in spec.eps_list:
-                if eps not in meshes:
-                    try:
-                        meshes[eps] = case_mesh(geom, spec, eps)
-                    except NeckflowError as exc:
-                        meshes[eps] = exc
-                try:
-                    if isinstance(meshes[eps], NeckflowError):
-                        raise meshes[eps]
-                    results.append(("ok", p, eps,
-                                    run_case(geom, p, eps, spec,
-                                             mesh=meshes[eps])))
-                except NeckflowError as exc:
-                    results.append(("failed", p, eps,
-                                    f"{type(exc).__name__}: {exc}"))
-
-    rows, failures = [], []
-    for status, p, eps, payload in results:
-        if status == "ok":
-            rows.append(payload)
-        else:
-            failures.append({"p": p, "eps": eps, "error": payload})
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            results = list(pool.map(task, spec.eps_list))
+    rows = [r for case_rows, _ in results for r in case_rows]
+    failures = [f for _, case_failures in results for f in case_failures]
     rows.sort(key=lambda r: (r["p"], -r["eps"]))
+    failures.sort(key=lambda f: (f["p"], -f["eps"]))
 
     hess = [[geom.gap.gap_hessian0()]]
     fits = {}
@@ -369,14 +363,6 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _g(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.12g}"
-    return str(x)
-
-
 def write_report(report: SweepReport, spec: SweepSpec):
     out = spec.out_dir
     win_cols = [f"winflux_r{r:g}" for r in spec.flux_windows]
@@ -384,17 +370,12 @@ def write_report(report: SweepReport, spec: SweepSpec):
         fh.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         fh.write(",".join(list(CSV_BASE_COLUMNS) + win_cols) + "\n")
         for r in report.rows:
-            vals = [_g(r[c]) for c in CSV_BASE_COLUMNS]
-            vals += [_g(r["winflux"][float(w)]) for w in spec.flux_windows]
+            vals = [fa.csv_field(r[c]) for c in CSV_BASE_COLUMNS]
+            vals += [fa.csv_field(r["winflux"][float(w)])
+                     for w in spec.flux_windows]
             fh.write(",".join(vals) + "\n")
-    probe_rows = []
-    for entry in report.predictions:
-        probe_rows.append({"eps": entry["eps"], "p": entry["p"],
-                           "xprime": entry["xprime"], "xn": entry["xn"],
-                           "delta": entry["delta"], "grad_x": entry["grad_x"],
-                           "grad_n": entry["grad_n"],
-                           "predicted_grad_n": entry["predicted_grad_n"]})
-    fa.write_probe_csv(os.path.join(out, "probes.csv"), probe_rows)
+    # prediction entries carry every probes.csv column
+    fa.write_probe_csv(os.path.join(out, "probes.csv"), report.predictions)
     payload = {"spec": report.spec, "rows": report.rows,
                "fits": {str(k): v for k, v in report.fits.items()},
                "predictions": report.predictions,

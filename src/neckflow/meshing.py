@@ -24,6 +24,10 @@ from .geometry import INC1, INC2, OUTER, TAG_IDS, TAG_NAMES, Circle
 
 _VERTEX_CAP = 2_000_000
 
+# part of every mesh-cache key: bump it whenever a change to this module
+# changes the meshes it builds, so that stale cache files are not reused
+MESHER_VERSION = 1
+
 
 @dataclass(frozen=True)
 class GradingReport:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from neckflow import (FitError, GeometryError, INC1, INC2, ConstantPotential,
                       max_gradient, solve, solve_decay_fixture,
                       write_probe_csv)
 from neckflow.analysis import fit_log_decay, PROBE_CSV_HEADER
+from neckflow.solver import ElementOps
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,34 @@ class TestFluxes:
         assert abs(s_r + complement) <= 10 * 1e-10 * max(1.0,
                                                          abs(sol.energy))
 
+    def test_dual_form_equals_volume_integral(self, annulus_p3,
+                                              disc_solutions_1e2,
+                                              disc_mesh_1e2):
+        # -(1/p) sum_i chi_i dE/du_i against the explicit element integral
+        # -int (eta^2 + |grad u|^2)^(p/2-1) grad u . grad chi of the same chi
+        def volume_integral(sol, mesh, chi):
+            ops = ElementOps(mesh)
+            g = sol.element_gradients
+            w = sol.eta_final**2 + np.einsum("ti,ti->t", g, g)
+            gchi = ops.gradients(chi)
+            return -float(np.dot(ops.area, w ** (sol.p / 2 - 1)
+                                 * np.einsum("ti,ti->t", g, gchi)))
+
+        _, m, sol = annulus_p3
+        rr = np.linalg.norm(m.vertices, axis=1)
+        band = 4.0 * m.grading_report.h_max
+        for r in (1.2, 1.5, 1.8):
+            chi = np.clip((r - rr) / band + 0.5, 0.0, 1.0)
+            ref = volume_integral(sol, m, chi)
+            assert annulus_circle_flux(sol, m, r).value == \
+                pytest.approx(ref, rel=1e-12)
+        sol = disc_solutions_1e2[3.0]
+        tag = disc_mesh_1e2.vertex_tag
+        chi = (tag == INC1).astype(float)
+        ref = volume_integral(sol, disc_mesh_1e2, chi)
+        assert cutoff_volume_flux(sol, disc_mesh_1e2, INC1, band=1e-12).value \
+            == pytest.approx(ref, abs=1e-12 * max(1.0, abs(sol.energy)))
+
     def test_window_domain_error(self, disc_solutions_1e2, disc_mesh_1e2):
         sol = disc_solutions_1e2[2.0]
         with pytest.raises(GeometryError):
@@ -92,6 +122,26 @@ class TestMaxGradient:
         sol = solve(m, g, SolveConfig(p=2.0))
         val, _ = max_gradient(sol, m, window=0.25)
         assert val <= 1e-9
+
+    def test_mirror_tie_location_is_stable_under_rounding(self):
+        # two mirror-image triangles whose gradients tie up to one ulp: the
+        # reported location is the upper one whichever of the two is larger
+        cent = np.array([[0.1, -0.2], [0.1, 0.2], [0.0, 0.0]])
+        mesh = SimpleNamespace(centroids=lambda: cent)
+        base = np.array([[3.0, 4.0], [3.0, -4.0], [1.0, 1.0]])
+        base_val, loc = max_gradient(SimpleNamespace(element_gradients=base),
+                                     mesh)
+        assert base_val == 5.0 and loc == (0.1, 0.2)
+        for direction in (np.inf, -np.inf):
+            g = base.copy()
+            g[0, 1] = np.nextafter(4.0, direction)
+            val, loc = max_gradient(SimpleNamespace(element_gradients=g), mesh)
+            assert val == np.linalg.norm(g, axis=1).max()
+            assert loc == (0.1, 0.2)
+        # among equal heights the larger x wins
+        cent[:] = [[-0.3, 0.2], [0.3, 0.2], [0.0, 0.0]]
+        _, loc = max_gradient(SimpleNamespace(element_gradients=base), mesh)
+        assert loc == (0.3, 0.2)
 
     def test_blowup_ratio_linear_case(self, disc_geom):
         # between eps = 1e-2 and 1e-3 the max gradient grows like eps^(-1/2)

@@ -263,6 +263,32 @@ class TestFluxExtrapolation:
         rows = extrapolated_window_rows(tables, Regime(1.3, 2))
         assert rows == [(0.4, 1.0 + 1e-4), (0.3, 0.9 + 1e-4)]
 
+    @pytest.mark.parametrize("error", [RuntimeError, TypeError])
+    def test_only_fit_failures_fall_back(self, monkeypatch, error):
+        import scipy.optimize
+
+        def broken_fit(*args, **kwargs):
+            raise error("curve_fit failed")
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", broken_fit)
+        tables = {e: {0.4: 1.0 + e, 0.3: 0.9 + e} for e in (1e-3, 1e-4)}
+
+        def flux():
+            return extrapolate_flux([(0.5, 2.1), (0.3, 2.05), (0.2, 2.0)])
+
+        def window():
+            return extrapolated_window_rows(tables, Regime(2.0, 2),
+                                            qualify_ratio=1.0, min_pts=2)
+
+        if error is RuntimeError:
+            assert flux().fallback
+            assert window() == [(0.4, 1.0 + 1e-4), (0.3, 0.9 + 1e-4)]
+        else:
+            # a programming error is not a fit failure and propagates
+            for call in (flux, window):
+                with pytest.raises(error):
+                    call()
+
 
 class TestLowerBoundRegion:
     def test_super(self):

@@ -82,6 +82,9 @@ class TestSymmetricDiscExample:
         assert g.validate()
         assert g.is_mirror_symmetric()
         assert g.phi_oscillation() == pytest.approx(10.0, rel=1e-3)
+        lo, hi = g.phi_range()
+        assert hi - lo == g.phi_oscillation()
+        assert lo == pytest.approx(-hi, rel=1e-12)
 
     def test_inclusion_touching_outer_rejected(self):
         g = build_symmetric_disc_example(scale=1.0, eps=2.2)

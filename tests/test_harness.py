@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from neckflow import (NeckflowError, SweepSpec, build_symmetric_disc_example,
-                      build_table_example, run_sweep)
+                      build_table_example, harness, meshing, run_sweep)
 from neckflow.cli import main as cli_main
 from neckflow.geometry import TableProfile
 from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
@@ -28,6 +28,8 @@ class TestSweepSpec:
             tiny_spec(p_list=(0.9,)).validate()
         with pytest.raises(NeckflowError):
             tiny_spec(eps_list=(1e-3, 1e-2)).validate()
+        with pytest.raises(NeckflowError):
+            tiny_spec(workers=0).validate()
         tiny_spec(str(tmp_path / "out")).validate()
 
 
@@ -107,23 +109,53 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert len(os.listdir(cache)) == 1
 
 
+def test_mesher_version_is_part_of_the_cache_key(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    spec = tiny_spec(cache_dir=str(cache))
+    geom = spec.resolved_geometry()
+    first = case_mesh(geom, spec, 1e-2)
+    old_files = set(os.listdir(cache))
+    monkeypatch.setattr(meshing, "MESHER_VERSION", meshing.MESHER_VERSION + 1)
+
+    def no_reads(*args, **kwargs):
+        raise AssertionError("a mesh of another mesher version was read")
+
+    monkeypatch.setattr(harness, "load_mesh", no_reads)
+    second = case_mesh(geom, spec, 1e-2)
+    new_files = set(os.listdir(cache)) - old_files
+    assert len(old_files) == 1 and len(new_files) == 1
+    assert np.array_equal(first.vertices, second.vertices)
+
+
 def test_failure_isolation(tmp_path):
-    # a vertex cap that only the small-separation mesh exceeds
-    spec = tiny_spec(str(tmp_path / "out"), eps_list=(1e-2, 1e-4),
-                     mesh_vertex_cap=6000)
-    report = run_sweep(spec)
-    assert len(report.rows) == 1
-    assert len(report.failures) == 1
-    assert report.failures[0]["eps"] == 1e-4
-    assert "MeshCapacityError" in report.failures[0]["error"]
-    assert not report.ok
+    # a vertex cap that only the small-separation mesh exceeds; the serial
+    # and the worker-process sweep isolate it the same way
+    for workers in (1, 2):
+        spec = tiny_spec(str(tmp_path / f"out{workers}"),
+                         eps_list=(1e-2, 1e-4), mesh_vertex_cap=6000,
+                         workers=workers)
+        report = run_sweep(spec)
+        assert len(report.rows) == 1
+        assert len(report.failures) == 1
+        assert report.failures[0]["eps"] == 1e-4
+        assert "MeshCapacityError" in report.failures[0]["error"]
+        assert not report.ok
+        assert spec.cache_dir is None
 
 
 def test_workers_parallel_path(tmp_path):
-    spec = tiny_spec(str(tmp_path / "out"), p_list=(2.0, 3.0), workers=2)
-    report = run_sweep(spec)
-    assert len(report.rows) == 2
-    assert report.ok
+    outputs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        spec = tiny_spec(str(out), p_list=(2.0, 3.0), eps_list=(1e-2, 6e-3),
+                         workers=workers)
+        report = run_sweep(spec)
+        assert len(report.rows) == 4
+        assert report.ok
+        rows = (out / "rows.csv").read_text().splitlines()
+        assert rows[0].startswith("# generated")
+        outputs[workers] = (rows[1:], (out / "probes.csv").read_bytes())
+    assert outputs[1] == outputs[2]
 
 
 class TestComparePrediction:
