@@ -64,37 +64,14 @@ def blowup_scale(eps, regime: Regime):
 
 
 # ---------------------------------------------------------------------------
-# Gamma function (Lanczos approximation with reflection)
+# Gamma function
 # ---------------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(z):
-    """Gamma(z) for z > 0, relative accuracy ~1e-13 on (0, 50]."""
-    z = float(z)
+    """Gamma(z) for z > 0 (math.gamma with the domain check of this module)."""
     if z <= 0:
         raise GeometryError("gamma_fn requires z > 0")
-    if z < 0.5:
-        # reflection keeps the Lanczos sum well conditioned near 0
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * math.exp(-t) * x
+    return math.gamma(z)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +351,13 @@ def extrapolate_flux(rows):
         return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
 
 
+class WindowRows(list):
+    """(r, flux) rows from `extrapolated_window_rows`; `fallbacks` counts the
+    radii whose power-law fit failed and took the smallest-eps value."""
+
+    fallbacks = 0
+
+
 def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
                              min_pts=3):
     """Turn a window-flux table {eps: {r: flux}} into (r, flux) rows suitable
@@ -383,15 +367,16 @@ def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
     qualify_ratio (the window flux is meaningful only for eps well below the
     window scale).  On the flux-carrying branches each radius with at least
     min_pts qualifying separations is extrapolated to eps -> 0 by a power-law
-    fit; radii with fewer points are dropped.  On the SUB branch the raw
-    values at the smallest qualifying separation are used: the limit being
-    demonstrated is zero and the slow gap convergence makes power-law
-    extrapolation ill-conditioned there."""
+    fit; radii with fewer points are dropped, and a radius whose fit fails
+    takes its smallest-eps value and is counted in `WindowRows.fallbacks`.
+    On the SUB branch the raw values at the smallest qualifying separation
+    are used: the limit being demonstrated is zero and the slow gap
+    convergence makes power-law extrapolation ill-conditioned there."""
     from scipy.optimize import curve_fit
 
     eps_sorted = sorted(tables.keys(), reverse=True)
     radii = sorted({r for t in tables.values() for r in t.keys()}, reverse=True)
-    rows = []
+    rows = WindowRows()
     for r in radii:
         qual = [e for e in eps_sorted if e <= r * r / qualify_ratio]
         if not qual:
@@ -417,6 +402,7 @@ def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
             rows.append((r, float(popt[0])))
         except (RuntimeError, ValueError):
             rows.append((r, float(vals[-1])))
+            rows.fallbacks += 1
     return rows
 
 

@@ -513,12 +513,6 @@ class NeckPoint:
         return np.array([self.xprime, self.xn])
 
 
-def in_gap(geom, pt, tol=0.0):
-    """True when the point lies between the two translated neck boundaries."""
-    return (geom.lower_wall(pt.xprime) - tol <= pt.xn
-            <= geom.upper_wall(pt.xprime) + tol)
-
-
 # ---------------------------------------------------------------------------
 # gap widths
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from . import meshing
 from .errors import NeckflowError
 from .geometry import INC1, INC2, load_geometry_config
 from .meshing import generate, load_mesh, refine_uniform, save_mesh
-from .solver import SolveConfig, solve
+from .solver import Condenser, SolveConfig, solve
 
 CSV_BASE_COLUMNS = (
     "p", "eps", "U1", "U2", "ugap", "ugap_over_scale", "maxgrad",
@@ -150,13 +150,13 @@ def case_mesh(geom, spec, eps):
 # single case
 # ---------------------------------------------------------------------------
 
-def run_case(geom, p, eps, spec, mesh=None):
+def run_case(geom, p, eps, spec, mesh=None, cond=None):
     """Solve one (p, eps) case and collect the row dictionary."""
     t0 = time.time()
     g = geom.with_eps(eps)
     if mesh is None:
         mesh = case_mesh(geom, spec, eps)
-    sol = solve(mesh, g, SolveConfig(p=p, newton_tol=spec.newton_tol))
+    sol = solve(mesh, g, SolveConfig(p=p, newton_tol=spec.newton_tol), cond)
     mg, loc = fa.max_gradient(sol, mesh, window=spec.maxgrad_window)
     regime = asy.Regime(p, 2)
     row = {
@@ -212,20 +212,22 @@ def _persist_solution(sol, mesh, row, out_dir):
 
 
 def _separation_task(geom, spec, eps):
-    """Mesh one separation once and solve it for every exponent; returns
-    (rows, failures).  A NeckflowError from the mesh or a solve becomes a
+    """Mesh one separation and build its Condenser (the solver's mesh
+    constants) once, and solve it for every exponent; returns (rows,
+    failures).  A NeckflowError from the mesh or a solve becomes a
     failure entry for the (p, eps) cases it stops."""
     def failure(p, exc):
         return {"p": p, "eps": eps, "error": f"{type(exc).__name__}: {exc}"}
 
     try:
         mesh = case_mesh(geom, spec, eps)
+        cond = Condenser(mesh, geom.with_eps(eps))
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list]
     rows, failures = [], []
     for p in spec.p_list:
         try:
-            rows.append(run_case(geom, p, eps, spec, mesh=mesh))
+            rows.append(run_case(geom, p, eps, spec, mesh=mesh, cond=cond))
         except NeckflowError as exc:
             failures.append(failure(p, exc))
     return rows, failures
@@ -269,6 +271,7 @@ def fit_case_family(rows, p, gap_hessian):
         out["flux_extrapolation"] = {"value": fx.value,
                                      "amplitude": fx.amplitude,
                                      "rate": fx.rate, "fallback": fx.fallback,
+                                     "window_fallbacks": wrows.fallbacks,
                                      "rows": [[r, v] for r, v in wrows]}
     return out
 

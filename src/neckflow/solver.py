@@ -7,9 +7,11 @@ inclusion share a single free scalar (condensation), so the stationarity of
 that scalar is literally the zero-net-flux condition through the inclusion
 boundary.  A damped Newton iteration with exact gradient/Hessian and Armijo
 backtracking runs inside a continuation loop over decreasing eta; for p >= 2
-the energy is already C^2 and eta = 0 is used directly.
+the energy is already C^2 and eta = 0 is used directly.  The reduced Newton
+system's pattern and fill-reducing order are mesh constants (see Condenser).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -27,8 +29,8 @@ LOOSE_STAGE_TOL = 1e-6
 # A direct solve with a larger relative residual (max norm) is redone with
 # Levenberg damping.
 LINEAR_RESIDUAL_TOL = 1e-8
-_SPLU_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+FILL_REDUCING_ORDER = "MMD_AT_PLUS_A"
+_SPLU_SYMMETRIC = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def default_eta_schedule(p):
@@ -109,73 +111,98 @@ class ElementOps:
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
         c = mesh.tri_coords()
-        x, y = c[..., 0], c[..., 1]
         self.area = mesh.signed_areas()
-        # gradients of the three barycentric functions: rows are (d/dx, d/dy)
-        b = np.empty((len(c), 2, 3))
-        b[:, 0, 0] = y[:, 1] - y[:, 2]
-        b[:, 0, 1] = y[:, 2] - y[:, 0]
-        b[:, 0, 2] = y[:, 0] - y[:, 1]
-        b[:, 1, 0] = x[:, 2] - x[:, 1]
-        b[:, 1, 1] = x[:, 0] - x[:, 2]
-        b[:, 1, 2] = x[:, 1] - x[:, 0]
-        b /= (2.0 * self.area)[:, None, None]
-        self.B = b
-        t = mesh.triangles
-        self._rows = np.repeat(t, 3, axis=1).ravel()
-        self._cols = np.tile(t, (1, 3)).ravel()
+        # gradients of the three barycentric functions: rows are (d/dx, d/dy);
+        # vertex k's are (y[k+1] - y[k+2], x[k+2] - x[k+1]) / (2 area)
+        d = np.roll(c, -1, axis=1) - np.roll(c, -2, axis=1)
+        b = np.stack([d[..., 1], -d[..., 0]], 1)
+        self.B = b / (2.0 * self.area)[:, None, None]
+        self.BtB = np.einsum("tik,til->tkl", self.B, self.B).reshape(-1, 9)
 
     def gradients(self, u):
-        ue = u[self.mesh.triangles]
-        return np.einsum("tij,tj->ti", self.B, ue)
+        return np.einsum("tij,tj->ti", self.B, u[self.mesh.triangles])
 
-    def energy_grad(self, u, p, eta):
+    def state(self, u, eta):
+        """Element gradients g and w = eta^2 + |g|^2."""
         g = self.gradients(u)
-        w = eta * eta + np.einsum("ti,ti->t", g, g)
+        return g, eta * eta + np.einsum("ti,ti->t", g, g)
+
+    def energy(self, u, p, eta):
+        return float(np.dot(self.area, self.state(u, eta)[1] ** (p / 2.0)))
+
+    def element_grad(self, u, p, eta):
+        """Energy, the (nt, 3) per-triangle gradient contributions, g and w."""
+        g, w = self.state(u, eta)
         energy = float(np.dot(self.area, w ** (p / 2.0)))
         wm = np.where(w > 0, w, 1.0)
         fac = self.area * p * np.where(w > 0, wm ** (p / 2.0 - 1.0), 0.0)
-        ge = np.einsum("t,tij,ti->tj", fac, self.B, g)
-        nv = self.mesh.n_vertices
-        grad = np.zeros(nv)
-        t = self.mesh.triangles
-        for k in range(3):
-            grad += np.bincount(t[:, k], weights=ge[:, k], minlength=nv)
+        ge = fac[:, None] * np.einsum("tij,ti->tj", self.B, g)
+        return energy, ge, g, w
+
+    def energy_grad(self, u, p, eta):
+        """Energy and exact gradient in the full nodal space, g and w."""
+        energy, ge, g, w = self.element_grad(u, p, eta)
+        grad = np.bincount(self.mesh.triangles.ravel(), ge.ravel(),
+                           minlength=self.mesh.n_vertices)
         return energy, grad, g, w
 
     def hessian(self, g, w, p):
-        """Exact Hessian w.r.t. nodal values, as a sparse CSR matrix.
+        """Exact element Hessian blocks (nt, 3, 3) w.r.t. the nodal values.
 
         Where the regularized gradient vanishes the Hessian limit is p*I for
         p = 2 and 0 for p > 2; for p < 2 the point is genuinely degenerate
         (eta keeps w positive there during continuation)."""
         wm = np.where(w > 0, w, 1.0)
         e1 = p / 2.0 - 1.0
-        if e1 == 0.0:
-            a1 = np.full_like(w, p)
-        else:
-            a1 = p * np.where(w > 0, wm ** e1, 0.0)
+        a1 = (np.full_like(w, p) if e1 == 0.0
+              else p * np.where(w > 0, wm ** e1, 0.0))
         a2 = p * (p - 2.0) * np.where(w > 0, wm ** (p / 2.0 - 2.0), 0.0)
         # M = a1 I + a2 g g^T, element Hessian = area * B^T M B
         Bg = np.einsum("tij,ti->tj", self.B, g)
-        BtB = np.einsum("tik,til->tkl", self.B, self.B)
-        blocks = (self.area * a1)[:, None, None] * BtB \
-            + (self.area * a2)[:, None, None] * np.einsum("tk,tl->tkl", Bg, Bg)
-        nv = self.mesh.n_vertices
-        H = sp.coo_matrix((blocks.ravel(), (self._rows, self._cols)),
-                          shape=(nv, nv))
-        return H.tocsr()
+        blocks = np.einsum("tk,tl->tkl", Bg, Bg).reshape(-1, 9)
+        blocks *= (self.area * a2)[:, None]
+        blocks += (self.area * a1)[:, None] * self.BtB
+        return blocks.reshape(-1, 3, 3)
+
+
+def _pattern(key, n):
+    """CSC structure (indptr, indices) of the entries of an (n, n) matrix with
+    column-major keys col * n + row, and the data slot (int32) of each entry;
+    entries keyed n * n get slot nnz, past the end, and are dropped."""
+    keys, slot = np.unique(key, return_inverse=True)
+    keys = keys[keys < n * n]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, (keys % n).astype(np.int32), slot.astype(np.int32)
+
+
+def _block_pattern(te, n):
+    """`_pattern` of the 9 * nt element-block entries; te is the (nt, 3) table
+    of triangle DOFs, n for a vertex without one."""
+    row, col, ok = te[:, :, None], te[:, None, :].astype(np.int64), te < n
+    return _pattern(np.where(ok[:, :, None] & ok[:, None, :], col * n + row,
+                             n * n).ravel(), n)
+
+
+def _scatter(pattern, blocks):
+    """The CSC matrix of (nt, 3, 3) element blocks: a single bincount."""
+    indptr, indices, slot = pattern
+    n, nnz = len(indptr) - 1, len(indices)
+    data = np.bincount(slot, blocks.ravel(), minlength=nnz + 1)[:nnz]
+    # its own structure arrays: a Condenser renumbers its pattern in place
+    return sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
 def assemble_energy(mesh, v, p, eta, ops=None):
-    """Energy, exact gradient, and exact Hessian of the regularized functional
-    at nodal vector v (all in the full nodal space)."""
+    """Energy, exact gradient, and exact Hessian (CSC) of the regularized
+    functional at nodal vector v (all in the full nodal space)."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise SolverError("non-finite nodal values passed to assembly")
     ops = ops if ops is not None else ElementOps(mesh)
     energy, grad, g, w = ops.energy_grad(v, p, eta)
-    H = ops.hessian(g, w, p)
+    H = _scatter(_block_pattern(mesh.triangles, mesh.n_vertices),
+                 ops.hessian(g, w, p))
     if not (np.isfinite(energy) and np.all(np.isfinite(grad))):
         raise SolverError("non-finite assembly output")
     return energy, grad, H
@@ -186,24 +213,29 @@ def assemble_energy(mesh, v, p, eta, ops=None):
 # ---------------------------------------------------------------------------
 
 class Condenser:
-    """Maps the reduced unknown vector q to nodal values u = lift + C q.
+    """Maps the reduced unknown vector q to nodal values u = lift + q[dof]
+    and holds the reduced Newton system's mesh constants.
 
     Reduced layout: interior vertices first, then one scalar per floating
-    inclusion (INC1 before INC2 when both float).
+    inclusion (INC1 before INC2 when both float); `dof` is -1 at Dirichlet
+    and pinned vertices.  The element factors (`ops`), the reduced Hessian's
+    pattern and the slot of every element-block entry in it are computed
+    once, so `reduce_hess` is one bincount.  The first factorization's
+    fill-reducing order is a mesh constant too: the pattern is renumbered
+    into it, and later Hessians are factored without reordering
+    (`linear_solve` permutes the right-hand side and the direction by a
+    gather).  The solves on one mesh can share a Condenser.
     """
 
     def __init__(self, mesh, geom, inclusion_values=None):
         inclusion_values = inclusion_values or {}
-        nv = mesh.n_vertices
         tag = mesh.vertex_tag
-        self.lift = np.zeros(nv)
+        self.lift = np.zeros(mesh.n_vertices)
         outer = tag == OUTER
         self.lift[outer] = geom.phi(mesh.vertices[outer])
-        self.free_dofs = {}
-        rows, cols = [np.flatnonzero(tag == 0)], []
-        interior = rows[0]
-        cols.append(np.arange(len(interior)))
-        ndof = len(interior)
+        interior = tag == 0
+        self.dof = np.where(interior, np.cumsum(interior, dtype=np.int32) - 1, -1)
+        ndof = int(interior.sum())
         self.iU = {}
         for t in (INC1, INC2):
             verts = np.flatnonzero(tag == t)
@@ -212,40 +244,55 @@ class Condenser:
             if t in inclusion_values:
                 self.lift[verts] = float(inclusion_values[t])
             else:
-                rows.append(verts)
-                cols.append(np.full(len(verts), ndof))
+                self.dof[verts] = ndof
                 self.iU[t] = ndof
                 ndof += 1
         self.n_dofs = ndof
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        self.C = sp.csr_matrix((np.ones(len(r)), (r, c)), shape=(nv, ndof))
-        self.CT = self.C.T.tocsr()
-        self.mesh = mesh
+        self._te = np.where(self.dof < 0, ndof, self.dof)[mesh.triangles]
+        self._pattern = _block_pattern(self._te, ndof)
+        self._perm = self._inv = None   # factor position of each DOF, inverse
         self.inclusion_values = dict(inclusion_values)
+        self.ops = ElementOps(mesh)
 
     def nodal(self, q):
-        return self.lift + self.C @ q
+        # dof -1 picks the appended zero: u = lift there
+        return self.lift + np.append(q, 0.0)[self.dof]
 
-    def reduce_grad(self, grad):
-        return self.CT @ grad
+    def reduce_grad(self, ge):
+        """Reduced gradient from the (nt, 3) element contributions."""
+        n = self.n_dofs
+        return np.bincount(self._te.ravel(), ge.ravel(), minlength=n + 1)[:n]
 
-    def reduce_hess(self, H):
-        return (self.CT @ H @ self.C).tocsc()
+    def reduce_hess(self, blocks):
+        """Reduced Hessian (CSC) from the (nt, 3, 3) element blocks, in the
+        reduced layout until the first `linear_solve`, in factor order after."""
+        return _scatter(self._pattern, blocks)
+
+    def linear_solve(self, H, rhs, stats):
+        """Solve H d = rhs for H from `reduce_hess`, rhs in the reduced layout."""
+        if self._perm is None:
+            return _linear_solve(H, rhs, stats, on_factor=self._adopt_order)
+        return _linear_solve(H, rhs[self._inv], stats, "NATURAL")[self._perm]
+
+    def _adopt_order(self, lu):
+        # perm_c[i] is DOF i's position in factor order (copied: the array is
+        # a view that keeps the factorization alive).  Renumber the pattern's
+        # entries by it, each slot moving with its entry, in place: arrays
+        # that live as long as the Condenser stay where set-up put them
+        self._perm, (indptr, indices, slot) = lu.perm_c.copy(), self._pattern
+        self._inv, n = np.argsort(self._perm), self.n_dofs
+        cols = self._perm[np.repeat(np.arange(n), np.diff(indptr))]
+        key = np.append(cols.astype(np.int64) * n + self._perm[indices], n * n)
+        new_indptr, new_indices, rank = _pattern(key, n)
+        indptr[:], indices[:], slot[:] = new_indptr, new_indices, rank[slot]
 
     def initial_q(self):
         return np.zeros(self.n_dofs)
 
     def potentials(self, q):
-        out = {}
-        for t in (INC1, INC2):
-            if t in self.iU:
-                out[t] = float(q[self.iU[t]])
-            elif t in self.inclusion_values:
-                out[t] = float(self.inclusion_values[t])
-            else:
-                out[t] = math.nan
-        return out
+        return {t: float(q[self.iU[t]]) if t in self.iU
+                else float(self.inclusion_values.get(t, math.nan))
+                for t in (INC1, INC2)}
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +308,25 @@ class _Stats:
     linear_fallbacks: int = 0
 
 
-def _linear_solve(H, rhs, stats):
+def _linear_solve(H, rhs, stats, permc_spec=FILL_REDUCING_ORDER,
+                  on_factor=lambda lu: None):
     """Solve H d = rhs for the reduced Newton Hessian H (CSC).
 
     H is symmetric positive semidefinite, so SuperLU runs in symmetric mode:
-    the fill-reducing ordering is computed on the pattern of H + H^T and the
-    pivots are taken from the diagonal (threshold 0).  That keeps the
-    symmetric ordering intact and gives far less fill than the default
-    COLAMD ordering with partial pivoting.  A zero diagonal entry still gets
-    an off-diagonal pivot.  Without partial pivoting a near-singular H can
-    give an inaccurate d, so the residual is checked; a solve that fails the
-    check (a non-finite d included) or finds H exactly singular is redone
-    with Levenberg damping H + lam I and counted in stats.linear_fallbacks.
+    the fill-reducing ordering (permc_spec) is computed on the pattern of
+    H + H^T and the pivots are taken from the diagonal (threshold 0).  That
+    keeps the symmetric ordering intact and gives far less fill than the
+    default COLAMD ordering with partial pivoting.  A zero diagonal entry
+    still gets an off-diagonal pivot.  Without partial pivoting a
+    near-singular H can give an inaccurate d, so the residual is checked; a
+    solve that fails the check (a non-finite d included) or finds H exactly
+    singular is redone with Levenberg damping H + lam I (same pattern: the
+    diagonal is in it), counted in stats.linear_fallbacks.  on_factor is
+    called with the direct factorization.
     """
     try:
-        lu = spla.splu(H, **_SPLU_SYMMETRIC)
+        lu = spla.splu(H, permc_spec=permc_spec, **_SPLU_SYMMETRIC)
+        on_factor(lu)
         d = lu.solve(rhs)
         tol = LINEAR_RESIDUAL_TOL * np.abs(rhs).max()
         # NaN compares false, so a non-finite d fails this test too
@@ -285,14 +336,13 @@ def _linear_solve(H, rhs, stats):
         pass
     # Levenberg fallback for semidefinite Hessians (p > 2 with flat spots)
     stats.linear_fallbacks += 1
-    diag = H.diagonal()
-    scale = max(float(np.abs(diag).max()), 1e-30)
+    scale = max(float(np.abs(H.diagonal()).max()), 1e-30)
+    eye = sp.identity(H.shape[0], format="csc")
     lam = 1e-10
-    n = H.shape[0]
-    eye = sp.identity(n, format="csc")
     while lam <= 1e3:
         try:
-            lu = spla.splu((H + lam * scale * eye).tocsc(), **_SPLU_SYMMETRIC)
+            lu = spla.splu((H + lam * scale * eye).tocsc(),
+                           permc_spec=permc_spec, **_SPLU_SYMMETRIC)
             d = lu.solve(rhs)
             if np.all(np.isfinite(d)):
                 return d
@@ -303,9 +353,8 @@ def _linear_solve(H, rhs, stats):
 
 
 def _scaled_residual(cond, ops, q, p, eta):
-    u = cond.nodal(q)
-    energy, grad_full, _, _ = ops.energy_grad(u, p, eta)
-    return float(np.abs(cond.reduce_grad(grad_full)).max()) / max(1.0, abs(energy))
+    energy, ge, _, _ = ops.element_grad(cond.nodal(q), p, eta)
+    return float(np.abs(cond.reduce_grad(ge)).max()) / max(1.0, abs(energy))
 
 
 def _newton(cond, ops, q, p, eta, cfg, stats):
@@ -317,9 +366,8 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
     polish_left = cfg.polish_iters
     # every pass that does not return takes one step, so `it` counts steps
     for it in range(cfg.max_newton_iters + cfg.polish_iters):
-        u = cond.nodal(q)
-        energy, grad_full, g, w = ops.energy_grad(u, p, eta)
-        grad = cond.reduce_grad(grad_full)
+        energy, ge, g, w = ops.element_grad(cond.nodal(q), p, eta)
+        grad = cond.reduce_grad(ge)
         scale = max(1.0, abs(energy))
         res = float(np.abs(grad).max()) / scale
         if cfg.record_history:
@@ -327,9 +375,8 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
         done = res <= cfg.newton_tol and it > 0
         if done and (polish_left <= 0 or res <= 1e-3 * cfg.newton_tol):
             return q, res
-        H = ops.hessian(g, w, p)
-        Hr = cond.reduce_hess(H)
-        d = _linear_solve(Hr, -grad, stats)
+        H = cond.reduce_hess(ops.hessian(g, w, p))
+        d = cond.linear_solve(H, -grad, stats)
         if done:
             polish_left -= 1
             q_try = q + d
@@ -345,8 +392,7 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
         t = 1.0
         accepted = False
         for _ in range(cfg.max_backtracks):
-            u_try = cond.nodal(q + t * d)
-            e_try = ops.energy_grad(u_try, p, eta)[0]
+            e_try = ops.energy(cond.nodal(q + t * d), p, eta)
             if e_try <= energy + cfg.armijo_c * t * slope + 1e-15 * scale:
                 accepted = True
                 break
@@ -365,7 +411,8 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
 
 
 def _continuation(cond, ops, q, cfg, stats):
-    """Newton through cfg.eta_schedule from q; returns (q, eta_sensitivity).
+    """Newton through cfg.eta_schedule from q; returns (q, scaled residual,
+    eta_sensitivity).
 
     Stages before the last two run at the looser of newton_tol and
     LOOSE_STAGE_TOL without polish (inexact continuation).  The last two run
@@ -379,20 +426,26 @@ def _continuation(cond, ops, q, cfg, stats):
     gaps = []
     for stage, eta in enumerate(sched):
         stage_cfg = loose if stage < len(sched) - 2 else cfg
-        q, _ = _newton(cond, ops, q, cfg.p, eta, stage_cfg, stats)
+        q, res = _newton(cond, ops, q, cfg.p, eta, stage_cfg, stats)
         pots = cond.potentials(q)
         gaps.append(pots[INC1] - pots[INC2])
     sensitivity = None
     if len(gaps) > 1 and not math.isnan(gaps[-1]):
         sensitivity = abs(gaps[-1] - gaps[-2]) / max(abs(gaps[-1]), 1e-300)
-    return q, sensitivity
+    return q, res, sensitivity
 
 
-def solve(mesh, geom, cfg: SolveConfig) -> Solution:
-    """Continuation-Newton solve of the condensed minimization problem."""
-    ops = ElementOps(mesh)
-    cond = Condenser(mesh, geom, cfg.inclusion_values)
-    stats = _Stats()
+def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
+    """Continuation-Newton solve of the condensed minimization problem.
+
+    Solves on one mesh can share their mesh constants by passing one
+    Condenser of it (same geometry and cfg.inclusion_values) as cond."""
+    if cond is None:
+        cond = Condenser(mesh, geom, cfg.inclusion_values)
+    elif cond.ops.mesh is not mesh or \
+            cond.inclusion_values != dict(cfg.inclusion_values or {}):
+        raise ValueError("cond was built for another mesh or inclusion_values")
+    ops, stats = cond.ops, _Stats()
     q = cond.initial_q()
 
     if cfg.warm_start_p2 and cfg.p != 2.0:
@@ -401,13 +454,12 @@ def solve(mesh, geom, cfg: SolveConfig) -> Solution:
                            inclusion_values=cfg.inclusion_values,
                            warm_start_p2=False)
         q, _ = _newton(cond, ops, q, 2.0, 0.0, cfg2, stats)
-    q, sensitivity = _continuation(cond, ops, q, cfg, stats)
+    q, res, sensitivity = _continuation(cond, ops, q, cfg, stats)
 
     eta_final = cfg.eta_schedule[-1]
     u = cond.nodal(q)
-    energy, grad_full, g, w = ops.energy_grad(u, cfg.p, eta_final)
+    energy, grad_full, g, _ = ops.energy_grad(u, cfg.p, eta_final)
     scale = max(1.0, abs(energy))
-    res = float(np.abs(cond.reduce_grad(grad_full)).max()) / scale
     pots = cond.potentials(q)
 
     def inclusion_flux(t):
@@ -417,22 +469,12 @@ def solve(mesh, geom, cfg: SolveConfig) -> Solution:
         return -float(grad_full[verts].sum()) / cfg.p / scale
 
     return Solution(
-        nodal_values=u,
-        U1=pots.get(INC1, math.nan),
-        U2=pots.get(INC2, math.nan),
-        element_gradients=g,
-        energy=energy,
-        kkt_residual=res,
-        flux1=inclusion_flux(INC1),
-        flux2=inclusion_flux(INC2),
-        p=cfg.p,
-        eta_final=eta_final,
-        grad_full=grad_full,
-        energy_history=stats.history,
-        eta_sensitivity=sensitivity,
-        newton_iters=stats.newton_iters,
-        linear_fallbacks=stats.linear_fallbacks,
-    )
+        nodal_values=u, U1=pots[INC1], U2=pots[INC2], element_gradients=g,
+        energy=energy, kkt_residual=res, flux1=inclusion_flux(INC1),
+        flux2=inclusion_flux(INC2), p=cfg.p, eta_final=eta_final,
+        grad_full=grad_full, energy_history=stats.history,
+        eta_sensitivity=sensitivity, newton_iters=stats.newton_iters,
+        linear_fallbacks=stats.linear_fallbacks)
 
 
 def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
@@ -447,30 +489,24 @@ def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
     if n_starts < 2:
         raise ValueError("need at least two starts")
     rng = np.random.default_rng(seed)
-    ops = ElementOps(mesh)
     cond = Condenser(mesh, geom, cfg.inclusion_values)
     vals = np.atleast_1d(geom.phi(mesh.vertices[mesh.vertex_tag == OUTER]))
-    lo = float(vals.min()) if len(vals) else 0.0
-    hi = float(vals.max()) if len(vals) else 0.0
+    lo, hi = (vals.min(), vals.max()) if len(vals) else (0.0, 0.0)
     sols = []
     for k in range(n_starts):
         q = rng.uniform(lo - 0.1, hi + 0.1, cond.n_dofs) if k else cond.initial_q()
-        q, _ = _continuation(cond, ops, q, cfg, _Stats())
+        q, _, _ = _continuation(cond, cond.ops, q, cfg, _Stats())
         sols.append(cond.nodal(q))
     floor = math.sqrt(mesh.n_vertices)
-    dist = 0.0
-    for a in range(len(sols)):
-        for b in range(a + 1, len(sols)):
-            denom = max(np.linalg.norm(sols[a]), np.linalg.norm(sols[b]),
-                        floor)
-            dist = max(dist, float(np.linalg.norm(sols[a] - sols[b])) / denom)
-    return dist
+    return max(float(np.linalg.norm(a - b))
+               / max(np.linalg.norm(a), np.linalg.norm(b), floor)
+               for a, b in itertools.combinations(sols, 2))
 
 
 def reduced_hessian(mesh, geom, cfg, solution, eta=None):
-    """Reduced-space Hessian at a solved state (for spectral probes)."""
-    ops = ElementOps(mesh)
+    """Reduced-space Hessian (CSC, reduced layout) at a solved state, for
+    spectral probes."""
     cond = Condenser(mesh, geom, cfg.inclusion_values)
     eta = cfg.eta_schedule[-1] if eta is None else eta
-    _, _, g, w = ops.energy_grad(solution.nodal_values, cfg.p, eta)
-    return cond.reduce_hess(ops.hessian(g, w, cfg.p))
+    g, w = cond.ops.state(solution.nodal_values, eta)
+    return cond.reduce_hess(cond.ops.hessian(g, w, cfg.p))

@@ -82,6 +82,7 @@ def test_canonical_sweep_bookkeeping(acceptance):
     for p in ("1.3", "2.0", "3.0"):
         assert fits[p]["slope_fit"]["status"] == "ok"
         assert not math.isnan(fits[p]["slope_fit"]["slope"])
+        assert fits[p]["flux_extrapolation"]["window_fallbacks"] == 0
     # the gap-implied flux of the odd symmetric fixture is positive on the
     # flux-carrying branches
     for p in ("2.0", "3.0"):

@@ -289,6 +289,28 @@ class TestFluxExtrapolation:
                 with pytest.raises(error):
                     call()
 
+    def test_window_fit_fallbacks_counted(self, monkeypatch):
+        radii = (0.4, 0.3, 0.2)
+        eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+        tables = {e: {r: r * (1 + e**0.4) for r in radii} for e in eps_list}
+        rows = extrapolated_window_rows(tables, Regime(2.0, 2),
+                                        qualify_ratio=1.0)
+        assert len(rows) == 3 and rows.fallbacks == 0
+        import scipy.optimize
+
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("curve_fit failed")
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", broken_fit)
+        rows = extrapolated_window_rows(tables, Regime(2.0, 2),
+                                        qualify_ratio=1.0)
+        assert rows == [(r, r * (1 + 1e-4**0.4)) for r in radii]
+        assert rows.fallbacks == 3
+        # raw rows on the SUB branch are not fit failures
+        rows = extrapolated_window_rows(tables, Regime(1.3, 2),
+                                        qualify_ratio=1.0)
+        assert rows.fallbacks == 0
+
 
 class TestLowerBoundRegion:
     def test_super(self):

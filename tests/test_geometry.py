@@ -8,8 +8,7 @@ from neckflow import (GeometryError, build_annulus, build_parabola_example,
                       build_symmetric_disc_example, build_table_example,
                       gap_width, load_geometry_config, model_gap_width)
 from neckflow.geometry import (ConstantPotential, GapProfile, LinearPotential,
-                               NeckPoint, ParabolaProfile, PolyPotential,
-                               TableProfile, in_gap)
+                               ParabolaProfile, PolyPotential, TableProfile)
 
 
 def test_gap_width_touching_discs_is_zero():
@@ -126,13 +125,6 @@ class TestGapProfile:
         assert gap_width(g, 0.25) == pytest.approx(1e-3 + 0.8 * 0.0625,
                                                    rel=1e-6)
         assert g.gap.gap_hessian0() == pytest.approx(1.6, rel=1e-4)
-
-
-def test_neck_point_membership():
-    g = build_symmetric_disc_example(eps=1e-2)
-    assert in_gap(g, NeckPoint(0.0, 0.0))
-    assert in_gap(g, NeckPoint(0.0, 0.00499))
-    assert not in_gap(g, NeckPoint(0.0, 0.2))
 
 
 def test_potentials():

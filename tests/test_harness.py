@@ -158,6 +158,25 @@ def test_workers_parallel_path(tmp_path):
     assert outputs[1] == outputs[2]
 
 
+def test_window_fit_fallbacks_recorded(monkeypatch):
+    radii = (0.4, 0.3, 0.2)
+    rows = [{"eps": e, "ugap": 1.0 - e, "maxgrad": e ** -0.5,
+             "winflux": {r: r * (1 + e**0.4) for r in radii}}
+            for e in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)]
+    fit = harness.fit_case_family(rows, 2.0, [[1.0]])
+    assert fit["flux_extrapolation"]["window_fallbacks"] == 0
+    import scipy.optimize
+
+    def broken_fit(*args, **kwargs):
+        raise RuntimeError("curve_fit failed")
+
+    monkeypatch.setattr(scipy.optimize, "curve_fit", broken_fit)
+    fit = harness.fit_case_family(rows, 2.0, [[1.0]])
+    fx = fit["flux_extrapolation"]
+    assert fx["window_fallbacks"] == 3
+    assert fx["rows"] == [[r, r * (1 + 1e-4**0.4)] for r in radii]
+
+
 class TestComparePrediction:
     def test_exact_synthetic_is_zero_error(self):
         import neckflow.asymptotics as asy

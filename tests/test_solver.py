@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from neckflow import (INC1, INC2, OUTER, ConstantPotential, SolveConfig,
                       SolverError, TriMesh, assemble_energy, build_annulus,
@@ -10,6 +11,9 @@ from neckflow import (INC1, INC2, OUTER, ConstantPotential, SolveConfig,
                       uniqueness_probe)
 from neckflow.solver import (Condenser, ElementOps, _linear_solve, _newton,
                              _Stats, reduced_hessian)
+
+SYMMETRIC_MMD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
 
 
 def radial_exact(r, p):
@@ -242,6 +246,129 @@ class TestLinearSolve:
         H = sp.csc_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
         with pytest.raises(SolverError):
             _linear_solve(H, np.array([1.0, 1.0]), _Stats())
+
+
+def constraint_matrix(mesh, inclusion_values=None):
+    """Reference C of u = lift + C q: interior vertices in order, then one
+    column per floating inclusion."""
+    tag = mesh.vertex_tag
+    interior = np.flatnonzero(tag == 0)
+    rows, cols = [interior], [np.arange(len(interior))]
+    n = len(interior)
+    for t in (INC1, INC2):
+        if t not in (inclusion_values or {}):
+            verts = np.flatnonzero(tag == t)
+            rows.append(verts)
+            cols.append(np.full(len(verts), n))
+            n += 1
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    return sp.csr_matrix((np.ones(len(r)), (r, c)),
+                         shape=(mesh.n_vertices, n))
+
+
+def block_matrix(mesh, blocks):
+    """Reference full-space assembly of element blocks through COO."""
+    t = mesh.triangles
+    rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)),
+                         shape=(mesh.n_vertices,) * 2).tocsr()
+
+
+def max_rel(a, b):
+    return abs(a - b).max() / abs(b).max()
+
+
+class TestFixedPattern:
+    @pytest.mark.parametrize("pinned", [{}, {INC2: 0.5}])
+    def test_reduction_matches_reference(self, disc_geom, disc_mesh_1e2,
+                                         rng, pinned):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        ops, cond = ElementOps(m), Condenser(m, g, pinned)
+        C = constraint_matrix(m, pinned)
+        assert cond.n_dofs == C.shape[1]
+        q = rng.normal(size=cond.n_dofs)
+        u = cond.nodal(q)
+        assert np.array_equal(u, cond.lift + C @ q)
+        for p, eta in ((1.3, 1e-2), (2.0, 0.0), (3.0, 0.0)):
+            _, grad, H = assemble_energy(m, u, p, eta, ops)
+            _, ge, gu, w = ops.element_grad(u, p, eta)
+            blocks = ops.hessian(gu, w, p)
+            assert max_rel(H, block_matrix(m, blocks)) <= 1e-12
+            assert max_rel(cond.reduce_hess(blocks), C.T @ H @ C) <= 1e-12
+            ref = C.T @ grad
+            assert np.abs(cond.reduce_grad(ge) - ref).max() \
+                <= 1e-12 * np.abs(ref).max()
+
+    def test_ordered_solve_matches_fresh_ordering(self, disc_geom,
+                                                   disc_mesh_1e2, rng,
+                                                   monkeypatch):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        ops, cond = ElementOps(m), Condenser(m, g)
+        specs, splu = [], spla.splu
+
+        def recording_splu(A, permc_spec=None, **kw):
+            specs.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kw)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+
+        def blocks(q, p, eta):
+            gu, w = ops.state(cond.nodal(q), eta)
+            return ops.hessian(gu, w, p)
+
+        stats = _Stats()
+        rhs = rng.normal(size=cond.n_dofs)
+        # the first factorization picks the order and renumbers the pattern;
+        # a matrix reduce_hess returned before keeps its own structure
+        H0 = cond.reduce_hess(blocks(cond.initial_q(), 2.0, 0.0))
+        H0_ref = H0.copy()
+        cond.linear_solve(H0, rhs, stats)
+        assert abs(H0 - H0_ref).max() == 0.0
+        b = blocks(0.1 * rng.normal(size=cond.n_dofs), 1.3, 1e-2)
+        d = cond.linear_solve(cond.reduce_hess(b), rhs, stats)
+        assert stats.linear_fallbacks == 0
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+        H = Condenser(m, g).reduce_hess(b)      # reduced layout
+        lu = spla.splu(H, **SYMMETRIC_MMD)
+        ref = lu.solve(rhs)
+        assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+        ordered = spla.splu(cond.reduce_hess(b),
+                            **dict(SYMMETRIC_MMD, permc_spec="NATURAL"))
+        assert ordered.L.nnz + ordered.U.nnz == lu.L.nnz + lu.U.nnz
+
+    def test_singular_ordered_hessian_takes_levenberg(self, disc_geom,
+                                                      disc_mesh_1e2, rng):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        ops, cond = ElementOps(m), Condenser(m, g)
+        gu, w = ops.state(cond.nodal(cond.initial_q()), 0.0)
+        rhs = rng.normal(size=cond.n_dofs)
+        stats = _Stats()
+        cond.linear_solve(cond.reduce_hess(ops.hessian(gu, w, 2.0)), rhs,
+                          stats)
+        assert stats.linear_fallbacks == 0
+        # p = 3 at zero interior data: flat interior triangles have zero
+        # blocks, so the Hessian has zero rows and is exactly singular
+        b = ops.hessian(gu, w, 3.0)
+        d = cond.linear_solve(cond.reduce_hess(b), rhs, stats)
+        assert stats.linear_fallbacks == 1
+        ref = _linear_solve(Condenser(m, g).reduce_hess(b), rhs, _Stats())
+        assert np.abs(d - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_shared_condenser_matches_fresh_solves(self, disc_geom,
+                                                   disc_mesh_1e2,
+                                                   disc_solutions_1e2):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        cond = Condenser(m, g)
+        for p in (1.3, 2.0, 3.0):
+            sol, ref = solve(m, g, SolveConfig(p=p), cond), disc_solutions_1e2[p]
+            assert sol.newton_iters == ref.newton_iters
+            assert np.abs(sol.nodal_values - ref.nodal_values).max() <= 1e-12
+        # a Condenser of another mesh or constraint layout is refused
+        with pytest.raises(ValueError):
+            solve(m, g, SolveConfig(p=2.0, inclusion_values={INC1: 0.0}), cond)
+        other = generate(g, 0.35, 6, seed=0)
+        with pytest.raises(ValueError):
+            solve(other, g, SolveConfig(p=2.0), cond)
 
 
 class TestLinearCase:
