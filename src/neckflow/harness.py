@@ -34,7 +34,7 @@ import numpy as np
 from . import analysis as fa
 from . import asymptotics as asy
 from . import meshing
-from .errors import NeckflowError
+from .errors import MeshError, NeckflowError
 from .geometry import INC1, INC2, load_geometry_config
 from .meshing import generate, load_mesh, refine_uniform, save_mesh
 from .solver import Condenser, SolveConfig, solve
@@ -128,13 +128,23 @@ def _mesh_key(geom, spec, eps):
 
 
 def case_mesh(geom, spec, eps):
+    """The mesh of one separation, read from the mesh cache when it holds
+    one.  A cached mesh must pass check_mesh's structural checks (positive
+    areas, conforming boundary edges, one loop per tag); the angle gate is
+    left to the generator, as refinement may lower the angle.  A corrupt
+    file raises MeshError."""
     g = geom.with_eps(eps)
     cdir = _cache_dir(spec)
     if cdir:
         os.makedirs(cdir, exist_ok=True)
         path = os.path.join(cdir, f"mesh_{_mesh_key(geom, spec, eps)}.txt")
         if os.path.exists(path):
-            return load_mesh(path, geometry=g)
+            mesh = load_mesh(path, geometry=g)
+            try:
+                meshing.check_mesh(mesh, min_angle=0.0)
+            except MeshError as exc:
+                raise MeshError(f"cached mesh {path}: {exc}") from exc
+            return mesh
     mesh = generate(g, spec.target_h, spec.neck_layers, seed=spec.seed,
                     vertex_cap=spec.mesh_vertex_cap)
     for _ in range(spec.refine):

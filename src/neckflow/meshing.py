@@ -26,7 +26,7 @@ _VERTEX_CAP = 2_000_000
 
 # part of every mesh-cache key: bump it whenever a change to this module
 # changes the meshes it builds, so that stale cache files are not reused
-MESHER_VERSION = 1
+MESHER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,10 @@ def _column_rows(geom, x, target_h, layers, force_even=False):
     return k, s
 
 
-def _stitch_columns(ia, fa, ib, fb, tris):
+def _stitch_columns(ia, fa, ib, fb):
     """Triangulate the band between two vertical columns of vertex indices
     (bottom to top) with height fractions fa, fb in [0, 1]."""
+    tris = []
     i = j = 0
     while i < len(ia) - 1 or j < len(ib) - 1:
         if j == len(ib) - 1:
@@ -257,20 +258,24 @@ def _stitch_columns(ia, fa, ib, fb, tris):
         else:
             tris.append((ia[i], ib[j], ib[j + 1]))
             j += 1
+    return np.asarray(tris, dtype=np.int64)
 
 
-def _split_quad_rows(ia, ib, pts, tris):
-    """Equal-count columns: split each quad along its shorter diagonal."""
-    for k in range(len(ia) - 1):
-        a0, a1, b0, b1 = ia[k], ia[k + 1], ib[k], ib[k + 1]
-        d1 = np.sum((pts[a0] - pts[b1]) ** 2)
-        d2 = np.sum((pts[a1] - pts[b0]) ** 2)
-        if d1 <= d2:
-            tris.append((a0, b0, b1))
-            tris.append((a0, b1, a1))
-        else:
-            tris.append((a0, b0, a1))
-            tris.append((a1, b0, b1))
+def _split_quad_rows(ia, ib, pts):
+    """Equal-count columns: split each quad along its shorter diagonal.
+    Two triangles per quad, quads bottom to top."""
+    a0, a1, b0, b1 = ia[:-1], ia[1:], ib[:-1], ib[1:]
+    d1 = np.sum((pts[a0] - pts[b1]) ** 2, axis=1)
+    d2 = np.sum((pts[a1] - pts[b0]) ** 2, axis=1)
+    short = d1 <= d2
+    # (a0, b0, b1), (a0, b1, a1) along a0-b1; else (a0, b0, a1), (a1, b0, b1)
+    tris = np.empty((len(a0), 2, 3), dtype=np.int64)
+    tris[:, 0, 0], tris[:, 0, 1] = a0, b0
+    tris[:, 0, 2] = np.where(short, b1, a1)
+    tris[:, 1, 0] = np.where(short, a0, a1)
+    tris[:, 1, 1] = np.where(short, b1, b0)
+    tris[:, 1, 2] = np.where(short, a1, b1)
+    return tris.reshape(-1, 3)
 
 
 class _StripMesh:
@@ -302,10 +307,11 @@ class _StripMesh:
         for a in range(len(xs) - 1):
             ia, ib = cols_idx[a], cols_idx[a + 1]
             if len(ia) == len(ib):
-                _split_quad_rows(ia, ib, self.vertices, tris)
+                tris.append(_split_quad_rows(ia, ib, self.vertices))
             else:
-                _stitch_columns(ia, cols_s[a] + 0.5, ib, cols_s[a + 1] + 0.5, tris)
-        self.triangles = np.asarray(tris, dtype=np.int64)
+                tris.append(_stitch_columns(ia, cols_s[a] + 0.5,
+                                            ib, cols_s[a + 1] + 0.5))
+        self.triangles = np.vstack(tris)
         self.top_idx = np.asarray([c[-1] for c in cols_idx])
         self.bot_idx = np.asarray([c[0] for c in cols_idx])
         self.left_wall = cols_idx[0]
@@ -361,28 +367,44 @@ def _points_in_loops(pts, a, b):
 
 
 class _SegmentField:
-    """The segments a[i] -> b[i] of closed loops, and distances to them."""
+    """The segments a[i] -> b[i] of closed loops, and clearance from them."""
 
     def __init__(self, loops):
         self.a = np.vstack(loops)
         self.b = np.vstack([np.roll(loop, -1, axis=0) for loop in loops])
         self.tree = cKDTree(0.5 * (self.a + self.b))
+        self.half_len = 0.5 * float(np.linalg.norm(self.b - self.a, axis=1).max())
 
-    def distance(self, pts, k=8):
+    def clear_of(self, pts, r, k=8):
+        """Whether each point is farther than r (per point) from the loops.
+
+        The distance is taken to the k segments with the nearest midpoints,
+        an upper bound on the true distance.  A point whose nearest midpoint
+        lies beyond max(r) + half the longest segment (with a small margin)
+        is farther than r from every segment, so it is clear by either
+        measure, and only the points within that reach are measured.
+        """
         pts = np.atleast_2d(pts)
+        r = np.broadcast_to(np.asarray(r, dtype=float), (len(pts),))
+        reach = (1.0 + 1e-6) * (r.max(initial=0.0) + self.half_len)
+        d0, _ = self.tree.query(pts, k=1, distance_upper_bound=reach)
+        near = np.flatnonzero(np.isfinite(d0))
+        p = pts[near]
         k = min(k, len(self.a))
-        _, idx = self.tree.query(pts, k=k)
-        idx = idx.reshape(len(pts), -1)
-        best = np.full(len(pts), np.inf)
+        _, idx = self.tree.query(p, k=k)
+        idx = idx.reshape(len(p), k)
+        best = np.full(len(p), np.inf)
         for col in range(idx.shape[1]):
             i = idx[:, col]
             pa = self.a[i]
             d = self.b[i] - pa
-            t = np.clip(np.einsum("ij,ij->i", pts - pa, d)
+            t = np.clip(np.einsum("ij,ij->i", p - pa, d)
                         / np.maximum(np.einsum("ij,ij->i", d, d), 1e-300), 0, 1)
             proj = pa + t[:, None] * d
-            best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
-        return best
+            best = np.minimum(best, np.linalg.norm(p - proj, axis=1))
+        clear = np.ones(len(pts), dtype=bool)
+        clear[near] = best > r[near]
+        return clear
 
 
 class _SizeField:
@@ -394,11 +416,16 @@ class _SizeField:
         self.growth = growth
 
     def __call__(self, pts):
+        """Sizes at an (n, 2) array of points (or one point), as an array."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.full(len(pts), self.target_h)
         for p, s in self.anchors:
             out = np.minimum(out, s + self.growth * np.linalg.norm(pts - p, axis=1))
-        return out if len(out) > 1 else float(out[0])
+        return out
+
+    def at(self, point):
+        """Size at one point, as a float."""
+        return float(self(point)[0])
 
     def min_size(self):
         if not self.anchors:
@@ -409,6 +436,12 @@ class _SizeField:
 # ---------------------------------------------------------------------------
 # relaxation mesher for the far field
 # ---------------------------------------------------------------------------
+
+_RELAX_ITERS = 30   # spring-relaxation steps per far-field region
+# retriangulate once some free point has moved this fraction of its local
+# size since the last triangulation (Persson & Strang, SIAM Review 2004)
+_REBUILD_MOVE = 0.2
+
 
 def _grade_spacing(length, s0, s1, target_h, growth=1.25):
     """Node fractions along a segment, spacing s0 at one end, s1 at the other,
@@ -427,9 +460,17 @@ def _grade_spacing(length, s0, s1, target_h, growth=1.25):
     return np.concatenate([[0.0], np.cumsum(arr)])
 
 
-def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
+def _relax_region(pool, loop_indices, size, rng, extra_seeds=None):
     """Mesh the region bounded by the given loops (vertex-index loops into the
-    pool).  Returns triangle index triples.  Boundary vertices stay fixed."""
+    pool).  Returns triangle index triples.  Boundary vertices stay fixed.
+
+    Each relaxation step pushes the free points apart along the edges of the
+    last Delaunay triangulation.  That triangulation, and its edge list, are
+    rebuilt only once some free point has moved more than _REBUILD_MOVE of
+    its local size since it was built.  The Laplacian passes and the final
+    triangulation are always fresh, so the returned triangles are a Delaunay
+    triangulation of the final points.
+    """
     loops_pts = [pool.pts[idx] for idx in loop_indices]
     boundary_idx = np.concatenate(loop_indices)
     segfield = _SegmentField(loops_pts)
@@ -446,7 +487,7 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
     py = lo[1] + gy * h0 * math.sqrt(3) / 2
     cand = np.column_stack([px.ravel(), py.ravel()])
     cand += rng.uniform(-0.08 * h0, 0.08 * h0, cand.shape)
-    hloc = np.atleast_1d(size(cand))
+    hloc = size(cand)
     keep = rng.uniform(0, 1, len(cand)) < (h0 / hloc) ** 2
     cand = cand[keep]
     if extra_seeds is not None and len(extra_seeds):
@@ -454,8 +495,7 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
         # below keeps them rather than nearby lattice candidates
         cand = np.vstack([np.asarray(extra_seeds, dtype=float), cand])
     cand = cand[_points_in_loops(cand, segfield.a, segfield.b)]
-    dist = segfield.distance(cand)
-    cand = cand[dist > 0.55 * np.atleast_1d(size(cand))]
+    cand = cand[segfield.clear_of(cand, 0.55 * size(cand))]
     # thin mutually close candidates, earliest wins
     order = cKDTree(cand)
     close = order.query_pairs(0.55 * h0, output_type="ndarray")
@@ -465,10 +505,8 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
             drop[max(a, b)] = True
     cand = cand[~drop]
 
-    n_fixed_total = pool.n
-    free_start = pool.n
-    pool.add(cand)
-    active = np.concatenate([boundary_idx, np.arange(free_start, pool.n)])
+    free = pool.add(cand)
+    active = np.concatenate([boundary_idx, free])
 
     def triangulate():
         pts = pool.pts[active]
@@ -477,31 +515,37 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
         keep = _points_in_loops(cent, segfield.a, segfield.b)
         return active[tri.simplices[keep]]
 
-    free_mask = active >= n_fixed_total
-    for it in range(n_iter):
-        tris = triangulate()
-        keys = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), pool.n))
-        lo, hi = np.divmod(keys, pool.n)
+    last = None   # free point positions at the last triangulation
+    for _ in range(_RELAX_ITERS):
+        x = pool.pts[free]
+        h = size(x)
+        if last is None or np.max(np.linalg.norm(x - last, axis=1) / h,
+                                  initial=0.0) > _REBUILD_MOVE:
+            tris = triangulate()
+            last = x
+            keys = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), pool.n))
+            lo, hi = np.divmod(keys, pool.n)
         pa = pool.pts[lo]
         pb = pool.pts[hi]
         vec = pb - pa
         L = np.linalg.norm(vec, axis=1)
-        L0 = 1.18 * np.atleast_1d(size(0.5 * (pa + pb)))
+        L0 = 1.18 * size(0.5 * (pa + pb))
         f = np.maximum(L0 - L, 0.0) / np.maximum(L, 1e-300)
         push = vec * f[:, None]
-        force = np.zeros((pool.n, 2))
-        np.add.at(force, lo, -push)
-        np.add.at(force, hi, push)
-        move = 0.25 * force[active[free_mask]]
-        cap = 0.4 * np.atleast_1d(size(pool.pts[active[free_mask]]))
+        # one bincount per coordinate adds the -push of every lo end, then
+        # the push of every hi end, in the order np.add.at would
+        ends = np.concatenate([lo, hi])
+        force = np.column_stack([
+            np.bincount(ends, np.concatenate([-push[:, c], push[:, c]]),
+                        minlength=pool.n) for c in (0, 1)])
+        move = 0.25 * force[free]
         norm = np.linalg.norm(move, axis=1)
-        scalef = np.minimum(1.0, cap / np.maximum(norm, 1e-300))
+        scalef = np.minimum(1.0, 0.4 * h / np.maximum(norm, 1e-300))
         move *= scalef[:, None]
-        idx = active[free_mask]
-        newpos = pool.pts[idx] + move
+        newpos = x + move
         ok = _points_in_loops(newpos, segfield.a, segfield.b)
-        ok &= segfield.distance(newpos) > 0.35 * np.atleast_1d(size(newpos))
-        pool.pts[idx[ok]] = newpos[ok]
+        ok &= segfield.clear_of(newpos, 0.35 * size(newpos))
+        pool.pts[free[ok]] = newpos[ok]
         if norm.size and norm.max() < 0.005 * h0:
             break
 
@@ -515,11 +559,10 @@ def _relax_region(pool, loop_indices, size, rng, n_iter=30, extra_seeds=None):
             np.add.at(nbr_cnt, tris[:, a], 1.0)
             np.add.at(nbr_sum, tris[:, b], pool.pts[tris[:, a]])
             np.add.at(nbr_cnt, tris[:, b], 1.0)
-        idx = active[free_mask]
-        tgt = nbr_sum[idx] / np.maximum(nbr_cnt[idx], 1.0)[:, None]
+        tgt = nbr_sum[free] / np.maximum(nbr_cnt[free], 1.0)[:, None]
         ok = _points_in_loops(tgt, segfield.a, segfield.b)
-        ok &= segfield.distance(tgt) > 0.3 * np.atleast_1d(size(tgt))
-        pool.pts[idx[ok]] = tgt[ok]
+        ok &= segfield.clear_of(tgt, 0.3 * size(tgt))
+        pool.pts[free[ok]] = tgt[ok]
 
     tris = triangulate()
     _check_loops_covered(tris, loop_indices)
@@ -562,8 +605,7 @@ class _VertexPool:
 # generators
 # ---------------------------------------------------------------------------
 
-def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0,
-             relax_iters=30):
+def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
     """Mesh the perforated domain.
 
     Two-inclusion geometries require eps > 0 (the touching domain is never
@@ -597,11 +639,9 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0,
 
     symmetric = geom.is_mirror_symmetric()
     if symmetric:
-        mesh = _far_symmetric(geom, pool, strip, size, rng, relax_iters, w,
-                              wall_sz)
+        mesh = _far_symmetric(geom, pool, strip, size, rng, w, wall_sz)
     else:
-        mesh = _far_general(geom, pool, strip, size, rng, relax_iters, w,
-                            wall_sz)
+        mesh = _far_general(geom, pool, strip, size, rng, w, wall_sz)
     tris, b_edges, b_tags = mesh
 
     s_edges, s_tags = strip.boundary(walls_tag=None)
@@ -632,20 +672,17 @@ def _inclusion_arc(geom, size, w, upper=True):
     yr = geom.upper_wall(w) if upper else geom.lower_wall(w)
     yl = geom.upper_wall(-w) if upper else geom.lower_wall(-w)
 
-    def sp(p):
-        return float(np.atleast_1d(size(np.asarray(p, dtype=float)[None, :]))[0])
-
     if isinstance(curve, Circle):
         thr = curve.angle_of((w, yr))
         thl = curve.angle_of((-w, yl))
         if upper:
             # CCW from the right joint passes over the top to the left joint
             a0, a1 = _arc_ccw_angles(curve, thr, thl)
-            pts = curve.arc_points(a0, a1, sp)
+            pts = curve.arc_points(a0, a1, size.at)
         else:
             # CCW from the left joint passes under the bottom; flip to right->left
             a0, a1 = _arc_ccw_angles(curve, thl, thr)
-            pts = curve.arc_points(a0, a1, sp)[::-1]
+            pts = curve.arc_points(a0, a1, size.at)[::-1]
         return pts[1:-1]
     # generic curve: dense polyline, cut at the joints, resample by size
     poly = _dense_polyline(curve)
@@ -680,7 +717,7 @@ def _cut_and_resample(poly, p_start, p_end, size, go_over):
     pos = 0.0
     while True:
         here = out[-1]
-        step = float(np.atleast_1d(size(here[None, :]))[0])
+        step = size.at(here)
         pos += step
         if pos >= total - 0.4 * step:
             break
@@ -707,7 +744,7 @@ def _pocket_seeds(pool, strip, wall_sz, w, upper_only):
     return np.vstack(seeds)
 
 
-def _far_symmetric(geom, pool, strip, size, rng, relax_iters, w, wall_sz):
+def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
     """Upper-half far region meshed and mirrored; exact mirror symmetry."""
     r_out = geom.outer.radius
     # wall halves (y >= 0), bottom to top; wall node counts are even so y=0 exists
@@ -716,12 +753,10 @@ def _far_symmetric(geom, pool, strip, size, rng, relax_iters, w, wall_sz):
     rw_up = rw[pool.pts[rw][:, 1] >= -1e-15]
     lw_up = lw[pool.pts[lw][:, 1] >= -1e-15]
 
-    wall_s = wall_sz
-
     # seams y = 0 from wall feet to the outer circle
     def seam(sgn):
         x0, x1 = sgn * w, sgn * r_out
-        frac = _grade_spacing(abs(x1 - x0), wall_s[sgn], size.target_h, size.target_h)
+        frac = _grade_spacing(abs(x1 - x0), wall_sz[sgn], size.target_h, size.target_h)
         xs = x0 + np.sign(x1 - x0) * frac
         pts = np.column_stack([xs, np.zeros(len(xs))])
         return pts[1:-1]  # endpoints provided by wall foot / outer node
@@ -748,8 +783,7 @@ def _far_symmetric(geom, pool, strip, size, rng, relax_iters, w, wall_sz):
         lw_up[1:-1], joint_l, arc_idx[::-1], joint_r, rw_up[1:-1][::-1],
     ])
     seeds = _pocket_seeds(pool, strip, wall_sz, w, upper_only=True)
-    tris_u = _relax_region(pool, [loop], size, rng, n_iter=relax_iters,
-                           extra_seeds=seeds)
+    tris_u = _relax_region(pool, [loop], size, rng, extra_seeds=seeds)
 
     # mirror: strip vertices already contain their partners; seam is fixed
     n_before = pool.n
@@ -783,23 +817,15 @@ def _far_symmetric(geom, pool, strip, size, rng, relax_iters, w, wall_sz):
 
 
 def _strip_mirror_map(strip):
-    """Index map sending each strip vertex to its x_n -> -x_n partner."""
-    m = np.empty(len(strip.vertices), dtype=np.int64)
-    # columns were laid out consecutively bottom-to-top
-    start = 0
-    n = len(strip.vertices)
-    while start < n:
-        # find the column length by scanning constant x
-        x0 = strip.vertices[start, 0]
-        end = start
-        while end < n and strip.vertices[end, 0] == x0:
-            end += 1
-        m[start:end] = np.arange(end - 1, start - 1, -1)
-        start = end
-    return m
+    """Index map sending each strip vertex to its x_n -> -x_n partner: the
+    columns are consecutive runs bot_idx..top_idx, bottom to top, so vertex
+    v of a column goes to bot + top - v."""
+    col = np.repeat(np.arange(len(strip.bot_idx)),
+                    strip.top_idx - strip.bot_idx + 1)
+    return (strip.bot_idx + strip.top_idx)[col] - np.arange(len(col))
 
 
-def _far_general(geom, pool, strip, size, rng, relax_iters, w, wall_sz):
+def _far_general(geom, pool, strip, size, rng, w, wall_sz):
     """Far field for asymmetric domains: one region with a hole."""
     r_out = geom.outer.radius
     n_out = max(16, int(2 * math.pi * r_out / size.target_h))
@@ -817,8 +843,7 @@ def _far_general(geom, pool, strip, size, rng, relax_iters, w, wall_sz):
     ])
     loops = [outer_idx, env]
     seeds = _pocket_seeds(pool, strip, wall_sz, w, upper_only=False)
-    tris = _relax_region(pool, loops, size, rng, n_iter=relax_iters,
-                         extra_seeds=seeds)
+    tris = _relax_region(pool, loops, size, rng, extra_seeds=seeds)
 
     b_edges, b_tags = [], []
     up_loop = np.concatenate([[rw[-1]], arc1, [lw[-1]]])
@@ -960,26 +985,35 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path, geometry=None):
-    with open(path) as fh:
-        nv, nt, nbe = (int(s) for s in fh.readline().split())
-        verts = np.empty((nv, 2))
-        for k in range(nv):
-            x, y = fh.readline().split()
-            verts[k] = float(x), float(y)
-        tris = np.empty((nt, 3), dtype=np.int64)
-        for k in range(nt):
-            tris[k] = [int(s) for s in fh.readline().split()]
-        bedges = np.empty((nbe, 2), dtype=np.int64)
-        btags = np.empty(nbe, dtype=np.int64)
-        for k in range(nbe):
-            i, j, tag = fh.readline().split()
-            bedges[k] = int(i), int(j)
-            btags[k] = TAG_IDS[tag] if tag in TAG_IDS else int(tag)
-        # files written before the neck_layers line existed load with 0
-        tail = fh.readline().split()
-        neck_layers = int(tail[1]) if tail[:1] == ["neck_layers"] else 0
-    return TriMesh(verts, tris, bedges, btags, geometry=geometry,
-                   neck_layers=neck_layers)
+    """Read a mesh written by save_mesh.  A file that does not hold one
+    (truncated, unparsable, or with an index out of range) raises MeshError
+    naming the path."""
+    try:
+        with open(path) as fh:
+            nv, nt, nbe = (int(s) for s in fh.readline().split())
+            verts = np.empty((nv, 2))
+            for k in range(nv):
+                x, y = fh.readline().split()
+                verts[k] = float(x), float(y)
+            tris = np.empty((nt, 3), dtype=np.int64)
+            for k in range(nt):
+                tris[k] = [int(s) for s in fh.readline().split()]
+            bedges = np.empty((nbe, 2), dtype=np.int64)
+            btags = np.empty(nbe, dtype=np.int64)
+            for k in range(nbe):
+                i, j, tag = fh.readline().split()
+                bedges[k] = int(i), int(j)
+                btags[k] = TAG_IDS[tag] if tag in TAG_IDS else int(tag)
+            # files written before the neck_layers line existed load with 0
+            tail = fh.readline().split()
+            neck_layers = int(tail[1]) if tail[:1] == ["neck_layers"] else 0
+        for idx in (tris, bedges):
+            if idx.size and (idx.min() < 0 or idx.max() >= nv):
+                raise ValueError(f"vertex index outside [0, {nv})")
+        return TriMesh(verts, tris, bedges, btags, geometry=geometry,
+                       neck_layers=neck_layers)
+    except (ValueError, MeshError) as exc:
+        raise MeshError(f"unreadable mesh file {path}: {exc}") from exc
 
 
 def check_mesh(mesh, min_angle=20.0, expect_loops=True):

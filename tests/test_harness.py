@@ -83,6 +83,26 @@ def test_mesh_cache_reuse(tmp_path):
     assert os.path.getmtime(os.path.join(cache, files[0])) == mtime
 
 
+def test_corrupt_cache_file_fails_only_its_separation(tmp_path):
+    cache = str(tmp_path / "cache")
+    spec = tiny_spec(str(tmp_path / "out"), eps_list=(1e-2, 6e-3),
+                     cache_dir=cache)
+    run_sweep(spec)
+    path = os.path.join(cache, f"mesh_{_mesh_key(spec.geometry, spec, 6e-3)}.txt")
+    text = open(path).read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    out = tmp_path / "out2"
+    report = run_sweep(tiny_spec(str(out), eps_list=(1e-2, 6e-3),
+                                 cache_dir=cache))
+    assert [r["eps"] for r in report.rows] == [1e-2]
+    assert [(f["p"], f["eps"]) for f in report.failures] == [(2.0, 6e-3)]
+    assert "MeshError" in report.failures[0]["error"]
+    assert path in report.failures[0]["error"]
+    rows = (out / "rows.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and rows[1].startswith("2,0.01,")
+
+
 def test_table_geometries_get_their_own_cache_entries(tmp_path):
     x = np.linspace(-1.3, 1.3, 80)
     g1 = build_table_example(TableProfile(x, 0.3 * x * x))

@@ -14,7 +14,8 @@ from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, _c2_bound)
 from neckflow.meshing import (TriMesh, _check_loops_covered, _points_in_loops,
-                              _SegmentField)
+                              _SegmentField, _split_quad_rows, _StripMesh,
+                              _strip_mirror_map)
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,27 @@ class TestMeshIO:
         assert np.array_equal(m2.triangles, m.triangles)
         assert m2.grading_report.neck_layers == 0
 
+    @pytest.mark.parametrize("damage", ["truncate", "index_high",
+                                        "index_negative", "empty"])
+    def test_damaged_file_raises_mesh_error(self, disc_mesh, tmp_path,
+                                            damage):
+        _, m = disc_mesh
+        path = tmp_path / "mesh.txt"
+        save_mesh(m, str(path))
+        lines = path.read_text().splitlines()
+        first_tri = 1 + m.n_vertices
+        if damage == "truncate":
+            lines = lines[:first_tri + 10]
+        elif damage == "index_high":
+            lines[first_tri] = f"0 1 {m.n_vertices}"
+        elif damage == "index_negative":
+            lines[first_tri] = "0 1 -1"
+        else:
+            lines = []
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="mesh.txt"):
+            load_mesh(str(path))
+
     def test_header_format(self, disc_mesh, tmp_path):
         _, m = disc_mesh
         path = tmp_path / "mesh.txt"
@@ -315,6 +337,139 @@ def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
                                    vertex_y])
     pts = np.vstack([rng.uniform(-6, 6, (300, 2)), on_vertex_y, hole, outer])
     _assert_matches_brute(pts, loops, cap)
+
+
+# ---------------------------------------------------------------------------
+# far-field relaxation: rebuild rule and boundary clearance
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("geom", [
+    build_symmetric_disc_example(scale=1.0, eps=1e-2), _asymmetric_geometry(5e-3),
+], ids=["symmetric", "general"])
+def test_relaxation_reuses_triangulations(geom, monkeypatch):
+    # both far-field paths relax one region; rebuilding at every one of the
+    # 30 steps, plus the 3 Laplacian passes and the final one, made 34 calls
+    calls = []
+    delaunay = meshing.Delaunay
+
+    def counting(pts):
+        calls.append(len(pts))
+        return delaunay(pts)
+
+    monkeypatch.setattr(meshing, "Delaunay", counting)
+    m = generate(geom, 0.2, 6, seed=0)
+    check_mesh(m, min_angle=20.0)
+    assert 5 <= len(calls) < 34
+
+
+def _distance_k_nearest(field, pts, k=8):
+    """Reference: distance to the k segments with the nearest midpoints, the
+    mesher's clearance measure before the reach pre-test."""
+    k = min(k, len(field.a))
+    _, idx = field.tree.query(pts, k=k)
+    idx = idx.reshape(len(pts), -1)
+    best = np.full(len(pts), np.inf)
+    for col in range(idx.shape[1]):
+        i = idx[:, col]
+        pa = field.a[i]
+        d = field.b[i] - pa
+        t = np.clip(np.einsum("ij,ij->i", pts - pa, d)
+                    / np.maximum(np.einsum("ij,ij->i", d, d), 1e-300), 0, 1)
+        proj = pa + t[:, None] * d
+        best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
+    return best
+
+
+def _near_boundary(field, rng, n):
+    """Points within half a segment length of random points on segments."""
+    i = rng.integers(0, len(field.a), n)
+    d = field.b[i] - field.a[i]
+    on = field.a[i] + rng.uniform(0, 1, (n, 1)) * d
+    half = 0.5 * np.linalg.norm(d, axis=1, keepdims=True)
+    return on + rng.uniform(-1, 1, (n, 2)) * half
+
+
+def _assert_clear_of_matches(field, pts, r):
+    got = field.clear_of(pts, r)
+    assert got.dtype == bool and got.shape == (len(pts),)
+    assert np.array_equal(got, _distance_k_nearest(field, pts) > r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_loops_and_points(), seed=st.integers(0, 2**32 - 1),
+       r_max=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 3.0]))
+def test_clear_of_random_polygons(case, seed, r_max):
+    loops, pts = case
+    field = _SegmentField(loops)
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([pts, _near_boundary(field, rng, 30)])
+    _assert_clear_of_matches(field, pts, rng.uniform(0, r_max, len(pts)))
+    _assert_clear_of_matches(field, pts, r_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radii=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=40),
+       n_out=st.integers(16, 64), seed=st.integers(0, 2**32 - 1))
+def test_clear_of_outer_loop_with_hole(radii, n_out, seed):
+    # the _far_general layout, with clearances graded like the size field
+    ang = 2 * math.pi * np.arange(n_out) / n_out
+    outer = 5.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    ang = 2 * math.pi * np.arange(len(radii)) / len(radii)
+    hole = (np.asarray(radii)[:, None]
+            * np.column_stack([np.cos(ang), np.sin(ang)]))[::-1]
+    field = _SegmentField([outer, hole])
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([rng.uniform(-6, 6, (300, 2)),
+                     _near_boundary(field, rng, 300), hole, outer])
+    r = rng.uniform(0.2, 0.6) * np.minimum(
+        0.5, 0.05 + 0.4 * np.linalg.norm(pts, axis=1))
+    _assert_clear_of_matches(field, pts, r)
+    assert not field.clear_of(np.zeros((0, 2)), np.zeros(0)).size
+
+
+# ---------------------------------------------------------------------------
+# neck strip: quad split and mirror map
+# ---------------------------------------------------------------------------
+
+def _split_quad_rows_loop(ia, ib, pts):
+    """Reference: the quad split one quad at a time."""
+    tris = []
+    for k in range(len(ia) - 1):
+        a0, a1, b0, b1 = ia[k], ia[k + 1], ib[k], ib[k + 1]
+        d1 = np.sum((pts[a0] - pts[b1]) ** 2)
+        d2 = np.sum((pts[a1] - pts[b0]) ** 2)
+        if d1 <= d2:
+            tris.append((a0, b0, b1))
+            tris.append((a0, b1, a1))
+        else:
+            tris.append((a0, b0, a1))
+            tris.append((a1, b0, b1))
+    return np.asarray(tris, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       grid=st.booleans())
+def test_split_quad_rows_matches_loop(n, seed, grid):
+    # integer coordinates make equal diagonals (the <= tie) common
+    rng = np.random.default_rng(seed)
+    ya = np.sort(rng.integers(0, 6, n) if grid else rng.uniform(0, 1, n))
+    yb = np.sort(rng.integers(0, 6, n) if grid else rng.uniform(0, 1, n))
+    pts = np.vstack([np.column_stack([np.zeros(n), ya]),
+                     np.column_stack([np.ones(n), yb])]).astype(float)
+    ia, ib = np.arange(n), np.arange(n, 2 * n)
+    got = _split_quad_rows(ia, ib, pts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _split_quad_rows_loop(ia, ib, pts))
+
+
+def test_strip_mirror_map_reflects_each_column():
+    g = build_symmetric_disc_example(scale=1.0, eps=1e-3)
+    strip = _StripMesh(g, 0.1, 6, 0.9 * g.gap.chart)
+    m = _strip_mirror_map(strip)
+    v = strip.vertices
+    assert np.array_equal(v[m], v * [1.0, -1.0])
+    assert np.array_equal(m[m], np.arange(len(v)))
 
 
 # ---------------------------------------------------------------------------
