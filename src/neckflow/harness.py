@@ -20,11 +20,13 @@ meshes are stored there in the plain-text mesh format, keyed by geometry,
 separation, grading parameters and the mesher version.
 """
 
+import ctypes
 import functools
 import hashlib
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -338,6 +340,29 @@ def compare_prediction(rows, gap_hessian, fits):
 # sweep driver
 # ---------------------------------------------------------------------------
 
+_M_MMAP_THRESHOLD = -3        # glibc mallopt parameter
+_MMAP_THRESHOLD = 32 << 20    # glibc's ceiling for its sliding threshold
+
+
+def _steady_memory():
+    """Make a sweep's peak resident memory independent of what the process
+    ran before it.  Two things otherwise raise the peak of every sweep after
+    the first (by 10-20 MB for the canonical sweep): the fits import
+    scipy.optimize (about 9 MB) only after the separations are solved, and
+    glibc's sliding mmap threshold, which moves the solver's arrays of a few
+    MB from mmap to the heap once the first of them is freed.  Import the
+    fitting module before solving, and fix the threshold at the ceiling of
+    the sliding one, so that those arrays come from the heap from the start
+    (as fast as the slid threshold; a low fixed one is 15-25% slower)."""
+    import scipy.optimize  # noqa: F401
+
+    if sys.platform.startswith("linux"):
+        try:
+            ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        except (OSError, AttributeError):
+            pass    # not glibc
+
+
 def run_sweep(spec: SweepSpec) -> SweepReport:
     spec.validate()
     t0 = time.time()
@@ -345,6 +370,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     if geom.kind != "two_inclusion":
         raise NeckflowError("sweeps require a two-inclusion geometry")
     geom.validate(eps_values=spec.eps_list)
+    _steady_memory()
     task = functools.partial(_separation_task, geom, spec)
     if spec.workers == 1:
         results = list(map(task, spec.eps_list))

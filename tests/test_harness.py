@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +178,36 @@ def test_workers_parallel_path(tmp_path):
         assert rows[0].startswith("# generated")
         outputs[workers] = (rows[1:], (out / "probes.csv").read_bytes())
     assert outputs[1] == outputs[2]
+
+
+_FIT_MODULE_PROBE = """
+import sys
+from neckflow import build_symmetric_disc_example, harness
+assert "scipy.optimize" not in sys.modules, "import neckflow loaded it"
+seen = []
+task = harness._separation_task
+def probe(*args):
+    seen.append("scipy.optimize" in sys.modules)
+    return task(*args)
+harness._separation_task = probe
+spec = harness.SweepSpec(geometry=build_symmetric_disc_example(),
+                         p_list=(2.0,), eps_list=(1e-2,), target_h=0.2,
+                         probes=(0.0,), flux_windows=(0.3, 0.2, 0.1))
+assert harness.run_sweep(spec).ok
+print(seen)
+"""
+
+
+def test_sweep_loads_fit_module_before_solving():
+    # a fresh interpreter: the sweep must import scipy.optimize before its
+    # first separation, so the import counts in its peak memory every time,
+    # and `import neckflow` must not import it
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FIT_MODULE_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[True]"]
 
 
 def test_window_fit_fallbacks_recorded(monkeypatch):
