@@ -10,6 +10,7 @@ state is touched.  The exponent branches split at p = (n+1)/2:
   SUB       p < (n+1)/2   scale 1, limiting flux zero, potential gap persists
 """
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BranchError, FitError, GeometryError, QuadratureError
+
+_log = logging.getLogger("neckflow")
 
 SUPER, CRITICAL, SUB = "SUPER", "CRITICAL", "SUB"
 
@@ -280,8 +283,9 @@ def fit_ugap_limit(rows, regime: Regime, hessian_gap):
     limit into an implied flux.
 
     rows: sequence of (eps, potential gap) with strictly decreasing eps,
-    at least three entries.  A non-monotone ratio sequence produces a
-    diagnostic warning and no extrapolation (the last ratio is reported)."""
+    at least three entries.  A non-monotone ratio sequence produces no
+    extrapolation (the last ratio is reported); the reason is in the
+    result's `warning` and is logged once to the "neckflow" logger."""
     rows = list(rows)
     if len(rows) < 3:
         raise FitError("need at least three (eps, gap) rows")
@@ -300,7 +304,7 @@ def fit_ugap_limit(rows, regime: Regime, hessian_gap):
         limit, extrapolated = float(_aitken(ratios)), True
     else:
         warning = "non-monotone ratio sequence; reporting the last ratio"
-        warnings.warn(warning)
+        _log.warning("fit_ugap_limit: %s", warning)
         limit, extrapolated = float(ratios[-1]), False
 
     K = gap_constant(hessian_gap, regime)

@@ -190,6 +190,7 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
         "probes": [],
         "history": [(e, en, res) for (e, en, res) in sol.energy_history],
         "linear_fallbacks": sol.linear_fallbacks,
+        "factorizations": sol.factorizations, "cg_iters": sol.cg_iters,
     }
     for xp in spec.probes:
         pr = fa.gradient_probe(sol, mesh, xp)

@@ -14,6 +14,7 @@ structured polar grid.  Meshes are immutable once built.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -991,28 +992,37 @@ def load_mesh(path, geometry=None):
     try:
         with open(path) as fh:
             nv, nt, nbe = (int(s) for s in fh.readline().split())
-            verts = np.empty((nv, 2))
-            for k in range(nv):
-                x, y = fh.readline().split()
-                verts[k] = float(x), float(y)
-            tris = np.empty((nt, 3), dtype=np.int64)
-            for k in range(nt):
-                tris[k] = [int(s) for s in fh.readline().split()]
-            bedges = np.empty((nbe, 2), dtype=np.int64)
-            btags = np.empty(nbe, dtype=np.int64)
-            for k in range(nbe):
-                i, j, tag = fh.readline().split()
-                bedges[k] = int(i), int(j)
-                btags[k] = TAG_IDS[tag] if tag in TAG_IDS else int(tag)
+            if min(nv, nt, nbe) < 0:
+                raise ValueError("negative section size")
+
+            def section(n, cols, dtype):
+                # reads exactly n lines, so the next section starts after
+                # them; no token list of the whole file is ever held.  Lines
+                # missing at the end of the file are reported below, not by
+                # loadtxt's "no data" warning
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    a = np.loadtxt(fh, dtype=dtype, max_rows=n, ndmin=2,
+                                   comments=None)
+                if len(a) != n or a.size != n * cols:
+                    raise ValueError(f"expected {n} lines of {cols} values")
+                return a.reshape(n, cols)
+
+            verts = section(nv, 2, float)
+            tris = section(nt, 3, np.int64)
+            edges = section(nbe, 3, str)
             # files written before the neck_layers line existed load with 0
             tail = fh.readline().split()
             neck_layers = int(tail[1]) if tail[:1] == ["neck_layers"] else 0
+        bedges = edges[:, :2].astype(np.int64)
+        btags = np.array([TAG_IDS[t] if t in TAG_IDS else int(t)
+                          for t in edges[:, 2]], dtype=np.int64)
         for idx in (tris, bedges):
             if idx.size and (idx.min() < 0 or idx.max() >= nv):
                 raise ValueError(f"vertex index outside [0, {nv})")
         return TriMesh(verts, tris, bedges, btags, geometry=geometry,
                        neck_layers=neck_layers)
-    except (ValueError, MeshError) as exc:
+    except (ValueError, IndexError, MeshError) as exc:
         raise MeshError(f"unreadable mesh file {path}: {exc}") from exc
 
 

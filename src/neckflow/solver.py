@@ -8,7 +8,9 @@ that scalar is literally the zero-net-flux condition through the inclusion
 boundary.  A damped Newton iteration with exact gradient/Hessian and Armijo
 backtracking runs inside a continuation loop over decreasing eta; for p >= 2
 the energy is already C^2 and eta = 0 is used directly.  The reduced Newton
-system's pattern and fill-reducing order are mesh constants (see Condenser).
+system's pattern and fill-reducing order are mesh constants (see Condenser);
+a Newton step solves it only to a forcing term, by CG preconditioned with
+the solve's last factorization (see Condenser.linear_solve).
 """
 
 import itertools
@@ -29,6 +31,8 @@ LOOSE_STAGE_TOL = 1e-6
 # A direct solve with a larger relative residual (max norm) is redone with
 # Levenberg damping.
 LINEAR_RESIDUAL_TOL = 1e-8
+# Preconditioned CG gives up after this many iterations and H is factored.
+PCG_MAXIT = 8
 FILL_REDUCING_ORDER = "MMD_AT_PLUS_A"
 _SPLU_SYMMETRIC = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
@@ -95,6 +99,8 @@ class Solution:
     eta_sensitivity: float = None
     newton_iters: int = 0
     linear_fallbacks: int = 0   # Newton steps solved with Levenberg damping
+    factorizations: int = 0     # sparse LUs, Levenberg retries included
+    cg_iters: int = 0           # preconditioned CG iterations
 
     @property
     def ugap(self):
@@ -268,13 +274,30 @@ class Condenser:
         reduced layout until the first `linear_solve`, in factor order after."""
         return _scatter(self._pattern, blocks)
 
-    def linear_solve(self, H, rhs, stats):
-        """Solve H d = rhs for H from `reduce_hess`, rhs in the reduced layout."""
-        if self._perm is None:
-            return _linear_solve(H, rhs, stats, on_factor=self._adopt_order)
-        return _linear_solve(H, rhs[self._inv], stats, "NATURAL")[self._perm]
+    def linear_solve(self, H, rhs, stats, forcing=None):
+        """Solve H d = rhs for H from `reduce_hess`, rhs in the reduced layout.
 
-    def _adopt_order(self, lu):
+        Without forcing the solve is direct.  With it, d need only meet
+        max|rhs - H d| <= forcing * max|rhs|: CG preconditioned by the last
+        factorization of this solve (stats.precond, in factor order) is tried
+        first, and H is factored only when CG fails."""
+        if self._perm is None:
+            return _linear_solve(H, rhs, stats, on_factor=lambda lu:
+                                 self._adopt_order(lu, stats))
+        rhs = rhs[self._inv]
+        d = None
+        if forcing is not None and stats.precond is not None:
+            d = _pcg(H, rhs, stats.precond, forcing, stats)
+        if d is None:
+            # drop the old factorization before making the next, so that
+            # two are never in memory at once (about 12 MB more at peak)
+            stats.precond = None
+            d = _linear_solve(H, rhs, stats, "NATURAL",
+                              on_factor=lambda lu: setattr(stats, "precond",
+                                                           lu.solve))
+        return d[self._perm]
+
+    def _adopt_order(self, lu, stats):
         # perm_c[i] is DOF i's position in factor order (copied: the array is
         # a view that keeps the factorization alive).  Renumber the pattern's
         # entries by it, each slot moving with its entry, in place: arrays
@@ -285,6 +308,9 @@ class Condenser:
         key = np.append(cols.astype(np.int64) * n + self._perm[indices], n * n)
         new_indptr, new_indices, rank = _pattern(key, n)
         indptr[:], indices[:], slot[:] = new_indptr, new_indices, rank[slot]
+        # lu is in the reduced layout; the preconditioner works in factor order
+        perm, inv = self._perm, self._inv
+        stats.precond = lambda r: lu.solve(r[perm])[inv]
 
     def initial_q(self):
         return np.zeros(self.n_dofs)
@@ -306,6 +332,37 @@ class _Stats:
     history: list = field(default_factory=list)   # (eta, energy, residual)
     newton_iters: int = 0
     linear_fallbacks: int = 0
+    factorizations: int = 0
+    cg_iters: int = 0
+    precond: object = None   # the last factorization's solve, in factor order
+
+
+def _pcg(H, b, precond, tol, stats):
+    """Preconditioned CG for H x = b from x = 0, stopping when max|b - H x|
+    <= tol * max|b|.  Returns None when that takes more than PCG_MAXIT
+    iterations or when H is not positive definite along a search direction.
+
+    The iterate minimizes the quadratic model over the Krylov space, so for
+    b = -grad it is a descent direction."""
+    x, r = np.zeros_like(b), b.copy()
+    bound = tol * np.abs(b).max()
+    z = precond(r)
+    p, rz = z, float(r @ z)
+    for _ in range(PCG_MAXIT):
+        Hp = H @ p
+        pHp = float(p @ Hp)
+        if not (math.isfinite(pHp) and pHp > 0):
+            return None
+        alpha = rz / pHp
+        x += alpha * p
+        r -= alpha * Hp
+        stats.cg_iters += 1
+        if np.abs(r).max() <= bound:
+            return x
+        z = precond(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return None
 
 
 def _linear_solve(H, rhs, stats, permc_spec=FILL_REDUCING_ORDER,
@@ -322,9 +379,11 @@ def _linear_solve(H, rhs, stats, permc_spec=FILL_REDUCING_ORDER,
     solve that fails the check (a non-finite d included) or finds H exactly
     singular is redone with Levenberg damping H + lam I (same pattern: the
     diagonal is in it), counted in stats.linear_fallbacks.  on_factor is
-    called with the direct factorization.
+    called with the direct factorization.  Every factorization, damped ones
+    included, is counted in stats.factorizations.
     """
     try:
+        stats.factorizations += 1
         lu = spla.splu(H, permc_spec=permc_spec, **_SPLU_SYMMETRIC)
         on_factor(lu)
         d = lu.solve(rhs)
@@ -341,6 +400,7 @@ def _linear_solve(H, rhs, stats, permc_spec=FILL_REDUCING_ORDER,
     lam = 1e-10
     while lam <= 1e3:
         try:
+            stats.factorizations += 1
             lu = spla.splu((H + lam * scale * eye).tocsc(),
                            permc_spec=permc_spec, **_SPLU_SYMMETRIC)
             d = lu.solve(rhs)
@@ -376,7 +436,10 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
         if done and (polish_left <= 0 or res <= 1e-3 * cfg.newton_tol):
             return q, res
         H = cond.reduce_hess(ops.hessian(g, w, p))
-        d = cond.linear_solve(H, -grad, stats)
+        # a Newton step needs the linear solve only to the forcing term
+        # (Eisenstat & Walker); a polish step is solved directly
+        d = cond.linear_solve(H, -grad, stats,
+                              None if done else min(0.5, math.sqrt(res)))
         if done:
             polish_left -= 1
             q_try = q + d
@@ -474,7 +537,8 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
         flux2=inclusion_flux(INC2), p=cfg.p, eta_final=eta_final,
         grad_full=grad_full, energy_history=stats.history,
         eta_sensitivity=sensitivity, newton_iters=stats.newton_iters,
-        linear_fallbacks=stats.linear_fallbacks)
+        linear_fallbacks=stats.linear_fallbacks,
+        factorizations=stats.factorizations, cg_iters=stats.cg_iters)
 
 
 def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -216,13 +217,16 @@ class TestUGapFit:
         fit = fit_ugap_limit(rows, reg, [[1.0]])
         assert fit.limit == pytest.approx(c, rel=1e-2)
 
-    def test_non_monotone_warns(self):
+    def test_non_monotone_warns(self, caplog):
         reg = Regime(2.0, 2)
         rows = [(e, g * blowup_scale(e, reg))
                 for e, g in [(1e-3, 3.0), (1e-4, 1.0), (1e-5, 2.0)]]
-        with pytest.warns(UserWarning):
+        with caplog.at_level(logging.WARNING, logger="neckflow"):
             fit = fit_ugap_limit(rows, reg, [[1.0]])
         assert not fit.extrapolated
+        assert fit.warning != ""
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"fit_ugap_limit: {fit.warning}"]
 
     def test_input_validation(self):
         reg = Regime(2.0, 2)

@@ -40,6 +40,8 @@ class TestSingleCaseSweep:
         report = run_sweep(tiny_spec(str(tmp_path / "out")))
         assert len(report.rows) == 1
         assert report.rows[0]["linear_fallbacks"] == 0
+        assert report.rows[0]["factorizations"] >= 1
+        assert report.rows[0]["cg_iters"] >= 0
         assert report.fits[2.0]["slope_fit"]["status"] == "insufficient points"
         assert math.isnan(report.fits[2.0]["slope_fit"]["slope"])
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,7 +229,9 @@ class TestMeshIO:
         assert m2.grading_report.neck_layers == 0
 
     @pytest.mark.parametrize("damage", ["truncate", "index_high",
-                                        "index_negative", "empty"])
+                                        "index_negative", "float_index",
+                                        "tail_cut", "section_cut",
+                                        "extra_value", "empty"])
     def test_damaged_file_raises_mesh_error(self, disc_mesh, tmp_path,
                                             damage):
         _, m = disc_mesh
@@ -242,11 +245,21 @@ class TestMeshIO:
             lines[first_tri] = f"0 1 {m.n_vertices}"
         elif damage == "index_negative":
             lines[first_tri] = "0 1 -1"
+        elif damage == "float_index":
+            lines[first_tri] = "0 1 2.5"
+        elif damage == "tail_cut":
+            lines[-1] = "neck_layers"
+        elif damage == "section_cut":
+            lines = lines[:first_tri]
+        elif damage == "extra_value":
+            lines[1:4] = [ln + " 0.5" for ln in lines[1:4]]
         else:
             lines = []
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError, match="mesh.txt"):
-            load_mesh(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="mesh.txt"):
+                load_mesh(str(path))
 
     def test_header_format(self, disc_mesh, tmp_path):
         _, m = disc_mesh

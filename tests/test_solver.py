@@ -9,8 +9,9 @@ from neckflow import (INC1, INC2, OUTER, ConstantPotential, SolveConfig,
                       SolverError, TriMesh, assemble_energy, build_annulus,
                       build_symmetric_disc_example, generate, solve,
                       uniqueness_probe)
-from neckflow.solver import (Condenser, ElementOps, _linear_solve, _newton,
-                             _Stats, reduced_hessian)
+from neckflow.solver import (PCG_MAXIT, Condenser, ElementOps, _continuation,
+                             _linear_solve, _newton, _pcg, _Stats,
+                             reduced_hessian)
 
 SYMMETRIC_MMD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
@@ -369,6 +370,104 @@ class TestFixedPattern:
         other = generate(g, 0.35, 6, seed=0)
         with pytest.raises(ValueError):
             solve(other, g, SolveConfig(p=2.0), cond)
+
+
+def random_spd(rng, n):
+    """Weighted graph Laplacian of a random sparse graph plus a diagonal."""
+    i, j = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
+    keep = i != j
+    W = sp.coo_matrix((rng.uniform(0.1, 1.0, keep.sum()), (i[keep], j[keep])),
+                      shape=(n, n)).tocsr()
+    L = sp.diags(np.asarray((W + W.T).sum(axis=1)).ravel()) - W - W.T
+    return (L + sp.diags(rng.uniform(1e-3, 1.0, n))).tocsc()
+
+
+class TestPCG:
+    def test_exact_factorization_converges_in_one_iteration(self):
+        rng = np.random.default_rng(1)
+        H = random_spd(rng, 300)
+        b, stats = rng.normal(size=300), _Stats()
+        x = _pcg(H, b, spla.splu(H, **SYMMETRIC_MMD).solve, 1e-10, stats)
+        assert stats.cg_iters == 1
+        assert np.abs(b - H @ x).max() <= 1e-10 * np.abs(b).max()
+
+    def test_perturbed_factorization_meets_tol_in_max_norm(self):
+        rng = np.random.default_rng(2)
+        H = random_spd(rng, 300)
+        old = (H + sp.diags(rng.uniform(0.0, 0.5, 300))).tocsc()
+        b, stats = rng.normal(size=300), _Stats()
+        x = _pcg(H, b, spla.splu(old, **SYMMETRIC_MMD).solve, 1e-6, stats)
+        assert 1 < stats.cg_iters <= PCG_MAXIT
+        assert np.abs(b - H @ x).max() <= 1e-6 * np.abs(b).max()
+
+    def test_negative_curvature_returns_none(self):
+        # with its own exact inverse as the preconditioner, CG would solve
+        # -H x = b in one step; p^T (-H) p < 0 must stop it first
+        rng = np.random.default_rng(3)
+        H = random_spd(rng, 50)
+        b, stats = rng.normal(size=50), _Stats()
+        assert _pcg(-H, b, spla.splu(-H).solve, 1e-6, stats) is None
+        assert stats.cg_iters == 0
+
+    def test_iteration_cap_returns_none(self):
+        # unpreconditioned CG on a graph Laplacian needs far more iterations
+        rng = np.random.default_rng(4)
+        H = random_spd(rng, 300)
+        b, stats = rng.normal(size=300), _Stats()
+        assert _pcg(H, b, lambda r: r, 1e-10, stats) is None
+        assert stats.cg_iters == PCG_MAXIT
+
+
+class TestInexactNewton:
+    def test_fewer_factorizations_same_end_state(self, disc_geom,
+                                                 disc_mesh_1e2,
+                                                 disc_solutions_1e2,
+                                                 monkeypatch):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        sol = disc_solutions_1e2[1.3]
+        assert 1 <= sol.factorizations < sol.newton_iters
+        assert sol.cg_iters > 0 and sol.linear_fallbacks == 0
+        # reference: every Newton step solved directly
+        direct = Condenser.linear_solve
+        monkeypatch.setattr(Condenser, "linear_solve",
+                            lambda self, H, rhs, stats, forcing=None:
+                            direct(self, H, rhs, stats))
+        ref = solve(m, g, SolveConfig(p=1.3))
+        assert ref.cg_iters == 0 and ref.factorizations >= ref.newton_iters
+        assert sol.U1 == pytest.approx(ref.U1, rel=1e-8)
+        assert sol.U2 == pytest.approx(ref.U2, rel=1e-8)
+        # eta_sensitivity is |gap_3 - gap_4| / |gap_4|, about 2.5e-7 here:
+        # gaps that agree to rounding (1e-14) move it by about 5e-8 relative
+        assert sol.eta_sensitivity == pytest.approx(ref.eta_sensitivity,
+                                                    rel=1e-6)
+
+    def test_old_factorization_dropped_before_the_next(self, disc_geom,
+                                                       disc_mesh_1e2,
+                                                       monkeypatch):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        cond, stats = Condenser(m, g), _Stats()
+        cleared, splu = [], spla.splu
+
+        def checking_splu(*args, **kw):
+            cleared.append(stats.precond is None)
+            return splu(*args, **kw)
+
+        monkeypatch.setattr(spla, "splu", checking_splu)
+        _continuation(cond, cond.ops, cond.initial_q(), SolveConfig(p=1.3),
+                      stats)
+        assert stats.cg_iters > 0
+        assert len(cleared) == stats.factorizations > 1 and all(cleared)
+
+    def test_each_solve_starts_without_a_preconditioner(self, disc_geom,
+                                                        disc_mesh_1e2,
+                                                        disc_solutions_1e2):
+        # a shared Condenser takes the same linear solves as a fresh one
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        cond = Condenser(m, g)
+        for p in (1.3, 2.0, 3.0):
+            sol, ref = solve(m, g, SolveConfig(p=p), cond), disc_solutions_1e2[p]
+            assert (sol.factorizations, sol.cg_iters) == \
+                (ref.factorizations, ref.cg_iters)
 
 
 class TestLinearCase:
