@@ -16,7 +16,6 @@ import numpy as np
 from .errors import FitError, GeometryError
 from .geometry import INC2, NeckPoint, TAG_NAMES, gap_width, model_gap_width
 
-BELOW_NECK = "BELOW_NECK"
 MAX_TIE_RTOL = 1e-9
 
 
@@ -74,12 +73,10 @@ def boundary_outward_fluxes(sol, mesh):
     return out
 
 
-def cross_section_flux(sol, mesh, r, side=BELOW_NECK):
+def cross_section_flux(sol, mesh, r):
     """Current flowing upward through the lower neck boundary restricted to
     |x'| < r (the window flux whose eps -> 0 limit is the touching-problem
     flux)."""
-    if side != BELOW_NECK:
-        raise ValueError(f"unsupported side {side!r}")
     geom = mesh.geometry
     if geom is None or geom.gap is None:
         raise GeometryError("cross-section flux needs a two-inclusion geometry")
@@ -237,7 +234,7 @@ def _ball_sample_points(geom, x0, radius, n_x=9, n_t=7):
     return np.asarray(pts)
 
 
-def holder_quotient_scan(grad_eval, geom, beta, points, sup_grad_eval=None):
+def holder_quotient_scan(grad_eval, geom, beta, points):
     """Empirical Hölder-quotient scan.
 
     grad_eval maps an (n, 2) point array to gradients.  For each neck point x
@@ -249,7 +246,6 @@ def holder_quotient_scan(grad_eval, geom, beta, points, sup_grad_eval=None):
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    sup_eval = sup_grad_eval if sup_grad_eval is not None else grad_eval
     results = []
     for pt in points:
         x0 = pt.xprime if isinstance(pt, NeckPoint) else float(pt)
@@ -267,7 +263,7 @@ def holder_quotient_scan(grad_eval, geom, beta, points, sup_grad_eval=None):
         quot = np.linalg.norm(diffs[iu], axis=1) / dist[iu] ** beta
         raw = float(np.max(quot))
         sup_pts = _ball_sample_points(geom, x0, r_big, n_x=13, n_t=9)
-        sup_grad = float(np.max(np.linalg.norm(np.asarray(sup_eval(sup_pts)), axis=1)))
+        sup_grad = float(np.max(np.linalg.norm(np.asarray(grad_eval(sup_pts)), axis=1)))
         if sup_grad <= 0:
             results.append((x0, 0.0))
             continue

@@ -280,7 +280,8 @@ class UGapFit:
 
 def fit_ugap_limit(rows, regime: Regime, hessian_gap):
     """Extrapolate (U1 - U2) / scale(eps) over decreasing eps and invert the
-    limit into an implied flux.
+    limit into an implied flux.  On the SUB branch (scale 1, zero limiting
+    flux) it is the limit of the potential gap and flux_implied is NaN.
 
     rows: sequence of (eps, potential gap) with strictly decreasing eps,
     at least three entries.  A non-monotone ratio sequence produces no
@@ -307,8 +308,10 @@ def fit_ugap_limit(rows, regime: Regime, hessian_gap):
         _log.warning("fit_ugap_limit: %s", warning)
         limit, extrapolated = float(ratios[-1]), False
 
-    K = gap_constant(hessian_gap, regime)
-    flux = _sgn(limit) * abs(limit) ** (regime.p - 1.0) / K
+    flux = math.nan
+    if regime.branch != SUB:
+        K = gap_constant(hessian_gap, regime)
+        flux = _sgn(limit) * abs(limit) ** (regime.p - 1.0) / K
     return UGapFit(limit=limit, flux_implied=float(flux),
                    ratios=tuple(float(x) for x in ratios),
                    extrapolated=extrapolated, warning=warning)

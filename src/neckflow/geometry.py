@@ -10,7 +10,6 @@ boundary data) lives here.  All objects are immutable after construction and
 picklable, so they can be shared across worker processes.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -71,8 +70,7 @@ class ParabolaProfile:
 class TableProfile:
     """Profile interpolated from a sampled (x, h) table with a cubic spline.
 
-    The table must bracket the chart; h is shifted so h(0) = 0.  The sorted
-    input rows are kept as `x`, `h` (before the shift).
+    The table must bracket the chart; h is shifted so h(0) = 0.
     """
 
     def __init__(self, x, h):
@@ -86,7 +84,6 @@ class TableProfile:
         x, h = x[order], h[order]
         if np.any(np.diff(x) <= 0):
             raise GeometryError("profile table has repeated x values")
-        self.x, self.h = x, h
         self._spline = CubicSpline(x, h)
         self._spline = CubicSpline(x, h - self._spline(0.0))
         self.x_range = (x[0], x[-1])
@@ -187,9 +184,6 @@ class Circle:
     def translated(self, dy):
         return Circle((self.center[0], self.center[1] + dy), self.radius)
 
-    def mirrored(self):
-        return Circle((self.center[0], -self.center[1]), self.radius)
-
     def arc_points(self, a0, a1, spacing_fn):
         """Points along the CCW arc from angle a0 to a1 (a1 > a0), spacing
         graded by spacing_fn; includes both endpoints."""
@@ -219,9 +213,6 @@ class Circle:
         """< 0 inside the circle."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.linalg.norm(pts - np.asarray(self.center), axis=1) - self.radius
-
-    def contains(self, pts):
-        return self.signed_distance(pts) < 0
 
     def angle_of(self, pt):
         return math.atan2(pt[1] - self.center[1], pt[0] - self.center[0])
@@ -254,20 +245,6 @@ class CappedGraphCurve:
 
     def graph_y(self, x):
         return self.y_off + self.profile(x)
-
-    def contains(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x, y = pts[:, 0], pts[:, 1]
-        cx, cy = self.cap_center
-        in_cap = (x - cx) ** 2 + (y - cy) ** 2 < self.cap_radius**2
-        xcl = np.clip(x, -self.xc, self.xc)
-        in_lens = (np.abs(x) <= self.xc) & (y > self.graph_y(xcl)) & (y <= cy)
-        return in_cap | in_lens
-
-    def signed_distance(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = np.linalg.norm(pts - self.project(pts), axis=1)
-        return np.where(self.contains(pts), -d, d)
 
     def project(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -336,12 +313,6 @@ class MirroredCurve:
         pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
         pts[:, 1] = -pts[:, 1]
         return pts
-
-    def contains(self, pts):
-        return self.base.contains(self._flip(pts))
-
-    def signed_distance(self, pts):
-        return self.base.signed_distance(self._flip(pts))
 
     def project(self, pts):
         return self._flip(self.base.project(self._flip(pts)))
@@ -476,7 +447,7 @@ class Geometry:
                 raise GeometryError(f"inclusions overlap at eps={eps}")
             # inclusions stay away from the outer boundary
             for curve in (g.inclusion1_eps, g.inclusion2_eps):
-                pts = _coarse_curve_points(curve)
+                pts = curve_polyline(curve, 64)
                 if np.any(self.outer.signed_distance(pts) > -1e-9):
                     raise GeometryError("inclusion touches the outer boundary")
         # sampled agreement of the gap profile with the inclusion curves
@@ -490,7 +461,10 @@ class Geometry:
         return True
 
 
-def _coarse_curve_points(curve, n=64):
+def curve_polyline(curve, n):
+    """Closed counterclockwise polyline around a curve: n points on a circle,
+    points about 1/n of the cap circumference apart on a capped graph, and a
+    mirrored curve's base points flipped, in reverse order."""
     if isinstance(curve, Circle):
         a = np.linspace(0, 2 * math.pi, n, endpoint=False)
         return np.column_stack([curve.center[0] + curve.radius * np.cos(a),
@@ -498,7 +472,7 @@ def _coarse_curve_points(curve, n=64):
     if isinstance(curve, CappedGraphCurve):
         return curve.boundary_polyline(lambda p: 2 * math.pi * curve.cap_radius / n)
     if isinstance(curve, MirroredCurve):
-        return MirroredCurve._flip(_coarse_curve_points(curve.base, n))
+        return MirroredCurve._flip(curve_polyline(curve.base, n))[::-1]
     raise GeometryError(f"unsupported curve type {type(curve)}")
 
 
@@ -611,9 +585,6 @@ def build_table_example(table_path_or_profile, eps=0.0, scale=1.0, phi=None, cha
     gap = GapProfile(h1=prof, h2=NegatedProfile(prof), c1=2 * 0.99 * c1_half,
                      c2=_c2_bound(prof, chart), chart=chart)
     inc1 = CappedGraphCurve(prof, xc=0.999 * chart)
-    # the name keys the mesh cache, so it must tell different tables apart
-    rows = np.concatenate([prof.x, prof.h, [chart]])
-    digest = hashlib.sha256(rows.tobytes()).hexdigest()[:12]
     return Geometry(
         outer=Circle((0.0, 0.0), 5.0 * scale),
         inclusion1=inc1,
@@ -622,7 +593,7 @@ def build_table_example(table_path_or_profile, eps=0.0, scale=1.0, phi=None, cha
         gap=gap,
         phi=phi if phi is not None else LinearPotential(),
         scale=float(scale),
-        name=f"table_{digest}",
+        name="table",
     )
 
 

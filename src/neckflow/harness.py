@@ -16,8 +16,8 @@ SweepSpec.workers = K > 1 the separations run in K worker processes, each
 meshing its own eps; no disk cache is forced.
 
 Mesh reuse: set NECKFLOW_CACHE (or SweepSpec.cache_dir) to a directory and
-meshes are stored there in the plain-text mesh format, keyed by geometry,
-separation, grading parameters and the mesher version.
+meshes are stored there in the plain-text mesh format, keyed by the content
+of the geometry (not phi or its name), eps, the grading and the mesher.
 """
 
 import ctypes
@@ -26,10 +26,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from . import analysis as fa
 from . import asymptotics as asy
 from . import meshing
 from .errors import MeshError, NeckflowError
-from .geometry import INC1, INC2, load_geometry_config
-from .meshing import generate, load_mesh, refine_uniform, save_mesh
+from .geometry import (INC1, INC2, ConstantPotential,
+                       build_symmetric_disc_example, load_geometry_config)
+from .meshing import generate, generate_neck_strip, load_mesh, save_mesh
 from .solver import Condenser, SolveConfig, solve
 
 CSV_BASE_COLUMNS = (
@@ -49,6 +51,8 @@ CSV_BASE_COLUMNS = (
 )
 
 DEFAULT_FLUX_WINDOWS = (0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.07, 0.05)
+# max_gradient looks only at triangles with centroid |x'| <= MAXGRAD_WINDOW
+MAXGRAD_WINDOW = 0.25
 
 
 @dataclass
@@ -58,14 +62,11 @@ class SweepSpec:
     eps_list: tuple = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     target_h: float = 0.1
     neck_layers: int = 6
-    refine: int = 0
     probes: tuple = (0.0, 0.05)
     flux_windows: tuple = DEFAULT_FLUX_WINDOWS
     out_dir: str = None
     workers: int = 1
     seed: int = 0
-    newton_tol: float = 1e-10
-    maxgrad_window: float = 0.25
     cache_dir: str = None
     mesh_vertex_cap: int = 2_000_000
 
@@ -107,12 +108,6 @@ class SweepReport:
     def ok(self):
         return not self.failures
 
-    def row(self, p, eps):
-        for r in self.rows:
-            if r["p"] == p and r["eps"] == eps:
-                return r
-        raise KeyError((p, eps))
-
 
 # ---------------------------------------------------------------------------
 # mesh cache
@@ -123,18 +118,26 @@ def _cache_dir(spec):
 
 
 def _mesh_key(geom, spec, eps):
-    raw = (getattr(geom, "name", "geom"), float(geom.scale), float(eps),
-           float(spec.target_h), int(spec.neck_layers), int(spec.refine),
-           int(spec.seed), meshing.MESHER_VERSION)
-    return hashlib.md5(repr(raw).encode()).hexdigest()[:16]
+    """sha256 of the pickled geometry at eps (without phi and name), grading
+    parameters, seed and mesher version.  A geometry that does not pickle
+    raises MeshError."""
+    content = (replace(geom.with_eps(eps), phi=None, name=""),
+               float(spec.target_h), int(spec.neck_layers), int(spec.seed),
+               meshing.MESHER_VERSION)
+    try:
+        raw = pickle.dumps(content, protocol=4)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise MeshError(f"geometry {geom.name!r} cannot key the mesh cache: "
+                        f"{exc}") from exc
+    return hashlib.sha256(raw).hexdigest()
 
 
 def case_mesh(geom, spec, eps):
     """The mesh of one separation, read from the mesh cache when it holds
     one.  A cached mesh must pass check_mesh's structural checks (positive
-    areas, conforming boundary edges, one loop per tag); the angle gate is
-    left to the generator, as refinement may lower the angle.  A corrupt
-    file raises MeshError."""
+    areas, conforming boundary edges, one loop per tag); its angles are the
+    generator's, as for a mesh made here.  A corrupt file raises
+    MeshError."""
     g = geom.with_eps(eps)
     cdir = _cache_dir(spec)
     if cdir:
@@ -149,8 +152,6 @@ def case_mesh(geom, spec, eps):
             return mesh
     mesh = generate(g, spec.target_h, spec.neck_layers, seed=spec.seed,
                     vertex_cap=spec.mesh_vertex_cap)
-    for _ in range(spec.refine):
-        mesh = refine_uniform(mesh)
     if cdir:
         tmp = path + f".tmp{os.getpid()}"
         save_mesh(mesh, tmp)
@@ -168,8 +169,8 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
     g = geom.with_eps(eps)
     if mesh is None:
         mesh = case_mesh(geom, spec, eps)
-    sol = solve(mesh, g, SolveConfig(p=p, newton_tol=spec.newton_tol), cond)
-    mg, loc = fa.max_gradient(sol, mesh, window=spec.maxgrad_window)
+    sol = solve(mesh, g, SolveConfig(p=p), cond)
+    mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
     row = {
         "p": p, "eps": eps,
@@ -266,17 +267,12 @@ def fit_case_family(rows, p, gap_hessian):
     regime = asy.Regime(p, 2)
     out = {"p": p, "branch": regime.branch, "slope_fit": slope_fit(rows)}
     gap_rows = [(r["eps"], r["ugap"]) for r in rows]
-    if len(gap_rows) >= 3 and regime.branch != asy.SUB:
+    if len(gap_rows) >= 3:
         fit = asy.fit_ugap_limit(gap_rows, regime, gap_hessian)
         out["ugap_fit"] = {"limit": fit.limit, "flux_implied": fit.flux_implied,
                            "ratios": list(fit.ratios),
                            "extrapolated": fit.extrapolated,
                            "warning": fit.warning}
-    elif len(gap_rows) >= 3:
-        ratios = [g for _, g in gap_rows]
-        out["ugap_fit"] = {"limit": float(asy._aitken(ratios)),
-                           "flux_implied": math.nan, "ratios": ratios,
-                           "extrapolated": True, "warning": ""}
     tables = {r["eps"]: r["winflux"] for r in rows}
     wrows = asy.extrapolated_window_rows(tables, regime)
     if wrows:
@@ -435,23 +431,13 @@ def _json_default(x):
 # auxiliary decay fixture
 # ---------------------------------------------------------------------------
 
-def solve_decay_fixture(geom=None, eps=1e-3, p=2.0, target_h=0.05, layers=8,
-                        samples=None):
-    """Solve the zero-boundary narrow-strip problem (homogeneous data on the
-    two graph walls, unit data on the side walls) and fit the interior decay.
-    Returns (slope estimate, r^2, solution, mesh)."""
-    from .geometry import ConstantPotential, build_symmetric_disc_example
-    from .meshing import generate_neck_strip
-
-    if geom is None:
-        geom = build_symmetric_disc_example(eps=eps,
-                                            phi=ConstantPotential(1.0))
-    else:
-        geom = geom.with_eps(eps)
-    mesh = generate_neck_strip(geom, target_h, layers)
+def solve_decay_fixture(eps=1e-3, p=2.0):
+    """Solve the zero-boundary narrow-strip problem of the disc geometry
+    (homogeneous data on the two graph walls, unit data on the side walls)
+    and fit the interior decay.  Returns (slope estimate, r^2, solution, mesh)."""
+    geom = build_symmetric_disc_example(eps=eps, phi=ConstantPotential(1.0))
+    mesh = generate_neck_strip(geom, 0.05, 8)
     sol = solve(mesh, geom, SolveConfig(p=p, inclusion_values={INC1: 0.0,
                                                                INC2: 0.0}))
-    if samples is None:
-        samples = np.linspace(0.25, 0.85, 25)
-    c2, r2 = fa.decay_fit(sol, mesh, samples, geom)
+    c2, r2 = fa.decay_fit(sol, mesh, np.linspace(0.25, 0.85, 25), geom)
     return c2, r2, sol, mesh

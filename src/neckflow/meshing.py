@@ -21,7 +21,8 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshCapacityError, MeshError
-from .geometry import INC1, INC2, OUTER, TAG_IDS, TAG_NAMES, Circle
+from .geometry import (INC1, INC2, OUTER, TAG_IDS, TAG_NAMES, Circle,
+                       curve_polyline)
 
 _VERTEX_CAP = 2_000_000
 
@@ -656,7 +657,7 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
                    neck_layers=strip.neck_layers)
 
 
-def _arc_ccw_angles(circle, a0, a1):
+def _arc_ccw_angles(a0, a1):
     """Ensure a1 > a0 for CCW traversal."""
     while a1 <= a0:
         a1 += 2 * math.pi
@@ -678,25 +679,16 @@ def _inclusion_arc(geom, size, w, upper=True):
         thl = curve.angle_of((-w, yl))
         if upper:
             # CCW from the right joint passes over the top to the left joint
-            a0, a1 = _arc_ccw_angles(curve, thr, thl)
+            a0, a1 = _arc_ccw_angles(thr, thl)
             pts = curve.arc_points(a0, a1, size.at)
         else:
             # CCW from the left joint passes under the bottom; flip to right->left
-            a0, a1 = _arc_ccw_angles(curve, thl, thr)
+            a0, a1 = _arc_ccw_angles(thl, thr)
             pts = curve.arc_points(a0, a1, size.at)[::-1]
         return pts[1:-1]
     # generic curve: dense polyline, cut at the joints, resample by size
-    poly = _dense_polyline(curve)
+    poly = curve_polyline(curve, 4000)
     return _cut_and_resample(poly, (w, yr), (-w, yl), size, go_over=upper)
-
-
-def _dense_polyline(curve, n=4000):
-    from .geometry import CappedGraphCurve, MirroredCurve
-    if isinstance(curve, CappedGraphCurve):
-        return curve.boundary_polyline(lambda p: curve.cap_radius * 2 * math.pi / n)
-    if isinstance(curve, MirroredCurve):
-        return MirroredCurve._flip(_dense_polyline(curve.base, n))[::-1]
-    raise MeshError(f"cannot sample curve {type(curve)}")
 
 
 def _cut_and_resample(poly, p_start, p_end, size, go_over):
@@ -900,17 +892,15 @@ def _generate_annulus(geom, target_h):
                    np.asarray(b_tags), geometry=geom, neck_layers=0)
 
 
-def generate_neck_strip(geom, target_h, neck_layers=6, width=None,
-                        vertex_cap=_VERTEX_CAP):
-    """Mesh only the neck strip |x'| <= width, side walls tagged OUTER.
+def generate_neck_strip(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP):
+    """Mesh only the neck strip over the gap chart, side walls tagged OUTER.
 
     This is the fixture for the zero-boundary auxiliary problem: homogeneous
     data on the two graph boundaries, driving data on the side walls.
     """
     if geom.eps <= 0:
         raise MeshError("strip meshes require eps > 0")
-    w = width if width is not None else geom.gap.chart
-    strip = _StripMesh(geom, target_h, neck_layers, w, vertex_cap)
+    strip = _StripMesh(geom, target_h, neck_layers, geom.gap.chart, vertex_cap)
     edges, tags = strip.boundary(walls_tag=OUTER)
     return TriMesh(strip.vertices, strip.triangles, np.asarray(edges),
                    np.asarray(tags), geometry=geom,
@@ -1011,9 +1001,13 @@ def load_mesh(path, geometry=None):
             verts = section(nv, 2, float)
             tris = section(nt, 3, np.int64)
             edges = section(nbe, 3, str)
-            # files written before the neck_layers line existed load with 0
-            tail = fh.readline().split()
-            neck_layers = int(tail[1]) if tail[:1] == ["neck_layers"] else 0
+            # save_mesh ends every file with this line, so a file whose last
+            # line is not it, newline included, was cut short
+            tail = fh.readline()
+            key, _, k = tail.partition(" ")
+            if key != "neck_layers" or not tail.endswith("\n") or fh.read():
+                raise ValueError("the last line is not `neck_layers k`")
+            neck_layers = int(k)
         bedges = edges[:, :2].astype(np.int64)
         btags = np.array([TAG_IDS[t] if t in TAG_IDS else int(t)
                           for t in edges[:, 2]], dtype=np.int64)
@@ -1026,7 +1020,7 @@ def load_mesh(path, geometry=None):
         raise MeshError(f"unreadable mesh file {path}: {exc}") from exc
 
 
-def check_mesh(mesh, min_angle=20.0, expect_loops=True):
+def check_mesh(mesh, min_angle=20.0):
     """Raise MeshError when a mesh invariant fails; returns the report."""
     if np.any(mesh.signed_areas() <= 0):
         raise MeshError("non-positive triangle area")
@@ -1035,6 +1029,6 @@ def check_mesh(mesh, min_angle=20.0, expect_loops=True):
                         f"{min_angle}")
     if not mesh.boundary_edges_conform():
         raise MeshError("a boundary edge is not a (unique) triangle edge")
-    if expect_loops and not mesh.boundary_loops_ok():
+    if not mesh.boundary_loops_ok():
         raise MeshError("boundary edges of some tag do not form a single loop")
     return mesh.grading_report

@@ -33,6 +33,10 @@ LOOSE_STAGE_TOL = 1e-6
 LINEAR_RESIDUAL_TOL = 1e-8
 # Preconditioned CG gives up after this many iterations and H is factored.
 PCG_MAXIT = 8
+# Armijo line search: sufficient-decrease constant, step factor, step limit.
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 60
 FILL_REDUCING_ORDER = "MMD_AT_PLUS_A"
 _SPLU_SYMMETRIC = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
@@ -52,12 +56,7 @@ class SolveConfig:
     eta_schedule: tuple = None
     newton_tol: float = 1e-10
     max_newton_iters: int = 100
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
     inclusion_values: dict = None   # {tag: value} pins an inclusion potential
-    warm_start_p2: bool = True
-    record_history: bool = True
     polish_iters: int = 2   # extra full Newton steps after the tolerance is met
 
     def __post_init__(self):
@@ -430,8 +429,7 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
         grad = cond.reduce_grad(ge)
         scale = max(1.0, abs(energy))
         res = float(np.abs(grad).max()) / scale
-        if cfg.record_history:
-            stats.history.append((eta, energy, res))
+        stats.history.append((eta, energy, res))
         done = res <= cfg.newton_tol and it > 0
         if done and (polish_left <= 0 or res <= 1e-3 * cfg.newton_tol):
             return q, res
@@ -454,12 +452,12 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
             slope = -slope
         t = 1.0
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             e_try = ops.energy(cond.nodal(q + t * d), p, eta)
-            if e_try <= energy + cfg.armijo_c * t * slope + 1e-15 * scale:
+            if e_try <= energy + ARMIJO_C * t * slope + 1e-15 * scale:
                 accepted = True
                 break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         if not accepted:
             if res <= 100 * cfg.newton_tol:
                 return q, res   # at the rounding floor; accept
@@ -511,12 +509,11 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
     ops, stats = cond.ops, _Stats()
     q = cond.initial_q()
 
-    if cfg.warm_start_p2 and cfg.p != 2.0:
-        cfg2 = SolveConfig(p=2.0, eta_schedule=(0.0,), newton_tol=1e-9,
-                           max_newton_iters=10, record_history=False,
-                           inclusion_values=cfg.inclusion_values,
-                           warm_start_p2=False)
-        q, _ = _newton(cond, ops, q, 2.0, 0.0, cfg2, stats)
+    if cfg.p != 2.0:
+        # warm start from the p = 2 solution; its steps are not in the history
+        warm = SolveConfig(p=2.0, newton_tol=1e-9, max_newton_iters=10)
+        q, _ = _newton(cond, ops, q, 2.0, 0.0, warm, stats)
+        stats.history.clear()
     q, res, sensitivity = _continuation(cond, ops, q, cfg, stats)
 
     eta_final = cfg.eta_schedule[-1]

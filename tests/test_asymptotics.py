@@ -10,7 +10,7 @@ from neckflow import (BranchError, FitError, GeometryError, Regime,
                       fit_ugap_limit, gamma_fn, gap_constant,
                       lower_bound_region, neck_integral, neck_integral_limit,
                       predict_expansion)
-from neckflow.asymptotics import CRITICAL, SUB, SUPER
+from neckflow.asymptotics import CRITICAL, SUB, SUPER, _aitken
 
 
 class TestRegime:
@@ -225,6 +225,25 @@ class TestUGapFit:
             fit = fit_ugap_limit(rows, reg, [[1.0]])
         assert not fit.extrapolated
         assert fit.warning != ""
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"fit_ugap_limit: {fit.warning}"]
+
+    def test_sub_branch_limit_of_the_gap(self):
+        reg = Regime(1.3, 2)
+        gaps = [2.0 + e**0.5 for e in (1e-2, 1e-3, 1e-4)]
+        fit = fit_ugap_limit(zip((1e-2, 1e-3, 1e-4), gaps), reg, [[1.0]])
+        assert fit.limit == _aitken(gaps)
+        assert fit.limit == pytest.approx(2.0, abs=2e-3)
+        assert fit.ratios == tuple(gaps)
+        assert math.isnan(fit.flux_implied)
+        assert fit.extrapolated and fit.warning == ""
+
+    def test_sub_branch_non_monotone_warns(self, caplog):
+        rows = [(1e-2, 3.0), (1e-3, 1.0), (1e-4, 2.0)]
+        with caplog.at_level(logging.WARNING, logger="neckflow"):
+            fit = fit_ugap_limit(rows, Regime(1.3, 2), [[1.0]])
+        assert not fit.extrapolated and fit.limit == 2.0
+        assert math.isnan(fit.flux_implied)
         assert [r.getMessage() for r in caplog.records] == \
             [f"fit_ugap_limit: {fit.warning}"]
 

@@ -3,14 +3,18 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neckflow import (NeckflowError, SweepSpec, build_symmetric_disc_example,
-                      build_table_example, harness, meshing, run_sweep)
+from neckflow import (ConstantPotential, MeshError, NeckflowError, SweepSpec,
+                      build_symmetric_disc_example, build_table_example,
+                      harness, meshing, run_sweep)
 from neckflow.cli import main as cli_main
-from neckflow.geometry import TableProfile
+from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
+                               LinearPotential, MirroredCurve, NegatedProfile,
+                               ParabolaProfile, TableProfile, _c2_bound)
 from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
                               compare_prediction)
 
@@ -111,11 +115,12 @@ def test_table_geometries_get_their_own_cache_entries(tmp_path):
     x = np.linspace(-1.3, 1.3, 80)
     g1 = build_table_example(TableProfile(x, 0.3 * x * x))
     g2 = build_table_example(TableProfile(x, 0.5 * x * x))
-    # the name depends on the table rows, not on their order
-    xr = x[::-1]
-    assert build_table_example(TableProfile(xr, 0.3 * xr * xr)).name == g1.name
     cache = str(tmp_path / "cache")
     spec = tiny_spec(cache_dir=cache)
+    # the key depends on the table rows, not on their order
+    xr = x[::-1]
+    assert _mesh_key(build_table_example(TableProfile(xr, 0.3 * xr * xr)),
+                     spec, 1e-2) == _mesh_key(g1, spec, 1e-2)
     assert _mesh_key(g1, spec, 1e-2) != _mesh_key(g2, spec, 1e-2)
     m1 = case_mesh(g1, spec, 1e-2)
     m2 = case_mesh(g2, spec, 1e-2)
@@ -124,6 +129,39 @@ def test_table_geometries_get_their_own_cache_entries(tmp_path):
             or not np.array_equal(m1.vertices, m2.vertices))
     # a second request for the second table reads its own mesh back
     assert np.array_equal(case_mesh(g2, spec, 1e-2).vertices, m2.vertices)
+
+
+def _parabola_noses(a):
+    """A geometry of two parabola noses h = +/- a x'^2, built by hand, so
+    it keeps Geometry's default name."""
+    h = ParabolaProfile(a)
+    inc = CappedGraphCurve(h, 0.999)
+    gap = GapProfile(h1=h, h2=NegatedProfile(h), c1=2 * a,
+                     c2=_c2_bound(h, 1.0))
+    return Geometry(outer=Circle((0, 0), 5.0), inclusion1=inc,
+                    inclusion2=MirroredCurve(inc), eps=0.0, gap=gap,
+                    phi=LinearPotential())
+
+
+def test_default_named_geometries_get_their_own_cache_entries(tmp_path):
+    g1, g2 = _parabola_noses(0.3), _parabola_noses(0.6)
+    assert g1.name == g2.name
+    cache = tmp_path / "cache"
+    spec = tiny_spec(cache_dir=str(cache), target_h=0.2)
+    m1 = case_mesh(g1, spec, 1e-2)
+    m2 = case_mesh(g2, spec, 1e-2)
+    assert len(os.listdir(cache)) == 2
+    assert m1.n_vertices != m2.n_vertices
+    # boundary data and name do not change the mesh, so they share its key
+    assert _mesh_key(replace(g1, phi=ConstantPotential(1.0), name="other"),
+                     spec, 1e-2) == _mesh_key(g1, spec, 1e-2)
+
+
+def test_unpicklable_geometry_cannot_key_the_cache(tmp_path):
+    g = build_symmetric_disc_example()
+    bad = replace(g, gap=replace(g.gap, h1=lambda x: 0.25 * x * x))
+    with pytest.raises(MeshError, match="cannot key the mesh cache"):
+        _mesh_key(bad, tiny_spec(cache_dir=str(tmp_path)), 1e-2)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

@@ -217,28 +217,19 @@ class TestMeshIO:
         assert m2.grading_report == m.grading_report
         assert m2.grading_report.neck_layers >= 6
 
-    def test_file_without_neck_layers_line_loads(self, disc_mesh, tmp_path):
-        _, m = disc_mesh
-        path = tmp_path / "mesh.txt"
-        save_mesh(m, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[-1] == f"neck_layers {m.grading_report.neck_layers}"
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        m2 = load_mesh(str(path))
-        assert np.array_equal(m2.triangles, m.triangles)
-        assert m2.grading_report.neck_layers == 0
-
     @pytest.mark.parametrize("damage", ["truncate", "index_high",
                                         "index_negative", "float_index",
                                         "tail_cut", "section_cut",
-                                        "extra_value", "empty"])
+                                        "extra_value", "empty", "no_trailer",
+                                        "trailer_number_cut"])
     def test_damaged_file_raises_mesh_error(self, disc_mesh, tmp_path,
                                             damage):
         _, m = disc_mesh
         path = tmp_path / "mesh.txt"
         save_mesh(m, str(path))
         lines = path.read_text().splitlines()
-        first_tri = 1 + m.n_vertices
+        assert lines[-1] == f"neck_layers {m.grading_report.neck_layers}"
+        first_tri, end = 1 + m.n_vertices, "\n"
         if damage == "truncate":
             lines = lines[:first_tri + 10]
         elif damage == "index_high":
@@ -253,9 +244,15 @@ class TestMeshIO:
             lines = lines[:first_tri]
         elif damage == "extra_value":
             lines[1:4] = [ln + " 0.5" for ln in lines[1:4]]
+        elif damage == "no_trailer":
+            lines = lines[:-1]
+        elif damage == "trailer_number_cut":
+            # a cut inside a two-digit number leaves a number that parses,
+            # with no final newline
+            lines[-1], end = "neck_layers 1", ""
         else:
             lines = []
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + end)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MeshError, match="mesh.txt"):

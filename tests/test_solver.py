@@ -538,8 +538,8 @@ class TestHessianSpectrum:
 
 def test_stagnation_diagnostic(disc_geom, disc_mesh_1e2):
     g = disc_geom.with_eps(1e-2)
-    cfg = SolveConfig(p=3.0, warm_start_p2=False, max_newton_iters=1,
-                      newton_tol=1e-14, polish_iters=0)
+    cfg = SolveConfig(p=3.0, max_newton_iters=1, newton_tol=1e-14,
+                      polish_iters=0)
     with pytest.raises(SolverError) as exc:
         solve(disc_mesh_1e2, g, cfg)
     assert exc.value.residual is not None
