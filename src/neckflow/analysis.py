@@ -124,11 +124,11 @@ def max_gradient(sol, mesh, window=None):
     return top, (float(cent[k, 0]), float(cent[k, 1]))
 
 
-def gradient_probe(sol, mesh, xprime, frac=0.5):
-    """Element gradient of the triangle containing the neck point at height
-    fraction `frac` between the two walls (no recovery smoothing)."""
+def gradient_probe(sol, mesh, xprime):
+    """Element gradient of the triangle containing the neck point midway
+    between the two walls (no recovery smoothing)."""
     geom = mesh.geometry
-    y = (1 - frac) * geom.lower_wall(xprime) + frac * geom.upper_wall(xprime)
+    y = 0.5 * geom.lower_wall(xprime) + 0.5 * geom.upper_wall(xprime)
     pt = NeckPoint(float(xprime), float(y))
     tri, _ = mesh.locate(pt.as_array()[None, :])
     if tri[0] < 0:
@@ -197,7 +197,7 @@ def fit_log_decay(xprimes, magnitudes, eps):
     return float(coef[1]), float(1.0 - ss_res / ss_tot)
 
 
-def decay_fit(sol_aux, mesh, samples, geom=None):
+def decay_fit(sol_aux, mesh, samples):
     """Least-squares fit of log(|v| + |Dv|) against -1/(sqrt(eps) + |x'|)
     for the zero-boundary auxiliary state; returns (slope estimate, r^2).
 
@@ -205,7 +205,7 @@ def decay_fit(sol_aux, mesh, samples, geom=None):
     exp(-c/(sqrt(eps)+|x'|)); only its positivity and the fit quality are
     meaningful, the constant itself is geometry dependent.
     """
-    geom = geom if geom is not None else mesh.geometry
+    geom = mesh.geometry
     samples = np.asarray(sorted(samples), dtype=float)
     if len(samples) < 3 or np.ptp(samples) < 1e-12:
         raise FitError("need >= 3 distinct sample stations for the decay fit")

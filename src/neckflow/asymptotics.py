@@ -189,17 +189,17 @@ def _aitken(seq, floor=1e-12):
     return x[-1] - d2 * d2 / denom
 
 
-def neck_integral_limit(regime: Regime, hessian_gap,
-                        r_schedule=(0.2, 0.1, 0.05),
-                        eps_schedule=(1e-4, 1e-6, 1e-8)):
+def neck_integral_limit(regime: Regime, hessian_gap):
     """Iterated limit of the neck integral over a fixed schedule: for each
-    window radius, accelerate over decreasing eps (the inner limit), then
-    accelerate over radius.  The result approximates 1 / gap_constant.
+    window radius 0.2, 0.1, 0.05, accelerate over eps = 1e-4, 1e-6, 1e-8
+    (the inner limit), then accelerate over radius.  The result
+    approximates 1 / gap_constant.
 
     On the CRITICAL branch the inner convergence is O(1/|ln eps|), so the
     inner limit is taken by a linear fit in 1/|ln eps| instead of Aitken."""
+    eps_schedule = (1e-4, 1e-6, 1e-8)
     inner_limits = []
-    for r in r_schedule:
+    for r in (0.2, 0.1, 0.05):
         vals = [neck_integral(regime, hessian_gap, r, e) for e in eps_schedule]
         if regime.branch == CRITICAL:
             x = np.array([1.0 / abs(math.log(e)) for e in eps_schedule])

@@ -569,14 +569,13 @@ def build_parabola_example(a=0.25, eps=0.0, scale=1.0, phi=None):
     return geom
 
 
-def build_table_example(table_path_or_profile, eps=0.0, scale=1.0, phi=None, chart=None):
+def build_table_example(table_path_or_profile, eps=0.0, scale=1.0, phi=None):
     """Inclusions built from a sampled symmetric profile table (x', h)."""
     if isinstance(table_path_or_profile, TableProfile):
         prof = table_path_or_profile
     else:
         prof = TableProfile.from_file(table_path_or_profile)
-    chart = chart if chart is not None else min(1.0, 0.98 * prof.x_range[1],
-                                                0.98 * abs(prof.x_range[0]))
+    chart = min(1.0, 0.98 * prof.x_range[1], 0.98 * abs(prof.x_range[0]))
     x = np.linspace(0.05 * chart, chart, 64)
     ratios = prof(x) / (x * x)
     c1_half = float(ratios.min())

@@ -23,6 +23,7 @@ of the geometry (not phi or its name), eps, the grading and the mesher.
 import ctypes
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -119,17 +120,23 @@ def _cache_dir(spec):
 
 def _mesh_key(geom, spec, eps):
     """sha256 of the pickled geometry at eps (without phi and name), grading
-    parameters, seed and mesher version.  A geometry that does not pickle
-    raises MeshError."""
+    parameters, seed and mesher version.  The pickler keeps no memo, so an
+    object reached twice is written out twice: the bytes follow the content,
+    not which sub-objects happen to be shared.  A geometry that does not
+    pickle, or refers back to itself, raises MeshError."""
     content = (replace(geom.with_eps(eps), phi=None, name=""),
                float(spec.target_h), int(spec.neck_layers), int(spec.seed),
                meshing.MESHER_VERSION)
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=4)
+    pickler.fast = True
     try:
-        raw = pickle.dumps(content, protocol=4)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        pickler.dump(content)
+    except (pickle.PicklingError, TypeError, AttributeError,
+            ValueError) as exc:
         raise MeshError(f"geometry {geom.name!r} cannot key the mesh cache: "
                         f"{exc}") from exc
-    return hashlib.sha256(raw).hexdigest()
+    return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
 def case_mesh(geom, spec, eps):
@@ -439,5 +446,5 @@ def solve_decay_fixture(eps=1e-3, p=2.0):
     mesh = generate_neck_strip(geom, 0.05, 8)
     sol = solve(mesh, geom, SolveConfig(p=p, inclusion_values={INC1: 0.0,
                                                                INC2: 0.0}))
-    c2, r2 = fa.decay_fit(sol, mesh, np.linspace(0.25, 0.85, 25), geom)
+    c2, r2 = fa.decay_fit(sol, mesh, np.linspace(0.25, 0.85, 25))
     return c2, r2, sol, mesh

@@ -232,16 +232,6 @@ def _strip_columns_x(geom, target_h, layers, w, vertex_cap):
     return np.asarray(xs)
 
 
-def _column_rows(geom, x, target_h, layers, force_even=False):
-    """Row count K and the exactly antisymmetric fractions s_k = (2k-K)/(2K)."""
-    delta = geom.eps + float(geom.gap.diff(x))
-    k = max(layers, int(math.ceil(delta / target_h)))
-    if force_even and k % 2 == 1:
-        k += 1
-    s = (2.0 * np.arange(k + 1) - k) / (2.0 * k)
-    return k, s
-
-
 def _stitch_columns(ia, fa, ib, fb):
     """Triangulate the band between two vertical columns of vertex indices
     (bottom to top) with height fractions fa, fb in [0, 1]."""
@@ -263,10 +253,9 @@ def _stitch_columns(ia, fa, ib, fb):
     return np.asarray(tris, dtype=np.int64)
 
 
-def _split_quad_rows(ia, ib, pts):
-    """Equal-count columns: split each quad along its shorter diagonal.
-    Two triangles per quad, quads bottom to top."""
-    a0, a1, b0, b1 = ia[:-1], ia[1:], ib[:-1], ib[1:]
+def _split_quad_rows(a0, a1, b0, b1, pts):
+    """Split each quad a0-a1 (one column, bottom to top) / b0-b1 (the next)
+    along its shorter diagonal: two triangles per quad, in quad order."""
     d1 = np.sum((pts[a0] - pts[b1]) ** 2, axis=1)
     d2 = np.sum((pts[a1] - pts[b0]) ** 2, axis=1)
     short = d1 <= d2
@@ -280,58 +269,74 @@ def _split_quad_rows(ia, ib, pts):
     return tris.reshape(-1, 3)
 
 
+def _runs(lengths):
+    """Run number and position within the run of each entry of consecutive
+    runs of the given lengths."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
+def _chain(idx, closed=False):
+    """Edges (idx[k], idx[k + 1]) along the first axis of idx, and
+    (idx[-1], idx[0]) when closed.  For a 2-D idx the columns' edges
+    interleave: edge k of every column, then edge k + 1."""
+    idx = np.asarray(idx)
+    head, tail = (idx, np.roll(idx, -1, axis=0)) if closed else (idx[:-1], idx[1:])
+    return np.stack([head, tail], axis=-1).reshape(-1, 2)
+
+
 class _StripMesh:
-    """Structured graded strip across the neck on |x'| <= w."""
+    """Structured graded strip across the neck on |x'| <= w.
+
+    Column c at x_c holds k_c + 1 vertices, bottom to top, at the exactly
+    antisymmetric fractions s = (2j - k_c) / (2 k_c) of the local gap, where
+    k_c = max(layers, ceil(gap / target_h)), made even on the two walls.
+    Columns are stored one after another, so column c is the index run
+    bot_idx[c] .. top_idx[c].
+    """
 
     def __init__(self, geom, target_h, layers, w, vertex_cap=_VERTEX_CAP):
         xs_half = _strip_columns_x(geom, target_h, layers, w, vertex_cap)
         xs = np.concatenate([-xs_half[::-1], xs_half[1:]])
-        cols_idx, cols_s = [], []
-        pts = []
-        min_layers = None
-        n = 0
-        for x in xs:
-            force_even = abs(abs(x) - w) < 1e-15
-            k, s = _column_rows(geom, x, target_h, layers, force_even)
-            if abs(x) <= 0.5 + 1e-12:
-                min_layers = k if min_layers is None else min(min_layers, k)
-            h1 = float(geom.gap.h1(x))
-            h2 = float(geom.gap.h2(x))
-            mid = 0.5 * (h1 + h2)
-            delta = geom.eps + (h1 - h2)
-            y = mid + s * delta
-            pts.append(np.column_stack([np.full(k + 1, x), y]))
-            cols_idx.append(np.arange(n, n + k + 1))
-            cols_s.append(s)
-            n += k + 1
-        self.vertices = np.vstack(pts)
-        tris = []
-        for a in range(len(xs) - 1):
-            ia, ib = cols_idx[a], cols_idx[a + 1]
-            if len(ia) == len(ib):
-                tris.append(_split_quad_rows(ia, ib, self.vertices))
-            else:
-                tris.append(_stitch_columns(ia, cols_s[a] + 0.5,
-                                            ib, cols_s[a + 1] + 0.5))
-        self.triangles = np.vstack(tris)
-        self.top_idx = np.asarray([c[-1] for c in cols_idx])
-        self.bot_idx = np.asarray([c[0] for c in cols_idx])
-        self.left_wall = cols_idx[0]
-        self.right_wall = cols_idx[-1]
-        self.neck_layers = int(min_layers if min_layers is not None else layers)
+        h1, h2 = geom.gap.h1(xs), geom.gap.h2(xs)
+        delta = geom.eps + (h1 - h2)
+        k = np.maximum(layers, np.ceil(delta / target_h).astype(np.int64))
+        k += (np.abs(np.abs(xs) - w) < 1e-15) & (k % 2 == 1)
+        neck = k[np.abs(xs) <= 0.5 + 1e-12]
+        self.neck_layers = int(neck.min()) if neck.size else int(layers)
+
+        col, j = _runs(k + 1)
+        s = (2.0 * j - k[col]) / (2.0 * k[col])
+        y = 0.5 * (h1 + h2)[col] + s * delta[col]
+        self.vertices = np.column_stack([xs[col], y])
+        self.bot_idx = np.cumsum(k + 1) - (k + 1)
+        self.top_idx = self.bot_idx + k
+        self.left_wall = np.arange(self.bot_idx[0], self.top_idx[0] + 1)
+        self.right_wall = np.arange(self.bot_idx[-1], self.top_idx[-1] + 1)
+
+        # column pairs with equal row counts are rows of quads; the others
+        # are stitched, and a stable sort by pair keeps the pairs in order
+        same = np.flatnonzero(k[:-1] == k[1:])
+        run, q = _runs(k[same])
+        a0 = self.bot_idx[same][run] + q
+        b0 = self.bot_idx[same + 1][run] + q
+        tris = [_split_quad_rows(a0, a0 + 1, b0, b0 + 1, self.vertices)]
+        pair = [np.repeat(same, 2 * k[same])]
+        for a in np.flatnonzero(k[:-1] != k[1:]):
+            ia, ib = (np.arange(self.bot_idx[c], self.top_idx[c] + 1)
+                      for c in (a, a + 1))
+            tris.append(_stitch_columns(ia, s[ia] + 0.5, ib, s[ib] + 0.5))
+            pair.append(np.full(len(tris[-1]), a))
+        order = np.argsort(np.concatenate(pair), kind="stable")
+        self.triangles = np.vstack(tris)[order]
 
     def boundary(self, walls_tag=None):
-        edges, tags = [], []
-        for k in range(len(self.top_idx) - 1):
-            edges.append((self.top_idx[k], self.top_idx[k + 1]))
-            tags.append(INC1)
-            edges.append((self.bot_idx[k], self.bot_idx[k + 1]))
-            tags.append(INC2)
+        edges = _chain(np.column_stack([self.top_idx, self.bot_idx]))
+        tags = np.tile([INC1, INC2], len(self.top_idx) - 1)
         if walls_tag is not None:
-            for wall in (self.left_wall, self.right_wall):
-                for k in range(len(wall) - 1):
-                    edges.append((wall[k], wall[k + 1]))
-                    tags.append(walls_tag)
+            walls = np.vstack([_chain(self.left_wall), _chain(self.right_wall)])
+            edges = np.vstack([edges, walls])
+            tags = np.concatenate([tags, np.full(len(walls), walls_tag)])
         return edges, tags
 
 
@@ -615,12 +620,12 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
     MeshCapacityError with a suggested eps floor when the vertex budget would
     be exceeded.
     """
+    if not target_h > 0:
+        raise MeshError("target_h must be positive")
     if geom.kind == "annulus":
         return _generate_annulus(geom, target_h)
     if geom.eps <= 0:
         raise MeshError("two-inclusion domains are meshed only for eps > 0")
-    if target_h <= 0:
-        raise MeshError("target_h must be positive")
 
     w = 0.9 * geom.gap.chart
     strip = _StripMesh(geom, target_h, neck_layers, w, vertex_cap)
@@ -647,8 +652,8 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
     tris, b_edges, b_tags = mesh
 
     s_edges, s_tags = strip.boundary(walls_tag=None)
-    b_edges = np.vstack([np.asarray(s_edges), b_edges])
-    b_tags = np.concatenate([np.asarray(s_tags), b_tags])
+    b_edges = np.vstack([s_edges, b_edges])
+    b_tags = np.concatenate([s_tags, b_tags])
     all_tris = np.vstack([strip.triangles, tris])
     if pool.n > vertex_cap:
         raise MeshCapacityError(f"mesh exceeds vertex cap {vertex_cap}",
@@ -793,20 +798,14 @@ def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
     tris_l = mirror_map[tris_u]
     tris = np.vstack([tris_u, tris_l])
 
-    b_edges, b_tags = [], []
-    # arc_idx runs right->left, so the left joint chains to arc_idx[::-1]
+    # each upper edge is followed by its mirror image; arc_idx runs
+    # right->left, so the left joint chains to arc_idx[::-1]
     arc_loop = np.concatenate([joint_l, arc_idx[::-1], joint_r])
-    for k in range(len(arc_loop) - 1):
-        b_edges.append((arc_loop[k], arc_loop[k + 1]))
-        b_tags.append(INC1)
-        b_edges.append((mirror_map[arc_loop[k]], mirror_map[arc_loop[k + 1]]))
-        b_tags.append(INC2)
-    for k in range(len(outer_idx) - 1):
-        b_edges.append((outer_idx[k], outer_idx[k + 1]))
-        b_tags.append(OUTER)
-        b_edges.append((mirror_map[outer_idx[k]], mirror_map[outer_idx[k + 1]]))
-        b_tags.append(OUTER)
-    return tris, np.asarray(b_edges), np.asarray(b_tags)
+    arc = _chain(np.column_stack([arc_loop, mirror_map[arc_loop]]))
+    rim = _chain(np.column_stack([outer_idx, mirror_map[outer_idx]]))
+    b_tags = np.concatenate([np.tile([INC1, INC2], len(arc_loop) - 1),
+                             np.full(len(rim), OUTER)])
+    return tris, np.vstack([arc, rim]), b_tags
 
 
 def _strip_mirror_map(strip):
@@ -838,19 +837,11 @@ def _far_general(geom, pool, strip, size, rng, w, wall_sz):
     seeds = _pocket_seeds(pool, strip, wall_sz, w, upper_only=False)
     tris = _relax_region(pool, loops, size, rng, extra_seeds=seeds)
 
-    b_edges, b_tags = [], []
-    up_loop = np.concatenate([[rw[-1]], arc1, [lw[-1]]])
-    lo_loop = np.concatenate([[lw[0]], arc2[::-1], [rw[0]]])
-    for k in range(len(up_loop) - 1):
-        b_edges.append((up_loop[k], up_loop[k + 1]))
-        b_tags.append(INC1)
-    for k in range(len(lo_loop) - 1):
-        b_edges.append((lo_loop[k], lo_loop[k + 1]))
-        b_tags.append(INC2)
-    for k in range(len(outer_idx)):
-        b_edges.append((outer_idx[k], outer_idx[(k + 1) % len(outer_idx)]))
-        b_tags.append(OUTER)
-    return tris, np.asarray(b_edges), np.asarray(b_tags)
+    up = _chain(np.concatenate([[rw[-1]], arc1, [lw[-1]]]))
+    lo = _chain(np.concatenate([[lw[0]], arc2[::-1], [rw[0]]]))
+    rim = _chain(outer_idx, closed=True)
+    b_tags = np.repeat([INC1, INC2, OUTER], [len(up), len(lo), len(rim)])
+    return tris, np.vstack([up, lo, rim]), b_tags
 
 
 def _generate_annulus(geom, target_h):
@@ -862,34 +853,18 @@ def _generate_annulus(geom, target_h):
     radii = np.linspace(r1, r2, nr + 1)
     theta_half = np.linspace(0.0, math.pi, nt // 2 + 1)
     ang = np.concatenate([theta_half, -theta_half[1:-1][::-1]])
-    pts = np.empty(((nr + 1) * nt, 2))
-    for i, r in enumerate(radii):
-        pts[i * nt:(i + 1) * nt, 0] = r * np.cos(ang)
-        pts[i * nt:(i + 1) * nt, 1] = r * np.sin(ang)
-        pts[i * nt, 1] = 0.0
-        pts[i * nt + nt // 2, 1] = 0.0
-    tris = []
-    for i in range(nr):
-        for j in range(nt):
-            a = i * nt + j
-            b = i * nt + (j + 1) % nt
-            c = (i + 1) * nt + j
-            d = (i + 1) * nt + (j + 1) % nt
-            if np.sum((pts[a] - pts[d]) ** 2) <= np.sum((pts[b] - pts[c]) ** 2):
-                tris.append((a, c, d))
-                tris.append((a, d, b))
-            else:
-                tris.append((a, c, b))
-                tris.append((b, c, d))
-    b_edges, b_tags = [], []
-    for j in range(nt):
-        b_edges.append((j, (j + 1) % nt))
-        b_tags.append(INC1)
-        base = nr * nt
-        b_edges.append((base + j, base + (j + 1) % nt))
-        b_tags.append(OUTER)
-    return TriMesh(pts, np.asarray(tris), np.asarray(b_edges),
-                   np.asarray(b_tags), geometry=geom, neck_layers=0)
+    # ring i holds vertices i*nt .. i*nt + nt - 1; y = 0 exactly on the axis
+    y = np.outer(radii, np.sin(ang))
+    y[:, [0, nt // 2]] = 0.0
+    pts = np.column_stack([np.outer(radii, np.cos(ang)).ravel(), y.ravel()])
+    # quad (i, j) spans angles j, j + 1 of rings i, i + 1
+    i, j = np.divmod(np.arange(nr * nt), nt)
+    a0, a1 = i * nt + j, i * nt + (j + 1) % nt
+    tris = _split_quad_rows(a0, a1, a0 + nt, a1 + nt, pts)
+    ring = np.arange(nt)
+    b_edges = _chain(np.column_stack([ring, nr * nt + ring]), closed=True)
+    return TriMesh(pts, tris, b_edges, np.tile([INC1, OUTER], nt),
+                   geometry=geom, neck_layers=0)
 
 
 def generate_neck_strip(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP):
@@ -902,8 +877,7 @@ def generate_neck_strip(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP):
         raise MeshError("strip meshes require eps > 0")
     strip = _StripMesh(geom, target_h, neck_layers, geom.gap.chart, vertex_cap)
     edges, tags = strip.boundary(walls_tag=OUTER)
-    return TriMesh(strip.vertices, strip.triangles, np.asarray(edges),
-                   np.asarray(tags), geometry=geom,
+    return TriMesh(strip.vertices, strip.triangles, edges, tags, geometry=geom,
                    neck_layers=strip.neck_layers)
 
 
@@ -945,14 +919,11 @@ def refine_uniform(mesh):
         np.column_stack([tris[:, 2], e20, e12]),
         np.column_stack([e01, e12, e20]),
     ])
-    new_bedges, new_btags = [], []
-    for (a, b), tag, ue in zip(mesh.boundary_edges, mesh.boundary_tags,
-                               uniq_of_bedge):
-        m = mid_idx[ue]
-        new_bedges.extend([(a, m), (m, b)])
-        new_btags.extend([tag, tag])
-    return TriMesh(new_pts, new_tris, np.asarray(new_bedges),
-                   np.asarray(new_btags), geometry=mesh.geometry,
+    # each boundary edge (a, b) becomes (a, m), (m, b)
+    m = mid_idx[uniq_of_bedge]
+    new_bedges = np.column_stack([be[:, 0], m, m, be[:, 1]]).reshape(-1, 2)
+    return TriMesh(new_pts, new_tris, new_bedges,
+                   np.repeat(mesh.boundary_tags, 2), geometry=mesh.geometry,
                    neck_layers=2 * mesh.grading_report.neck_layers
                    if mesh.grading_report.neck_layers else 0)
 
@@ -977,8 +948,8 @@ def save_mesh(mesh, path):
 
 def load_mesh(path, geometry=None):
     """Read a mesh written by save_mesh.  A file that does not hold one
-    (truncated, unparsable, or with an index out of range) raises MeshError
-    naming the path."""
+    (truncated, unparsable, with an index out of range or a boundary tag
+    other than OUTER, INC1, INC2) raises MeshError naming the path."""
     try:
         with open(path) as fh:
             nv, nt, nbe = (int(s) for s in fh.readline().split())
@@ -1009,8 +980,10 @@ def load_mesh(path, geometry=None):
                 raise ValueError("the last line is not `neck_layers k`")
             neck_layers = int(k)
         bedges = edges[:, :2].astype(np.int64)
-        btags = np.array([TAG_IDS[t] if t in TAG_IDS else int(t)
-                          for t in edges[:, 2]], dtype=np.int64)
+        unknown = set(edges[:, 2]) - set(TAG_IDS)
+        if unknown:
+            raise ValueError("unknown boundary tag " + ", ".join(sorted(unknown)))
+        btags = np.array([TAG_IDS[t] for t in edges[:, 2]], dtype=np.int64)
         for idx in (tris, bedges):
             if idx.size and (idx.min() < 0 or idx.max() >= nv):
                 raise ValueError(f"vertex index outside [0, {nv})")

@@ -411,17 +411,18 @@ def _linear_solve(H, rhs, stats, permc_spec=FILL_REDUCING_ORDER,
     raise SolverError("linear solve failed even with damping")
 
 
-def _scaled_residual(cond, ops, q, p, eta):
-    energy, ge, _, _ = ops.element_grad(cond.nodal(q), p, eta)
+def _scaled_residual(cond, q, p, eta):
+    energy, ge, _, _ = cond.ops.element_grad(cond.nodal(q), p, eta)
     return float(np.abs(cond.reduce_grad(ge)).max()) / max(1.0, abs(energy))
 
 
-def _newton(cond, ops, q, p, eta, cfg, stats):
+def _newton(cond, q, p, eta, cfg, stats):
     """Damped Newton on the reduced energy; returns (q, scaled residual).
 
     After the tolerance is met, up to cfg.polish_iters extra full steps are
     taken while they keep lowering the residual; downstream flux sums benefit
     from residuals well below the stopping tolerance."""
+    ops = cond.ops
     polish_left = cfg.polish_iters
     # every pass that does not return takes one step, so `it` counts steps
     for it in range(cfg.max_newton_iters + cfg.polish_iters):
@@ -441,7 +442,7 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
         if done:
             polish_left -= 1
             q_try = q + d
-            if _scaled_residual(cond, ops, q_try, p, eta) < res:
+            if _scaled_residual(cond, q_try, p, eta) < res:
                 q = q_try
                 stats.newton_iters += 1
                 continue
@@ -464,14 +465,14 @@ def _newton(cond, ops, q, p, eta, cfg, stats):
             raise SolverError("line search stagnated", residual=res, eta=eta)
         q = q + t * d
         stats.newton_iters += 1
-    res = _scaled_residual(cond, ops, q, p, eta)
+    res = _scaled_residual(cond, q, p, eta)
     if res > cfg.newton_tol:
         raise SolverError(f"Newton did not converge in {cfg.max_newton_iters} "
                           f"iterations", residual=res, eta=eta)
     return q, res
 
 
-def _continuation(cond, ops, q, cfg, stats):
+def _continuation(cond, q, cfg, stats):
     """Newton through cfg.eta_schedule from q; returns (q, scaled residual,
     eta_sensitivity).
 
@@ -487,7 +488,7 @@ def _continuation(cond, ops, q, cfg, stats):
     gaps = []
     for stage, eta in enumerate(sched):
         stage_cfg = loose if stage < len(sched) - 2 else cfg
-        q, res = _newton(cond, ops, q, cfg.p, eta, stage_cfg, stats)
+        q, res = _newton(cond, q, cfg.p, eta, stage_cfg, stats)
         pots = cond.potentials(q)
         gaps.append(pots[INC1] - pots[INC2])
     sensitivity = None
@@ -506,19 +507,19 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
     elif cond.ops.mesh is not mesh or \
             cond.inclusion_values != dict(cfg.inclusion_values or {}):
         raise ValueError("cond was built for another mesh or inclusion_values")
-    ops, stats = cond.ops, _Stats()
+    stats = _Stats()
     q = cond.initial_q()
 
     if cfg.p != 2.0:
         # warm start from the p = 2 solution; its steps are not in the history
         warm = SolveConfig(p=2.0, newton_tol=1e-9, max_newton_iters=10)
-        q, _ = _newton(cond, ops, q, 2.0, 0.0, warm, stats)
+        q, _ = _newton(cond, q, 2.0, 0.0, warm, stats)
         stats.history.clear()
-    q, res, sensitivity = _continuation(cond, ops, q, cfg, stats)
+    q, res, sensitivity = _continuation(cond, q, cfg, stats)
 
     eta_final = cfg.eta_schedule[-1]
     u = cond.nodal(q)
-    energy, grad_full, g, _ = ops.energy_grad(u, cfg.p, eta_final)
+    energy, grad_full, g, _ = cond.ops.energy_grad(u, cfg.p, eta_final)
     scale = max(1.0, abs(energy))
     pots = cond.potentials(q)
 
@@ -556,7 +557,7 @@ def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
     sols = []
     for k in range(n_starts):
         q = rng.uniform(lo - 0.1, hi + 0.1, cond.n_dofs) if k else cond.initial_q()
-        q, _, _ = _continuation(cond, cond.ops, q, cfg, _Stats())
+        q, _, _ = _continuation(cond, q, cfg, _Stats())
         sols.append(cond.nodal(q))
     floor = math.sqrt(mesh.n_vertices)
     return max(float(np.linalg.norm(a - b))
@@ -564,10 +565,9 @@ def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
                for a, b in itertools.combinations(sols, 2))
 
 
-def reduced_hessian(mesh, geom, cfg, solution, eta=None):
-    """Reduced-space Hessian (CSC, reduced layout) at a solved state, for
-    spectral probes."""
+def reduced_hessian(mesh, geom, cfg, solution):
+    """Reduced-space Hessian (CSC, reduced layout) at a solved state (the
+    last eta of cfg.eta_schedule), for spectral probes."""
     cond = Condenser(mesh, geom, cfg.inclusion_values)
-    eta = cfg.eta_schedule[-1] if eta is None else eta
-    g, w = cond.ops.state(solution.nodal_values, eta)
+    g, w = cond.ops.state(solution.nodal_values, cfg.eta_schedule[-1])
     return cond.reduce_hess(cond.ops.hessian(g, w, cfg.p))

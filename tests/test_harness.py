@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from neckflow import (ConstantPotential, MeshError, NeckflowError, SweepSpec,
-                      build_symmetric_disc_example, build_table_example,
-                      harness, meshing, run_sweep)
+                      build_parabola_example, build_symmetric_disc_example,
+                      build_table_example, harness, meshing, run_sweep)
 from neckflow.cli import main as cli_main
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
@@ -162,6 +162,32 @@ def test_unpicklable_geometry_cannot_key_the_cache(tmp_path):
     bad = replace(g, gap=replace(g.gap, h1=lambda x: 0.25 * x * x))
     with pytest.raises(MeshError, match="cannot key the mesh cache"):
         _mesh_key(bad, tiny_spec(cache_dir=str(tmp_path)), 1e-2)
+
+
+def test_cache_key_follows_content_not_sharing():
+    # copies that hold equal separate objects where the original shares one
+    spec = tiny_spec()
+    g = build_parabola_example(a=0.3)
+    lower = MirroredCurve(CappedGraphCurve(ParabolaProfile(0.3),
+                                           g.inclusion1.xc))
+    for copy in (replace(g, inclusion2=lower),
+                 replace(g, gap=replace(g.gap, h1=ParabolaProfile(0.3)))):
+        assert _mesh_key(copy, spec, 1e-2) == _mesh_key(g, spec, 1e-2)
+    assert (_mesh_key(build_parabola_example(a=0.6), spec, 1e-2)
+            != _mesh_key(g, spec, 1e-2))
+
+
+class _SelfReferringProfile(ParabolaProfile):
+    def __init__(self, a):
+        super().__init__(a)
+        self.me = self
+
+
+def test_cyclic_geometry_cannot_key_the_cache(tmp_path):
+    g = build_symmetric_disc_example()
+    cyclic = replace(g, gap=replace(g.gap, h1=_SelfReferringProfile(0.5)))
+    with pytest.raises(MeshError, match="cannot key the mesh cache"):
+        _mesh_key(cyclic, tiny_spec(cache_dir=str(tmp_path)), 1e-2)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

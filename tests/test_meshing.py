@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
                       build_annulus, build_parabola_example,
@@ -14,9 +14,10 @@ from neckflow.errors import MeshError
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, _c2_bound)
-from neckflow.meshing import (TriMesh, _check_loops_covered, _points_in_loops,
-                              _SegmentField, _split_quad_rows, _StripMesh,
-                              _strip_mirror_map)
+from neckflow.meshing import (TriMesh, _chain, _check_loops_covered,
+                              _points_in_loops, _SegmentField,
+                              _split_quad_rows, _stitch_columns,
+                              _strip_columns_x, _StripMesh, _strip_mirror_map)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,15 @@ def test_capacity_error_with_suggested_floor():
         generate(g, 0.1, 6, vertex_cap=4000)
     assert exc.value.eps_floor is not None
     assert exc.value.eps_floor > 1e-4
+
+
+@pytest.mark.parametrize("geom", [build_annulus(1.0, 2.0),
+                                  build_symmetric_disc_example(eps=1e-2)],
+                         ids=["annulus", "disc"])
+@pytest.mark.parametrize("target_h", [0.0, -1.0, math.nan])
+def test_nonpositive_target_h_raises(geom, target_h):
+    with pytest.raises(MeshError, match="target_h"):
+        generate(geom, target_h)
 
 
 def test_touching_domain_never_meshed():
@@ -221,7 +231,7 @@ class TestMeshIO:
                                         "index_negative", "float_index",
                                         "tail_cut", "section_cut",
                                         "extra_value", "empty", "no_trailer",
-                                        "trailer_number_cut"])
+                                        "trailer_number_cut", "unknown_tag"])
     def test_damaged_file_raises_mesh_error(self, disc_mesh, tmp_path,
                                             damage):
         _, m = disc_mesh
@@ -250,6 +260,12 @@ class TestMeshIO:
             # a cut inside a two-digit number leaves a number that parses,
             # with no final newline
             lines[-1], end = "neck_layers 1", ""
+        elif damage == "unknown_tag":
+            # a number in place of a tag name once loaded as that tag id
+            first_edge = first_tri + m.n_triangles
+            lines[first_edge:-1] = [ln.replace("OUTER", "7")
+                                    for ln in lines[first_edge:-1]]
+            assert lines != path.read_text().splitlines()
         else:
             lines = []
         path.write_text("\n".join(lines) + end)
@@ -468,9 +484,151 @@ def test_split_quad_rows_matches_loop(n, seed, grid):
     pts = np.vstack([np.column_stack([np.zeros(n), ya]),
                      np.column_stack([np.ones(n), yb])]).astype(float)
     ia, ib = np.arange(n), np.arange(n, 2 * n)
-    got = _split_quad_rows(ia, ib, pts)
+    got = _split_quad_rows(ia[:-1], ia[1:], ib[:-1], ib[1:], pts)
     assert got.dtype == np.int64
     assert np.array_equal(got, _split_quad_rows_loop(ia, ib, pts))
+
+
+def _strip_loop(geom, target_h, layers, w):
+    """Reference: the strip built one column and one column pair at a time,
+    returning (vertices, triangles, boundary edges, tags, neck_layers)."""
+    xs_half = _strip_columns_x(geom, target_h, layers, w, 10**7)
+    xs = np.concatenate([-xs_half[::-1], xs_half[1:]])
+    cols_idx, cols_s, pts = [], [], []
+    min_layers = None
+    n = 0
+    for x in xs:
+        delta = geom.eps + float(geom.gap.diff(x))
+        k = max(layers, int(math.ceil(delta / target_h)))
+        if abs(abs(x) - w) < 1e-15 and k % 2 == 1:
+            k += 1
+        s = (2.0 * np.arange(k + 1) - k) / (2.0 * k)
+        if abs(x) <= 0.5 + 1e-12:
+            min_layers = k if min_layers is None else min(min_layers, k)
+        h1 = float(geom.gap.h1(x))
+        h2 = float(geom.gap.h2(x))
+        y = 0.5 * (h1 + h2) + s * (geom.eps + (h1 - h2))
+        pts.append(np.column_stack([np.full(k + 1, x), y]))
+        cols_idx.append(np.arange(n, n + k + 1))
+        cols_s.append(s)
+        n += k + 1
+    vertices = np.vstack(pts)
+    tris = []
+    for a in range(len(xs) - 1):
+        ia, ib = cols_idx[a], cols_idx[a + 1]
+        if len(ia) == len(ib):
+            tris.append(_split_quad_rows_loop(ia, ib, vertices))
+        else:
+            tris.append(_stitch_columns(ia, cols_s[a] + 0.5,
+                                        ib, cols_s[a + 1] + 0.5))
+    edges, tags = [], []
+    for a in range(len(xs) - 1):
+        edges.append((cols_idx[a][-1], cols_idx[a + 1][-1]))
+        tags.append(INC1)
+        edges.append((cols_idx[a][0], cols_idx[a + 1][0]))
+        tags.append(INC2)
+    for wall in (cols_idx[0], cols_idx[-1]):
+        for k in range(len(wall) - 1):
+            edges.append((wall[k], wall[k + 1]))
+            tags.append(OUTER)
+    return (vertices, np.vstack(tris), np.asarray(edges), np.asarray(tags),
+            min_layers if min_layers is not None else layers)
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(asym=st.booleans(), log_eps=st.floats(-4.0, -1.5),
+       target_h=st.floats(0.03, 0.3), layers=st.integers(2, 9),
+       chart_frac=st.sampled_from([0.9, 1.0]))
+@example(asym=False, log_eps=-3.0, target_h=0.05, layers=8, chart_frac=1.0)
+@example(asym=True, log_eps=-3.0, target_h=0.1, layers=6, chart_frac=0.9)
+def test_strip_matches_column_loop(asym, log_eps, target_h, layers,
+                                   chart_frac):
+    # chart_frac 1.0 is generate_neck_strip's strip, 0.9 generate's
+    eps = 10.0 ** log_eps
+    geom = (_asymmetric_geometry(eps) if asym
+            else build_symmetric_disc_example(eps=eps))
+    w = chart_frac * geom.gap.chart
+    strip = _StripMesh(geom, target_h, layers, w)
+    verts, tris, edges, tags, neck_layers = _strip_loop(geom, target_h,
+                                                        layers, w)
+    _assert_same_bytes(strip.vertices, verts)
+    _assert_same_bytes(strip.triangles, tris)
+    got_edges, got_tags = strip.boundary(walls_tag=OUTER)
+    _assert_same_bytes(got_edges, edges)
+    _assert_same_bytes(got_tags, tags)
+    assert strip.neck_layers == neck_layers
+    if (asym, log_eps, target_h, layers) in ((False, -3.0, 0.05, 8),
+                                             (True, -3.0, 0.1, 6)):
+        # the decay strip and the mesh_asym strip stitch unequal columns
+        k = strip.top_idx - strip.bot_idx
+        assert np.count_nonzero(k[:-1] != k[1:]) == (2 if asym else 8)
+
+
+def _annulus_loop(r1, r2, target_h):
+    """Reference: the annulus grid built one ring, quad and edge at a time."""
+    nr = max(3, int(math.ceil((r2 - r1) / target_h)))
+    nt = max(12, int(math.ceil(math.pi * (r1 + r2) / target_h)))
+    nt += nt % 2
+    radii = np.linspace(r1, r2, nr + 1)
+    theta_half = np.linspace(0.0, math.pi, nt // 2 + 1)
+    ang = np.concatenate([theta_half, -theta_half[1:-1][::-1]])
+    pts = np.empty(((nr + 1) * nt, 2))
+    for i, r in enumerate(radii):
+        pts[i * nt:(i + 1) * nt, 0] = r * np.cos(ang)
+        pts[i * nt:(i + 1) * nt, 1] = r * np.sin(ang)
+        pts[i * nt, 1] = 0.0
+        pts[i * nt + nt // 2, 1] = 0.0
+    tris = []
+    for i in range(nr):
+        for j in range(nt):
+            a = i * nt + j
+            b = i * nt + (j + 1) % nt
+            c = (i + 1) * nt + j
+            d = (i + 1) * nt + (j + 1) % nt
+            if np.sum((pts[a] - pts[d]) ** 2) <= np.sum((pts[b] - pts[c]) ** 2):
+                tris.extend([(a, c, d), (a, d, b)])
+            else:
+                tris.extend([(a, c, b), (b, c, d)])
+    edges, tags = [], []
+    for j in range(nt):
+        edges.append((j, (j + 1) % nt))
+        tags.append(INC1)
+        edges.append((nr * nt + j, nr * nt + (j + 1) % nt))
+        tags.append(OUTER)
+    return pts, np.asarray(tris), np.asarray(edges), np.asarray(tags)
+
+
+@settings(max_examples=15, deadline=None)
+@given(r1=st.floats(0.3, 1.5), width=st.floats(0.2, 2.0),
+       target_h=st.floats(0.05, 0.5))
+@example(r1=1.0, width=1.0, target_h=0.02)
+def test_annulus_matches_quad_loop(r1, width, target_h):
+    m = generate(build_annulus(r1, r1 + width), target_h)
+    pts, tris, edges, tags = _annulus_loop(r1, r1 + width, target_h)
+    # every annulus triangle is built counterclockwise, so TriMesh keeps the
+    # arrays as generated
+    _assert_same_bytes(m.vertices, pts)
+    _assert_same_bytes(m.triangles, tris)
+    _assert_same_bytes(m.boundary_edges, edges)
+    _assert_same_bytes(m.boundary_tags, tags)
+
+
+def test_chain_matches_loop():
+    idx = np.array([4, 7, 1, 9])
+    assert _chain(idx).tolist() == [[4, 7], [7, 1], [1, 9]]
+    assert _chain(idx, closed=True).tolist() == [[4, 7], [7, 1], [1, 9],
+                                                 [9, 4]]
+    # the columns of a 2-D index array interleave edge by edge
+    two = np.column_stack([idx, idx + 10])
+    assert _chain(two).tolist() == [[4, 7], [14, 17], [7, 1], [17, 11],
+                                    [1, 9], [11, 19]]
+    assert _chain(idx[:1]).shape == (0, 2)
 
 
 def test_strip_mirror_map_reflects_each_column():

@@ -182,13 +182,13 @@ class TestContinuation:
         # reference: the same p=2 warm start, then every stage at the full cfg
         g = disc_geom.with_eps(1e-2)
         cfg = SolveConfig(p=1.3)
-        ops, cond = ElementOps(disc_mesh_1e2), Condenser(disc_mesh_1e2, g)
+        cond = Condenser(disc_mesh_1e2, g)
         stats = _Stats()
         warm = SolveConfig(p=2.0, newton_tol=1e-9, max_newton_iters=10)
-        q, _ = _newton(cond, ops, cond.initial_q(), 2.0, 0.0, warm, stats)
+        q, _ = _newton(cond, cond.initial_q(), 2.0, 0.0, warm, stats)
         gaps = []
         for eta in cfg.eta_schedule:
-            q, _ = _newton(cond, ops, q, cfg.p, eta, cfg, stats)
+            q, _ = _newton(cond, q, cfg.p, eta, cfg, stats)
             gaps.append(q[cond.iU[INC1]] - q[cond.iU[INC2]])
         sol = disc_solutions_1e2[1.3]
         assert sol.eta_sensitivity == pytest.approx(
@@ -453,8 +453,7 @@ class TestInexactNewton:
             return splu(*args, **kw)
 
         monkeypatch.setattr(spla, "splu", checking_splu)
-        _continuation(cond, cond.ops, cond.initial_q(), SolveConfig(p=1.3),
-                      stats)
+        _continuation(cond, cond.initial_q(), SolveConfig(p=1.3), stats)
         assert stats.cg_iters > 0
         assert len(cleared) == stats.factorizations > 1 and all(cleared)
 
