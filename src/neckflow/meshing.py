@@ -381,6 +381,31 @@ class _SegmentField:
         self.b = np.vstack([np.roll(loop, -1, axis=0) for loop in loops])
         self.tree = cKDTree(0.5 * (self.a + self.b))
         self.half_len = 0.5 * float(np.linalg.norm(self.b - self.a, axis=1).max())
+        # covers the rounding of lower_bound and of the steps taken from it
+        self._pad = (1.0 + 1e-6) * self.half_len + 1e-9 * float(
+            np.abs(self.a).max(initial=1.0))
+
+    def lower_bound(self, pts):
+        """A lower bound on each point's distance to the loops: the distance
+        to the nearest segment midpoint less half the longest segment (and a
+        margin for rounding)."""
+        d0, _ = self.tree.query(np.atleast_2d(pts), k=1)
+        return d0 - self._pad
+
+    def admit(self, pts, r, bound):
+        """Whether each point is inside the loops and clear_of them by r.
+
+        bound holds lower bounds on the points' distances to the loops, for
+        points that reached pts along paths which started inside the loops
+        at lower_bound and were shortened by each step's length since.  A
+        point whose bound exceeds r cannot have crossed a loop and is clear
+        by either measure, so only the other points are tested.
+        """
+        ok = np.ones(len(pts), dtype=bool)
+        near = np.flatnonzero(bound <= r)
+        p = pts[near]
+        ok[near] = _points_in_loops(p, self.a, self.b) & self.clear_of(p, r[near])
+        return ok
 
     def clear_of(self, pts, r, k=8):
         """Whether each point is farther than r (per point) from the loops.
@@ -425,9 +450,12 @@ class _SizeField:
     def __call__(self, pts):
         """Sizes at an (n, 2) array of points (or one point), as an array."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        x, y = pts[:, 0], pts[:, 1]
         out = np.full(len(pts), self.target_h)
-        for p, s in self.anchors:
-            out = np.minimum(out, s + self.growth * np.linalg.norm(pts - p, axis=1))
+        for (px, py), s in self.anchors:
+            # the same rounding as np.linalg.norm(pts - p, axis=1)
+            dx, dy = x - px, y - py
+            np.minimum(out, s + self.growth * np.sqrt(dx * dx + dy * dy), out=out)
         return out
 
     def at(self, point):
@@ -467,7 +495,7 @@ def _grade_spacing(length, s0, s1, target_h, growth=1.25):
     return np.concatenate([[0.0], np.cumsum(arr)])
 
 
-def _relax_region(pool, loop_indices, size, rng, extra_seeds=None):
+def _relax_region(pool, loop_indices, size, rng, extra_seeds):
     """Mesh the region bounded by the given loops (vertex-index loops into the
     pool).  Returns triangle index triples.  Boundary vertices stay fixed.
 
@@ -477,6 +505,10 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds=None):
     its local size since it was built.  The Laplacian passes and the final
     triangulation are always fresh, so the returned triangles are a Delaunay
     triangulation of the final points.
+
+    Each free point keeps a lower bound on its distance to the loops, taken
+    at each rebuild and shortened by every step it takes, so that a step is
+    tested against the loops (_SegmentField.admit) only near them.
     """
     loops_pts = [pool.pts[idx] for idx in loop_indices]
     boundary_idx = np.concatenate(loop_indices)
@@ -497,10 +529,9 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds=None):
     hloc = size(cand)
     keep = rng.uniform(0, 1, len(cand)) < (h0 / hloc) ** 2
     cand = cand[keep]
-    if extra_seeds is not None and len(extra_seeds):
-        # structured helpers (wall pockets); placed first so the rejection
-        # below keeps them rather than nearby lattice candidates
-        cand = np.vstack([np.asarray(extra_seeds, dtype=float), cand])
+    # structured helpers (wall pockets); placed first so the rejection
+    # below keeps them rather than nearby lattice candidates
+    cand = np.vstack([np.asarray(extra_seeds, dtype=float), cand])
     cand = cand[_points_in_loops(cand, segfield.a, segfield.b)]
     cand = cand[segfield.clear_of(cand, 0.55 * size(cand))]
     # thin mutually close candidates, earliest wins
@@ -522,14 +553,15 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds=None):
         keep = _points_in_loops(cent, segfield.a, segfield.b)
         return active[tri.simplices[keep]]
 
+    h = size(pool.pts[free])
     last = None   # free point positions at the last triangulation
     for _ in range(_RELAX_ITERS):
         x = pool.pts[free]
-        h = size(x)
         if last is None or np.max(np.linalg.norm(x - last, axis=1) / h,
                                   initial=0.0) > _REBUILD_MOVE:
             tris = triangulate()
             last = x
+            bound = segfield.lower_bound(x)
             keys = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), pool.n))
             lo, hi = np.divmod(keys, pool.n)
         pa = pool.pts[lo]
@@ -550,9 +582,12 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds=None):
         scalef = np.minimum(1.0, 0.4 * h / np.maximum(norm, 1e-300))
         move *= scalef[:, None]
         newpos = x + move
-        ok = _points_in_loops(newpos, segfield.a, segfield.b)
-        ok &= segfield.clear_of(newpos, 0.35 * size(newpos))
+        hnew = size(newpos)
+        moved = bound - norm * scalef
+        ok = segfield.admit(newpos, 0.35 * hnew, moved)
         pool.pts[free[ok]] = newpos[ok]
+        h = np.where(ok, hnew, h)
+        bound = np.where(ok, moved, bound)
         if norm.size and norm.max() < 0.005 * h0:
             break
 
@@ -567,9 +602,10 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds=None):
             np.add.at(nbr_sum, tris[:, b], pool.pts[tris[:, a]])
             np.add.at(nbr_cnt, tris[:, b], 1.0)
         tgt = nbr_sum[free] / np.maximum(nbr_cnt[free], 1.0)[:, None]
-        ok = _points_in_loops(tgt, segfield.a, segfield.b)
-        ok &= segfield.clear_of(tgt, 0.3 * size(tgt))
+        moved = bound - np.linalg.norm(tgt - pool.pts[free], axis=1)
+        ok = segfield.admit(tgt, 0.3 * size(tgt), moved)
         pool.pts[free[ok]] = tgt[ok]
+        bound = np.where(ok, moved, bound)
 
     tris = triangulate()
     _check_loops_covered(tris, loop_indices)

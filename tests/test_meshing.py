@@ -15,7 +15,7 @@ from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, _c2_bound)
 from neckflow.meshing import (TriMesh, _chain, _check_loops_covered,
-                              _points_in_loops, _SegmentField,
+                              _points_in_loops, _SegmentField, _SizeField,
                               _split_quad_rows, _stitch_columns,
                               _strip_columns_x, _StripMesh, _strip_mirror_map)
 
@@ -451,6 +451,51 @@ def test_clear_of_outer_loop_with_hole(radii, n_out, seed):
         0.5, 0.05 + 0.4 * np.linalg.norm(pts, axis=1))
     _assert_clear_of_matches(field, pts, r)
     assert not field.clear_of(np.zeros((0, 2)), np.zeros(0)).size
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_loops_and_points(), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.01, 0.1, 0.5]))
+def test_admit_skips_only_points_that_pass(case, seed, scale):
+    # random step sequences from inside the loops, with the bound retaken
+    # now and then as at a rebuild: every point the bound lets through
+    # untested also passes the even-odd test and clear_of
+    loops, pts = case
+    field = _SegmentField(loops)
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([pts, _near_boundary(field, rng, 30)])
+    pts = pts[_points_in_loops(pts, field.a, field.b)]
+    bound = field.lower_bound(pts)
+    for _ in range(10):
+        if rng.uniform() < 0.3:
+            bound = field.lower_bound(pts)
+        newpos = pts + rng.normal(0.0, scale, pts.shape)
+        r = rng.uniform(0.0, 2.0 * scale, len(pts))
+        moved = bound - np.linalg.norm(newpos - pts, axis=1)
+        passes = _points_in_loops(newpos, field.a, field.b)
+        passes &= field.clear_of(newpos, r)
+        assert passes[moved > r].all()
+        ok = field.admit(newpos, r, moved)
+        assert np.array_equal(ok, passes)
+        pts[ok] = newpos[ok]
+        bound = np.where(ok, moved, bound)
+
+
+_coord = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchors=st.lists(st.tuples(st.tuples(_coord, _coord),
+                                  st.floats(1e-4, 1.0)), max_size=5),
+       pts=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30),
+       target_h=st.floats(1e-3, 10.0), growth=st.floats(0.0, 2.0))
+def test_size_field_matches_norm_reference(anchors, pts, target_h, growth):
+    pts = np.asarray(pts)
+    ref = np.full(len(pts), target_h)
+    for p, s in anchors:
+        ref = np.minimum(ref, s + growth * np.linalg.norm(pts - p, axis=1))
+    got = _SizeField(target_h, anchors, growth)(pts)
+    assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
