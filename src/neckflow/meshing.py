@@ -28,7 +28,7 @@ _VERTEX_CAP = 2_000_000
 
 # part of every mesh-cache key: bump it whenever a change to this module
 # changes the meshes it builds, so that stale cache files are not reused
-MESHER_VERSION = 2
+MESHER_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -502,9 +502,11 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
     Each relaxation step pushes the free points apart along the edges of the
     last Delaunay triangulation.  That triangulation, and its edge list, are
     rebuilt only once some free point has moved more than _REBUILD_MOVE of
-    its local size since it was built.  The Laplacian passes and the final
-    triangulation are always fresh, so the returned triangles are a Delaunay
-    triangulation of the final points.
+    its local size since it was built.  After the last step, one fresh
+    triangulation serves all three Laplacian passes (the relaxation's last
+    one left slivers on coarse meshes), and the final triangulation is fresh
+    too, so the returned triangles are a Delaunay triangulation of the final
+    points.
 
     Each free point keeps a lower bound on its distance to the loops, taken
     at each rebuild and shortened by every step it takes, so that a step is
@@ -591,17 +593,17 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
         if norm.size and norm.max() < 0.005 * h0:
             break
 
-    # Laplacian smoothing passes on the free points
+    # three Laplacian smoothing passes on the free points, all on one fresh
+    # triangulation: every triangle edge adds each end to the other's sum
+    tris = triangulate()
+    nxt = np.roll(tris, -1, axis=1).ravel()
+    ends = np.concatenate([tris.ravel(), nxt])
+    other = np.concatenate([nxt, tris.ravel()])
+    nbr_cnt = np.maximum(np.bincount(ends, minlength=pool.n)[free], 1)
     for _ in range(3):
-        tris = triangulate()
-        nbr_sum = np.zeros((pool.n, 2))
-        nbr_cnt = np.zeros(pool.n)
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            np.add.at(nbr_sum, tris[:, a], pool.pts[tris[:, b]])
-            np.add.at(nbr_cnt, tris[:, a], 1.0)
-            np.add.at(nbr_sum, tris[:, b], pool.pts[tris[:, a]])
-            np.add.at(nbr_cnt, tris[:, b], 1.0)
-        tgt = nbr_sum[free] / np.maximum(nbr_cnt[free], 1.0)[:, None]
+        nbr = pool.pts[other]
+        tgt = np.column_stack([np.bincount(ends, nbr[:, c], minlength=pool.n)[free]
+                               for c in (0, 1)]) / nbr_cnt[:, None]
         moved = bound - np.linalg.norm(tgt - pool.pts[free], axis=1)
         ok = segfield.admit(tgt, 0.3 * size(tgt), moved)
         pool.pts[free[ok]] = tgt[ok]

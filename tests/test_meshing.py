@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -373,19 +374,54 @@ def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
     build_symmetric_disc_example(scale=1.0, eps=1e-2), _asymmetric_geometry(5e-3),
 ], ids=["symmetric", "general"])
 def test_relaxation_reuses_triangulations(geom, monkeypatch):
-    # both far-field paths relax one region; rebuilding at every one of the
-    # 30 steps, plus the 3 Laplacian passes and the final one, made 34 calls
-    calls = []
-    delaunay = meshing.Delaunay
+    # both far-field paths relax one region.  Rebuilding at every one of the
+    # 30 steps, plus one triangulation per Laplacian pass and the final one,
+    # made 34 calls.  Each relaxation step and each of the 3 passes admits
+    # its moves once (A); the passes share one fresh triangulation (D), so
+    # exactly two calls follow the last relaxation step
+    events = []
+    delaunay, admit = meshing.Delaunay, _SegmentField.admit
 
     def counting(pts):
-        calls.append(len(pts))
+        events.append("D")
         return delaunay(pts)
 
+    def admitting(self, *args):
+        events.append("A")
+        return admit(self, *args)
+
     monkeypatch.setattr(meshing, "Delaunay", counting)
+    monkeypatch.setattr(_SegmentField, "admit", admitting)
     m = generate(geom, 0.2, 6, seed=0)
     check_mesh(m, min_angle=20.0)
-    assert 5 <= len(calls) < 34
+    events = "".join(events)
+    assert events.endswith("ADAAAD"), events
+    assert 5 <= events.count("D") < 32
+
+
+# sha256 of the mesh of each far-field path at target_h 0.2, eps 1e-2 and
+# seed 0 (integer arrays exact, vertices rounded to 12 digits), by
+# MESHER_VERSION: a change that alters the meshes must bump the version, so
+# that mesh-cache files of the old meshes are not read as the new ones
+_MESH_HASHES = {
+    3: {"symmetric": "cbc7be68938d22f61a9a805df4c9d44c"
+                     "4b4c35c450f16ae44753adc09ccfd9ba",
+        "general": "53450a02d03a49ff2ebd672e44661ff0"
+                   "ecdd6e5aa32e3998e11205c9325e5eda"},
+}
+
+
+@pytest.mark.parametrize("path", ["symmetric", "general"])
+def test_mesher_version_pins_output(path):
+    geom = (build_symmetric_disc_example(scale=1.0, eps=1e-2)
+            if path == "symmetric" else _asymmetric_geometry(1e-2))
+    m = generate(geom, 0.2, 6, seed=0)
+    h = hashlib.sha256((np.round(m.vertices, 12) + 0.0).tobytes())   # -0.0 is 0.0
+    for a in (m.triangles, m.boundary_edges, m.boundary_tags):
+        h.update(a.tobytes())
+    assert h.hexdigest() == _MESH_HASHES[meshing.MESHER_VERSION][path], (
+        "the meshes changed: bump meshing.MESHER_VERSION and record the "
+        "new hashes")
 
 
 def _distance_k_nearest(field, pts, k=8):
