@@ -41,7 +41,8 @@ from . import meshing
 from .errors import MeshError, NeckflowError
 from .geometry import (INC1, INC2, ConstantPotential,
                        build_symmetric_disc_example, load_geometry_config)
-from .meshing import generate, generate_neck_strip, load_mesh, save_mesh
+from .meshing import (generate, generate_neck_strip, load_mesh, save_mesh,
+                      write_rows)
 from .solver import Condenser, SolveConfig, solve
 
 CSV_BASE_COLUMNS = (
@@ -207,7 +208,7 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
                               "delta": pr.delta_at_point})
     row["runtime_s"] = time.time() - t0
     if spec.out_dir:
-        _persist_solution(sol, mesh, row, spec.out_dir)
+        _persist_solution(sol, row, spec.out_dir)
     return row
 
 
@@ -215,11 +216,11 @@ def _case_name(p, eps):
     return f"solution_{p:g}_{eps:g}"
 
 
-def _persist_solution(sol, mesh, row, out_dir):
+def _persist_solution(sol, row, out_dir):
     base = os.path.join(out_dir, _case_name(row["p"], row["eps"]))
     with open(base + ".txt", "w") as fh:
-        for i, v in enumerate(sol.nodal_values):
-            fh.write(f"{i} {float(v)!r}\n")
+        u = sol.nodal_values
+        write_rows(fh, "%d %r\n", np.column_stack([np.arange(len(u)), u]))
     summary = {
         "p": row["p"], "eps": row["eps"], "U1": row["U1"], "U2": row["U2"],
         "energy": row["energy"], "flux1": row["flux1"], "flux2": row["flux2"],

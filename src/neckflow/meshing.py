@@ -970,17 +970,27 @@ def refine_uniform(mesh):
 # plain-text mesh format
 # ---------------------------------------------------------------------------
 
+_WRITE_ROWS = 4096   # rows formatted per write: as fast as one write, less memory
+
+
+def write_rows(fh, fmt, rows):
+    """Write fmt % row for each row of a 2-D array (fmt ends in a newline),
+    formatting a block of rows at a time."""
+    for k in range(0, len(rows), _WRITE_ROWS):
+        block = rows[k:k + _WRITE_ROWS]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def save_mesh(mesh, path):
     """Header `nv nt nbe`, vertex lines `x y`, triangle lines `i j k`,
-    boundary-edge lines `i j tag`, then a `neck_layers k` line."""
+    boundary-edge lines `i j tag`, then a `neck_layers k` line.  Floats are
+    written as repr, so they read back exactly."""
+    edges = zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())
     with open(path, "w") as fh:
         fh.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            fh.write(f"{i} {j} {TAG_NAMES[int(tag)]}\n")
+        write_rows(fh, "%r %r\n", mesh.vertices)
+        write_rows(fh, "%d %d %d\n", mesh.triangles)
+        fh.write("".join([f"{i} {j} {TAG_NAMES[t]}\n" for (i, j), t in edges]))
         fh.write(f"neck_layers {mesh.grading_report.neck_layers}\n")
 
 

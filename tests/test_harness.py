@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ class TestSingleCaseSweep:
         assert cols[:len(CSV_BASE_COLUMNS)] == list(CSV_BASE_COLUMNS)
         assert cols[len(CSV_BASE_COLUMNS):] == ["winflux_r0.3", "winflux_r0.2",
                                                 "winflux_r0.1"]
+
+
+def test_solution_writer_matches_per_line_reference(tmp_path):
+    # reference: the solution text written one f-string per line
+    values = np.concatenate([
+        np.random.default_rng(0).normal(size=40) * 10.0 ** np.arange(-20, 20),
+        [0.0, -0.0, 5e-324, 1.0 / 3.0, -1e300, math.inf, math.nan]])
+    row = dict.fromkeys(["U1", "U2", "energy", "flux1", "flux2",
+                         "kkt_residual", "nv", "nt", "min_angle_deg",
+                         "neck_layers"], 0.0)
+    row.update(p=2.0, eps=0.01)
+    harness._persist_solution(SimpleNamespace(nodal_values=values), row,
+                              str(tmp_path))
+    ref = "".join(f"{i} {float(v)!r}\n" for i, v in enumerate(values))
+    assert (tmp_path / "solution_2_0.01.txt").read_text() == ref
 
 
 def test_rerun_is_byte_identical_modulo_timestamp(tmp_path):

@@ -215,6 +215,17 @@ class TestStripMesh:
             generate_neck_strip(g, 0.05, 6)
 
 
+def _save_mesh_per_line(mesh):
+    """Reference: save_mesh's text written one f-string per line."""
+    lines = [f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary_edges)}\n"]
+    lines += [f"{float(x)!r} {float(y)!r}\n" for x, y in mesh.vertices]
+    lines += [f"{i} {j} {k}\n" for i, j, k in mesh.triangles]
+    lines += [f"{i} {j} {meshing.TAG_NAMES[int(tag)]}\n"
+              for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags)]
+    lines.append(f"neck_layers {mesh.grading_report.neck_layers}\n")
+    return "".join(lines)
+
+
 class TestMeshIO:
     def test_roundtrip_exact(self, disc_mesh, tmp_path):
         g, m = disc_mesh
@@ -274,6 +285,14 @@ class TestMeshIO:
             warnings.simplefilter("error")
             with pytest.raises(MeshError, match="mesh.txt"):
                 load_mesh(str(path))
+
+    def test_writer_matches_per_line_reference(self, disc_mesh, tmp_path):
+        strip = generate_neck_strip(build_symmetric_disc_example(eps=1e-2),
+                                    0.1, 6)
+        for m in (disc_mesh[1], strip, generate(build_annulus(), 0.3)):
+            path = tmp_path / "mesh.txt"
+            save_mesh(m, str(path))
+            assert path.read_text() == _save_mesh_per_line(m)
 
     def test_header_format(self, disc_mesh, tmp_path):
         _, m = disc_mesh
