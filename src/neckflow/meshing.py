@@ -601,9 +601,9 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
     other = np.concatenate([nxt, tris.ravel()])
     nbr_cnt = np.maximum(np.bincount(ends, minlength=pool.n)[free], 1)
     for _ in range(3):
-        nbr = pool.pts[other]
-        tgt = np.column_stack([np.bincount(ends, nbr[:, c], minlength=pool.n)[free]
-                               for c in (0, 1)]) / nbr_cnt[:, None]
+        sums = [np.bincount(ends, pool.pts[other, c], minlength=pool.n)[free]
+                for c in (0, 1)]
+        tgt = np.column_stack(sums) / nbr_cnt[:, None]
         moved = bound - np.linalg.norm(tgt - pool.pts[free], axis=1)
         ok = segfield.admit(tgt, 0.3 * size(tgt), moved)
         pool.pts[free[ok]] = tgt[ok]
