@@ -970,10 +970,10 @@ def refine_uniform(mesh):
 # plain-text mesh format
 # ---------------------------------------------------------------------------
 
-_WRITE_ROWS = 4096   # rows formatted per write: as fast as one write, less memory
+_WRITE_ROWS = 256   # rows formatted per write: as fast as one write, little memory
 
 
-def write_rows(fh, fmt, rows):
+def _write_rows(fh, fmt, rows):
     """Write fmt % row for each row of a 2-D array (fmt ends in a newline),
     formatting a block of rows at a time."""
     for k in range(0, len(rows), _WRITE_ROWS):
@@ -988,8 +988,8 @@ def save_mesh(mesh, path):
     edges = zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())
     with open(path, "w") as fh:
         fh.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary_edges)}\n")
-        write_rows(fh, "%r %r\n", mesh.vertices)
-        write_rows(fh, "%d %d %d\n", mesh.triangles)
+        _write_rows(fh, "%r %r\n", mesh.vertices)
+        _write_rows(fh, "%d %d %d\n", mesh.triangles)
         fh.write("".join([f"{i} {j} {TAG_NAMES[t]}\n" for (i, j), t in edges]))
         fh.write(f"neck_layers {mesh.grading_report.neck_layers}\n")
 

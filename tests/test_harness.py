@@ -69,7 +69,7 @@ class TestSingleCaseSweep:
 
 
 def test_solution_writer_matches_per_line_reference(tmp_path):
-    # reference: the solution text written one f-string per line
+    # the exact text of a solution file, rounding-level values included
     values = np.concatenate([
         np.random.default_rng(0).normal(size=40) * 10.0 ** np.arange(-20, 20),
         [0.0, -0.0, 5e-324, 1.0 / 3.0, -1e300, math.inf, math.nan]])
