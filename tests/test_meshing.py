@@ -397,17 +397,20 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
     # 30 steps, plus one triangulation per Laplacian pass and the final one,
     # made 34 calls.  Each relaxation step and each of the 3 passes admits
     # its moves once (A); the passes share one fresh triangulation (D), so
-    # exactly two calls follow the last relaxation step
-    events = []
+    # exactly two calls follow the last relaxation step.  Most moves are far
+    # from the loops, and admit tests only the others
+    events, moves, tested = [], [0], [0]
     delaunay, admit = meshing.Delaunay, _SegmentField.admit
 
     def counting(pts):
         events.append("D")
         return delaunay(pts)
 
-    def admitting(self, *args):
+    def admitting(self, pts, r, bound):
         events.append("A")
-        return admit(self, *args)
+        moves[0] += len(pts)
+        tested[0] += int(np.sum(bound <= r))
+        return admit(self, pts, r, bound)
 
     monkeypatch.setattr(meshing, "Delaunay", counting)
     monkeypatch.setattr(_SegmentField, "admit", admitting)
@@ -416,6 +419,7 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
     events = "".join(events)
     assert events.endswith("ADAAAD"), events
     assert 5 <= events.count("D") < 32
+    assert tested[0] < 0.25 * moves[0]
 
 
 # sha256 of the mesh of each far-field path at target_h 0.2, eps 1e-2 and
@@ -508,17 +512,10 @@ def test_clear_of_outer_loop_with_hole(radii, n_out, seed):
     assert not field.clear_of(np.zeros((0, 2)), np.zeros(0)).size
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_loops_and_points(), seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([0.01, 0.1, 0.5]))
-def test_admit_skips_only_points_that_pass(case, seed, scale):
-    # random step sequences from inside the loops, with the bound retaken
-    # now and then as at a rebuild: every point the bound lets through
-    # untested also passes the even-odd test and clear_of
-    loops, pts = case
-    field = _SegmentField(loops)
-    rng = np.random.default_rng(seed)
-    pts = np.vstack([pts, _near_boundary(field, rng, 30)])
+def _assert_admit_exact(field, pts, rng, scale):
+    """Random step sequences from inside the loops, with the bound retaken
+    now and then as at a rebuild: every point the bound lets through
+    untested also passes the even-odd test and clear_of."""
     pts = pts[_points_in_loops(pts, field.a, field.b)]
     bound = field.lower_bound(pts)
     for _ in range(10):
@@ -534,6 +531,39 @@ def test_admit_skips_only_points_that_pass(case, seed, scale):
         assert np.array_equal(ok, passes)
         pts[ok] = newpos[ok]
         bound = np.where(ok, moved, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_loops_and_points(), pieces=st.sampled_from([1, 8, 32]),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.01, 0.1, 0.5]))
+def test_admit_random_polygons(case, pieces, seed, scale):
+    # cutting every segment into pieces keeps the loops and shortens the
+    # longest half-segment, so that points far from the loops go untested
+    loops, pts = case
+    t = np.arange(pieces)[None, :, None] / pieces
+    loops = [(a[:, None] + t * (np.roll(a, -1, axis=0) - a)[:, None]).reshape(-1, 2)
+             for a in loops]
+    field = _SegmentField(loops)
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([pts, _near_boundary(field, rng, 30)])
+    _assert_admit_exact(field, pts, rng, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radii=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=40),
+       n_out=st.integers(16, 64), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.01, 0.1, 0.5]))
+def test_admit_outer_loop_with_hole(radii, n_out, seed, scale):
+    # the _far_general layout: most points are far from both loops
+    ang = 2 * math.pi * np.arange(n_out) / n_out
+    outer = 5.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    ang = 2 * math.pi * np.arange(len(radii)) / len(radii)
+    hole = (np.asarray(radii)[:, None]
+            * np.column_stack([np.cos(ang), np.sin(ang)]))[::-1]
+    field = _SegmentField([outer, hole])
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([rng.uniform(-6, 6, (300, 2)), _near_boundary(field, rng, 100)])
+    _assert_admit_exact(field, pts, rng, scale)
 
 
 _coord = st.floats(-2.0, 2.0)
