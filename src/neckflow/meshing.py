@@ -7,22 +7,32 @@ Two-inclusion domains are meshed in two parts that share vertices exactly:
   the requested number of element layers), and
 * an unstructured far field produced by a short spring-relaxation loop over
   a Delaunay triangulation (distmesh-style), seeded from a graded lattice.
+  qhull triangulates each far-field region about three times: once at the
+  start, and twice after the last relaxation step.  In between, Lawson edge
+  flips repair the last triangulation after the points have moved, and
+  qhull runs again only when a repair meets an inverted triangle or its
+  round cap.
 
 Mirror-symmetric domains are meshed on the upper half and reflected, so the
 vertex set is exactly symmetric under x_n -> -x_n.  Annulus domains use a
 structured polar grid.  Meshes are immutable once built.
 """
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshCapacityError, MeshError
 from .geometry import (INC1, INC2, OUTER, TAG_IDS, TAG_NAMES, Circle,
                        curve_polyline)
+
+_log = logging.getLogger("neckflow")
 
 _VERTEX_CAP = 2_000_000
 
@@ -146,27 +156,19 @@ class TriMesh:
                             keys[counts == 1]).all())
 
     def boundary_loops_ok(self):
-        """Each tag's edges form one closed loop."""
+        """Each tag's edges form one closed loop: every vertex on them has
+        two of them, and they are connected."""
         for tag in np.unique(self.boundary_tags):
             edges = self.boundary_edges[self.boundary_tags == tag]
-            verts, counts = np.unique(edges, return_counts=True)
+            _, ends, counts = np.unique(edges.ravel(), return_inverse=True,
+                                        return_counts=True)
             if np.any(counts != 2):
                 return False
-            # single cycle: walk it
-            nxt = {}
-            for a, b in edges:
-                nxt.setdefault(a, []).append(b)
-                nxt.setdefault(b, []).append(a)
-            start = int(edges[0, 0])
-            prev, cur, steps = -1, start, 0
-            while steps <= len(edges):
-                cand = nxt[cur]
-                new = cand[0] if cand[0] != prev else cand[1]
-                prev, cur = cur, new
-                steps += 1
-                if cur == start:
-                    break
-            if steps != len(edges):
+            ends = ends.reshape(-1, 2)
+            graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                               shape=(len(counts), len(counts)))
+            if connected_components(graph, directed=False,
+                                    return_labels=False) != 1:
                 return False
         return True
 
@@ -476,6 +478,114 @@ _RELAX_ITERS = 30   # spring-relaxation steps per far-field region
 # retriangulate once some free point has moved this fraction of its local
 # size since the last triangulation (Persson & Strang, SIAM Review 2004)
 _REBUILD_MOVE = 0.2
+_FLIP_ROUNDS = 32   # flip rounds in one repair before falling back to qhull
+
+
+class _RepairFailed(Exception):
+    """A flip repair gave up; the message is the reason."""
+
+
+def _cross(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
+def _delaunay_state(pts):
+    """qhull's Delaunay triangulation of pts as int32 counterclockwise
+    simplices and the neighbour table (nbr[t, k] is the triangle across from
+    vertex k of t, -1 on the hull)."""
+    tri = Delaunay(pts)
+    simp = tri.simplices.astype(np.int32)
+    nbr = tri.neighbors.astype(np.int32)
+    c = pts[simp]
+    cw = _cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) < 0
+    simp[cw] = simp[cw][:, [0, 2, 1]]
+    nbr[cw] = nbr[cw][:, [0, 2, 1]]
+    return simp, nbr
+
+
+def _flip_repair(pts, simp, nbr):
+    """Lawson edge flips (Lawson 1977) that turn a triangulation into the
+    Delaunay triangulation of the moved points pts, in place on the
+    counterclockwise simplices and neighbour table of _delaunay_state.
+    Returns the number of rounds that flipped.
+
+    Raises _RepairFailed when a triangle is inverted at pts (flips cannot
+    unfold a folded triangulation) or after _FLIP_ROUNDS rounds.
+    Each round tests its candidate edges with the in-circle determinant and
+    flips only where it exceeds 1e-12 (|A|² + |B|² + |C|²)², so near-ties
+    cannot cycle.  A flip rewrites its two triangles and the back-pointers of
+    their four outer neighbours, so each candidate claims those six, and it
+    flips only if it holds all six by lowest candidate id: the lowest one
+    always does.  The next round tests the outer edges of every flipped quad
+    and the candidates that lost.
+    """
+    c = pts[simp]
+    if not np.all(_cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) > 0):
+        raise _RepairFailed("inverted triangle")
+    # each interior edge once: from its lower-numbered triangle
+    t, k = np.nonzero(nbr > np.arange(len(simp), dtype=np.int32)[:, None])
+    t, k = t.astype(np.int32), k.astype(np.int32)
+    owner = np.empty(len(simp), dtype=np.int32)
+    for rounds in range(_FLIP_ROUNDS + 1):
+        # the edge b-c of t = (a, b, c) is c-b of its neighbour u = (d, c, b)
+        u = nbr[t, k]
+        j = np.argmax(nbr[u] == t[:, None], axis=1).astype(np.int32)
+        a, b, cc = simp[t, k], simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]
+        d = simp[u, j]
+        A, B, C = pts[a] - pts[d], pts[b] - pts[d], pts[cc] - pts[d]
+        la, lb, lc = (np.einsum("ij,ij->i", v, v) for v in (A, B, C))
+        det = la * _cross(B, C) + lb * _cross(C, A) + lc * _cross(A, B)
+        bad = np.flatnonzero(det > 1e-12 * (la + lb + lc) ** 2)
+        if not bad.size:
+            return rounds
+        if rounds == _FLIP_ROUNDS:
+            break
+        t, k, u, j, a, b, cc, d = (v[bad] for v in (t, k, u, j, a, b, cc, d))
+        n_ab, n_ca = nbr[t, (k + 2) % 3], nbr[t, (k + 1) % 3]
+        n_bd, n_dc = nbr[u, (j + 1) % 3], nbr[u, (j + 2) % 3]
+        six = np.column_stack([t, u, n_ab, n_ca, n_bd, n_dc])
+        ids = np.broadcast_to(np.arange(len(t), dtype=np.int32)[:, None],
+                              six.shape)
+        real = six >= 0
+        owner.fill(len(t))
+        np.minimum.at(owner, six[real], ids[real])
+        win = np.all((owner[six] == ids) | ~real, axis=1)
+        # (a, b, c) + (d, c, b) -> (a, b, d) + (a, d, c); the neighbours
+        # across b-d and c-a change sides
+        tw, uw = t[win], u[win]
+        simp[tw] = np.column_stack([a[win], b[win], d[win]])
+        simp[uw] = np.column_stack([a[win], d[win], cc[win]])
+        nbr[tw] = np.column_stack([n_bd[win], uw, n_ab[win]])
+        nbr[uw] = np.column_stack([n_dc[win], n_ca[win], tw])
+        for n, old, new in ((n_bd[win], uw, tw), (n_ca[win], tw, uw)):
+            on = n >= 0
+            n, old, new = n[on], old[on], new[on]
+            nbr[n, np.argmax(nbr[n] == old[:, None], axis=1)] = new
+        flipped = np.zeros(len(simp), dtype=bool)
+        flipped[tw] = flipped[uw] = True
+        lost = ~win & ~flipped[t] & ~flipped[u]
+        # outer edges of the flipped quads: b-d and a-b of (a, b, d), d-c
+        # and c-a of (a, d, c)
+        slots = np.repeat(np.array([0, 2, 0, 1], dtype=np.int32), len(tw))
+        t = np.concatenate([t[lost], tw, tw, uw, uw])
+        k = np.concatenate([k[lost], slots])
+        inner = nbr[t, k] >= 0
+        t, k = t[inner], k[inner]
+    raise _RepairFailed("round cap")
+
+
+def _kept_edge_keys(simp, nbr, keep, active, n):
+    """Sorted keys (_edge_keys) of the edges of the kept triangles, each
+    listed once: from the lower-numbered of its two triangles, or from the
+    kept side when the other side is missing or not kept.  The same array
+    as np.unique over all three edges of every kept triangle."""
+    kt = np.flatnonzero(keep)
+    nb = nbr[kt]
+    once = (nb < 0) | (nb > kt[:, None]) | ~keep[nb]
+    tt, kk = np.nonzero(once)
+    t = kt[tt]
+    i, j = active[simp[t, (kk + 1) % 3]], active[simp[t, (kk + 2) % 3]]
+    return np.sort(_edge_keys(i, j, n))
 
 
 def _grade_spacing(length, s0, s1, target_h, growth=1.25):
@@ -502,11 +612,19 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
     Each relaxation step pushes the free points apart along the edges of the
     last Delaunay triangulation.  That triangulation, and its edge list, are
     rebuilt only once some free point has moved more than _REBUILD_MOVE of
-    its local size since it was built.  After the last step, one fresh
-    triangulation serves all three Laplacian passes (the relaxation's last
-    one left slivers on coarse meshes), and the final triangulation is fresh
-    too, so the returned triangles are a Delaunay triangulation of the final
-    points.
+    its local size since it was built.  The first build calls qhull; every
+    later one repairs the previous full triangulation (the convex hull of
+    the region's points, holes included) by Lawson edge flips
+    (_flip_repair), and calls qhull again only when the repair fails: a
+    triangle inverted at the new positions, or _FLIP_ROUNDS rounds without
+    convergence.  The edge list is the sorted edges of the triangles whose
+    centroids lie inside the loops, which do not depend on triangle order.
+    After the last step, one fresh qhull triangulation serves all three
+    Laplacian passes (the relaxation's last one left slivers on coarse
+    meshes), and the final triangulation is fresh too, so the returned
+    triangles are qhull's Delaunay triangulation of the final points, in
+    its order.  One DEBUG record on the "neckflow" logger gives the qhull
+    calls, flip repairs and fallbacks of the region.
 
     Each free point keeps a lower bound on its distance to the loops, taken
     at each rebuild and shortened by every step it takes, so that a step is
@@ -557,15 +675,29 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
 
     h = size(pool.pts[free])
     last = None   # free point positions at the last triangulation
-    for _ in range(_RELAX_ITERS):
+    state = None  # the full triangulation of pool.pts[active] at `last`
+    repairs, most_rounds, fallbacks = 0, 0, []
+    for step in range(_RELAX_ITERS):
         x = pool.pts[free]
         if last is None or np.max(np.linalg.norm(x - last, axis=1) / h,
                                   initial=0.0) > _REBUILD_MOVE:
-            tris = triangulate()
+            pts = pool.pts[active]
+            if state is None:
+                state = _delaunay_state(pts)
+            else:
+                try:
+                    most_rounds = max(most_rounds, _flip_repair(pts, *state))
+                    repairs += 1
+                except _RepairFailed as exc:
+                    fallbacks.append(f"step {step}: {exc}")
+                    state = _delaunay_state(pts)
+            simp, nbr = state
+            keep = _points_in_loops(pts[simp].mean(axis=1),
+                                    segfield.a, segfield.b)
             last = x
             bound = segfield.lower_bound(x)
-            keys = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), pool.n))
-            lo, hi = np.divmod(keys, pool.n)
+            lo, hi = np.divmod(_kept_edge_keys(simp, nbr, keep, active, pool.n),
+                               pool.n)
         pa = pool.pts[lo]
         pb = pool.pts[hi]
         vec = pb - pa
@@ -593,8 +725,14 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
         if norm.size and norm.max() < 0.005 * h0:
             break
 
+    _log.debug("far-field region: %d points, %d relaxation steps, %d qhull "
+               "calls, %d flip repairs (at most %d rounds), fallbacks: %s",
+               len(active), step + 1, 3 + len(fallbacks), repairs, most_rounds,
+               fallbacks or "none")
+
     # three Laplacian smoothing passes on the free points, all on one fresh
     # triangulation: every triangle edge adds each end to the other's sum
+    state = simp = nbr = None
     tris = triangulate()
     nxt = np.roll(tris, -1, axis=1).ravel()
     ends = np.concatenate([tris.ravel(), nxt])

@@ -1,10 +1,12 @@
 import hashlib
+import logging
 import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import Delaunay
 
 from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
                       build_annulus, build_parabola_example,
@@ -16,8 +18,8 @@ from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, _c2_bound)
 from neckflow.meshing import (TriMesh, _chain, _check_loops_covered,
-                              _points_in_loops, _SegmentField, _SizeField,
-                              _split_quad_rows, _stitch_columns,
+                              _points_in_loops, _RepairFailed, _SegmentField,
+                              _SizeField, _split_quad_rows, _stitch_columns,
                               _strip_columns_x, _StripMesh, _strip_mirror_map)
 
 
@@ -393,18 +395,30 @@ def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
     build_symmetric_disc_example(scale=1.0, eps=1e-2), _asymmetric_geometry(5e-3),
 ], ids=["symmetric", "general"])
 def test_relaxation_reuses_triangulations(geom, monkeypatch):
-    # both far-field paths relax one region.  Rebuilding at every one of the
-    # 30 steps, plus one triangulation per Laplacian pass and the final one,
-    # made 34 calls.  Each relaxation step and each of the 3 passes admits
-    # its moves once (A); the passes share one fresh triangulation (D), so
-    # exactly two calls follow the last relaxation step.  Most moves are far
-    # from the loops, and admit tests only the others
+    # both far-field paths relax one region.  Each rebuild takes the free
+    # points' distance bounds (lower_bound); the first rebuild calls qhull
+    # (D) and every later one repairs the last triangulation by flips (R),
+    # falling back to qhull when the repair fails (F, then D).  Each
+    # relaxation step and each of the 3 Laplacian passes admits its moves
+    # once (A); the passes share one fresh triangulation, so exactly two
+    # qhull calls follow the last relaxation step.  Most moves are far from
+    # the loops, and admit tests only the others
     events, moves, tested = [], [0], [0]
-    delaunay, admit = meshing.Delaunay, _SegmentField.admit
+    delaunay, repair = meshing.Delaunay, meshing._flip_repair
+    admit, lower_bound = _SegmentField.admit, _SegmentField.lower_bound
 
     def counting(pts):
         events.append("D")
         return delaunay(pts)
+
+    def repairing(pts, simp, nbr):
+        try:
+            rounds = repair(pts, simp, nbr)
+        except _RepairFailed:
+            events.append("F")
+            raise
+        events.append("R")
+        return rounds
 
     def admitting(self, pts, r, bound):
         events.append("A")
@@ -412,14 +426,127 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
         tested[0] += int(np.sum(bound <= r))
         return admit(self, pts, r, bound)
 
+    def rebuilding(self, pts):
+        events.append("B")
+        return lower_bound(self, pts)
+
     monkeypatch.setattr(meshing, "Delaunay", counting)
+    monkeypatch.setattr(meshing, "_flip_repair", repairing)
     monkeypatch.setattr(_SegmentField, "admit", admitting)
+    monkeypatch.setattr(_SegmentField, "lower_bound", rebuilding)
     m = generate(geom, 0.2, 6, seed=0)
     check_mesh(m, min_angle=20.0)
     events = "".join(events)
     assert events.endswith("ADAAAD"), events
-    assert 5 <= events.count("D") < 32
+    assert events.count("D") == 3 + events.count("F"), events
+    assert events.count("R") + events.count("F") == events.count("B") - 1, events
+    assert events.count("R") > 0
     assert tested[0] < 0.25 * moves[0]
+
+
+def test_relaxation_logs_its_fallbacks(monkeypatch, caplog):
+    # the coarse general-path region has flip repairs that meet an inverted
+    # triangle; its one DEBUG record names each fallback and its reason
+    failures = [0]
+    repair = meshing._flip_repair
+
+    def repairing(pts, simp, nbr):
+        try:
+            return repair(pts, simp, nbr)
+        except _RepairFailed:
+            failures[0] += 1
+            raise
+
+    monkeypatch.setattr(meshing, "_flip_repair", repairing)
+    caplog.set_level(logging.DEBUG, logger="neckflow")
+    generate(_asymmetric_geometry(5e-3), 0.2, 6, seed=0)
+    records = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("far-field region")]
+    assert len(records) == 1, records
+    msg = records[0]
+    assert failures[0] > 0
+    assert f"{3 + failures[0]} qhull calls" in msg, msg
+    assert msg.count("inverted triangle") + msg.count("round cap") == failures[0]
+
+
+def _assert_consistent(pts, simp, nbr):
+    """Counterclockwise triangles whose neighbour table matches their shared
+    edges: nbr[t, k] is the triangle across the edge opposite vertex k of
+    t, or -1 when that edge is on no other triangle."""
+    c = pts[simp]
+    assert np.all(meshing._cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) > 0)
+    sides = {}
+    for t, tri in enumerate(simp.tolist()):
+        for k in range(3):
+            edge = frozenset((tri[(k + 1) % 3], tri[(k + 2) % 3]))
+            sides.setdefault(edge, []).append((t, k))
+    for pair in sides.values():
+        assert len(pair) <= 2
+        if len(pair) == 1:
+            assert nbr[pair[0]] == -1
+        else:
+            (t, k), (u, j) = pair
+            assert nbr[t, k] == u and nbr[u, j] == t
+
+
+def _triangle_set(simp):
+    return {tuple(sorted(t)) for t in simp.tolist()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 150), seed=st.integers(0, 2**32 - 1),
+       step=st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
+def test_flip_repair_matches_qhull(n, seed, step):
+    # random points in the unit square move by uniform steps of at most
+    # `step` per coordinate, five times; a fixed square frame around them
+    # keeps the convex hull, as the fixed boundary loops do in _relax_region
+    rng = np.random.default_rng(seed)
+    frame = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 2.0], [-1.0, 2.0]])
+    pts = np.vstack([frame, rng.uniform(0.0, 1.0, (n, 2))])
+    simp, nbr = meshing._delaunay_state(pts)
+    _assert_consistent(pts, simp, nbr)
+    for _ in range(5):
+        new = pts.copy()
+        new[4:] += rng.uniform(-step, step, (n, 2))
+        c = new[simp]
+        if np.all(meshing._cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) > 0):
+            meshing._flip_repair(new, simp, nbr)
+            _assert_consistent(new, simp, nbr)
+            assert _triangle_set(simp) == _triangle_set(Delaunay(new).simplices)
+        else:
+            with pytest.raises(_RepairFailed, match="inverted triangle"):
+                meshing._flip_repair(new, simp, nbr)
+            simp, nbr = meshing._delaunay_state(new)
+        pts = new
+        # edge keys of the kept triangles against np.unique over all edges
+        keep = rng.uniform(size=len(simp)) < 0.7
+        active = np.arange(len(pts)) + 5
+        tris = active[simp[keep]]
+        want = np.unique(meshing._edge_keys(tris, np.roll(tris, -1, axis=1),
+                                            len(pts) + 5))
+        got = meshing._kept_edge_keys(simp, nbr, keep, active, len(pts) + 5)
+        assert np.array_equal(got, want)
+
+
+def test_flip_repair_reports_failure(monkeypatch):
+    # a kite whose Delaunay diagonal is 0-2; vertex 3 then moves past that
+    # diagonal (an inverted triangle), or towards it until 1-3 is the
+    # Delaunay edge, which one round flips and a cap of 0 rounds refuses
+    kite = np.array([[0.0, 0.0], [1.2, -0.2], [1.0, 1.0], [-0.2, 1.2]])
+    for moved, reason, cap in (([0.6, 0.4], "inverted triangle", 32),
+                               ([0.4, 0.6], "round cap", 0)):
+        pts = kite.copy()
+        pts[3] = moved
+        simp, nbr = meshing._delaunay_state(kite)
+        assert _triangle_set(simp) == {(0, 1, 2), (0, 2, 3)}
+        monkeypatch.setattr(meshing, "_FLIP_ROUNDS", cap)
+        with pytest.raises(_RepairFailed, match=reason):
+            meshing._flip_repair(pts, simp, nbr)
+    monkeypatch.setattr(meshing, "_FLIP_ROUNDS", 32)
+    simp, nbr = meshing._delaunay_state(kite)
+    assert meshing._flip_repair(pts, simp, nbr) == 1
+    assert _triangle_set(simp) == {(0, 1, 3), (1, 2, 3)}
+    _assert_consistent(pts, simp, nbr)
 
 
 # sha256 of the mesh of each far-field path at target_h 0.2, eps 1e-2 and
@@ -803,3 +930,29 @@ class TestEdgeKeyChecks:
         with pytest.raises(MeshError):
             _check_loops_covered(self.TRIS, [np.array([0, 1, 2, 3]),
                                              np.array([0, 1, 3])])
+
+
+class TestBoundaryLoops:
+    # two triangles, apart or sharing vertex 0, every edge a boundary edge
+    APART = (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                       [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]]),
+             [[0, 1, 2], [3, 4, 5]])
+    SHARED = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                        [-1.0, 0.0], [-1.0, -1.0]]),
+              [[0, 1, 2], [0, 3, 4]])
+
+    def _mesh(self, case, tags):
+        pts, tris = case
+        edges = np.vstack([_chain(t, closed=True) for t in tris])
+        return TriMesh(pts, np.asarray(tris), edges, np.repeat(tags, 3))
+
+    def test_one_loop_per_tag(self):
+        assert self._mesh(self.APART, [OUTER, INC1]).boundary_loops_ok()
+        assert self._mesh(self.SHARED, [OUTER, INC1]).boundary_loops_ok()
+
+    def test_two_disjoint_loops_under_one_tag(self):
+        assert not self._mesh(self.APART, [OUTER, OUTER]).boundary_loops_ok()
+
+    def test_figure_eight(self):
+        # vertex 0 has four edges of the tag
+        assert not self._mesh(self.SHARED, [OUTER, OUTER]).boundary_loops_ok()
