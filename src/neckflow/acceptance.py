@@ -224,7 +224,7 @@ def criterion_properties(report, geom, spec):
     v = rng.normal(size=small.n_vertices)
     worst_fd = 0.0
     for p in (1.3, 2.0, 3.0):
-        e0, gr, _, _ = ops.energy_grad(v, p, 0.5)
+        e0, gr, _ = ops.energy_grad(v, p, 0.5)
         for i in rng.integers(0, small.n_vertices, 8):
             h = 5e-6
             vp, vm = v.copy(), v.copy()

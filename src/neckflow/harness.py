@@ -199,6 +199,7 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
         "history": [(e, en, res) for (e, en, res) in sol.energy_history],
         "linear_fallbacks": sol.linear_fallbacks,
         "factorizations": sol.factorizations, "cg_iters": sol.cg_iters,
+        "floor_accepts": sol.floor_accepts,
     }
     for xp in spec.probes:
         pr = fa.gradient_probe(sol, mesh, xp)

@@ -183,7 +183,6 @@ class TriMesh:
         k = min(32, self.n_triangles)
         _, cand = self._tree.query(pts, k=k)
         cand = np.atleast_2d(cand)
-        c = self.tri_coords()
         tri_idx = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
         for row in range(cand.shape[1]):
@@ -192,7 +191,7 @@ class TriMesh:
                 break
             t = cand[undone, row]
             p = pts[undone]
-            a, b, d = c[t, 0], c[t, 1], c[t, 2]
+            a, b, d = self.vertices[self.triangles[t]].transpose(1, 0, 2)
             det = (b[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1]) - (d[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
             l1 = ((p[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1]) - (d[:, 0] - a[:, 0]) * (p[:, 1] - a[:, 1])) / det
             l2 = ((b[:, 0] - a[:, 0]) * (p[:, 1] - a[:, 1]) - (p[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])) / det

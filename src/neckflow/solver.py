@@ -100,6 +100,7 @@ class Solution:
     linear_fallbacks: int = 0   # Newton steps solved with Levenberg damping
     factorizations: int = 0     # sparse LUs, Levenberg retries included
     cg_iters: int = 0           # preconditioned CG iterations
+    floor_accepts: int = 0      # stalled line searches accepted at the floor
 
     @property
     def ugap(self):
@@ -111,86 +112,95 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 class ElementOps:
-    """Per-triangle geometry factors reused across assemblies."""
+    """Per-triangle geometry factors reused across assemblies, stored
+    component-major (one contiguous row of length nt per component) so that
+    each kernel product is a whole-row vector op: `tri` is the (3, nt) vertex
+    table, `Bx`/`By` the (3, nt) barycentric derivatives, `BtB` the (9, nt)
+    entries of B^T B.  Element gradients are (2, nt), gradient contributions
+    (3, nt) and Hessian blocks (9, nt), row 3 k + l for vertices (k, l)."""
 
     def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
-        c = mesh.tri_coords()
-        self.area = mesh.signed_areas()
-        # gradients of the three barycentric functions: rows are (d/dx, d/dy);
-        # vertex k's are (y[k+1] - y[k+2], x[k+2] - x[k+1]) / (2 area)
-        d = np.roll(c, -1, axis=1) - np.roll(c, -2, axis=1)
-        b = np.stack([d[..., 1], -d[..., 0]], 1)
-        self.B = b / (2.0 * self.area)[:, None, None]
-        self.BtB = np.einsum("tik,til->tkl", self.B, self.B).reshape(-1, 9)
+        self.mesh, self.area = mesh, mesh.signed_areas()
+        self.tri = np.ascontiguousarray(mesh.triangles.T)
+        # vertex k's is (y[k+1] - y[k+2], x[k+2] - x[k+1]) / (2 area)
+        x, y = mesh.vertices.T[:, self.tri]
+        self.Bx = (np.roll(y, -1, 0) - np.roll(y, -2, 0)) / (2.0 * self.area)
+        self.By = (np.roll(x, -2, 0) - np.roll(x, -1, 0)) / (2.0 * self.area)
+        self.BtB = (self.Bx[:, None] * self.Bx
+                    + self.By[:, None] * self.By).reshape(9, -1)
 
     def gradients(self, u):
-        return np.einsum("tij,tj->ti", self.B, u[self.mesh.triangles])
+        # summed in np.einsum's order, (k=0 + k=2) + k=1, so that energies
+        # and gradients equal those of the einsum reference bit for bit
+        U = u[self.tri]
+        return np.stack([B[0] * U[0] + B[2] * U[2] + B[1] * U[1]
+                         for B in (self.Bx, self.By)])
 
     def state(self, u, eta):
         """Element gradients g and w = eta^2 + |g|^2."""
         g = self.gradients(u)
-        return g, eta * eta + np.einsum("ti,ti->t", g, g)
+        return g, eta * eta + (g[0] * g[0] + g[1] * g[1])
 
     def energy(self, u, p, eta):
         return float(np.dot(self.area, self.state(u, eta)[1] ** (p / 2.0)))
 
     def element_grad(self, u, p, eta):
-        """Energy, the (nt, 3) per-triangle gradient contributions, g and w."""
+        """Energy, the (3, nt) per-triangle gradient contributions, and the
+        state (p, g, w, fac = p area w^(p/2-1), Bg = B^T g) that `hessian`
+        reuses."""
         g, w = self.state(u, eta)
         energy = float(np.dot(self.area, w ** (p / 2.0)))
         wm = np.where(w > 0, w, 1.0)
         fac = self.area * p * np.where(w > 0, wm ** (p / 2.0 - 1.0), 0.0)
-        ge = fac[:, None] * np.einsum("tij,ti->tj", self.B, g)
-        return energy, ge, g, w
+        Bg = self.Bx * g[0] + self.By * g[1]
+        return energy, fac * Bg, (p, g, w, fac, Bg)
 
     def energy_grad(self, u, p, eta):
-        """Energy and exact gradient in the full nodal space, g and w."""
-        energy, ge, g, w = self.element_grad(u, p, eta)
-        grad = np.bincount(self.mesh.triangles.ravel(), ge.ravel(),
+        """Energy, full-space exact gradient and `element_grad`'s state."""
+        energy, ge, kern = self.element_grad(u, p, eta)
+        grad = np.bincount(self.tri.ravel(), ge.ravel(),
                            minlength=self.mesh.n_vertices)
-        return energy, grad, g, w
+        return energy, grad, kern
 
-    def hessian(self, g, w, p):
-        """Exact element Hessian blocks (nt, 3, 3) w.r.t. the nodal values.
-
-        Where the regularized gradient vanishes the Hessian limit is p*I for
-        p = 2 and 0 for p > 2; for p < 2 the point is genuinely degenerate
-        (eta keeps w positive there during continuation)."""
-        wm = np.where(w > 0, w, 1.0)
-        e1 = p / 2.0 - 1.0
-        a1 = (np.full_like(w, p) if e1 == 0.0
-              else p * np.where(w > 0, wm ** e1, 0.0))
-        a2 = p * (p - 2.0) * np.where(w > 0, wm ** (p / 2.0 - 2.0), 0.0)
-        # M = a1 I + a2 g g^T, element Hessian = area * B^T M B
-        Bg = np.einsum("tij,ti->tj", self.B, g)
-        blocks = np.einsum("tk,tl->tkl", Bg, Bg).reshape(-1, 9)
-        blocks *= (self.area * a2)[:, None]
-        blocks += (self.area * a1)[:, None] * self.BtB
-        return blocks.reshape(-1, 3, 3)
+    def hessian(self, kern):
+        """Exact element Hessian blocks (9, nt) w.r.t. the nodal values from
+        `element_grad`'s state: area B^T (a1 I + a2 g g^T) B, area a1 = fac,
+        a2 = (p - 2) a1 / w.  Where the regularized gradient vanishes the
+        limit is p*I for p = 2 and 0 for p > 2; for p < 2 the point is
+        genuinely degenerate (eta keeps w positive there in continuation)."""
+        p, _, w, fac, Bg = kern
+        if p == 2.0:
+            return (p * self.area) * self.BtB
+        fac2 = np.divide((p - 2.0) * fac, w, out=np.zeros_like(w), where=w > 0)
+        blocks = np.empty_like(self.BtB)
+        for k, l in zip(*np.triu_indices(3)):
+            blocks[3 * k + l] = blocks[3 * l + k] = (
+                Bg[k] * Bg[l] * fac2 + fac * self.BtB[3 * k + l])
+        return blocks
 
 
 def _pattern(key, n):
     """CSC structure (indptr, indices) of the entries of an (n, n) matrix with
-    column-major keys col * n + row, and the data slot (int32) of each entry;
+    column-major keys col * n + row, and the data slot (intp) of each entry;
     entries keyed n * n get slot nnz, past the end, and are dropped."""
     keys, slot = np.unique(key, return_inverse=True)
     keys = keys[keys < n * n]
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return indptr, (keys % n).astype(np.int32), slot.astype(np.int32)
+    return indptr, (keys % n).astype(np.int32), slot
 
 
 def _block_pattern(te, n):
-    """`_pattern` of the 9 * nt element-block entries; te is the (nt, 3) table
-    of triangle DOFs, n for a vertex without one."""
-    row, col, ok = te[:, :, None], te[:, None, :].astype(np.int64), te < n
-    return _pattern(np.where(ok[:, :, None] & ok[:, None, :], col * n + row,
+    """`_pattern` of the 9 * nt element-block entries in the (9, nt) layout
+    of `ElementOps.hessian`; te is the (3, nt) table of triangle DOFs, n for
+    a vertex without one."""
+    row, col, ok = te[:, None], te[None, :].astype(np.int64), te < n
+    return _pattern(np.where(ok[:, None] & ok[None, :], col * n + row,
                              n * n).ravel(), n)
 
 
 def _scatter(pattern, blocks):
-    """The CSC matrix of (nt, 3, 3) element blocks: a single bincount."""
+    """The CSC matrix of (9, nt) element blocks: a single bincount."""
     indptr, indices, slot = pattern
     n, nnz = len(indptr) - 1, len(indices)
     data = np.bincount(slot, blocks.ravel(), minlength=nnz + 1)[:nnz]
@@ -205,9 +215,8 @@ def assemble_energy(mesh, v, p, eta, ops=None):
     if not np.all(np.isfinite(v)):
         raise SolverError("non-finite nodal values passed to assembly")
     ops = ops if ops is not None else ElementOps(mesh)
-    energy, grad, g, w = ops.energy_grad(v, p, eta)
-    H = _scatter(_block_pattern(mesh.triangles, mesh.n_vertices),
-                 ops.hessian(g, w, p))
+    energy, grad, kern = ops.energy_grad(v, p, eta)
+    H = _scatter(_block_pattern(ops.tri, mesh.n_vertices), ops.hessian(kern))
     if not (np.isfinite(energy) and np.all(np.isfinite(grad))):
         raise SolverError("non-finite assembly output")
     return energy, grad, H
@@ -253,23 +262,24 @@ class Condenser:
                 self.iU[t] = ndof
                 ndof += 1
         self.n_dofs = ndof
-        self._te = np.where(self.dof < 0, ndof, self.dof)[mesh.triangles]
+        self._te = np.ascontiguousarray(
+            np.where(self.dof < 0, ndof, self.dof)[mesh.triangles].T, np.intp)
         self._pattern = _block_pattern(self._te, ndof)
         self._perm = self._inv = None   # factor position of each DOF, inverse
         self.inclusion_values = dict(inclusion_values)
-        self.ops = ElementOps(mesh)
+        self.ops = ElementOps(mesh)   # after the pattern's sort: a lower peak
 
     def nodal(self, q):
         # dof -1 picks the appended zero: u = lift there
         return self.lift + np.append(q, 0.0)[self.dof]
 
     def reduce_grad(self, ge):
-        """Reduced gradient from the (nt, 3) element contributions."""
+        """Reduced gradient from the (3, nt) element contributions."""
         n = self.n_dofs
         return np.bincount(self._te.ravel(), ge.ravel(), minlength=n + 1)[:n]
 
     def reduce_hess(self, blocks):
-        """Reduced Hessian (CSC) from the (nt, 3, 3) element blocks, in the
+        """Reduced Hessian (CSC) from the (9, nt) element blocks, in the
         reduced layout until the first `linear_solve`, in factor order after."""
         return _scatter(self._pattern, blocks)
 
@@ -333,6 +343,7 @@ class _Stats:
     linear_fallbacks: int = 0
     factorizations: int = 0
     cg_iters: int = 0
+    floor_accepts: int = 0
     precond: object = None   # the last factorization's solve, in factor order
 
 
@@ -412,7 +423,7 @@ def _linear_solve(H, rhs, stats, permc_spec=FILL_REDUCING_ORDER,
 
 
 def _scaled_residual(cond, q, p, eta):
-    energy, ge, _, _ = cond.ops.element_grad(cond.nodal(q), p, eta)
+    energy, ge, _ = cond.ops.element_grad(cond.nodal(q), p, eta)
     return float(np.abs(cond.reduce_grad(ge)).max()) / max(1.0, abs(energy))
 
 
@@ -426,15 +437,19 @@ def _newton(cond, q, p, eta, cfg, stats):
     polish_left = cfg.polish_iters
     # every pass that does not return takes one step, so `it` counts steps
     for it in range(cfg.max_newton_iters + cfg.polish_iters):
-        energy, ge, g, w = ops.element_grad(cond.nodal(q), p, eta)
+        energy, ge, kern = ops.element_grad(cond.nodal(q), p, eta)
         grad = cond.reduce_grad(ge)
+        del ge
         scale = max(1.0, abs(energy))
         res = float(np.abs(grad).max()) / scale
         stats.history.append((eta, energy, res))
         done = res <= cfg.newton_tol and it > 0
         if done and (polish_left <= 0 or res <= 1e-3 * cfg.newton_tol):
             return q, res
-        H = cond.reduce_hess(ops.hessian(g, w, p))
+        blocks = ops.hessian(kern)
+        del kern   # no step intermediate outlives its use: a lower peak
+        H = cond.reduce_hess(blocks)
+        del blocks
         # a Newton step needs the linear solve only to the forcing term
         # (Eisenstat & Walker); a polish step is solved directly
         d = cond.linear_solve(H, -grad, stats,
@@ -461,6 +476,7 @@ def _newton(cond, q, p, eta, cfg, stats):
             t *= BACKTRACK
         if not accepted:
             if res <= 100 * cfg.newton_tol:
+                stats.floor_accepts += 1
                 return q, res   # at the rounding floor; accept
             raise SolverError("line search stagnated", residual=res, eta=eta)
         q = q + t * d
@@ -519,7 +535,7 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
 
     eta_final = cfg.eta_schedule[-1]
     u = cond.nodal(q)
-    energy, grad_full, g, _ = cond.ops.energy_grad(u, cfg.p, eta_final)
+    energy, grad_full, kern = cond.ops.energy_grad(u, cfg.p, eta_final)
     scale = max(1.0, abs(energy))
     pots = cond.potentials(q)
 
@@ -530,13 +546,13 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
         return -float(grad_full[verts].sum()) / cfg.p / scale
 
     return Solution(
-        nodal_values=u, U1=pots[INC1], U2=pots[INC2], element_gradients=g,
-        energy=energy, kkt_residual=res, flux1=inclusion_flux(INC1),
-        flux2=inclusion_flux(INC2), p=cfg.p, eta_final=eta_final,
-        grad_full=grad_full, energy_history=stats.history,
+        nodal_values=u, U1=pots[INC1], U2=pots[INC2], energy=energy,
+        element_gradients=kern[1].T.copy(), kkt_residual=res,
+        flux1=inclusion_flux(INC1), flux2=inclusion_flux(INC2), p=cfg.p,
+        eta_final=eta_final, grad_full=grad_full, energy_history=stats.history,
         eta_sensitivity=sensitivity, newton_iters=stats.newton_iters,
-        linear_fallbacks=stats.linear_fallbacks,
-        factorizations=stats.factorizations, cg_iters=stats.cg_iters)
+        linear_fallbacks=stats.linear_fallbacks, cg_iters=stats.cg_iters,
+        factorizations=stats.factorizations, floor_accepts=stats.floor_accepts)
 
 
 def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
@@ -569,5 +585,6 @@ def reduced_hessian(mesh, geom, cfg, solution):
     """Reduced-space Hessian (CSC, reduced layout) at a solved state (the
     last eta of cfg.eta_schedule), for spectral probes."""
     cond = Condenser(mesh, geom, cfg.inclusion_values)
-    g, w = cond.ops.state(solution.nodal_values, cfg.eta_schedule[-1])
-    return cond.reduce_hess(cond.ops.hessian(g, w, cfg.p))
+    _, _, kern = cond.ops.element_grad(solution.nodal_values, cfg.p,
+                                       cfg.eta_schedule[-1])
+    return cond.reduce_hess(cond.ops.hessian(kern))

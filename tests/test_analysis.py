@@ -88,7 +88,7 @@ class TestFluxes:
             ops = ElementOps(mesh)
             g = sol.element_gradients
             w = sol.eta_final**2 + np.einsum("ti,ti->t", g, g)
-            gchi = ops.gradients(chi)
+            gchi = ops.gradients(chi).T
             return -float(np.dot(ops.area, w ** (sol.p / 2 - 1)
                                  * np.einsum("ti,ti->t", g, gchi)))
 

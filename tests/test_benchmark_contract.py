@@ -4,16 +4,20 @@
 of their arguments by parameter name.  A renamed target would only print
 `absent` in a traced run, and a renamed parameter would break every timed
 run, so both are checked here.  spans.py is read from its path and executed
-in memory; nothing under `perfbench/` is written.
+in memory; nothing under `perfbench/` is written.  The traced
+`solver.hessian_calls` and `solver.reduce_hess_s` also assume that every
+Newton step calls `ElementOps.hessian` and `Condenser.reduce_hess` once.
 """
 
 import inspect
 import pathlib
 import types
+from collections import Counter
 
 import pytest
 
-from neckflow import harness
+from neckflow import SolveConfig, harness, solve
+from neckflow.solver import Condenser, ElementOps
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -45,3 +49,18 @@ def test_argument_readers_are_the_checked_functions(spans):
     assert set(spans._READS_ARGS) == {"neckflow.harness.solve",
                                       "neckflow.harness.case_mesh",
                                       "neckflow.harness.run_case"}
+
+
+def test_each_newton_step_assembles_once(disc_geom, disc_mesh_1e2,
+                                         monkeypatch):
+    # each Newton step, polish steps and the p = 2 warm start included
+    calls = Counter()
+    for owner, name in ((ElementOps, "hessian"), (Condenser, "reduce_hess")):
+        def counting(*args, _orig=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(owner, name, counting)
+    for p in (1.3, 2.0, 3.0):
+        calls.clear()
+        sol = solve(disc_mesh_1e2, disc_geom.with_eps(1e-2), SolveConfig(p=p))
+        assert calls["hessian"] == calls["reduce_hess"] == sol.newton_iters > 0

@@ -56,6 +56,34 @@ class TestInvariants:
             assert np.all(tri >= 0)
             assert len(np.unique(tri)) >= 6, xp
 
+    def test_locate_matches_brute_force(self, disc_mesh):
+        # points over the bounding box (outside the domain and inside the
+        # inclusions too) and in the neck, where the triangles are smallest
+        g, m = disc_mesh
+        rng = np.random.default_rng(0)
+        half = 0.5 * gap_width(g, 0.0)
+        pts = np.vstack([
+            rng.uniform(m.vertices.min(0), m.vertices.max(0), (150, 2)),
+            np.column_stack([rng.uniform(-0.3, 0.3, 50),
+                             rng.uniform(-half, half, 50)])])
+        tri, bary = m.locate(pts)
+        a, b, d = m.tri_coords().transpose(1, 0, 2)
+        tol = 1e-9
+        for i, p in enumerate(pts):
+            # every triangle's barycentric coordinates, by locate's formula
+            det = (b[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1]) - (d[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+            l1 = ((p[0] - a[:, 0]) * (d[:, 1] - a[:, 1]) - (d[:, 0] - a[:, 0]) * (p[1] - a[:, 1])) / det
+            l2 = ((b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (p[0] - a[:, 0]) * (b[:, 1] - a[:, 1])) / det
+            l0 = 1.0 - l1 - l2
+            inside = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+            if len(inside) == 0:
+                assert tri[i] == -1 and np.all(bary[i] == 0.0)
+                continue
+            t = tri[i]
+            assert t in inside
+            assert np.array_equal(bary[i], [l0[t], l1[t], l2[t]])
+        assert 0 < np.count_nonzero(tri < 0) < len(pts)
+
     def test_neck_size_bound(self, disc_mesh):
         # strip cells near the center line stay below gap/layers
         g, m = disc_mesh

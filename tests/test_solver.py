@@ -10,8 +10,8 @@ from neckflow import (INC1, INC2, OUTER, ConstantPotential, SolveConfig,
                       build_symmetric_disc_example, generate, solve,
                       uniqueness_probe)
 from neckflow.solver import (PCG_MAXIT, Condenser, ElementOps, _continuation,
-                             _linear_solve, _newton, _pcg, _Stats,
-                             reduced_hessian)
+                             _linear_solve, _newton, _pcg, _scaled_residual,
+                             _Stats, reduced_hessian)
 
 SYMMETRIC_MMD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
@@ -268,15 +268,94 @@ def constraint_matrix(mesh, inclusion_values=None):
 
 
 def block_matrix(mesh, blocks):
-    """Reference full-space assembly of element blocks through COO."""
-    t = mesh.triangles
-    rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+    """Reference full-space assembly of (9, nt) element blocks through COO."""
+    t = mesh.triangles.T
+    rows, cols = np.repeat(t, 3, axis=0).ravel(), np.tile(t, (3, 1)).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)),
                          shape=(mesh.n_vertices,) * 2).tocsr()
 
 
 def max_rel(a, b):
     return abs(a - b).max() / abs(b).max()
+
+
+class EinsumOps:
+    """The element kernels in the (nt, 2, 3) layout with np.einsum: the
+    reference for ElementOps' component-major ones."""
+
+    def __init__(self, mesh):
+        c = mesh.tri_coords()
+        self.triangles, self.area = mesh.triangles, mesh.signed_areas()
+        d = np.roll(c, -1, axis=1) - np.roll(c, -2, axis=1)
+        b = np.stack([d[..., 1], -d[..., 0]], 1)
+        self.B = b / (2.0 * self.area)[:, None, None]
+        self.BtB = np.einsum("tik,til->tkl", self.B, self.B).reshape(-1, 9)
+
+    def kernels(self, u, p, eta):
+        """Energy, (nt, 3) gradient contributions, (nt, 3, 3) Hessian blocks."""
+        g = np.einsum("tij,tj->ti", self.B, u[self.triangles])
+        w = eta * eta + np.einsum("ti,ti->t", g, g)
+        energy = float(np.dot(self.area, w ** (p / 2.0)))
+        wm = np.where(w > 0, w, 1.0)
+        fac = self.area * p * np.where(w > 0, wm ** (p / 2.0 - 1.0), 0.0)
+        Bg = np.einsum("tij,ti->tj", self.B, g)
+        a1 = (np.full_like(w, p) if p == 2.0
+              else p * np.where(w > 0, wm ** (p / 2.0 - 1.0), 0.0))
+        a2 = p * (p - 2.0) * np.where(w > 0, wm ** (p / 2.0 - 2.0), 0.0)
+        blocks = np.einsum("tk,tl->tkl", Bg, Bg).reshape(-1, 9)
+        blocks *= (self.area * a2)[:, None]
+        blocks += (self.area * a1)[:, None] * self.BtB
+        return energy, fac[:, None] * Bg, blocks.reshape(-1, 3, 3)
+
+
+class TestComponentMajorKernels:
+    @pytest.mark.parametrize("pinned", [{}, {INC2: 0.5}])
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    @pytest.mark.parametrize("eta", [0.0, 1e-2])
+    def test_match_einsum_reference(self, disc_geom, disc_mesh_1e2, pinned,
+                                    p, eta):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        cond, C = Condenser(m, g, pinned), constraint_matrix(m, pinned)
+        u = cond.nodal(np.random.default_rng(6).normal(size=cond.n_dofs))
+        energy, ge, kern = cond.ops.element_grad(u, p, eta)
+        blocks = cond.ops.hessian(kern)
+        e_ref, ge_ref, b_ref = EinsumOps(m).kernels(u, p, eta)
+        b_ref = b_ref.reshape(-1, 9).T
+        assert abs(energy - e_ref) <= 1e-13 * abs(e_ref)
+        assert max_rel(ge, ge_ref.T) <= 1e-13
+        assert max_rel(blocks, b_ref) <= 1e-13
+        # the reductions to the floating or pinned layout
+        grad_ref = C.T @ np.bincount(m.triangles.ravel(), ge_ref.ravel(),
+                                     minlength=m.n_vertices)
+        assert max_rel(cond.reduce_grad(ge), grad_ref) <= 1e-13
+        assert max_rel(cond.reduce_hess(blocks),
+                       C.T @ block_matrix(m, b_ref) @ C) <= 1e-13
+
+    def test_p2_blocks_do_not_depend_on_u(self, disc_mesh_1e2):
+        # a zero field included: where the gradient vanishes the p = 2
+        # blocks are still 2 area B^T B
+        m = disc_mesh_1e2
+        ops = ElementOps(m)
+        u1, u2 = np.random.default_rng(7).normal(size=(2, m.n_vertices))
+        b1 = ops.hessian(ops.element_grad(u1, 2.0, 0.0)[2])
+        assert np.array_equal(b1, (2.0 * ops.area) * ops.BtB)
+        for u, eta in ((u2, 1e-2), (np.zeros(m.n_vertices), 0.0)):
+            assert np.array_equal(
+                ops.hessian(ops.element_grad(u, 2.0, eta)[2]), b1)
+        ref = EinsumOps(m).kernels(u1, 2.0, 0.0)[2]
+        assert np.array_equal(b1, ref.reshape(-1, 9).T)
+
+    def test_flat_triangles_have_zero_blocks_at_p3(self, disc_geom,
+                                                   disc_mesh_1e2):
+        # zero interior and inclusion values: only triangles that touch the
+        # outer boundary have a nonzero gradient
+        cond = Condenser(disc_mesh_1e2, disc_geom.with_eps(1e-2))
+        ops, u = cond.ops, cond.nodal(cond.initial_q())
+        blocks = ops.hessian(ops.element_grad(u, 3.0, 0.0)[2])
+        flat = np.all(u[ops.tri] == 0.0, axis=0)
+        assert flat.any() and not flat.all()
+        assert np.all(blocks[:, flat] == 0.0)
+        assert np.all(np.abs(blocks[:, ~flat]).max(axis=0) > 0.0)
 
 
 class TestFixedPattern:
@@ -292,8 +371,8 @@ class TestFixedPattern:
         assert np.array_equal(u, cond.lift + C @ q)
         for p, eta in ((1.3, 1e-2), (2.0, 0.0), (3.0, 0.0)):
             _, grad, H = assemble_energy(m, u, p, eta, ops)
-            _, ge, gu, w = ops.element_grad(u, p, eta)
-            blocks = ops.hessian(gu, w, p)
+            _, ge, kern = ops.element_grad(u, p, eta)
+            blocks = ops.hessian(kern)
             assert max_rel(H, block_matrix(m, blocks)) <= 1e-12
             assert max_rel(cond.reduce_hess(blocks), C.T @ H @ C) <= 1e-12
             ref = C.T @ grad
@@ -314,8 +393,7 @@ class TestFixedPattern:
         monkeypatch.setattr(spla, "splu", recording_splu)
 
         def blocks(q, p, eta):
-            gu, w = ops.state(cond.nodal(q), eta)
-            return ops.hessian(gu, w, p)
+            return ops.hessian(ops.element_grad(cond.nodal(q), p, eta)[2])
 
         stats = _Stats()
         rhs = rng.normal(size=cond.n_dofs)
@@ -341,15 +419,15 @@ class TestFixedPattern:
                                                       disc_mesh_1e2, rng):
         g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
         ops, cond = ElementOps(m), Condenser(m, g)
-        gu, w = ops.state(cond.nodal(cond.initial_q()), 0.0)
+        u = cond.nodal(cond.initial_q())
         rhs = rng.normal(size=cond.n_dofs)
         stats = _Stats()
-        cond.linear_solve(cond.reduce_hess(ops.hessian(gu, w, 2.0)), rhs,
-                          stats)
+        cond.linear_solve(cond.reduce_hess(
+            ops.hessian(ops.element_grad(u, 2.0, 0.0)[2])), rhs, stats)
         assert stats.linear_fallbacks == 0
         # p = 3 at zero interior data: flat interior triangles have zero
         # blocks, so the Hessian has zero rows and is exactly singular
-        b = ops.hessian(gu, w, 3.0)
+        b = ops.hessian(ops.element_grad(u, 3.0, 0.0)[2])
         d = cond.linear_solve(cond.reduce_hess(b), rhs, stats)
         assert stats.linear_fallbacks == 1
         ref = _linear_solve(Condenser(m, g).reduce_hess(b), rhs, _Stats())
@@ -543,6 +621,22 @@ def test_stagnation_diagnostic(disc_geom, disc_mesh_1e2):
         solve(disc_mesh_1e2, g, cfg)
     assert exc.value.residual is not None
     assert exc.value.eta == 0.0
+
+
+def test_floor_accept_is_counted(disc_geom, disc_mesh_1e2,
+                                 disc_solutions_1e2, monkeypatch):
+    # a line search that never finds a decrease: from a residual within
+    # 100 newton_tol the iterate is accepted at the rounding floor, counted
+    g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+    assert all(s.floor_accepts == 0 for s in disc_solutions_1e2.values())
+    cond = Condenser(m, g)
+    res0 = _scaled_residual(cond, cond.initial_q(), 2.0, 0.0)
+    monkeypatch.setattr(ElementOps, "energy", lambda *args: math.inf)
+    sol = solve(m, g, SolveConfig(p=2.0, newton_tol=res0 / 50), cond)
+    assert (sol.floor_accepts, sol.newton_iters) == (1, 0)
+    assert sol.kkt_residual == res0
+    with pytest.raises(SolverError, match="stagnated"):
+        solve(m, g, SolveConfig(p=2.0, newton_tol=res0 / 200), cond)
 
 
 def test_condenser_layout(disc_geom, disc_mesh_1e2):
