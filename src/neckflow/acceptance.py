@@ -1,11 +1,12 @@
 """Acceptance matrix: quantitative gates that tie the solver, the analysis
 layer, and the closed-form constants together on fixed desk-scale fixtures.
 
-`run_acceptance` executes every criterion, prints one PASS/FAIL line per
-criterion, writes acceptance.json next to the sweep outputs, and returns the
-result list.  The canonical sweep (symmetric disc fixture, p in {1.3, 2, 3},
-eps from 1e-2 down to 1e-4) is run once and shared by every criterion that
-needs solved states.
+`run_acceptance` executes every criterion, writes acceptance.json and
+acceptance.txt (one PASS/FAIL line per criterion) next to the sweep outputs,
+and returns the result list; it prints nothing (`neckflow accept` prints the
+lines).  The canonical sweep (symmetric disc fixture, p in {1.3, 2, 3}, eps
+from 1e-2 down to 1e-4) is run once and shared by every criterion that needs
+solved states.
 """
 
 import json
@@ -274,13 +275,12 @@ def criterion_properties(report, geom, spec):
 # driver
 # ---------------------------------------------------------------------------
 
-def run_acceptance(out_dir, workers=1, seed=0, verbose=True, report=None):
+def run_acceptance(out_dir, workers=1, seed=0):
     """Run the full acceptance matrix; returns the list of CriterionResult."""
     os.makedirs(out_dir, exist_ok=True)
     spec = canonical_spec(out_dir=os.path.join(out_dir, "sweep"),
                           workers=workers, seed=seed)
-    if report is None:
-        report = run_sweep(spec)
+    report = run_sweep(spec)
     geom = spec.resolved_geometry()
 
     results = [
@@ -298,12 +298,8 @@ def run_acceptance(out_dir, workers=1, seed=0, verbose=True, report=None):
         criterion_properties(report, geom, spec),
     ]
     results.sort(key=lambda r: r.index)
-    lines = [r.line() for r in results]
-    if verbose:
-        for ln in lines:
-            print(ln)
     with open(os.path.join(out_dir, "acceptance.json"), "w") as fh:
         json.dump([asdict(r) for r in results], fh, indent=1)
     with open(os.path.join(out_dir, "acceptance.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(r.line() + "\n" for r in results))
     return results

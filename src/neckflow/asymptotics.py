@@ -12,7 +12,6 @@ state is touched.  The exponent branches split at p = (n+1)/2:
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -317,6 +316,46 @@ def fit_ugap_limit(rows, regime: Regime, hessian_gap):
                    extrapolated=extrapolated, warning=warning)
 
 
+_FIT_GRID = 401          # grid points of the nonlinear parameter
+_FIT_GOLDEN_STEPS = 60   # golden-section steps inside the grid bracket
+
+
+def _separable_fit(x, y, column, lo, hi, log):
+    """Least-squares fit of y = a + c column(x, t) with t in [lo, hi].
+
+    For fixed t the pair (a, c) is a linear regression with a closed-form
+    residual, so only t is searched (variable projection, Golub & Pereyra
+    1973): a grid of _FIT_GRID values (log-spaced when `log`), golden
+    section inside the bracket around the grid minimum, and one lstsq for
+    (a, c).  column(x, t) must broadcast an (m, 1) array t against x.
+    Returns (a, c, t)."""
+    warp, unwarp = (np.log, np.exp) if log else (np.asarray, np.asarray)
+    yc = y - y.mean()
+
+    def rss(s):
+        # rows scaled to unit max: the same residual, and no underflow
+        z = column(x, unwarp(np.reshape(s, (-1, 1))))
+        z = z / np.maximum(np.abs(z).max(axis=1, keepdims=True), 1e-300)
+        z -= z.mean(axis=1, keepdims=True)
+        szz = (z * z).sum(axis=1)
+        c = np.divide(z @ yc, szz, out=np.zeros_like(szz), where=szz > 0)
+        return ((yc - c[:, None] * z) ** 2).sum(axis=1)
+
+    grid = np.linspace(warp(lo), warp(hi), _FIT_GRID)
+    k = int(np.argmin(rss(grid)))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, _FIT_GRID - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(_FIT_GOLDEN_STEPS):
+        u, v = b - g * (b - a), a + g * (b - a)
+        fu, fv = rss([u, v])
+        a, b = (a, v) if fu < fv else (u, b)
+    t = float(unwarp((a + b) / 2))
+    z = column(x, t)
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(z), z]), y,
+                               rcond=None)
+    return float(coef[0]), float(coef[1]), t
+
+
 @dataclass(frozen=True)
 class FluxExtrapolation:
     value: float
@@ -326,43 +365,25 @@ class FluxExtrapolation:
 
 
 def extrapolate_flux(rows):
-    """Fit F(r) = F_inf + A exp(-B/r) over window radii and return F_inf.
+    """Fit F(r) = F_inf + A exp(-B/r), B in [1e-6, 1e3], over window radii
+    and return F_inf.
 
-    rows: sequence of (r, windowed flux); radii need not be ordered.  On fit
-    failure the smallest-radius value is returned with the fallback flag."""
+    rows: sequence of (r, windowed flux); radii need not be ordered.  With
+    fewer than three rows, or when the best fit misses a row by more than
+    0.2 of the largest |flux|, the smallest-radius value is returned with
+    the fallback flag."""
     rows = sorted(rows, key=lambda t: -t[0])
     r = np.array([t[0] for t in rows], dtype=float)
     f = np.array([t[1] for t in rows], dtype=float)
     if len(r) < 3 or np.any(r <= 0):
         return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
-    from scipy.optimize import curve_fit
-
-    def model(rr, f_inf, a, b):
-        return f_inf + a * np.exp(-b / rr)
-
-    spread = float(f[0] - f[-1])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            popt, _ = curve_fit(model, r, f,
-                                p0=(f[-1], spread * math.exp(1.0 / r[0]), 1.0),
-                                bounds=([-np.inf, -np.inf, 1e-6],
-                                        [np.inf, np.inf, 1e3]),
-                                maxfev=20000)
-        resid = f - model(r, *popt)
-        scale = max(float(np.abs(f).max()), 1e-300)
-        if not np.all(np.isfinite(popt)) or np.abs(resid).max() > 0.2 * scale:
-            return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
-        return FluxExtrapolation(float(popt[0]), float(popt[1]), float(popt[2]))
-    except (RuntimeError, ValueError):
+    f_inf, a, b = _separable_fit(r, f, lambda rr, bb: np.exp(-bb / rr),
+                                 1e-6, 1e3, log=True)
+    resid = f - f_inf - a * np.exp(-b / r)
+    scale = max(float(np.abs(f).max()), 1e-300)
+    if not np.abs(resid).max() <= 0.2 * scale:    # a NaN falls back too
         return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
-
-
-class WindowRows(list):
-    """(r, flux) rows from `extrapolated_window_rows`; `fallbacks` counts the
-    radii whose power-law fit failed and took the smallest-eps value."""
-
-    fallbacks = 0
+    return FluxExtrapolation(f_inf, a, b)
 
 
 def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
@@ -373,43 +394,25 @@ def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
     A separation value qualifies for radius r only when eps <= r^2 /
     qualify_ratio (the window flux is meaningful only for eps well below the
     window scale).  On the flux-carrying branches each radius with at least
-    min_pts qualifying separations is extrapolated to eps -> 0 by a power-law
-    fit; radii with fewer points are dropped, and a radius whose fit fails
-    takes its smallest-eps value and is counted in `WindowRows.fallbacks`.
+    min_pts qualifying separations is extrapolated to eps -> 0 by the fit
+    s0 + c eps^q, q in [0.1, 1.5]; radii with fewer points are dropped.
     On the SUB branch the raw values at the smallest qualifying separation
     are used: the limit being demonstrated is zero and the slow gap
     convergence makes power-law extrapolation ill-conditioned there."""
-    from scipy.optimize import curve_fit
-
     eps_sorted = sorted(tables.keys(), reverse=True)
     radii = sorted({r for t in tables.values() for r in t.keys()}, reverse=True)
-    rows = WindowRows()
+    rows = []
     for r in radii:
         qual = [e for e in eps_sorted if e <= r * r / qualify_ratio]
         if not qual:
             continue
         vals = np.array([tables[e][r] for e in qual], dtype=float)
-        if regime.branch == SUB or len(qual) < min_pts:
-            if regime.branch == SUB:
-                rows.append((r, float(vals[-1])))
-            continue
-        e = np.array(qual)
-
-        def model(x, s0, c, q):
-            return s0 + c * np.power(x, q)
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                popt, _ = curve_fit(model, e, vals,
-                                    p0=(vals[-1], (vals[0] - vals[-1]) or 0.1, 0.3),
-                                    bounds=([-np.inf, -np.inf, 0.1],
-                                            [np.inf, np.inf, 1.5]),
-                                    maxfev=20000)
-            rows.append((r, float(popt[0])))
-        except (RuntimeError, ValueError):
+        if regime.branch == SUB:
             rows.append((r, float(vals[-1])))
-            rows.fallbacks += 1
+        elif len(qual) >= min_pts:
+            s0, _, _ = _separable_fit(np.array(qual), vals, np.power, 0.1, 1.5,
+                                      log=False)
+            rows.append((r, s0))
     return rows
 
 

@@ -98,6 +98,8 @@ def cmd_accept(args):
     from .acceptance import run_acceptance
     out = args.out or "acceptance_out"
     results = run_acceptance(out, workers=args.workers, seed=args.seed)
+    for r in results:
+        print(r.line())
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -290,7 +290,6 @@ def fit_case_family(rows, p, gap_hessian):
         out["flux_extrapolation"] = {"value": fx.value,
                                      "amplitude": fx.amplitude,
                                      "rate": fx.rate, "fallback": fx.fallback,
-                                     "window_fallbacks": wrows.fallbacks,
                                      "rows": [[r, v] for r, v in wrows]}
     return out
 
@@ -353,16 +352,12 @@ _MMAP_THRESHOLD = 32 << 20    # glibc's ceiling for its sliding threshold
 
 def _steady_memory():
     """Make a sweep's peak resident memory independent of what the process
-    ran before it.  Two things otherwise raise the peak of every sweep after
-    the first (by 10-20 MB for the canonical sweep): the fits import
-    scipy.optimize (about 9 MB) only after the separations are solved, and
-    glibc's sliding mmap threshold, which moves the solver's arrays of a few
-    MB from mmap to the heap once the first of them is freed.  Import the
-    fitting module before solving, and fix the threshold at the ceiling of
-    the sliding one, so that those arrays come from the heap from the start
-    (as fast as the slid threshold; a low fixed one is 15-25% slower)."""
-    import scipy.optimize  # noqa: F401
-
+    ran before it.  glibc's sliding mmap threshold otherwise moves the
+    solver's arrays of a few MB from mmap to the heap once the first of them
+    is freed, which raises the peak of every sweep after the first.  Fix the
+    threshold at the ceiling of the sliding one, so that those arrays come
+    from the heap from the start (as fast as the slid threshold; a low fixed
+    one is 15-25% slower)."""
     if sys.platform.startswith("linux"):
         try:
             ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)

@@ -10,7 +10,8 @@ from neckflow import (BranchError, FitError, GeometryError, Regime,
                       fit_ugap_limit, gamma_fn, gap_constant,
                       lower_bound_region, neck_integral, neck_integral_limit,
                       predict_expansion)
-from neckflow.asymptotics import CRITICAL, SUB, SUPER, _aitken
+from neckflow.asymptotics import (CRITICAL, SUB, SUPER, _aitken,
+                                  _separable_fit)
 
 
 class TestRegime:
@@ -258,15 +259,45 @@ class TestUGapFit:
 
 class TestFluxExtrapolation:
     def test_exact_exponential_model(self):
-        rows = [(r, 2.0 + math.exp(-5.0 / r)) for r in (0.5, 0.3, 0.2, 0.1)]
-        fx = extrapolate_flux(rows)
-        assert not fx.fallback
-        assert fx.value == pytest.approx(2.0, abs=1e-3)
+        for F, A, B in ((2.0, 1.0, 5.0), (25.6, -12.9, 0.56)):
+            radii = (0.5, 0.3, 0.2, 0.1)
+            fx = extrapolate_flux([(r, F + A * math.exp(-B / r))
+                                   for r in radii])
+            assert not fx.fallback
+            assert (fx.value, fx.amplitude, fx.rate) == \
+                pytest.approx((F, A, B), rel=1e-8)
+
+    @pytest.mark.parametrize("eps, s0, c, q", [
+        ((1e-2, 3e-3, 1e-3, 3e-4, 1e-4), 4.0, 3.0, 0.4),
+        ((1e-2, 3e-3, 1e-3), -1.0, 2.0, 1.5),     # q at its upper bound
+    ])
+    def test_exact_power_model(self, eps, s0, c, q):
+        x = np.array(eps)
+        got = _separable_fit(x, s0 + c * x**q, np.power, 0.1, 1.5, log=False)
+        assert got == pytest.approx((s0, c, q), rel=1e-8)
 
     def test_fallback_on_insufficient_rows(self):
         fx = extrapolate_flux([(0.2, 1.0), (0.1, 0.8)])
         assert fx.fallback
         assert fx.value == 0.8
+
+    def test_fallback_when_no_fit_is_adequate(self):
+        # alternating in r: every F_inf + A exp(-B/r) is monotone in r and
+        # misses some row by more than 0.2 of the largest |flux|
+        rows = [(0.5, 1.0), (0.4, -1.0), (0.3, 1.0), (0.2, -1.0), (0.1, 1.0)]
+        fx = extrapolate_flux(rows)
+        assert fx.fallback
+        assert (fx.value, fx.amplitude, fx.rate) == (1.0, 0.0, 0.0)
+        assert extrapolate_flux([(0.5, 2.1), (0.3, math.nan),
+                                 (0.2, 2.0)]).fallback
+
+    def test_three_rows_fit_exactly(self):
+        rows = [(0.5, 2.1), (0.3, 2.05), (0.2, 2.0)]
+        fx = extrapolate_flux(rows)
+        assert not fx.fallback and 1e-6 < fx.rate < 1e3
+        for r, f in rows:
+            assert fx.value + fx.amplitude * math.exp(-fx.rate / r) == \
+                pytest.approx(f, rel=1e-10)
 
     def test_window_row_extrapolation(self):
         # synthetic table S(r, eps) = (F + A e^(-B/r)) (1 + c eps^0.4)
@@ -286,53 +317,21 @@ class TestFluxExtrapolation:
         rows = extrapolated_window_rows(tables, Regime(1.3, 2))
         assert rows == [(0.4, 1.0 + 1e-4), (0.3, 0.9 + 1e-4)]
 
-    @pytest.mark.parametrize("error", [RuntimeError, TypeError])
-    def test_only_fit_failures_fall_back(self, monkeypatch, error):
-        import scipy.optimize
-
-        def broken_fit(*args, **kwargs):
-            raise error("curve_fit failed")
-
-        monkeypatch.setattr(scipy.optimize, "curve_fit", broken_fit)
-        tables = {e: {0.4: 1.0 + e, 0.3: 0.9 + e} for e in (1e-3, 1e-4)}
-
-        def flux():
-            return extrapolate_flux([(0.5, 2.1), (0.3, 2.05), (0.2, 2.0)])
-
-        def window():
-            return extrapolated_window_rows(tables, Regime(2.0, 2),
-                                            qualify_ratio=1.0, min_pts=2)
-
-        if error is RuntimeError:
-            assert flux().fallback
-            assert window() == [(0.4, 1.0 + 1e-4), (0.3, 0.9 + 1e-4)]
-        else:
-            # a programming error is not a fit failure and propagates
-            for call in (flux, window):
-                with pytest.raises(error):
-                    call()
-
-    def test_window_fit_fallbacks_counted(self, monkeypatch):
+    def test_window_rows_per_radius(self):
         radii = (0.4, 0.3, 0.2)
         eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
         tables = {e: {r: r * (1 + e**0.4) for r in radii} for e in eps_list}
         rows = extrapolated_window_rows(tables, Regime(2.0, 2),
                                         qualify_ratio=1.0)
-        assert len(rows) == 3 and rows.fallbacks == 0
-        import scipy.optimize
-
-        def broken_fit(*args, **kwargs):
-            raise RuntimeError("curve_fit failed")
-
-        monkeypatch.setattr(scipy.optimize, "curve_fit", broken_fit)
-        rows = extrapolated_window_rows(tables, Regime(2.0, 2),
-                                        qualify_ratio=1.0)
-        assert rows == [(r, r * (1 + 1e-4**0.4)) for r in radii]
-        assert rows.fallbacks == 3
-        # raw rows on the SUB branch are not fit failures
+        assert [r for r, _ in rows] == list(radii)
+        assert [s for _, s in rows] == pytest.approx(radii, rel=1e-8)
+        # too few qualifying separations: the radius is dropped
+        assert extrapolated_window_rows(tables, Regime(2.0, 2),
+                                        qualify_ratio=1.0, min_pts=6) == []
+        # raw rows on the SUB branch are not fits and need no min_pts
         rows = extrapolated_window_rows(tables, Regime(1.3, 2),
-                                        qualify_ratio=1.0)
-        assert rows.fallbacks == 0
+                                        qualify_ratio=1.0, min_pts=6)
+        assert rows == [(r, r * (1 + 1e-4**0.4)) for r in radii]
 
 
 class TestLowerBoundRegion:

@@ -262,53 +262,44 @@ def test_workers_parallel_path(tmp_path):
     assert outputs[1] == outputs[2]
 
 
-_FIT_MODULE_PROBE = """
+_NO_OPTIMIZE_PROBE = """
 import sys
 from neckflow import build_symmetric_disc_example, harness
 assert "scipy.optimize" not in sys.modules, "import neckflow loaded it"
-seen = []
-task = harness._separation_task
-def probe(*args):
-    seen.append("scipy.optimize" in sys.modules)
-    return task(*args)
-harness._separation_task = probe
 spec = harness.SweepSpec(geometry=build_symmetric_disc_example(),
-                         p_list=(2.0,), eps_list=(1e-2,), target_h=0.2,
-                         probes=(0.0,), flux_windows=(0.3, 0.2, 0.1))
-assert harness.run_sweep(spec).ok
-print(seen)
+                         p_list=(2.0,), eps_list=(3e-3, 2e-3, 1e-3),
+                         target_h=0.2, probes=(0.0,),
+                         flux_windows=(0.3, 0.2, 0.1))
+report = harness.run_sweep(spec)
+assert report.ok and "flux_extrapolation" in report.fits[2.0]
+print("scipy.optimize" in sys.modules)
 """
 
 
-def test_sweep_loads_fit_module_before_solving():
-    # a fresh interpreter: the sweep must import scipy.optimize before its
-    # first separation, so the import counts in its peak memory every time,
-    # and `import neckflow` must not import it
+def test_sweep_never_loads_scipy_optimize():
+    # a fresh interpreter: neither `import neckflow` nor a sweep whose fits
+    # run (three separations qualify for the 0.3 window) imports it
     src = os.path.dirname(os.path.dirname(harness.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _FIT_MODULE_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[True]"]
+    assert out.stdout.split() == ["False"]
 
 
-def test_window_fit_fallbacks_recorded(monkeypatch):
+def test_flux_extrapolation_recorded():
     radii = (0.4, 0.3, 0.2)
     rows = [{"eps": e, "ugap": 1.0 - e, "maxgrad": e ** -0.5,
              "winflux": {r: r * (1 + e**0.4) for r in radii}}
             for e in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)]
-    fit = harness.fit_case_family(rows, 2.0, [[1.0]])
-    assert fit["flux_extrapolation"]["window_fallbacks"] == 0
-    import scipy.optimize
-
-    def broken_fit(*args, **kwargs):
-        raise RuntimeError("curve_fit failed")
-
-    monkeypatch.setattr(scipy.optimize, "curve_fit", broken_fit)
-    fit = harness.fit_case_family(rows, 2.0, [[1.0]])
-    fx = fit["flux_extrapolation"]
-    assert fx["window_fallbacks"] == 3
-    assert fx["rows"] == [[r, r * (1 + 1e-4**0.4)] for r in radii]
+    fx = harness.fit_case_family(rows, 2.0, [[1.0]])["flux_extrapolation"]
+    assert sorted(fx) == ["amplitude", "fallback", "rate", "rows", "value"]
+    assert not fx["fallback"]
+    assert [r for r, _ in fx["rows"]] == list(radii)
+    for r, s0 in fx["rows"]:
+        assert s0 == pytest.approx(r, rel=1e-8)
+        assert fx["value"] + fx["amplitude"] * math.exp(-fx["rate"] / r) == \
+            pytest.approx(r, rel=1e-8)
 
 
 class TestComparePrediction:
@@ -376,3 +367,13 @@ class TestCLI:
         assert rc == 0
         assert (tmp_path / "out" / "rows.csv").exists()
         assert "blow-up slope" in capsys.readouterr().out
+
+    def test_accept_prints_and_sets_exit_code(self, monkeypatch, capsys):
+        from neckflow import acceptance
+        results = [acceptance.CriterionResult(1, "a", True, "ok"),
+                   acceptance.CriterionResult(2, "b", False, "off")]
+        monkeypatch.setattr(acceptance, "run_acceptance",
+                            lambda out, workers, seed: results)
+        assert cli_main(["accept", "--out", "unused"]) == 1
+        assert capsys.readouterr().out.splitlines() == \
+            ["[PASS]  1. a: ok", "[FAIL]  2. b: off"]
