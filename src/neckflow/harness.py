@@ -9,15 +9,17 @@ Outputs in the chosen directory:
                       (p, eps) case, byte-stable for a fixed config and seed
   probes.csv          one row per gradient probe (analysis CSV schema)
   report.json         everything, including fits and per-case runtimes
-  solution_<p>_<eps>.txt / .json   nodal values + scalar summary per case
+  solution_<p>_<eps>.npy / .json   nodal values (row i is vertex i) +
+                      scalar summary per case
 
 Each separation is meshed once and solved for every exponent.  With
 SweepSpec.workers = K > 1 the separations run in K worker processes, each
 meshing its own eps; no disk cache is forced.
 
 Mesh reuse: set NECKFLOW_CACHE (or SweepSpec.cache_dir) to a directory and
-meshes are stored there in the plain-text mesh format, keyed by the content
-of the geometry (not phi or its name), eps, the grading and the mesher.
+meshes are stored there as `mesh_<key>.npz` (meshing.save_mesh), keyed by
+the content of the geometry (not phi or its name), eps, the grading and the
+mesher.
 """
 
 import ctypes
@@ -149,7 +151,7 @@ def case_mesh(geom, spec, eps):
     cdir = _cache_dir(spec)
     if cdir:
         os.makedirs(cdir, exist_ok=True)
-        path = os.path.join(cdir, f"mesh_{_mesh_key(geom, spec, eps)}.txt")
+        path = os.path.join(cdir, f"mesh_{_mesh_key(geom, spec, eps)}.npz")
         if os.path.exists(path):
             mesh = load_mesh(path, geometry=g)
             try:
@@ -218,11 +220,7 @@ def _case_name(p, eps):
 
 def _persist_solution(sol, row, out_dir):
     base = os.path.join(out_dir, _case_name(row["p"], row["eps"]))
-    with open(base + ".txt", "w") as fh:
-        # line by line: block buffers, allocated on the heap between the
-        # solver's arrays, raised a warm sweep's peak memory by about 5 MB
-        for i, v in enumerate(sol.nodal_values):
-            fh.write(f"{i} {float(v)!r}\n")
+    np.save(base + ".npy", sol.nodal_values)
     summary = {
         "p": row["p"], "eps": row["eps"], "U1": row["U1"], "U2": row["U2"],
         "energy": row["energy"], "flux1": row["flux1"], "flux2": row["flux2"],

@@ -20,7 +20,7 @@ structured polar grid.  Meshes are immutable once built.
 
 import logging
 import math
-import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +29,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshCapacityError, MeshError
-from .geometry import (INC1, INC2, OUTER, TAG_IDS, TAG_NAMES, Circle,
-                       curve_polyline)
+from .geometry import INC1, INC2, OUTER, Circle, curve_polyline
 
 _log = logging.getLogger("neckflow")
 
@@ -80,30 +79,32 @@ class TriMesh:
         self.boundary_edges = boundary_edges
         self.boundary_tags = np.ascontiguousarray(boundary_tags, dtype=np.int64)
         self.geometry = geometry
-        self._fix_orientation()
+        # one coordinate gather serves the orientation fix and the grading,
+        # which does not depend on the order of a triangle's vertices; only
+        # (nt, 3) arrays outlive the gather
+        c = self.tri_coords()
+        self._fix_orientation(_signed_areas(c))
+        dx, dy, length = _triangle_edges(c)
+        del c
+        # arccos is non-increasing: the smallest angle has the largest cosine
+        cos_max = np.clip(_angle_cosines(dx, dy, length).max(), -1.0, 1.0)
+        self.grading_report = GradingReport(
+            h_min=float(length.min()), h_max=float(length.max()),
+            min_angle_deg=float(np.degrees(np.arccos(cos_max))),
+            neck_layers=int(neck_layers))
         self.vertex_tag = np.zeros(len(self.vertices), dtype=np.int64)
         for tag in (OUTER, INC1, INC2):
             sel = self.boundary_edges[self.boundary_tags == tag]
             self.vertex_tag[sel.ravel()] = tag
-        self.grading_report = self._grading(neck_layers)
         self._tree = None
 
-    # -- construction helpers ------------------------------------------------
-
-    def _fix_orientation(self):
-        a = self.signed_areas()
-        flip = a < 0
+    def _fix_orientation(self, area):
+        flip = area < 0
         if np.any(flip):
-            t = self.triangles[flip][:, [0, 2, 1]]
-            self.triangles[flip] = t
-        if np.any(self.signed_areas() <= 0):
+            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
+        # a flipped triangle's area is exactly -area, so only a zero is left
+        if np.any(area == 0):
             raise MeshError("degenerate (zero-area) triangle produced")
-
-    def _grading(self, neck_layers):
-        e = self.all_edge_lengths()
-        return GradingReport(h_min=float(e.min()), h_max=float(e.max()),
-                             min_angle_deg=float(self.min_angle_deg()),
-                             neck_layers=int(neck_layers))
 
     # -- basic quantities ----------------------------------------------------
 
@@ -119,30 +120,17 @@ class TriMesh:
         return self.vertices[self.triangles]
 
     def signed_areas(self):
-        c = self.tri_coords()
-        return 0.5 * ((c[:, 1, 0] - c[:, 0, 0]) * (c[:, 2, 1] - c[:, 0, 1])
-                      - (c[:, 2, 0] - c[:, 0, 0]) * (c[:, 1, 1] - c[:, 0, 1]))
+        return _signed_areas(self.tri_coords())
 
     def all_edge_lengths(self):
-        c = self.tri_coords()
-        out = []
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            out.append(np.linalg.norm(c[:, i] - c[:, j], axis=1))
-        return np.concatenate(out)
+        """Lengths of edges (0, 1), then (1, 2), then (2, 0) of every
+        triangle."""
+        return _triangle_edges(self.tri_coords())[2].T.ravel()
 
     def angles_deg(self):
-        c = self.tri_coords()
-        ang = np.empty((len(c), 3))
-        for k in range(3):
-            u = c[:, (k + 1) % 3] - c[:, k]
-            v = c[:, (k + 2) % 3] - c[:, k]
-            cosang = np.einsum("ij,ij->i", u, v) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-            ang[:, k] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return ang
-
-    def min_angle_deg(self):
-        return float(self.angles_deg().min())
+        """(nt, 3): column k is each triangle's angle at its vertex k."""
+        cos = _angle_cosines(*_triangle_edges(self.tri_coords()))
+        return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
     def centroids(self):
         return self.tri_coords().mean(axis=1)
@@ -201,6 +189,28 @@ class TriMesh:
             tri_idx[idx] = t[ok]
             bary[idx, 0], bary[idx, 1], bary[idx, 2] = l0[ok], l1[ok], l2[ok]
         return tri_idx, bary
+
+
+def _signed_areas(c):
+    """Signed areas of triangles with vertex coordinates c, (nt, 3, 2)."""
+    return 0.5 * ((c[:, 1, 0] - c[:, 0, 0]) * (c[:, 2, 1] - c[:, 0, 1])
+                  - (c[:, 2, 0] - c[:, 0, 0]) * (c[:, 1, 1] - c[:, 0, 1]))
+
+
+def _triangle_edges(c):
+    """x and y components and length, each (nt, 3), of edge k of each
+    triangle, from vertex k to vertex k+1."""
+    dx = c[:, [1, 2, 0], 0] - c[:, :, 0]
+    dy = c[:, [1, 2, 0], 1] - c[:, :, 1]
+    return dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
+def _angle_cosines(dx, dy, length):
+    """Cosine of each triangle's angle at vertex k, between edge k and the
+    reversed edge k-1, from _triangle_edges' output."""
+    def prev(a):
+        return np.roll(a, 1, axis=1)
+    return -(dx * prev(dx) + dy * prev(dy)) / (length * prev(length))
 
 
 # ---------------------------------------------------------------------------
@@ -1104,77 +1114,61 @@ def refine_uniform(mesh):
 
 
 # ---------------------------------------------------------------------------
-# plain-text mesh format
+# binary mesh format
 # ---------------------------------------------------------------------------
 
-_WRITE_ROWS = 256   # rows formatted per write: as fast as one write, little memory
-
-
-def _write_rows(fh, fmt, rows):
-    """Write fmt % row for each row of a 2-D array (fmt ends in a newline),
-    formatting a block of rows at a time."""
-    for k in range(0, len(rows), _WRITE_ROWS):
-        block = rows[k:k + _WRITE_ROWS]
-        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+# the arrays of a mesh file: dtype kind and shape (None: any length)
+_MESH_ARRAYS = {"vertices": ("f", (None, 2)), "triangles": ("i", (None, 3)),
+                "boundary_edges": ("i", (None, 2)),
+                "boundary_tags": ("i", (None,)), "neck_layers": ("i", ())}
 
 
 def save_mesh(mesh, path):
-    """Header `nv nt nbe`, vertex lines `x y`, triangle lines `i j k`,
-    boundary-edge lines `i j tag`, then a `neck_layers k` line.  Floats are
-    written as repr, so they read back exactly."""
-    edges = zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary_edges)}\n")
-        _write_rows(fh, "%r %r\n", mesh.vertices)
-        _write_rows(fh, "%d %d %d\n", mesh.triangles)
-        fh.write("".join([f"{i} {j} {TAG_NAMES[t]}\n" for (i, j), t in edges]))
-        fh.write(f"neck_layers {mesh.grading_report.neck_layers}\n")
+    """One uncompressed .npz: `vertices` float64 (nv, 2), `triangles` int64
+    (nt, 3), `boundary_edges` int64 (nbe, 2), `boundary_tags` int64 (nbe,)
+    and the int64 scalar `neck_layers`.  Written through an open file, so
+    the file gets exactly the given name (np.savez appends .npz to a str)."""
+    with open(path, "wb") as fh:
+        np.savez(fh, vertices=mesh.vertices, triangles=mesh.triangles,
+                 boundary_edges=mesh.boundary_edges,
+                 boundary_tags=mesh.boundary_tags,
+                 neck_layers=np.int64(mesh.grading_report.neck_layers))
 
 
 def load_mesh(path, geometry=None):
     """Read a mesh written by save_mesh.  A file that does not hold one
-    (truncated, unparsable, with an index out of range or a boundary tag
-    other than OUTER, INC1, INC2) raises MeshError naming the path."""
+    (unreadable, truncated, with a missing, extra, object or misshapen
+    array, an index out of range, a boundary tag other than OUTER, INC1,
+    INC2 or a negative neck_layers) raises MeshError naming the path.
+    Nothing is ever unpickled."""
     try:
-        with open(path) as fh:
-            nv, nt, nbe = (int(s) for s in fh.readline().split())
-            if min(nv, nt, nbe) < 0:
-                raise ValueError("negative section size")
-
-            def section(n, cols, dtype):
-                # reads exactly n lines, so the next section starts after
-                # them; no token list of the whole file is ever held.  Lines
-                # missing at the end of the file are reported below, not by
-                # loadtxt's "no data" warning
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    a = np.loadtxt(fh, dtype=dtype, max_rows=n, ndmin=2,
-                                   comments=None)
-                if len(a) != n or a.size != n * cols:
-                    raise ValueError(f"expected {n} lines of {cols} values")
-                return a.reshape(n, cols)
-
-            verts = section(nv, 2, float)
-            tris = section(nt, 3, np.int64)
-            edges = section(nbe, 3, str)
-            # save_mesh ends every file with this line, so a file whose last
-            # line is not it, newline included, was cut short
-            tail = fh.readline()
-            key, _, k = tail.partition(" ")
-            if key != "neck_layers" or not tail.endswith("\n") or fh.read():
-                raise ValueError("the last line is not `neck_layers k`")
-            neck_layers = int(k)
-        bedges = edges[:, :2].astype(np.int64)
-        unknown = set(edges[:, 2]) - set(TAG_IDS)
-        if unknown:
-            raise ValueError("unknown boundary tag " + ", ".join(sorted(unknown)))
-        btags = np.array([TAG_IDS[t] for t in edges[:, 2]], dtype=np.int64)
-        for idx in (tris, bedges):
+        # np.load leaves a path it opened open when it is not a zip file
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if sorted(npz.files) != sorted(_MESH_ARRAYS):
+                raise ValueError(f"holds arrays {sorted(npz.files)}, not "
+                                 f"{sorted(_MESH_ARRAYS)}")
+            a = {name: npz[name] for name in _MESH_ARRAYS}
+        for name, (kind, shape) in _MESH_ARRAYS.items():
+            x = a[name]
+            if x.dtype.kind != kind or len(x.shape) != len(shape) or any(
+                    n not in (None, m) for n, m in zip(shape, x.shape)):
+                raise ValueError(f"{name} is {x.dtype} {x.shape}")
+        if len(a["boundary_tags"]) != len(a["boundary_edges"]):
+            raise ValueError("one boundary tag per boundary edge expected")
+        nv, neck_layers = len(a["vertices"]), int(a["neck_layers"])
+        for name in ("triangles", "boundary_edges"):
+            idx = a[name]
             if idx.size and (idx.min() < 0 or idx.max() >= nv):
-                raise ValueError(f"vertex index outside [0, {nv})")
-        return TriMesh(verts, tris, bedges, btags, geometry=geometry,
+                raise ValueError(f"{name}: vertex index outside [0, {nv})")
+        if not np.isin(a["boundary_tags"], (OUTER, INC1, INC2)).all():
+            raise ValueError("boundary tag other than OUTER, INC1, INC2")
+        if neck_layers < 0:
+            raise ValueError(f"neck_layers {neck_layers} is negative")
+        return TriMesh(a["vertices"], a["triangles"], a["boundary_edges"],
+                       a["boundary_tags"], geometry=geometry,
                        neck_layers=neck_layers)
-    except (ValueError, IndexError, MeshError) as exc:
+    except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError,
+            TypeError, MeshError) as exc:
         raise MeshError(f"unreadable mesh file {path}: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -53,7 +54,11 @@ class TestSingleCaseSweep:
         assert (out / "rows.csv").exists()
         assert (out / "probes.csv").exists()
         assert (out / "report.json").exists()
-        assert (out / "solution_2_0.01.txt").exists()
+        values = np.load(out / "solution_2_0.01.npy", allow_pickle=False)
+        assert values.dtype == np.float64
+        assert values.shape == (report.rows[0]["nv"],)
+        assert values.min() == report.rows[0]["u_min"]
+        assert values.max() == report.rows[0]["u_max"]
         summary = json.loads((out / "solution_2_0.01.json").read_text())
         assert summary["p"] == 2.0
         assert abs(summary["flux1"]) <= 1e-8
@@ -68,8 +73,8 @@ class TestSingleCaseSweep:
                                                 "winflux_r0.1"]
 
 
-def test_solution_writer_matches_per_line_reference(tmp_path):
-    # the exact text of a solution file, rounding-level values included
+def test_solution_file_roundtrip_is_bitwise(tmp_path):
+    # every bit of every nodal value, rounding-level values included
     values = np.concatenate([
         np.random.default_rng(0).normal(size=40) * 10.0 ** np.arange(-20, 20),
         [0.0, -0.0, 5e-324, 1.0 / 3.0, -1e300, math.inf, math.nan]])
@@ -79,21 +84,39 @@ def test_solution_writer_matches_per_line_reference(tmp_path):
     row.update(p=2.0, eps=0.01)
     harness._persist_solution(SimpleNamespace(nodal_values=values), row,
                               str(tmp_path))
-    ref = "".join(f"{i} {float(v)!r}\n" for i, v in enumerate(values))
-    assert (tmp_path / "solution_2_0.01.txt").read_text() == ref
+    back = np.load(tmp_path / "solution_2_0.01.npy", allow_pickle=False)
+    assert back.dtype == np.float64 and back.shape == values.shape
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+def _npz_arrays(path):
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
 
 
 def test_rerun_is_byte_identical_modulo_timestamp(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    run_sweep(tiny_spec(a, eps_list=(1e-2, 6e-3), seed=3))
-    run_sweep(tiny_spec(b, eps_list=(1e-2, 6e-3), seed=3))
-    ra = open(os.path.join(a, "rows.csv")).read().splitlines()
-    rb = open(os.path.join(b, "rows.csv")).read().splitlines()
+    for out in (a, b):
+        run_sweep(tiny_spec(out, eps_list=(1e-2, 6e-3), seed=3,
+                            cache_dir=os.path.join(out, "cache")))
+    ra = (pathlib.Path(a) / "rows.csv").read_text().splitlines()
+    rb = (pathlib.Path(b) / "rows.csv").read_text().splitlines()
     assert ra[0].startswith("#") and rb[0].startswith("#")
     assert ra[1:] == rb[1:]
-    pa = open(os.path.join(a, "probes.csv")).read()
-    pb = open(os.path.join(b, "probes.csv")).read()
-    assert pa == pb
+    # np.save writes no timestamp
+    for name in ("probes.csv", "solution_2_0.01.npy", "solution_2_0.006.npy"):
+        assert ((pathlib.Path(a) / name).read_bytes()
+                == (pathlib.Path(b) / name).read_bytes())
+    # zip members carry dates, so mesh cache files are compared by arrays
+    names = sorted(os.listdir(os.path.join(a, "cache")))
+    assert len(names) == 2 and names == sorted(os.listdir(os.path.join(b, "cache")))
+    for name in names:
+        ma = _npz_arrays(os.path.join(a, "cache", name))
+        mb = _npz_arrays(os.path.join(b, "cache", name))
+        assert sorted(ma) == sorted(mb)
+        for key, arr in ma.items():
+            assert arr.dtype == mb[key].dtype
+            assert np.array_equal(arr, mb[key])
 
 
 def test_mesh_cache_reuse(tmp_path):
@@ -112,10 +135,9 @@ def test_corrupt_cache_file_fails_only_its_separation(tmp_path):
     spec = tiny_spec(str(tmp_path / "out"), eps_list=(1e-2, 6e-3),
                      cache_dir=cache)
     run_sweep(spec)
-    path = os.path.join(cache, f"mesh_{_mesh_key(spec.geometry, spec, 6e-3)}.txt")
-    text = open(path).read()
-    with open(path, "w") as fh:
-        fh.write(text[: len(text) // 2])
+    path = os.path.join(cache, f"mesh_{_mesh_key(spec.geometry, spec, 6e-3)}.npz")
+    data = pathlib.Path(path).read_bytes()
+    pathlib.Path(path).write_bytes(data[: len(data) // 2])
     out = tmp_path / "out2"
     report = run_sweep(tiny_spec(str(out), eps_list=(1e-2, 6e-3),
                                  cache_dir=cache))

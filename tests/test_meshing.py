@@ -1,6 +1,9 @@
 import hashlib
+import io
 import logging
 import math
+import os
+import pickle
 import warnings
 
 import numpy as np
@@ -245,21 +248,93 @@ class TestStripMesh:
             generate_neck_strip(g, 0.05, 6)
 
 
-def _save_mesh_per_line(mesh):
-    """Reference: save_mesh's text written one f-string per line."""
-    lines = [f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary_edges)}\n"]
-    lines += [f"{float(x)!r} {float(y)!r}\n" for x, y in mesh.vertices]
-    lines += [f"{i} {j} {k}\n" for i, j, k in mesh.triangles]
-    lines += [f"{i} {j} {meshing.TAG_NAMES[int(tag)]}\n"
-              for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags)]
-    lines.append(f"neck_layers {mesh.grading_report.neck_layers}\n")
-    return "".join(lines)
+def _mesh_arrays(mesh):
+    """The arrays save_mesh writes, by name."""
+    return {"vertices": mesh.vertices, "triangles": mesh.triangles,
+            "boundary_edges": mesh.boundary_edges,
+            "boundary_tags": mesh.boundary_tags,
+            "neck_layers": np.int64(mesh.grading_report.neck_layers)}
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+
+
+class _Tripwire:
+    """An object whose unpickling is recorded in _UNPICKLED."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+# an uncompressed zip ends with a 22-byte end-of-central-directory record
+# whose last field is the archive comment's length
+_ZIP_TRAILER = 22
+
+
+def _damage(m, data, damage):
+    """The bytes of a damaged mesh file: data is save_mesh's output for m;
+    array-level damage is written by np.savez."""
+    arrays = _mesh_arrays(m)
+    if damage == "header_cut":
+        return data[:20]            # inside the first member's local header
+    if damage == "truncate":
+        return data[:len(data) // 2]
+    if damage == "tail_cut":
+        return data[:-_ZIP_TRAILER]
+    if damage == "trailer_number_cut":
+        return data[:-1]
+    if damage == "flipped_byte":
+        at = data.find(m.vertices.tobytes()) + 8 * m.n_vertices + 3
+        return data[:at] + bytes([data[at] ^ 0x10]) + data[at + 1:]
+    if damage == "empty":
+        return b""
+    if damage == "npy_file":
+        buf = io.BytesIO()
+        np.save(buf, m.vertices)
+        return buf.getvalue()
+    if damage == "text_format":
+        return (b"3 1 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 2\n0 1 OUTER\n"
+                b"1 2 OUTER\n2 0 OUTER\nneck_layers 0\n")
+    if damage == "no_neck_layers":
+        del arrays["neck_layers"]
+    elif damage == "no_triangles":
+        del arrays["triangles"]
+    elif damage == "extra_array":
+        arrays["centroids"] = m.centroids()
+    elif damage == "extra_value":
+        arrays["vertices"] = np.hstack([m.vertices, np.zeros((m.n_vertices, 1))])
+    elif damage == "float_index":
+        arrays["triangles"] = m.triangles + 0.5
+    elif damage == "index_high":
+        arrays["triangles"] = m.triangles.copy()
+        arrays["triangles"][0, 2] = m.n_vertices
+    elif damage == "index_negative":
+        arrays["triangles"] = m.triangles.copy()
+        arrays["triangles"][0, 2] = -1
+    elif damage == "unknown_tag":
+        arrays["boundary_tags"] = np.where(m.boundary_tags == OUTER, 7,
+                                           m.boundary_tags)
+    elif damage == "tag_count":
+        arrays["boundary_tags"] = m.boundary_tags[:-1]
+    elif damage == "negative_neck_layers":
+        arrays["neck_layers"] = np.int64(-1)
+    elif damage == "object_array":
+        arrays["triangles"] = np.array([_Tripwire()] * 3, dtype=object)
+    else:
+        raise AssertionError(damage)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 class TestMeshIO:
     def test_roundtrip_exact(self, disc_mesh, tmp_path):
         g, m = disc_mesh
-        path = tmp_path / "mesh.txt"
+        path = tmp_path / "mesh.npz"
         save_mesh(m, str(path))
         m2 = load_mesh(str(path), geometry=g)
         assert np.array_equal(m2.vertices, m.vertices)
@@ -269,68 +344,85 @@ class TestMeshIO:
         assert m2.grading_report == m.grading_report
         assert m2.grading_report.neck_layers >= 6
 
-    @pytest.mark.parametrize("damage", ["truncate", "index_high",
-                                        "index_negative", "float_index",
-                                        "tail_cut", "section_cut",
-                                        "extra_value", "empty", "no_trailer",
-                                        "trailer_number_cut", "unknown_tag"])
+    def test_file_layout(self, disc_mesh, tmp_path):
+        # the exact name given (np.savez appends .npz to a str path), and
+        # the documented arrays with their dtypes
+        _, m = disc_mesh
+        path = tmp_path / "mesh.tmp123"
+        save_mesh(m, str(path))
+        assert os.listdir(tmp_path) == ["mesh.tmp123"]
+        with np.load(str(path), allow_pickle=False) as npz:
+            got = {name: npz[name] for name in npz.files}
+        want = _mesh_arrays(m)
+        assert sorted(got) == sorted(want)
+        for name, a in want.items():
+            assert got[name].dtype == a.dtype and got[name].shape == a.shape
+            assert np.array_equal(got[name], a)
+
+    @pytest.mark.parametrize("damage", [
+        "header_cut", "truncate", "tail_cut", "trailer_number_cut",
+        "flipped_byte", "empty", "npy_file", "text_format", "no_neck_layers",
+        "no_triangles", "extra_array", "extra_value", "float_index",
+        "index_high", "index_negative", "unknown_tag", "tag_count",
+        "negative_neck_layers", "object_array"])
     def test_damaged_file_raises_mesh_error(self, disc_mesh, tmp_path,
                                             damage):
         _, m = disc_mesh
-        path = tmp_path / "mesh.txt"
+        path = tmp_path / "mesh.npz"
         save_mesh(m, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[-1] == f"neck_layers {m.grading_report.neck_layers}"
-        first_tri, end = 1 + m.n_vertices, "\n"
-        if damage == "truncate":
-            lines = lines[:first_tri + 10]
-        elif damage == "index_high":
-            lines[first_tri] = f"0 1 {m.n_vertices}"
-        elif damage == "index_negative":
-            lines[first_tri] = "0 1 -1"
-        elif damage == "float_index":
-            lines[first_tri] = "0 1 2.5"
-        elif damage == "tail_cut":
-            lines[-1] = "neck_layers"
-        elif damage == "section_cut":
-            lines = lines[:first_tri]
-        elif damage == "extra_value":
-            lines[1:4] = [ln + " 0.5" for ln in lines[1:4]]
-        elif damage == "no_trailer":
-            lines = lines[:-1]
-        elif damage == "trailer_number_cut":
-            # a cut inside a two-digit number leaves a number that parses,
-            # with no final newline
-            lines[-1], end = "neck_layers 1", ""
-        elif damage == "unknown_tag":
-            # a number in place of a tag name once loaded as that tag id
-            first_edge = first_tri + m.n_triangles
-            lines[first_edge:-1] = [ln.replace("OUTER", "7")
-                                    for ln in lines[first_edge:-1]]
-            assert lines != path.read_text().splitlines()
-        else:
-            lines = []
-        path.write_text("\n".join(lines) + end)
+        data = _damage(m, path.read_bytes(), damage)
+        assert data != path.read_bytes()
+        path.write_bytes(data)
+        _UNPICKLED.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(MeshError, match="mesh.txt"):
+            with pytest.raises(MeshError, match="mesh.npz"):
                 load_mesh(str(path))
+        assert not _UNPICKLED
 
-    def test_writer_matches_per_line_reference(self, disc_mesh, tmp_path):
-        strip = generate_neck_strip(build_symmetric_disc_example(eps=1e-2),
-                                    0.1, 6)
-        for m in (disc_mesh[1], strip, generate(build_annulus(), 0.3)):
-            path = tmp_path / "mesh.txt"
-            save_mesh(m, str(path))
-            assert path.read_text() == _save_mesh_per_line(m)
+    def test_tripwire_records_unpickling(self):
+        # the object_array case above would see an unpickling
+        _UNPICKLED.clear()
+        pickle.loads(pickle.dumps(_Tripwire()))
+        assert _UNPICKLED == [True]
 
-    def test_header_format(self, disc_mesh, tmp_path):
-        _, m = disc_mesh
-        path = tmp_path / "mesh.txt"
-        save_mesh(m, str(path))
-        first = path.read_text().splitlines()[0].split()
-        assert [int(x) for x in first] == [m.n_vertices, m.n_triangles,
-                                           len(m.boundary_edges)]
+
+def _angles_deg_reference(m):
+    """Every angle by the law of cosines per vertex, one vertex at a time."""
+    c = m.vertices[m.triangles]
+    ang = np.empty((m.n_triangles, 3))
+    for k in range(3):
+        u = c[:, (k + 1) % 3] - c[:, k]
+        v = c[:, (k + 2) % 3] - c[:, k]
+        cosang = np.einsum("ij,ij->i", u, v) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        ang[:, k] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return ang
+
+
+@pytest.mark.parametrize("kind", ["disc", "strip", "annulus", "asym"])
+def test_grading_report_matches_every_angle_and_edge(kind, disc_mesh):
+    # the constructor takes the smallest angle from the largest cosine; it
+    # must equal the smallest of all angles bit for bit
+    m = {"disc": lambda: disc_mesh[1],
+         "strip": lambda: generate_neck_strip(
+             build_symmetric_disc_example(eps=1e-2), 0.1, 6),
+         "annulus": lambda: generate(build_annulus(), 0.3),
+         "asym": lambda: generate(_asymmetric_geometry(1e-2), 0.2, 6)}[kind]()
+    ang, edges = m.angles_deg(), m.all_edge_lengths()
+    assert np.array_equal(ang, _angles_deg_reference(m))
+    c = m.vertices[m.triangles]
+    assert np.array_equal(edges, np.concatenate(
+        [np.linalg.norm(c[:, i] - c[:, j], axis=1)
+         for i, j in ((0, 1), (1, 2), (2, 0))]))
+    rep = m.grading_report
+    assert rep.min_angle_deg == ang.min()
+    assert (rep.h_min, rep.h_max) == (edges.min(), edges.max())
+    # a copy with every triangle's orientation reversed grades the same
+    flipped = TriMesh(m.vertices, m.triangles[:, ::-1], m.boundary_edges,
+                      m.boundary_tags, neck_layers=rep.neck_layers)
+    assert np.array_equal(flipped.triangles, m.triangles[:, [2, 0, 1]])
+    assert flipped.grading_report == rep
 
 
 def test_determinism_same_seed(disc_mesh):
