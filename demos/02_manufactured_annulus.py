@@ -41,7 +41,7 @@ sol = solve(mesh, geom, SolveConfig(p=3.0, inclusion_values={INC1: 0.0}))
 c = 1.0 / (2 * (math.sqrt(2.0) - 1.0))
 print(f"  exact: {2*math.pi*c*c:.6f}")
 for rr in (1.2, 1.4, 1.6, 1.8):
-    print(f"  r={rr}: {annulus_circle_flux(sol, mesh, rr).value:.6f}")
+    print(f"  r={rr}: {annulus_circle_flux(sol, mesh, rr):.6f}")
 
 print("\nEnergy convergence under uniform refinement (p=2, exact 2 pi/ln 2):")
 e_exact = 2 * math.pi / math.log(2.0)

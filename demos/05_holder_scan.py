@@ -10,7 +10,7 @@ decades.  Run on the solved p=2 fixture at eps = 1e-4.
 import math
 
 from neckflow import (SolveConfig, build_symmetric_disc_example, generate,
-                      holder_scan_from_solution, solve)
+                      holder_scan, solve)
 
 eps = 1e-4
 geom = build_symmetric_disc_example(scale=1.0).with_eps(eps)
@@ -20,7 +20,7 @@ print(f"solved: {mesh.n_vertices} vertices, residual {sol.kkt_residual:.1e}\n")
 
 dbars = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 points = [math.sqrt(d - eps) for d in dbars]
-mx, rows = holder_scan_from_solution(sol, mesh, beta=0.5, points=points)
+mx, rows = holder_scan(mesh, sol.element_gradients, beta=0.5, points=points)
 
 print("model gap  |  probe x'  |  normalized Hölder quotient (beta = 1/2)")
 for (xp, val), d in zip(rows, dbars):

@@ -17,10 +17,10 @@ from .meshing import (TriMesh, check_mesh, generate, generate_neck_strip,
                       load_mesh, refine_uniform, save_mesh)
 from .solver import (SolveConfig, Solution, assemble_energy, solve,
                      uniqueness_probe)
-from .analysis import (FluxEstimate, GradientProbe, annulus_circle_flux,
+from .analysis import (GradientProbe, annulus_circle_flux,
                        boundary_outward_fluxes, cross_section_flux,
                        cutoff_volume_flux, decay_fit, gradient_probe,
-                       holder_quotient_scan, holder_scan_from_solution,
+                       holder_quotient_scan, holder_scan,
                        kkt_condensed_flux, max_gradient, write_probe_csv)
 from .asymptotics import (CRITICAL, SUB, SUPER, AsymptoticPrediction, Regime,
                           blowup_scale, extrapolate_flux,

@@ -2,10 +2,10 @@
 gradient probes, blow-up statistics, exponential-decay fits, and empirical
 Hölder quotients.
 
-Fluxes are evaluated in dual-weighted (residual) form: for a nodal cutoff
-field chi, the current through the layer where chi drops from 1 to 0 equals
-(1/p) sum_i chi_i dE/du_i.  Raw edge quadrature of piecewise-constant
-gradients is noisy exactly where accuracy is needed, so it is never used.
+Fluxes are floats, formed by solver.dual_flux in dual-weighted (residual)
+form: for a nodal cutoff field chi, the current through the layer where chi
+drops from 1 to 0 is -(1/p) sum_i chi_i dE/du_i.  Raw edge quadrature of
+piecewise-constant gradients, noisy just where accuracy matters, is not used.
 """
 
 import math
@@ -15,15 +15,10 @@ import numpy as np
 
 from .errors import FitError, GeometryError
 from .geometry import INC2, NeckPoint, TAG_NAMES, gap_width, model_gap_width
+from .solver import dual_flux
 
 MAX_TIE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FluxEstimate:
-    value: float
-    method: str     # KKT_CONDENSED | CUTOFF_VOLUME | CROSS_SECTION
-    surface: object  # boundary tag name or window radius
+ANNULUS_BAND_CELLS = 4.0   # annulus_circle_flux's layer width in h_max
 
 
 @dataclass(frozen=True)
@@ -40,9 +35,7 @@ class GradientProbe:
 def kkt_condensed_flux(sol, mesh, tag):
     """Current out of the tagged inclusion, read off the condensed-DOF
     stationarity residual (zero at convergence for floating inclusions)."""
-    verts = np.flatnonzero(mesh.vertex_tag == tag)
-    val = -float(sol.grad_full[verts].sum()) / sol.p
-    return FluxEstimate(val, "KKT_CONDENSED", TAG_NAMES[tag])
+    return dual_flux(sol.grad_full, sol.p, mesh.vertex_tag == tag)
 
 
 def cutoff_volume_flux(sol, mesh, tag, band=None):
@@ -59,44 +52,36 @@ def cutoff_volume_flux(sol, mesh, tag, band=None):
     chi = np.clip(1.0 - d / band, 0.0, 1.0)
     chi[mesh.vertex_tag == tag] = 1.0
     chi[(mesh.vertex_tag != tag) & (mesh.vertex_tag != 0)] = 0.0
-    val = -float(chi @ sol.grad_full) / sol.p
-    return FluxEstimate(val, "CUTOFF_VOLUME", TAG_NAMES[tag])
+    return dual_flux(sol.grad_full, sol.p, chi)
 
 
 def boundary_outward_fluxes(sol, mesh):
     """Current out of the domain through each boundary component; the values
     sum to zero up to the assembly residual."""
-    out = {}
-    for tag in np.unique(mesh.boundary_tags):
-        verts = np.flatnonzero(mesh.vertex_tag == tag)
-        out[TAG_NAMES[int(tag)]] = float(sol.grad_full[verts].sum()) / sol.p
-    return out
+    return {TAG_NAMES[int(tag)]: -kkt_condensed_flux(sol, mesh, tag)
+            for tag in np.unique(mesh.boundary_tags)}
 
 
 def cross_section_flux(sol, mesh, r):
     """Current flowing upward through the lower neck boundary restricted to
-    |x'| < r (the window flux whose eps -> 0 limit is the touching-problem
+    |x'| <= r (the window flux whose eps -> 0 limit is the touching-problem
     flux)."""
     geom = mesh.geometry
     if geom is None or geom.gap is None:
         raise GeometryError("cross-section flux needs a two-inclusion geometry")
     if not 0 < r < geom.gap.chart:
         raise GeometryError(f"window radius {r} outside (0, {geom.gap.chart})")
-    verts = np.flatnonzero((mesh.vertex_tag == INC2)
-                           & (np.abs(mesh.vertices[:, 0]) <= r))
-    val = -float(sol.grad_full[verts].sum()) / sol.p
-    return FluxEstimate(val, "CROSS_SECTION", r)
+    window = (mesh.vertex_tag == INC2) & (np.abs(mesh.vertices[:, 0]) <= r)
+    return dual_flux(sol.grad_full, sol.p, window)
 
 
-def annulus_circle_flux(sol, mesh, r, band_cells=4.0):
+def annulus_circle_flux(sol, mesh, r):
     """Current flowing outward through the circle |x| = r in an annulus mesh,
     in cutoff-volume (dual) form."""
-    pts = mesh.vertices
-    rr = np.linalg.norm(pts, axis=1)
-    band = band_cells * mesh.grading_report.h_max
+    rr = np.linalg.norm(mesh.vertices, axis=1)
+    band = ANNULUS_BAND_CELLS * mesh.grading_report.h_max
     chi = np.clip((r - rr) / band + 0.5, 0.0, 1.0)
-    val = -float(chi @ sol.grad_full) / sol.p
-    return FluxEstimate(val, "CUTOFF_VOLUME", r)
+    return dual_flux(sol.grad_full, sol.p, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +96,7 @@ def max_gradient(sol, mesh, window=None):
     those within MAX_TIE_RTOL (relative) of the maximum."""
     g = sol.element_gradients
     mag = np.linalg.norm(g, axis=1)
-    cent = mesh.centroids()
+    cent = mesh.centroids
     if window is not None:
         sel = np.abs(cent[:, 0]) <= window
         if not np.any(sel):
@@ -140,7 +125,6 @@ def gradient_probe(sol, mesh, xprime):
 
 def probe_value_and_gradient(sol, mesh, pts):
     """Nodal-interpolated values and element gradients at arbitrary points."""
-    pts = np.atleast_2d(pts)
     tri, bary = mesh.locate(pts)
     if np.any(tri < 0):
         raise GeometryError("point outside mesh in probe")
@@ -149,26 +133,15 @@ def probe_value_and_gradient(sol, mesh, pts):
     return vals, grads
 
 
-def recovered_vertex_gradients(sol, mesh):
-    """Area-weighted average of element gradients at vertices."""
-    nv = mesh.n_vertices
+def recovered_vertex_gradients(mesh, grads):
+    """Area-weighted average at the vertices of the (nt, 2) element
+    gradients grads, accumulated over every triangle's vertex 0, then 1,
+    then 2."""
     area = mesh.signed_areas()
-    acc = np.zeros((nv, 2))
-    wts = np.zeros(nv)
-    t = mesh.triangles
-    for k in range(3):
-        np.add.at(acc, t[:, k], sol.element_gradients * area[:, None])
-        np.add.at(wts, t[:, k], area)
-    return acc / wts[:, None]
-
-
-def interpolate_recovered_gradient(mesh, vgrad, pts):
-    pts = np.atleast_2d(pts)
-    tri, bary = mesh.locate(pts)
-    ok = tri >= 0
-    out = np.full((len(pts), 2), np.nan)
-    out[ok] = np.einsum("pk,pkd->pd", bary[ok], vgrad[mesh.triangles[tri[ok]]])
-    return out
+    verts = mesh.triangles.T.ravel()
+    gx, gy, wts = (np.bincount(verts, np.tile(w, 3), minlength=mesh.n_vertices)
+                   for w in (grads[:, 0] * area, grads[:, 1] * area, area))
+    return np.column_stack([gx, gy]) / wts[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +246,18 @@ def holder_quotient_scan(grad_eval, geom, beta, points):
     return (max(vals) if vals else math.nan), results
 
 
-def holder_scan_from_solution(sol, mesh, beta, points):
-    """Hölder scan over a solved state using recovery-averaged gradients."""
-    vgrad = recovered_vertex_gradients(sol, mesh)
+def holder_scan(mesh, grads, beta, points):
+    """Hölder scan of the (nt, 2) element gradients grads on mesh, through
+    their recovery average at the vertices (NaN outside the mesh)."""
+    vgrad = recovered_vertex_gradients(mesh, grads)
 
     def grad_eval(pts):
-        return interpolate_recovered_gradient(mesh, vgrad, pts)
+        tri, bary = mesh.locate(pts)
+        ok = tri >= 0
+        out = np.full((len(pts), 2), np.nan)
+        out[ok] = np.einsum("pk,pkd->pd", bary[ok],
+                            vgrad[mesh.triangles[tri[ok]]])
+        return out
 
     return holder_quotient_scan(grad_eval, mesh.geometry, beta, points)
 

@@ -416,8 +416,12 @@ def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
     return rows
 
 
-def lower_bound_region(regime: Regime, eps=None, gamma=1.0, kappa1=0.1,
-                       kappa2=0.1, ln_eps=None):
+REGION_GAMMA = 1.0    # SUPER window |ln eps|^(-gamma)
+REGION_KAPPA1 = 0.1   # CRITICAL window kappa1 / ln|ln eps|
+REGION_KAPPA2 = 0.1   # SUB window, constant
+
+
+def lower_bound_region(regime: Regime, eps=None, ln_eps=None):
     """Transverse half-width of the window where the leading-order term
     dominates: shrinking logarithmically (SUPER), doubly logarithmically
     (CRITICAL), or constant (SUB).
@@ -426,7 +430,7 @@ def lower_bound_region(regime: Regime, eps=None, gamma=1.0, kappa1=0.1,
     ln_eps (< 0) instead of eps."""
     b = regime.branch
     if b == SUB:
-        return float(kappa2)
+        return REGION_KAPPA2
     if ln_eps is None:
         if eps is None or not 0 < eps < 1:
             raise GeometryError("eps must lie in (0, 1)")
@@ -434,7 +438,7 @@ def lower_bound_region(regime: Regime, eps=None, gamma=1.0, kappa1=0.1,
     elif ln_eps >= 0:
         raise GeometryError("ln_eps must be negative")
     if b == SUPER:
-        return abs(ln_eps) ** (-gamma)
+        return abs(ln_eps) ** (-REGION_GAMMA)
     if abs(ln_eps) <= math.e:
         raise GeometryError("critical-branch window needs eps < exp(-e)")
-    return kappa1 / math.log(abs(ln_eps))
+    return REGION_KAPPA1 / math.log(abs(ln_eps))

@@ -20,7 +20,6 @@ from .errors import GeometryError
 # boundary component tags used throughout the package
 OUTER, INC1, INC2 = 1, 2, 3
 TAG_NAMES = {OUTER: "OUTER", INC1: "INC1", INC2: "INC2"}
-TAG_IDS = {v: k for k, v in TAG_NAMES.items()}
 
 
 # ---------------------------------------------------------------------------

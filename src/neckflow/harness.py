@@ -195,7 +195,7 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
         "nv": mesh.n_vertices, "nt": mesh.n_triangles,
         "min_angle_deg": mesh.grading_report.min_angle_deg,
         "neck_layers": mesh.grading_report.neck_layers,
-        "winflux": {float(r): fa.cross_section_flux(sol, mesh, r).value
+        "winflux": {float(r): fa.cross_section_flux(sol, mesh, r)
                     for r in spec.flux_windows},
         "probes": [],
         "history": [(e, en, res) for (e, en, res) in sol.energy_history],
@@ -214,13 +214,15 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
     return row
 
 
-def _case_name(p, eps):
-    return f"solution_{p:g}_{eps:g}"
+def solution_path(out_dir, p, eps):
+    """The .npy file of the (p, eps) case's nodal values in a sweep's out_dir;
+    its scalar summary is the .json file of the same stem."""
+    return os.path.join(out_dir, f"solution_{p:g}_{eps:g}.npy")
 
 
 def _persist_solution(sol, row, out_dir):
-    base = os.path.join(out_dir, _case_name(row["p"], row["eps"]))
-    np.save(base + ".npy", sol.nodal_values)
+    path = solution_path(out_dir, row["p"], row["eps"])
+    np.save(path, sol.nodal_values)
     summary = {
         "p": row["p"], "eps": row["eps"], "U1": row["U1"], "U2": row["U2"],
         "energy": row["energy"], "flux1": row["flux1"], "flux2": row["flux2"],
@@ -229,7 +231,7 @@ def _persist_solution(sol, row, out_dir):
                        "min_angle_deg": row["min_angle_deg"],
                        "neck_layers": row["neck_layers"]},
     }
-    with open(base + ".json", "w") as fh:
+    with open(os.path.splitext(path)[0] + ".json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 

@@ -18,6 +18,7 @@ vertex set is exactly symmetric under x_n -> -x_n.  Annulus domains use a
 structured polar grid.  Meshes are immutable once built.
 """
 
+import functools
 import logging
 import math
 import zipfile
@@ -96,7 +97,6 @@ class TriMesh:
         for tag in (OUTER, INC1, INC2):
             sel = self.boundary_edges[self.boundary_tags == tag]
             self.vertex_tag[sel.ravel()] = tag
-        self._tree = None
 
     def _fix_orientation(self, area):
         flip = area < 0
@@ -132,8 +132,12 @@ class TriMesh:
         cos = _angle_cosines(*_triangle_edges(self.tri_coords()))
         return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
+    @functools.cached_property
     def centroids(self):
-        return self.tri_coords().mean(axis=1)
+        """(nt, 2) triangle centroids, formed once on first use; read-only."""
+        c = self.tri_coords().mean(axis=1)
+        c.flags.writeable = False
+        return c
 
     def boundary_edges_conform(self):
         """Every boundary edge is an edge of exactly one triangle."""
@@ -162,12 +166,14 @@ class TriMesh:
 
     # -- point location -------------------------------------------------------
 
+    @functools.cached_property
+    def _tree(self):
+        return cKDTree(self.centroids)
+
     def locate(self, pts, tol=1e-9):
         """Triangle index containing each point (-1 if none) and barycentric
         coordinates."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self._tree is None:
-            self._tree = cKDTree(self.centroids())
         k = min(32, self.n_triangles)
         _, cand = self._tree.query(pts, k=k)
         cand = np.atleast_2d(cand)

@@ -513,6 +513,14 @@ def _continuation(cond, q, cfg, stats):
     return q, res, sensitivity
 
 
+def dual_flux(grad_full, p, w):
+    """Current -(1/p) sum_i w_i dE/du_i through the layer where the nodal
+    weights w (vertex mask or cutoff field) drop from 1 to 0.  Only nonzero
+    weights are gathered, so a mask gives the plain sum of its entries."""
+    i = np.flatnonzero(w)
+    return -float((w[i] * grad_full[i]).sum()) / p
+
+
 def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
     """Continuation-Newton solve of the condensed minimization problem.
 
@@ -540,10 +548,10 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
     pots = cond.potentials(q)
 
     def inclusion_flux(t):
-        verts = np.flatnonzero(mesh.vertex_tag == t)
-        if len(verts) == 0:
+        mask = mesh.vertex_tag == t
+        if not mask.any():
             return math.nan
-        return -float(grad_full[verts].sum()) / cfg.p / scale
+        return dual_flux(grad_full, cfg.p, mask) / scale
 
     return Solution(
         nodal_values=u, U1=pots[INC1], U2=pots[INC2], energy=energy,

@@ -3,18 +3,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from neckflow import (FitError, GeometryError, INC1, INC2, ConstantPotential,
+from neckflow import (FitError, GeometryError, INC1, INC2, OUTER,
+                      ConstantPotential,
                       SolveConfig, annulus_circle_flux,
                       boundary_outward_fluxes, build_annulus,
                       build_parabola_example, build_symmetric_disc_example,
                       cross_section_flux, cutoff_volume_flux,
                       generate, gradient_probe, holder_quotient_scan,
-                      holder_scan_from_solution, kkt_condensed_flux,
+                      holder_scan, kkt_condensed_flux,
                       max_gradient, solve, solve_decay_fixture,
                       write_probe_csv)
-from neckflow.analysis import fit_log_decay, PROBE_CSV_HEADER
-from neckflow.solver import ElementOps
+from neckflow.analysis import (fit_log_decay, PROBE_CSV_HEADER,
+                               recovered_vertex_gradients)
+from neckflow.harness import DEFAULT_FLUX_WINDOWS
+from neckflow.solver import ElementOps, dual_flux
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +35,15 @@ class TestFluxes:
         _, m, sol = annulus_p3
         c = 1.0 / (2 * (math.sqrt(2.0) - 1.0))
         exact = 2 * math.pi * c * c
-        vals = [annulus_circle_flux(sol, m, r).value for r in (1.2, 1.5, 1.8)]
+        vals = [annulus_circle_flux(sol, m, r) for r in (1.2, 1.5, 1.8)]
         spread = (max(vals) - min(vals)) / abs(np.mean(vals))
         assert spread <= 1e-8
         assert np.mean(vals) == pytest.approx(exact, rel=1e-3)
 
     def test_kkt_vs_cutoff_agreement(self, annulus_p3):
         _, m, sol = annulus_p3
-        k = kkt_condensed_flux(sol, m, INC1).value
-        c = cutoff_volume_flux(sol, m, INC1).value
+        k = kkt_condensed_flux(sol, m, INC1)
+        c = cutoff_volume_flux(sol, m, INC1)
         tol = 10 * 1e-10 * max(1.0, abs(sol.energy))
         assert abs(k - c) <= tol
 
@@ -48,8 +52,8 @@ class TestFluxes:
         for p, sol in disc_solutions_1e2.items():
             tol = 10 * 1e-10 * max(1.0, abs(sol.energy))
             for tag in (INC1, INC2):
-                k = kkt_condensed_flux(sol, disc_mesh_1e2, tag).value
-                c = cutoff_volume_flux(sol, disc_mesh_1e2, tag).value
+                k = kkt_condensed_flux(sol, disc_mesh_1e2, tag)
+                c = cutoff_volume_flux(sol, disc_mesh_1e2, tag)
                 assert abs(k - c) <= tol, (p, tag)
 
     def test_conservation(self, annulus_p3, disc_solutions_1e2,
@@ -66,18 +70,19 @@ class TestFluxes:
         for p in (2.0, 3.0):
             sol = disc_solutions_1e2[p]
             for r in (0.1, 0.2, 0.4):
-                assert cross_section_flux(sol, disc_mesh_1e2, r).value > 0
+                assert cross_section_flux(sol, disc_mesh_1e2, r) > 0
 
     def test_window_plus_complement_is_zero(self, disc_solutions_1e2,
                                             disc_mesh_1e2):
-        # windowed flux plus the flux through the rest of the same boundary
-        # is the total inclusion flux, which the KKT condition pins at zero
-        sol = disc_solutions_1e2[2.0]
-        s_r = cross_section_flux(sol, disc_mesh_1e2, 0.2).value
-        total = kkt_condensed_flux(sol, disc_mesh_1e2, INC2).value
-        complement = total - s_r
-        assert abs(s_r + complement) <= 10 * 1e-10 * max(1.0,
-                                                         abs(sol.energy))
+        # the window flux plus the flux through the rest of the same
+        # boundary, each summed on its own, less the total inclusion flux
+        sol, m = disc_solutions_1e2[2.0], disc_mesh_1e2
+        s_r = cross_section_flux(sol, m, 0.2)
+        rest = (m.vertex_tag == INC2) & (np.abs(m.vertices[:, 0]) > 0.2)
+        complement = dual_flux(sol.grad_full, sol.p, rest)
+        total = kkt_condensed_flux(sol, m, INC2)
+        assert abs(s_r + complement - total) <= 1e-12 * max(1.0,
+                                                             abs(sol.energy))
 
     def test_dual_form_equals_volume_integral(self, annulus_p3,
                                               disc_solutions_1e2,
@@ -98,14 +103,61 @@ class TestFluxes:
         for r in (1.2, 1.5, 1.8):
             chi = np.clip((r - rr) / band + 0.5, 0.0, 1.0)
             ref = volume_integral(sol, m, chi)
-            assert annulus_circle_flux(sol, m, r).value == \
+            assert annulus_circle_flux(sol, m, r) == \
                 pytest.approx(ref, rel=1e-12)
         sol = disc_solutions_1e2[3.0]
         tag = disc_mesh_1e2.vertex_tag
         chi = (tag == INC1).astype(float)
         ref = volume_integral(sol, disc_mesh_1e2, chi)
-        assert cutoff_volume_flux(sol, disc_mesh_1e2, INC1, band=1e-12).value \
+        assert cutoff_volume_flux(sol, disc_mesh_1e2, INC1, band=1e-12) \
             == pytest.approx(ref, abs=1e-12 * max(1.0, abs(sol.energy)))
+
+    def test_mask_fluxes_are_the_plain_vertex_sum(self, disc_solutions_1e2,
+                                                  disc_mesh_1e2):
+        # a vertex-mask flux is bit for bit the sum of its vertices'
+        # gradient entries, in vertex order, over -p
+        m = disc_mesh_1e2
+        for p, sol in disc_solutions_1e2.items():
+            def ref(mask):
+                s = float(sol.grad_full[np.flatnonzero(mask)].sum())
+                return -s / sol.p
+
+            scale = max(1.0, abs(sol.energy))
+            for tag, flux in ((INC1, sol.flux1), (INC2, sol.flux2)):
+                mask = m.vertex_tag == tag
+                assert kkt_condensed_flux(sol, m, tag) == ref(mask), (p, tag)
+                assert flux == ref(mask) / scale, (p, tag)
+            for r in DEFAULT_FLUX_WINDOWS:
+                mask = (m.vertex_tag == INC2) & (np.abs(m.vertices[:, 0]) <= r)
+                assert cross_section_flux(sol, m, r) == ref(mask), (p, r)
+
+    def test_cutoff_fluxes_match_the_weighted_product(self, annulus_p3,
+                                                      disc_solutions_1e2,
+                                                      disc_mesh_1e2):
+        # the cutoff-field fluxes gather the nonzero weights; against the
+        # full product -(chi @ dE/du) / p they differ only by rounding,
+        # bounded relative to the sum of the terms' magnitudes
+        def check(val, sol, chi):
+            ref = -float(chi @ sol.grad_full) / sol.p
+            size = float(np.abs(chi) @ np.abs(sol.grad_full)) / sol.p
+            assert abs(val - ref) <= 1e-12 * size
+
+        _, m, sol = annulus_p3
+        rr = np.linalg.norm(m.vertices, axis=1)
+        band = 4.0 * m.grading_report.h_max
+        for r in (1.2, 1.5, 1.8):
+            chi = np.clip((r - rr) / band + 0.5, 0.0, 1.0)
+            check(annulus_circle_flux(sol, m, r), sol, chi)
+        m = disc_mesh_1e2
+        band = 6.0 * m.grading_report.h_max
+        for sol in disc_solutions_1e2.values():
+            for tag in (OUTER, INC1, INC2):
+                d, _ = cKDTree(m.vertices[m.vertex_tag == tag]).query(
+                    m.vertices)
+                chi = np.clip(1.0 - d / band, 0.0, 1.0)
+                chi[m.vertex_tag == tag] = 1.0
+                chi[(m.vertex_tag != tag) & (m.vertex_tag != 0)] = 0.0
+                check(cutoff_volume_flux(sol, m, tag), sol, chi)
 
     def test_window_domain_error(self, disc_solutions_1e2, disc_mesh_1e2):
         sol = disc_solutions_1e2[2.0]
@@ -127,7 +179,7 @@ class TestMaxGradient:
         # two mirror-image triangles whose gradients tie up to one ulp: the
         # reported location is the upper one whichever of the two is larger
         cent = np.array([[0.1, -0.2], [0.1, 0.2], [0.0, 0.0]])
-        mesh = SimpleNamespace(centroids=lambda: cent)
+        mesh = SimpleNamespace(centroids=cent)
         base = np.array([[3.0, 4.0], [3.0, -4.0], [1.0, 1.0]])
         base_val, loc = max_gradient(SimpleNamespace(element_gradients=base),
                                      mesh)
@@ -232,11 +284,27 @@ class TestHolderScan:
             holder_quotient_scan(lambda p: np.zeros((len(p), 2)), g, 1.5,
                                  [0.0])
 
+    def test_recovered_gradients_match_add_at(self, disc_solutions_1e2,
+                                              disc_mesh_1e2):
+        # the element gradients as criterion 11 forms them from nodal values,
+        # recovered at the vertices against the np.add.at loop
+        m, sol = disc_mesh_1e2, disc_solutions_1e2[2.0]
+        g = ElementOps(m).gradients(sol.nodal_values).T
+        assert np.array_equal(g, sol.element_gradients)
+        area = m.signed_areas()
+        acc = np.zeros((m.n_vertices, 2))
+        wts = np.zeros(m.n_vertices)
+        for k in range(3):
+            np.add.at(acc, m.triangles[:, k], g * area[:, None])
+            np.add.at(wts, m.triangles[:, k], area)
+        assert np.array_equal(recovered_vertex_gradients(m, g),
+                              acc / wts[:, None])
+
     def test_solved_state_bounded(self, disc_geom, disc_solutions_1e2,
                                   disc_mesh_1e2):
         sol = disc_solutions_1e2[2.0]
         pts = [math.sqrt(d - 1e-2) for d in (2e-2, 5e-2, 1e-1)]
-        mx, res = holder_scan_from_solution(sol, disc_mesh_1e2, 0.5, pts)
+        mx, res = holder_scan(disc_mesh_1e2, sol.element_gradients, 0.5, pts)
         vals = [v for _, v in res if v is not None]
         assert len(vals) == 3
         assert max(vals) / min(vals) <= 3.0

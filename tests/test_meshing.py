@@ -59,6 +59,19 @@ class TestInvariants:
             assert np.all(tri >= 0)
             assert len(np.unique(tri)) >= 6, xp
 
+    def test_centroids_formed_once_on_first_use(self):
+        g = build_symmetric_disc_example(scale=1.0, eps=1e-2)
+        m = generate(g, 0.3, 4, seed=0)
+        check_mesh(m)
+        # neither meshing nor checking forms them
+        assert "centroids" not in vars(m)
+        cent = m.centroids
+        assert np.array_equal(cent, m.tri_coords().mean(axis=1))
+        assert not cent.flags.writeable
+        tri, _ = m.locate(cent[:5])
+        assert np.array_equal(tri, np.arange(5))
+        assert m.centroids is cent
+
     def test_locate_matches_brute_force(self, disc_mesh):
         # points over the bounding box (outside the domain and inside the
         # inclusions too) and in the neck, where the triangles are smallest
@@ -90,7 +103,7 @@ class TestInvariants:
     def test_neck_size_bound(self, disc_mesh):
         # strip cells near the center line stay below gap/layers
         g, m = disc_mesh
-        cent = m.centroids()
+        cent = m.centroids
         sel = (np.abs(cent[:, 0]) < 0.3) & (np.abs(cent[:, 1])
                                             < 0.5 * gap_width(g, 0.0))
         c = m.tri_coords()[sel]
@@ -304,7 +317,7 @@ def _damage(m, data, damage):
     elif damage == "no_triangles":
         del arrays["triangles"]
     elif damage == "extra_array":
-        arrays["centroids"] = m.centroids()
+        arrays["centroids"] = m.centroids
     elif damage == "extra_value":
         arrays["vertices"] = np.hstack([m.vertices, np.zeros((m.n_vertices, 1))])
     elif damage == "float_index":
