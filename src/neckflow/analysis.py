@@ -137,7 +137,7 @@ def recovered_vertex_gradients(mesh, grads):
     """Area-weighted average at the vertices of the (nt, 2) element
     gradients grads, accumulated over every triangle's vertex 0, then 1,
     then 2."""
-    area = mesh.signed_areas()
+    area = mesh.areas
     verts = mesh.triangles.T.ravel()
     gx, gy, wts = (np.bincount(verts, np.tile(w, 3), minlength=mesh.n_vertices)
                    for w in (grads[:, 0] * area, grads[:, 1] * area, area))

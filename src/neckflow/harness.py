@@ -44,7 +44,7 @@ from .errors import MeshError, NeckflowError
 from .geometry import (INC1, INC2, ConstantPotential,
                        build_symmetric_disc_example, load_geometry_config)
 from .meshing import generate, generate_neck_strip, load_mesh, save_mesh
-from .solver import Condenser, SolveConfig, solve
+from .solver import Condenser, SolveConfig, odd_mirror, solve
 
 CSV_BASE_COLUMNS = (
     "p", "eps", "U1", "U2", "ugap", "ugap_over_scale", "maxgrad",
@@ -173,11 +173,15 @@ def case_mesh(geom, spec, eps):
 # ---------------------------------------------------------------------------
 
 def run_case(geom, p, eps, spec, mesh=None, cond=None):
-    """Solve one (p, eps) case and collect the row dictionary."""
+    """Solve one (p, eps) case and collect the row dictionary.  Without cond
+    the solve is in the full space; the row records the reduced system's
+    size (`n_dofs`) and whether it was odd-reduced (`odd_reduced`)."""
     t0 = time.time()
     g = geom.with_eps(eps)
     if mesh is None:
         mesh = case_mesh(geom, spec, eps)
+    if cond is None:
+        cond = Condenser(mesh, g)
     sol = solve(mesh, g, SolveConfig(p=p), cond)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
@@ -202,6 +206,7 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
         "linear_fallbacks": sol.linear_fallbacks,
         "factorizations": sol.factorizations, "cg_iters": sol.cg_iters,
         "floor_accepts": sol.floor_accepts,
+        "n_dofs": cond.n_dofs, "odd_reduced": cond.mirror is not None,
     }
     for xp in spec.probes:
         pr = fa.gradient_probe(sol, mesh, xp)
@@ -238,14 +243,16 @@ def _persist_solution(sol, row, out_dir):
 def _separation_task(geom, spec, eps):
     """Mesh one separation and build its Condenser (the solver's mesh
     constants) once, and solve it for every exponent; returns (rows,
-    failures).  A NeckflowError from the mesh or a solve becomes a
-    failure entry for the (p, eps) cases it stops."""
+    failures).  When the mesh has a mirror map and the outer data is odd
+    under it, the Condenser solves on the upper half's unknowns
+    (solver.odd_mirror).  A NeckflowError from the mesh or a solve becomes
+    a failure entry for the (p, eps) cases it stops."""
     def failure(p, exc):
         return {"p": p, "eps": eps, "error": f"{type(exc).__name__}: {exc}"}
 
     try:
-        mesh = case_mesh(geom, spec, eps)
-        cond = Condenser(mesh, geom.with_eps(eps))
+        mesh, g = case_mesh(geom, spec, eps), geom.with_eps(eps)
+        cond = Condenser(mesh, g, mirror=odd_mirror(mesh, g))
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list]
     rows, failures = [], []

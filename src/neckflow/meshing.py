@@ -14,7 +14,8 @@ Two-inclusion domains are meshed in two parts that share vertices exactly:
   round cap.
 
 Mirror-symmetric domains are meshed on the upper half and reflected, so the
-vertex set is exactly symmetric under x_n -> -x_n.  Annulus domains use a
+vertex set is exactly symmetric under x_n -> -x_n, and the mesh carries the
+reflection's vertex map (TriMesh.mirror).  Annulus domains use a
 structured polar grid.  Meshes are immutable once built.
 """
 
@@ -37,8 +38,10 @@ _log = logging.getLogger("neckflow")
 _VERTEX_CAP = 2_000_000
 
 # part of every mesh-cache key: bump it whenever a change to this module
-# changes the meshes it builds, so that stale cache files are not reused
-MESHER_VERSION = 3
+# changes the meshes it builds, so that stale cache files are not reused.
+# Version 4 builds the meshes of version 3 and adds the `mirror` array to the
+# mesh file: the bump keeps version-3 files, which lack it, from being read
+MESHER_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,25 @@ class TriMesh:
     boundary_edges: (nbe, 2) int; boundary_tags: (nbe,) int in
     {OUTER, INC1, INC2}.  `vertex_tag` is 0 for interior vertices and the
     component tag for boundary vertices (used for curve projection after
-    refinement).
+    refinement).  `areas` are the (positive) triangle areas.
+
+    `mirror` is None or the (nv,) vertex map of the reflection x_n -> -x_n
+    under which the mesh is invariant: an involution with vertices[mirror]
+    == vertices * (1, -1) exactly, mapping the triangle set onto itself,
+    swapping INC1 and INC2 and keeping OUTER.  A map that fails any of
+    these raises MeshError.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_tags,
-                 geometry=None, neck_layers=0):
+                 geometry=None, neck_layers=0, mirror=None):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
+        if mirror is not None:
+            mirror = np.array(mirror, dtype=np.int64)   # frozen below
+            if mirror.shape != (len(vertices),) or not np.all(
+                    (mirror >= 0) & (mirror < len(vertices))):
+                raise MeshError("mirror is not a map of the vertices")
         # drop vertices not referenced by any triangle (relaxation leftovers)
         used = np.zeros(len(vertices), dtype=bool)
         used[triangles.ravel()] = True
@@ -75,6 +89,8 @@ class TriMesh:
             vertices = vertices[used]
             triangles = remap[triangles]
             boundary_edges = remap[boundary_edges]
+            if mirror is not None:
+                mirror = remap[mirror[used]]
         self.vertices = vertices
         self.triangles = triangles
         self.boundary_edges = boundary_edges
@@ -84,7 +100,8 @@ class TriMesh:
         # which does not depend on the order of a triangle's vertices; only
         # (nt, 3) arrays outlive the gather
         c = self.tri_coords()
-        self._fix_orientation(_signed_areas(c))
+        self.areas = self._fix_orientation(_signed_areas(c))
+        self.areas.flags.writeable = False
         dx, dy, length = _triangle_edges(c)
         del c
         # arccos is non-increasing: the smallest angle has the largest cosine
@@ -97,14 +114,42 @@ class TriMesh:
         for tag in (OUTER, INC1, INC2):
             sel = self.boundary_edges[self.boundary_tags == tag]
             self.vertex_tag[sel.ravel()] = tag
+        self.mirror = mirror
+        if mirror is not None:
+            self._check_mirror()
+            mirror.flags.writeable = False
 
     def _fix_orientation(self, area):
+        """Make every triangle counterclockwise; returns the areas after."""
         flip = area < 0
         if np.any(flip):
             self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
-        # a flipped triangle's area is exactly -area, so only a zero is left
+            # a flipped triangle's area is exactly -area
+            area[flip] = -area[flip]
         if np.any(area == 0):
             raise MeshError("degenerate (zero-area) triangle produced")
+        return area
+
+    def _check_mirror(self):
+        m, n = self.mirror, self.n_vertices
+        if np.any(m < 0):
+            raise MeshError("mirror sends a vertex to an unused one")
+        if not np.array_equal(m[m], np.arange(n)):
+            raise MeshError("mirror is not an involution")
+        if not np.array_equal(self.vertices[m], self.vertices * (1.0, -1.0)):
+            raise MeshError("mirror moves a vertex off its reflection")
+
+        def keys(t):
+            # one int64 per vertex set, exact while n^3 < 2^63 (n < 2.09e6)
+            t = np.sort(t, axis=1)
+            return np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+
+        if not np.array_equal(keys(self.triangles), keys(m[self.triangles])):
+            raise MeshError("mirror does not map the triangles onto themselves")
+        swap = np.arange(max(OUTER, INC1, INC2) + 1)   # indexed by tag
+        swap[[INC1, INC2]] = INC2, INC1
+        if not np.array_equal(self.vertex_tag[m], swap[self.vertex_tag]):
+            raise MeshError("mirror does not swap INC1 and INC2 and keep OUTER")
 
     # -- basic quantities ----------------------------------------------------
 
@@ -840,7 +885,7 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
         mesh = _far_symmetric(geom, pool, strip, size, rng, w, wall_sz)
     else:
         mesh = _far_general(geom, pool, strip, size, rng, w, wall_sz)
-    tris, b_edges, b_tags = mesh
+    tris, b_edges, b_tags, mirror = mesh
 
     s_edges, s_tags = strip.boundary(walls_tag=None)
     b_edges = np.vstack([s_edges, b_edges])
@@ -850,7 +895,7 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
         raise MeshCapacityError(f"mesh exceeds vertex cap {vertex_cap}",
                                 eps_floor=4.0 * geom.eps)
     return TriMesh(pool.pts, all_tris, b_edges, b_tags, geometry=geom,
-                   neck_layers=strip.neck_layers)
+                   neck_layers=strip.neck_layers, mirror=mirror)
 
 
 def _arc_ccw_angles(a0, a1):
@@ -934,7 +979,9 @@ def _pocket_seeds(pool, strip, wall_sz, w, upper_only):
 
 
 def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
-    """Upper-half far region meshed and mirrored; exact mirror symmetry."""
+    """Upper-half far region meshed and mirrored; exact mirror symmetry.
+    Returns the far triangles, boundary edges and tags, and the mirror map
+    of every pool vertex."""
     r_out = geom.outer.radius
     # wall halves (y >= 0), bottom to top; wall node counts are even so y=0 exists
     rw = strip.right_wall
@@ -983,6 +1030,7 @@ def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
     mirror_map = np.arange(pool.n)
     new_idx = pool.add(ymir[~on_seam])
     mirror_map[upper_extra[~on_seam]] = new_idx
+    mirror_map = np.append(mirror_map, upper_extra[~on_seam])   # new_idx's
     # strip vertices: mirror via structured pairing (columns stored bottom-to-top)
     mirror_map[: len(strip.vertices)] = _strip_mirror_map(strip)
 
@@ -996,7 +1044,7 @@ def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
     rim = _chain(np.column_stack([outer_idx, mirror_map[outer_idx]]))
     b_tags = np.concatenate([np.tile([INC1, INC2], len(arc_loop) - 1),
                              np.full(len(rim), OUTER)])
-    return tris, np.vstack([arc, rim]), b_tags
+    return tris, np.vstack([arc, rim]), b_tags, mirror_map
 
 
 def _strip_mirror_map(strip):
@@ -1032,7 +1080,7 @@ def _far_general(geom, pool, strip, size, rng, w, wall_sz):
     lo = _chain(np.concatenate([[lw[0]], arc2[::-1], [rw[0]]]))
     rim = _chain(outer_idx, closed=True)
     b_tags = np.repeat([INC1, INC2, OUTER], [len(up), len(lo), len(rim)])
-    return tris, np.vstack([up, lo, rim]), b_tags
+    return tris, np.vstack([up, lo, rim]), b_tags, None
 
 
 def _generate_annulus(geom, target_h):
@@ -1126,27 +1174,31 @@ def refine_uniform(mesh):
 # the arrays of a mesh file: dtype kind and shape (None: any length)
 _MESH_ARRAYS = {"vertices": ("f", (None, 2)), "triangles": ("i", (None, 3)),
                 "boundary_edges": ("i", (None, 2)),
-                "boundary_tags": ("i", (None,)), "neck_layers": ("i", ())}
+                "boundary_tags": ("i", (None,)), "neck_layers": ("i", ()),
+                "mirror": ("i", (None,))}
 
 
 def save_mesh(mesh, path):
     """One uncompressed .npz: `vertices` float64 (nv, 2), `triangles` int64
-    (nt, 3), `boundary_edges` int64 (nbe, 2), `boundary_tags` int64 (nbe,)
-    and the int64 scalar `neck_layers`.  Written through an open file, so
-    the file gets exactly the given name (np.savez appends .npz to a str)."""
+    (nt, 3), `boundary_edges` int64 (nbe, 2), `boundary_tags` int64 (nbe,),
+    the int64 scalar `neck_layers` and `mirror` int64, (nv,) or (0,) for a
+    mesh without one.  Written through an open file, so the file gets
+    exactly the given name (np.savez appends .npz to a str)."""
+    mirror = np.zeros(0, np.int64) if mesh.mirror is None else mesh.mirror
     with open(path, "wb") as fh:
         np.savez(fh, vertices=mesh.vertices, triangles=mesh.triangles,
                  boundary_edges=mesh.boundary_edges,
                  boundary_tags=mesh.boundary_tags,
-                 neck_layers=np.int64(mesh.grading_report.neck_layers))
+                 neck_layers=np.int64(mesh.grading_report.neck_layers),
+                 mirror=mirror)
 
 
 def load_mesh(path, geometry=None):
     """Read a mesh written by save_mesh.  A file that does not hold one
     (unreadable, truncated, with a missing, extra, object or misshapen
     array, an index out of range, a boundary tag other than OUTER, INC1,
-    INC2 or a negative neck_layers) raises MeshError naming the path.
-    Nothing is ever unpickled."""
+    INC2, a negative neck_layers or a mirror map that TriMesh refuses)
+    raises MeshError naming the path.  Nothing is ever unpickled."""
     try:
         # np.load leaves a path it opened open when it is not a zip file
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
@@ -1172,7 +1224,8 @@ def load_mesh(path, geometry=None):
             raise ValueError(f"neck_layers {neck_layers} is negative")
         return TriMesh(a["vertices"], a["triangles"], a["boundary_edges"],
                        a["boundary_tags"], geometry=geometry,
-                       neck_layers=neck_layers)
+                       neck_layers=neck_layers,
+                       mirror=a["mirror"] if len(a["mirror"]) else None)
     except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError,
             TypeError, MeshError) as exc:
         raise MeshError(f"unreadable mesh file {path}: {exc}") from exc
@@ -1180,7 +1233,7 @@ def load_mesh(path, geometry=None):
 
 def check_mesh(mesh, min_angle=20.0):
     """Raise MeshError when a mesh invariant fails; returns the report."""
-    if np.any(mesh.signed_areas() <= 0):
+    if not np.all(mesh.areas > 0):
         raise MeshError("non-positive triangle area")
     if mesh.grading_report.min_angle_deg < min_angle:
         raise MeshError(f"min angle {mesh.grading_report.min_angle_deg:.2f} below "

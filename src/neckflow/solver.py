@@ -11,6 +11,12 @@ the energy is already C^2 and eta = 0 is used directly.  The reduced Newton
 system's pattern and fill-reducing order are mesh constants (see Condenser);
 a Newton step solves it only to a forcing term, by CG preconditioned with
 the solve's last factorization (see Condenser.linear_solve).
+
+When the mesh is its own mirror image under x_n -> -x_n and the outer data
+is odd under it, the minimizer is odd, and a Condenser given the mesh's
+mirror map (see odd_mirror) solves on the upper half's unknowns alone: a
+signed condensation u = lift + s q[dof], s in {+1, -1, 0}, with the
+reduced gradient and Hessian in full-space units.
 """
 
 import itertools
@@ -120,7 +126,7 @@ class ElementOps:
     (3, nt) and Hessian blocks (9, nt), row 3 k + l for vertices (k, l)."""
 
     def __init__(self, mesh: TriMesh):
-        self.mesh, self.area = mesh, mesh.signed_areas()
+        self.mesh, self.area = mesh, mesh.areas
         self.tri = np.ascontiguousarray(mesh.triangles.T)
         # vertex k's is (y[k+1] - y[k+2], x[k+2] - x[k+1]) / (2 area)
         x, y = mesh.vertices.T[:, self.tri]
@@ -227,41 +233,67 @@ def assemble_energy(mesh, v, p, eta, ops=None):
 # ---------------------------------------------------------------------------
 
 class Condenser:
-    """Maps the reduced unknown vector q to nodal values u = lift + q[dof]
-    and holds the reduced Newton system's mesh constants.
+    """Maps the reduced unknown vector q to nodal values u = lift + s q[dof],
+    with a sign s in {+1, -1, 0} per vertex, and holds the reduced Newton
+    system's mesh constants.
 
     Reduced layout: interior vertices first, then one scalar per floating
-    inclusion (INC1 before INC2 when both float); `dof` is -1 at Dirichlet
-    and pinned vertices.  The element factors (`ops`), the reduced Hessian's
-    pattern and the slot of every element-block entry in it are computed
-    once, so `reduce_hess` is one bincount.  The first factorization's
-    fill-reducing order is a mesh constant too: the pattern is renumbered
-    into it, and later Hessians are factored without reordering
-    (`linear_solve` permutes the right-hand side and the direction by a
-    gather).  The solves on one mesh can share a Condenser.
+    inclusion (INC1 before INC2 when both float); `dof` is -1 (s = 0) at
+    Dirichlet and pinned vertices, and s is +1 elsewhere.  With a `mirror`
+    (see odd_mirror) only upper-half interior vertices own DOFs, their
+    mirror images take the negated DOF, seam vertices (x_n = 0) are fixed
+    at 0, and INC2 takes INC1's scalar with sign -1.  Each DOF then stands
+    for two vertices (`copies`); the reduced gradient and Hessian are
+    divided by that, exactly, so that they, the residual and the stopping
+    test stay in full-space units.
+
+    The element factors (`ops`), the reduced Hessian's pattern, the slot of
+    every element-block entry in it and the int8 sign tables of the element
+    contributions are computed once, so `reduce_grad` and `reduce_hess` are
+    one bincount each.  The first factorization's fill-reducing order is a
+    mesh constant too: the pattern is renumbered into it, and later
+    Hessians are factored without reordering (`linear_solve` permutes the
+    right-hand side and the direction by a gather).  The solves on one mesh
+    can share a Condenser.
     """
 
-    def __init__(self, mesh, geom, inclusion_values=None):
+    def __init__(self, mesh, geom, inclusion_values=None, mirror=None):
         inclusion_values = inclusion_values or {}
         tag = mesh.vertex_tag
-        self.lift = np.zeros(mesh.n_vertices)
-        outer = tag == OUTER
-        self.lift[outer] = geom.phi(mesh.vertices[outer])
-        interior = tag == 0
-        self.dof = np.where(interior, np.cumsum(interior, dtype=np.int32) - 1, -1)
-        ndof = int(interior.sum())
-        self.iU = {}
+        self.lift = _outer_lift(mesh, geom)
+        if mirror is not None and (inclusion_values
+                                   or not _is_odd(self.lift, mirror)):
+            raise ValueError("a mirror needs odd outer data and floating "
+                             "inclusions")
+        own = tag == 0
+        if mirror is not None:
+            own &= mesh.vertices[:, 1] > 0
+        self.dof = np.where(own, np.cumsum(own, dtype=np.int32) - 1, -1)
+        ndof = int(own.sum())
+        self.iU, self._sU = {}, {}
         for t in (INC1, INC2):
             verts = np.flatnonzero(tag == t)
             if len(verts) == 0:
                 continue
             if t in inclusion_values:
                 self.lift[verts] = float(inclusion_values[t])
+            elif mirror is not None and t == INC2:
+                self.iU[t], self._sU[t] = self.iU[INC1], -1.0
             else:
                 self.dof[verts] = ndof
-                self.iU[t] = ndof
+                self.iU[t], self._sU[t] = ndof, 1.0
                 ndof += 1
-        self.n_dofs = ndof
+        self.n_dofs, self.mirror = ndof, mirror
+        self.copies, self._sign = 1, None
+        if mirror is not None:
+            owners = np.flatnonzero(self.dof >= 0)
+            self.dof[mirror[owners]] = self.dof[owners]
+            vsign = np.ones(mesh.n_vertices, np.int8)
+            vsign[mirror[owners]] = -1
+            s3 = np.ascontiguousarray(vsign[mesh.triangles].T)
+            # per vertex, per (3, nt) contribution, per (9, nt) block entry
+            self.copies = 2
+            self._sign = vsign, s3, (s3[:, None] * s3).reshape(9, -1)
         self._te = np.ascontiguousarray(
             np.where(self.dof < 0, ndof, self.dof)[mesh.triangles].T, np.intp)
         self._pattern = _block_pattern(self._te, ndof)
@@ -271,17 +303,30 @@ class Condenser:
 
     def nodal(self, q):
         # dof -1 picks the appended zero: u = lift there
-        return self.lift + np.append(q, 0.0)[self.dof]
+        v = np.append(q, 0.0)[self.dof]
+        if self._sign is not None:
+            v *= self._sign[0]
+        return self.lift + v
 
     def reduce_grad(self, ge):
-        """Reduced gradient from the (3, nt) element contributions."""
+        """Reduced gradient from the (3, nt) element contributions; with a
+        mirror they are signed in place (no copy at the peak), so ge is
+        spent."""
         n = self.n_dofs
-        return np.bincount(self._te.ravel(), ge.ravel(), minlength=n + 1)[:n]
+        if self._sign is not None:
+            np.multiply(ge, self._sign[1], out=ge)
+        g = np.bincount(self._te.ravel(), ge.ravel(), minlength=n + 1)[:n]
+        return g / self.copies
 
     def reduce_hess(self, blocks):
         """Reduced Hessian (CSC) from the (9, nt) element blocks, in the
-        reduced layout until the first `linear_solve`, in factor order after."""
-        return _scatter(self._pattern, blocks)
+        reduced layout until the first `linear_solve`, in factor order after.
+        With a mirror the blocks are signed in place, as in `reduce_grad`."""
+        if self._sign is not None:
+            np.multiply(blocks, self._sign[2], out=blocks)
+        H = _scatter(self._pattern, blocks)
+        H.data /= self.copies
+        return H
 
     def linear_solve(self, H, rhs, stats, forcing=None):
         """Solve H d = rhs for H from `reduce_hess`, rhs in the reduced layout.
@@ -325,9 +370,30 @@ class Condenser:
         return np.zeros(self.n_dofs)
 
     def potentials(self, q):
-        return {t: float(q[self.iU[t]]) if t in self.iU
+        return {t: self._sU[t] * float(q[self.iU[t]]) if t in self.iU
                 else float(self.inclusion_values.get(t, math.nan))
                 for t in (INC1, INC2)}
+
+
+def _outer_lift(mesh, geom):
+    """Nodal vector of the outer data geom.phi, zero off the outer boundary."""
+    lift = np.zeros(mesh.n_vertices)
+    outer = mesh.vertex_tag == OUTER
+    lift[outer] = geom.phi(mesh.vertices[outer])
+    return lift
+
+
+def _is_odd(lift, mirror):
+    return bool(np.array_equal(lift[mirror], -lift))
+
+
+def odd_mirror(mesh, geom):
+    """mesh.mirror when the outer data geom.phi is odd under it bit for bit,
+    so that a Condenser may use it; None otherwise.  The minimizer is then
+    odd: the energy is strictly convex, and the mirror image of a
+    minimizer is one.  The Condenser also needs floating inclusions."""
+    m = mesh.mirror
+    return m if m is not None and _is_odd(_outer_lift(mesh, geom), m) else None
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +528,9 @@ def _newton(cond, q, p, eta, cfg, stats):
                 stats.newton_iters += 1
                 continue
             return q, res
-        slope = float(grad @ d)
+        # grad is in full-space units: the energy's slope along d is copies
+        # times grad . d
+        slope = cond.copies * float(grad @ d)
         if slope > 0:
             d = -d
             slope = -slope

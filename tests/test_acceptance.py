@@ -5,10 +5,12 @@ asserts one criterion and prints its PASS/FAIL line."""
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from neckflow.acceptance import run_acceptance
+from neckflow.acceptance import (FULL_SPACE_CASE, canonical_spec,
+                                 criterion_symmetry, run_acceptance)
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +41,25 @@ def test_criterion_03_potential_bounds(acceptance):
 
 def test_criterion_04_symmetry_and_positive_flux(acceptance):
     _check(acceptance, 4)
+
+
+def test_criterion_04_fails_on_a_corrupted_row(acceptance):
+    # the sweep's rows are odd by construction; the full-space solve of
+    # FULL_SPACE_CASE still catches a row whose U1 is off
+    _, out = acceptance
+    data = json.loads(open(os.path.join(out, "sweep", "report.json")).read())
+    report = SimpleNamespace(rows=data["rows"], spec=data["spec"],
+                             fits={float(p): f
+                                   for p, f in data["fits"].items()})
+    geom = canonical_spec().resolved_geometry()
+    assert criterion_symmetry(report, geom).passed
+    row = next(r for r in report.rows
+               if (r["p"], r["eps"]) == FULL_SPACE_CASE)
+    row["U1"], row["U2"] = row["U1"] + 1e-4, row["U2"] - 1e-4
+    result = criterion_symmetry(report, geom)
+    assert not result.passed
+    assert "max |U1+U2| = 0.00e+00" in result.detail
+    assert "|U1 - row U1| = 1.00e-04" in result.detail
 
 
 def test_criterion_05_blowup_slopes(acceptance):
@@ -89,6 +110,9 @@ def test_canonical_sweep_bookkeeping(acceptance):
         assert fits[p]["ugap_fit"]["flux_implied"] > 0
         assert fits[p]["ugap_fit"]["extrapolated"]
     assert report["failures"] == []
+    # odd data on a mirror-symmetric mesh: every case is odd-reduced
+    assert all(r["odd_reduced"] for r in report["rows"])
+    assert len({(r["eps"], r["n_dofs"]) for r in report["rows"]}) == 5
 
 
 def test_transverse_component_small_in_expansion_region(acceptance):

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neckflow import (ConstantPotential, MeshError, NeckflowError, SweepSpec,
+from neckflow import (ConstantPotential, MeshError, NeckflowError,
+                      PolyPotential, SweepSpec,
                       build_parabola_example, build_symmetric_disc_example,
                       build_table_example, harness, meshing, run_sweep)
 from neckflow.cli import main as cli_main
@@ -278,10 +279,46 @@ def test_workers_parallel_path(tmp_path):
         report = run_sweep(spec)
         assert len(report.rows) == 4
         assert report.ok
+        assert all(r["odd_reduced"] for r in report.rows)
         rows = (out / "rows.csv").read_text().splitlines()
         assert rows[0].startswith("# generated")
-        outputs[workers] = (rows[1:], (out / "probes.csv").read_bytes())
+        outputs[workers] = (rows[1:], (out / "probes.csv").read_bytes(),
+                            [(r["n_dofs"], r["odd_reduced"])
+                             for r in report.rows])
     assert outputs[1] == outputs[2]
+
+
+def _asymmetric_noses():
+    """Parabola noses of different curvature (a=0.3 above, 0.5 below): a
+    mesh without a mirror map."""
+    up, lo = ParabolaProfile(0.3), ParabolaProfile(0.5)
+    gap = GapProfile(h1=up, h2=NegatedProfile(lo), c1=0.79,
+                     c2=_c2_bound(lo, 1.0), chart=1.0)
+    return Geometry(outer=Circle((0, 0), 5.0),
+                    inclusion1=CappedGraphCurve(up, 0.999),
+                    inclusion2=MirroredCurve(CappedGraphCurve(lo, 0.999)),
+                    eps=0.0, gap=gap, phi=LinearPotential(), name="asym")
+
+
+@pytest.mark.parametrize("case", ["odd", "asymmetric", "constant",
+                                  "even_term"])
+def test_only_odd_problems_are_odd_reduced(case):
+    disc = build_symmetric_disc_example(scale=1.0)
+    geom = {"odd": disc, "asymmetric": _asymmetric_noses(),
+            "constant": replace(disc, phi=ConstantPotential(1.0)),
+            "even_term": replace(disc, phi=PolyPotential([(1.0, 0, 1),
+                                                          (0.1, 0, 2)]))}[case]
+    spec = tiny_spec(geometry=geom, target_h=0.2)
+    rows, failures = harness._separation_task(geom, spec, 1e-2)
+    assert not failures and len(rows) == 1
+    mesh = case_mesh(geom, spec, 1e-2)
+    interior = int((mesh.vertex_tag == 0).sum())
+    if case == "odd":
+        upper = int(((mesh.vertex_tag == 0) & (mesh.vertices[:, 1] > 0)).sum())
+        assert rows[0]["odd_reduced"] and rows[0]["n_dofs"] == upper + 1
+    else:
+        assert not rows[0]["odd_reduced"]
+        assert rows[0]["n_dofs"] == interior + 2
 
 
 _NO_OPTIMIZE_PROBE = """

@@ -20,6 +20,7 @@ from neckflow.errors import MeshError
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, _c2_bound)
+from neckflow.solver import ElementOps
 from neckflow.meshing import (TriMesh, _chain, _check_loops_covered,
                               _points_in_loops, _RepairFailed, _SegmentField,
                               _SizeField, _split_quad_rows, _stitch_columns,
@@ -119,6 +120,24 @@ class TestInvariants:
         _, m = disc_mesh
         check_mesh(m, min_angle=20.0)
 
+    def test_areas_formed_once(self, disc_mesh):
+        # the orientation fix's areas, negated where a triangle was flipped:
+        # bit for bit those of the counterclockwise triangles
+        _, m = disc_mesh
+        assert np.array_equal(m.areas, m.signed_areas())
+        assert not m.areas.flags.writeable
+        assert ElementOps(m).area is m.areas
+
+    def test_mirror_from_the_mesher(self, disc_mesh):
+        # TriMesh checked the map on construction; these restate it
+        _, m = disc_mesh
+        n = m.n_vertices
+        assert m.mirror.dtype == np.int64 and not m.mirror.flags.writeable
+        assert np.array_equal(m.mirror[m.mirror], np.arange(n))
+        assert np.array_equal(m.vertices[m.mirror], m.vertices * (1, -1))
+        fixed = m.mirror == np.arange(n)
+        assert fixed.any() and np.all(m.vertices[fixed, 1] == 0.0)
+
 
 def test_smaller_separations_stay_valid():
     g = build_symmetric_disc_example(scale=1.0)
@@ -194,6 +213,7 @@ def test_asymmetric_geometry_far_field():
     geom = _asymmetric_geometry(5e-3)
     m = generate(geom, 0.12, 6, seed=0)
     check_mesh(m, min_angle=20.0)
+    assert m.mirror is None
     assert m.boundary_edges_conform()
     sol = solve(m, geom, SolveConfig(p=2.0))
     assert sol.kkt_residual <= 1e-10
@@ -266,7 +286,9 @@ def _mesh_arrays(mesh):
     return {"vertices": mesh.vertices, "triangles": mesh.triangles,
             "boundary_edges": mesh.boundary_edges,
             "boundary_tags": mesh.boundary_tags,
-            "neck_layers": np.int64(mesh.grading_report.neck_layers)}
+            "neck_layers": np.int64(mesh.grading_report.neck_layers),
+            "mirror": (np.zeros(0, np.int64) if mesh.mirror is None
+                       else mesh.mirror)}
 
 
 _UNPICKLED = []
@@ -392,6 +414,73 @@ class TestMeshIO:
             with pytest.raises(MeshError, match="mesh.npz"):
                 load_mesh(str(path))
         assert not _UNPICKLED
+
+    def test_mirror_roundtrip(self, disc_mesh, tmp_path):
+        _, m = disc_mesh
+        annulus = generate(build_annulus(1.0, 2.0), 0.3)
+        assert annulus.mirror is None
+        for mesh, name in ((m, "sym.npz"), (annulus, "none.npz")):
+            save_mesh(mesh, str(tmp_path / name))
+            back = load_mesh(str(tmp_path / name))
+            if mesh.mirror is None:
+                assert back.mirror is None
+            else:
+                assert back.mirror.dtype == np.int64
+                assert np.array_equal(back.mirror, mesh.mirror)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("not_involution", "not an involution"),
+        ("moved_vertex", "off its reflection"),
+        ("unmapped_triangle", "triangles onto themselves"),
+        ("inc1_to_outer", "swap INC1 and INC2"),
+        ("short", "not a map of the vertices"),
+        ("index_high", "not a map of the vertices"),
+    ])
+    def test_corrupt_mirror_raises_mesh_error(self, disc_mesh, tmp_path,
+                                              damage, message):
+        _, m = disc_mesh
+        arrays = _mesh_arrays(m)
+        mirror, tris = m.mirror.copy(), m.triangles.copy()
+        # two upper interior vertices, a and b, and their images
+        a, b = np.flatnonzero((m.vertex_tag == 0) & (m.vertices[:, 1] > 0))[:2]
+        ma, mb = mirror[a], mirror[b]
+        if damage == "not_involution":
+            mirror[a], mirror[b] = mb, ma
+        elif damage == "moved_vertex":
+            # still an involution: a <-> mb and b <-> ma
+            mirror[[a, mb, b, ma]] = mb, a, ma, b
+        elif damage == "unmapped_triangle":
+            # an upper triangle repeated in place of another upper one
+            up = np.flatnonzero(m.centroids[:, 1] > 0.1)
+            tris[up[0]] = tris[up[1]]
+            arrays["triangles"] = tris
+        elif damage == "inc1_to_outer":
+            arrays["boundary_tags"] = np.where(m.boundary_tags == INC2, OUTER,
+                                               m.boundary_tags)
+        elif damage == "short":
+            mirror = mirror[:-1]
+        elif damage == "index_high":
+            mirror[a] = m.n_vertices
+        arrays["mirror"] = mirror
+        path = tmp_path / "mesh.npz"
+        np.savez(str(path), **arrays)
+        with pytest.raises(MeshError, match="mesh.npz") as exc:
+            load_mesh(str(path))
+        assert message in str(exc.value)
+
+    def test_mirror_remapped_with_unused_vertices(self, disc_mesh):
+        # an unused mirror pair ahead of the mesh's vertices is dropped
+        _, m = disc_mesh
+        pts = np.vstack([[[5.0, 1.0], [5.0, -1.0]], m.vertices])
+        mirror = np.concatenate([[1, 0], m.mirror + 2])
+        m2 = TriMesh(pts, m.triangles + 2, m.boundary_edges + 2,
+                     m.boundary_tags, mirror=mirror)
+        assert np.array_equal(m2.mirror, m.mirror)
+        # a used vertex sent to a dropped one
+        mirror[2] = 0
+        with pytest.raises(MeshError, match="unused"):
+            TriMesh(pts, m.triangles + 2, m.boundary_edges + 2,
+                    m.boundary_tags, mirror=mirror)
 
     def test_tripwire_records_unpickling(self):
         # the object_array case above would see an unpickling
@@ -685,13 +774,16 @@ def test_flip_repair_reports_failure(monkeypatch):
 # sha256 of the mesh of each far-field path at target_h 0.2, eps 1e-2 and
 # seed 0 (integer arrays exact, vertices rounded to 12 digits), by
 # MESHER_VERSION: a change that alters the meshes must bump the version, so
-# that mesh-cache files of the old meshes are not read as the new ones
+# that mesh-cache files of the old meshes are not read as the new ones.
+# Version 4 left the mesh arrays as they were and added `mirror` to the mesh
+# file, so its hashes are version 3's
 _MESH_HASHES = {
     3: {"symmetric": "cbc7be68938d22f61a9a805df4c9d44c"
                      "4b4c35c450f16ae44753adc09ccfd9ba",
         "general": "53450a02d03a49ff2ebd672e44661ff0"
                    "ecdd6e5aa32e3998e11205c9325e5eda"},
 }
+_MESH_HASHES[4] = _MESH_HASHES[3]
 
 
 @pytest.mark.parametrize("path", ["symmetric", "general"])

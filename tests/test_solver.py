@@ -1,17 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from neckflow import (INC1, INC2, OUTER, ConstantPotential, SolveConfig,
+from neckflow import (INC1, INC2, OUTER, ConstantPotential, PolyPotential,
+                      SolveConfig,
                       SolverError, TriMesh, assemble_energy, build_annulus,
                       build_symmetric_disc_example, generate, solve,
                       uniqueness_probe)
+from neckflow.analysis import cross_section_flux
+from neckflow.harness import DEFAULT_FLUX_WINDOWS
 from neckflow.solver import (PCG_MAXIT, Condenser, ElementOps, _continuation,
                              _linear_solve, _newton, _pcg, _scaled_residual,
-                             _Stats, reduced_hessian)
+                             _Stats, odd_mirror, reduced_hessian)
 
 SYMMETRIC_MMD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
@@ -271,6 +275,22 @@ def constraint_matrix(mesh, inclusion_values=None):
                          shape=(mesh.n_vertices, n))
 
 
+def odd_constraint_matrix(mesh):
+    """Reference S of u = lift + S q for odd data: one column per upper
+    interior vertex (+1 there, -1 at its mirror image), then INC1's scalar
+    (+1 on INC1, -1 on INC2); seam vertices have no entry."""
+    tag, y = mesh.vertex_tag, mesh.vertices[:, 1]
+    upper = np.flatnonzero((tag == 0) & (y > 0))
+    cols = np.arange(len(upper))
+    inc1, inc2 = np.flatnonzero(tag == INC1), np.flatnonzero(tag == INC2)
+    r = np.concatenate([upper, mesh.mirror[upper], inc1, inc2])
+    c = np.concatenate([cols, cols, np.full(len(inc1) + len(inc2),
+                                            len(upper))])
+    v = np.concatenate([np.ones(len(upper)), -np.ones(len(upper)),
+                        np.ones(len(inc1)), -np.ones(len(inc2))])
+    return sp.csr_matrix((v, (r, c)), shape=(mesh.n_vertices, len(upper) + 1))
+
+
 def block_matrix(mesh, blocks):
     """Reference full-space assembly of (9, nt) element blocks through COO."""
     t = mesh.triangles.T
@@ -382,6 +402,58 @@ class TestFixedPattern:
             ref = C.T @ grad
             assert np.abs(cond.reduce_grad(ge) - ref).max() \
                 <= 1e-12 * np.abs(ref).max()
+
+    def test_odd_reduction_matches_reference(self, disc_geom, disc_mesh_1e2,
+                                             rng):
+        # u = lift + S q; the reduced gradient and Hessian are S^T grad / 2
+        # and S^T H S / 2
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        ops, cond = ElementOps(m), Condenser(m, g, mirror=m.mirror)
+        S = odd_constraint_matrix(m)
+        assert (cond.n_dofs, cond.copies) == (S.shape[1], 2)
+        q = rng.normal(size=cond.n_dofs)
+        u = cond.nodal(q)
+        assert np.array_equal(u, cond.lift + S @ q)
+        assert np.array_equal(u[m.mirror], -u)
+        assert cond.potentials(q) == {INC1: q[-1], INC2: -q[-1]}
+        for p, eta in ((1.3, 1e-2), (2.0, 0.0), (3.0, 0.0)):
+            _, grad, H = assemble_energy(m, u, p, eta, ops)
+            _, ge, kern = ops.element_grad(u, p, eta)
+            ref = 0.5 * (S.T @ grad)
+            assert np.abs(cond.reduce_grad(ge) - ref).max() \
+                <= 1e-12 * np.abs(ref).max()
+            assert max_rel(cond.reduce_hess(ops.hessian(kern)),
+                           0.5 * (S.T @ H @ S)) <= 1e-12
+
+    def test_mirror_needs_odd_data(self, disc_geom, disc_mesh_1e2):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        assert odd_mirror(m, g) is m.mirror
+        odd = PolyPotential([(1.0, 0, 1), (0.5, 2, 1)])
+        assert odd_mirror(m, replace(g, phi=odd)) is m.mirror
+        for phi in (ConstantPotential(1.0),
+                    PolyPotential([(1.0, 0, 1), (0.1, 0, 2)])):
+            assert odd_mirror(m, replace(g, phi=phi)) is None
+            with pytest.raises(ValueError, match="odd"):
+                Condenser(m, replace(g, phi=phi), mirror=m.mirror)
+        with pytest.raises(ValueError, match="floating"):
+            Condenser(m, g, {INC1: 0.0, INC2: 0.0}, mirror=m.mirror)
+        annulus = generate(build_annulus(1.0, 2.0), 0.3)
+        assert odd_mirror(annulus, build_annulus(1.0, 2.0)) is None
+
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    def test_odd_solve_matches_full_solve(self, disc_geom, disc_mesh_1e2,
+                                          disc_solutions_1e2, p):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        cfg, full = SolveConfig(p=p), disc_solutions_1e2[p]
+        half = solve(m, g, cfg, Condenser(m, g, mirror=m.mirror))
+        assert half.U1 == -half.U2
+        assert np.array_equal(half.nodal_values[m.mirror], -half.nodal_values)
+        assert half.kkt_residual <= cfg.newton_tol
+        for a, b in ((half.ugap, full.ugap), (half.energy, full.energy),
+                     *((cross_section_flux(half, m, r),
+                        cross_section_flux(full, m, r))
+                       for r in DEFAULT_FLUX_WINDOWS)):
+            assert abs(a - b) <= 1e-11 * abs(b)
 
     def test_ordered_solve_matches_fresh_ordering(self, disc_geom,
                                                    disc_mesh_1e2, rng,
