@@ -349,8 +349,18 @@ class PolyPotential:
         x, y = pts[..., 0], pts[..., 1]
         out = np.zeros(pts.shape[:-1])
         for c, i, j in self.terms:
-            out = out + c * x**i * y**j
+            out = out + c * _power(x, i) * _power(y, j)
         return out
+
+
+def _power(a, k):
+    """a**k by repeated multiplication, whose rounding is sign-symmetric:
+    (-a)**k is (-1)**k * a**k bit for bit, so odd data stays odd (numpy's
+    float ** does not promise that for k >= 3)."""
+    out = np.ones_like(a)
+    for _ in range(k):
+        out = out * a
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -172,16 +172,25 @@ def case_mesh(geom, spec, eps):
 # single case
 # ---------------------------------------------------------------------------
 
+def case_condenser(mesh, g):
+    """The Condenser (the solver's mesh constants) of a case on mesh with
+    geometry g: on the upper half's unknowns when the mesh has a mirror map
+    and the outer data is odd under it (solver.odd_mirror), in the full
+    space otherwise."""
+    return Condenser(mesh, g, mirror=odd_mirror(mesh, g))
+
+
 def run_case(geom, p, eps, spec, mesh=None, cond=None):
     """Solve one (p, eps) case and collect the row dictionary.  Without cond
-    the solve is in the full space; the row records the reduced system's
-    size (`n_dofs`) and whether it was odd-reduced (`odd_reduced`)."""
+    it builds the case's own (case_condenser); the row records the reduced
+    system's size (`n_dofs`) and whether it was odd-reduced
+    (`odd_reduced`)."""
     t0 = time.time()
     g = geom.with_eps(eps)
     if mesh is None:
         mesh = case_mesh(geom, spec, eps)
     if cond is None:
-        cond = Condenser(mesh, g)
+        cond = case_condenser(mesh, g)
     sol = solve(mesh, g, SolveConfig(p=p), cond)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
@@ -241,18 +250,16 @@ def _persist_solution(sol, row, out_dir):
 
 
 def _separation_task(geom, spec, eps):
-    """Mesh one separation and build its Condenser (the solver's mesh
-    constants) once, and solve it for every exponent; returns (rows,
-    failures).  When the mesh has a mirror map and the outer data is odd
-    under it, the Condenser solves on the upper half's unknowns
-    (solver.odd_mirror).  A NeckflowError from the mesh or a solve becomes
-    a failure entry for the (p, eps) cases it stops."""
+    """Mesh one separation and build its Condenser (case_condenser) once,
+    and solve it for every exponent; returns (rows, failures).  A
+    NeckflowError from the mesh or a solve becomes a failure entry for the
+    (p, eps) cases it stops."""
     def failure(p, exc):
         return {"p": p, "eps": eps, "error": f"{type(exc).__name__}: {exc}"}
 
     try:
         mesh, g = case_mesh(geom, spec, eps), geom.with_eps(eps)
-        cond = Condenser(mesh, g, mirror=odd_mirror(mesh, g))
+        cond = case_condenser(mesh, g)
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list]
     rows, failures = [], []

@@ -164,19 +164,6 @@ class TriMesh:
     def tri_coords(self):
         return self.vertices[self.triangles]
 
-    def signed_areas(self):
-        return _signed_areas(self.tri_coords())
-
-    def all_edge_lengths(self):
-        """Lengths of edges (0, 1), then (1, 2), then (2, 0) of every
-        triangle."""
-        return _triangle_edges(self.tri_coords())[2].T.ravel()
-
-    def angles_deg(self):
-        """(nt, 3): column k is each triangle's angle at its vertex k."""
-        cos = _angle_cosines(*_triangle_edges(self.tri_coords()))
-        return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-
     @functools.cached_property
     def centroids(self):
         """(nt, 2) triangle centroids, formed once on first use; read-only."""

@@ -655,12 +655,3 @@ def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
     return max(float(np.linalg.norm(a - b))
                / max(np.linalg.norm(a), np.linalg.norm(b), floor)
                for a, b in itertools.combinations(sols, 2))
-
-
-def reduced_hessian(mesh, geom, cfg, solution):
-    """Reduced-space Hessian (CSC, reduced layout) at a solved state (the
-    last eta of cfg.eta_schedule), for spectral probes."""
-    cond = Condenser(mesh, geom, cfg.inclusion_values)
-    _, _, kern = cond.ops.element_grad(solution.nodal_values, cfg.p,
-                                       cfg.eta_schedule[-1])
-    return cond.reduce_hess(cond.ops.hessian(kern))

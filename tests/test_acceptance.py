@@ -9,7 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from neckflow.acceptance import (FULL_SPACE_CASE, canonical_spec,
+from neckflow import acceptance as acc
+from neckflow.acceptance import (FULL_SPACE_CASE, SENSES, Check,
+                                 CriterionResult, canonical_spec,
                                  criterion_symmetry, run_acceptance)
 
 
@@ -18,6 +20,14 @@ def acceptance(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("acceptance"))
     results = run_acceptance(out, workers=1, seed=0)
     return {r.index: r for r in results}, out
+
+
+def _report(out):
+    data = json.loads(open(os.path.join(out, "sweep", "report.json")).read())
+    return SimpleNamespace(rows=data["rows"], spec=data["spec"],
+                           predictions=data["predictions"],
+                           runtime_s=data["runtime_s"],
+                           fits={float(p): f for p, f in data["fits"].items()})
 
 
 def _check(acceptance, index):
@@ -47,10 +57,7 @@ def test_criterion_04_fails_on_a_corrupted_row(acceptance):
     # the sweep's rows are odd by construction; the full-space solve of
     # FULL_SPACE_CASE still catches a row whose U1 is off
     _, out = acceptance
-    data = json.loads(open(os.path.join(out, "sweep", "report.json")).read())
-    report = SimpleNamespace(rows=data["rows"], spec=data["spec"],
-                             fits={float(p): f
-                                   for p, f in data["fits"].items()})
+    report = _report(out)
     geom = canonical_spec().resolved_geometry()
     assert criterion_symmetry(report, geom).passed
     row = next(r for r in report.rows
@@ -58,8 +65,12 @@ def test_criterion_04_fails_on_a_corrupted_row(acceptance):
     row["U1"], row["U2"] = row["U1"] + 1e-4, row["U2"] - 1e-4
     result = criterion_symmetry(report, geom)
     assert not result.passed
-    assert "max |U1+U2| = 0.00e+00" in result.detail
-    assert "|U1 - row U1| = 1.00e-04" in result.detail
+    failed = [c for c in result.checks if not c.passed]
+    assert len(failed) == 1 and failed[0].name.endswith("|U1 - row U1|")
+    assert failed[0].value == pytest.approx(1e-4, rel=1e-9)
+    assert failed[0].gate == 1e-6 * geom.phi_oscillation()
+    assert result.checks[0].name == "max |U1+U2|"
+    assert result.checks[0].value == 0.0 and result.checks[0].passed
 
 
 def test_criterion_05_blowup_slopes(acceptance):
@@ -131,8 +142,75 @@ def test_transverse_component_small_in_expansion_region(acceptance):
 
 
 def test_acceptance_artifacts_written(acceptance):
-    _, out = acceptance
-    assert os.path.exists(os.path.join(out, "acceptance.json"))
+    results, out = acceptance
     lines = open(os.path.join(out, "acceptance.txt")).read().splitlines()
-    assert len(lines) == 12
-    assert all(ln.startswith("[") for ln in lines)
+    assert lines == [results[i].line() for i in range(1, 13)]
+    data = json.loads(open(os.path.join(out, "acceptance.json")).read())
+    assert [d["index"] for d in data] == list(range(1, 13))
+    for d in data:
+        r = results[d["index"]]
+        assert (d["name"], d["passed"], d["error"]) == (r.name, r.passed, None)
+        assert len(d["checks"]) == len(r.checks)
+        for c, check in zip(d["checks"], r.checks):
+            assert set(c) == {"name", "value", "gate", "sense", "fmt",
+                              "passed"}
+            assert (c["name"], c["value"], c["gate"], c["sense"]) == (
+                check.name, check.value, check.gate, check.sense)
+            assert c["passed"] is check.passed
+            assert (c["gate"] is None) == (c["sense"] is None)
+        # every gated value is printed next to its gate
+        for check in r.checks:
+            assert check.text() in r.line()
+            if check.gate is not None:
+                assert f"{check.sense} {check.gate:{check.fmt}}" in \
+                    check.text()
+
+
+@pytest.mark.parametrize("sense", sorted(SENSES))
+def test_nan_fails_under_every_sense(sense):
+    assert not Check("x", math.nan, sense, 1.0).passed
+    assert not Check("x", math.nan, sense, math.nan).passed
+    assert Check("x", 1.0, sense, 1.0).passed == (sense in ("<=", ">=", "=="))
+    result = CriterionResult(1, "a", [Check("y", 0.0, "<=", 1.0),
+                                      Check("x", math.nan, sense, 1.0)])
+    assert not result.passed
+    assert result.line().endswith("x nan " + sense + " 1.000 FAILED")
+
+
+def test_ungated_values_are_shown_not_gated():
+    shown = Check("slope", -0.508)
+    assert shown.passed and shown.text() == "slope -0.508"
+    assert CriterionResult(5, "a", [shown, Check("t", 4, "<", 9, "d")]
+                           ).line() == "[PASS]  5. a: slope -0.508; t 4 < 9"
+
+
+def test_a_criterion_that_raises_fails_on_its_own(acceptance, tmp_path,
+                                                   monkeypatch):
+    # a failed case leaves no row, fit, prediction or solution file: every
+    # criterion reading one fails, naming the exception, and the matrix is
+    # still run and written
+    _, out = acceptance
+    report = _report(out)
+    report.rows = [r for r in report.rows if r["p"] != 1.3]
+    report.fits.pop(1.3)
+    monkeypatch.setattr(acc, "run_sweep", lambda spec: report)
+    cheap = {"criterion_manufactured": 1, "criterion_oracle": 8,
+             "criterion_decay": 9}
+    for name, index in cheap.items():
+        monkeypatch.setattr(acc, name, lambda index=index:
+                            CriterionResult(index, "stub", [Check("x", 0, "<=",
+                                                                  1, "d")]))
+    results = run_acceptance(str(tmp_path), seed=0)
+    by_index = {r.index: r for r in results}
+    assert len(results) == 12
+    assert by_index[4].error == "StopIteration: "
+    assert by_index[5].error == by_index[7].error == "KeyError: 1.3"
+    assert by_index[11].error.startswith("FileNotFoundError: ")
+    for index in (4, 5, 7, 11):
+        assert not by_index[index].passed and not by_index[index].checks
+        assert by_index[index].line().endswith(": " + by_index[index].error)
+    assert by_index[2].passed and by_index[6].passed
+    lines = open(tmp_path / "acceptance.txt").read().splitlines()
+    assert lines == [r.line() for r in results]
+    data = json.loads(open(tmp_path / "acceptance.json").read())
+    assert data[3]["error"] == "StopIteration: " and not data[3]["passed"]

@@ -291,7 +291,7 @@ class TestHolderScan:
         m, sol = disc_mesh_1e2, disc_solutions_1e2[2.0]
         g = ElementOps(m).gradients(sol.nodal_values).T
         assert np.array_equal(g, sol.element_gradients)
-        area = m.signed_areas()
+        area = m.areas
         acc = np.zeros((m.n_vertices, 2))
         wts = np.zeros(m.n_vertices)
         for k in range(3):

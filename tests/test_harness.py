@@ -300,11 +300,13 @@ def _asymmetric_noses():
                     eps=0.0, gap=gap, phi=LinearPotential(), name="asym")
 
 
-@pytest.mark.parametrize("case", ["odd", "asymmetric", "constant",
-                                  "even_term"])
+@pytest.mark.parametrize("case", ["odd", "odd_cubic", "asymmetric",
+                                  "constant", "even_term"])
 def test_only_odd_problems_are_odd_reduced(case):
+    # odd_cubic: x_n^3 must be odd bit for bit, which float ** is not
     disc = build_symmetric_disc_example(scale=1.0)
     geom = {"odd": disc, "asymmetric": _asymmetric_noses(),
+            "odd_cubic": replace(disc, phi=PolyPotential([(1.0, 0, 3)])),
             "constant": replace(disc, phi=ConstantPotential(1.0)),
             "even_term": replace(disc, phi=PolyPotential([(1.0, 0, 1),
                                                           (0.1, 0, 2)]))}[case]
@@ -313,12 +315,22 @@ def test_only_odd_problems_are_odd_reduced(case):
     assert not failures and len(rows) == 1
     mesh = case_mesh(geom, spec, 1e-2)
     interior = int((mesh.vertex_tag == 0).sum())
-    if case == "odd":
+    if case.startswith("odd"):
         upper = int(((mesh.vertex_tag == 0) & (mesh.vertices[:, 1] > 0)).sum())
         assert rows[0]["odd_reduced"] and rows[0]["n_dofs"] == upper + 1
     else:
         assert not rows[0]["odd_reduced"]
         assert rows[0]["n_dofs"] == interior + 2
+
+
+def test_run_case_solves_what_the_sweep_solves():
+    # `neckflow solve` calls run_case without a Condenser; it builds the
+    # sweep's, so odd data is odd-reduced there too
+    spec = tiny_spec(p_list=(1.3,))
+    (swept,), _ = harness._separation_task(spec.geometry, spec, 1e-2)
+    row = harness.run_case(spec.geometry, 1.3, 1e-2, spec)
+    assert row["odd_reduced"] and row["n_dofs"] == swept["n_dofs"]
+    assert abs(row["U1"] - swept["U1"]) <= 1e-12 * abs(swept["U1"])
 
 
 _NO_OPTIMIZE_PROBE = """
@@ -429,10 +441,13 @@ class TestCLI:
 
     def test_accept_prints_and_sets_exit_code(self, monkeypatch, capsys):
         from neckflow import acceptance
-        results = [acceptance.CriterionResult(1, "a", True, "ok"),
-                   acceptance.CriterionResult(2, "b", False, "off")]
+        results = [acceptance.CriterionResult(
+                       1, "a", [acceptance.Check("x", 1.0, "<=", 2.0)]),
+                   acceptance.CriterionResult(
+                       2, "b", [acceptance.Check("y", 3.0, "<", 2.0, ".1f")])]
         monkeypatch.setattr(acceptance, "run_acceptance",
                             lambda out, workers, seed: results)
         assert cli_main(["accept", "--out", "unused"]) == 1
         assert capsys.readouterr().out.splitlines() == \
-            ["[PASS]  1. a: ok", "[FAIL]  2. b: off"]
+            ["[PASS]  1. a: x 1.000 <= 2.000",
+             "[FAIL]  2. b: y 3.0 < 2.0 FAILED"]
