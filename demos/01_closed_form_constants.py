@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from neckflow import (Regime, blowup_scale, gamma_fn, gap_constant,
-                      neck_integral, neck_integral_limit)
+from neckflow import (Regime, blowup_scale, gap_constant, neck_integral,
+                      neck_integral_limit)
 
 print("Branch structure: the exponent p splits at (n+1)/2.")
 for n, p in ((2, 2.0), (2, 1.5), (2, 1.3), (3, 2.0), (4, 2.5)):
@@ -23,9 +23,9 @@ for p in (2.0, 3.0, 1.3):
                     for e in (1e-2, 1e-4, 1e-6))
     print(f"  p={p:<4g} ({reg.branch:8s}) {row}")
 
-print("\nGamma function spot checks (Lanczos approximation):")
+print("\nThe Gamma values that enter the neck constant:")
 for z, exact in ((0.5, math.sqrt(math.pi)), (1.0, 1.0), (4.5, None)):
-    val = gamma_fn(z)
+    val = math.gamma(z)
     note = "" if exact is None else f"  (exact {exact:.12g})"
     print(f"  gamma({z}) = {val:.12g}{note}")
 

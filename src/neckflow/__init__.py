@@ -25,9 +25,8 @@ from .analysis import (GradientProbe, annulus_circle_flux,
 from .asymptotics import (CRITICAL, SUB, SUPER, AsymptoticPrediction, Regime,
                           blowup_scale, extrapolate_flux,
                           extrapolated_window_rows, fit_ugap_limit,
-                          gamma_fn, gap_constant, lower_bound_region,
-                          neck_integral, neck_integral_limit,
-                          predict_expansion)
+                          gap_constant, lower_bound_region, neck_integral,
+                          neck_integral_limit, predict_expansion)
 from .harness import (SweepReport, SweepSpec, compare_prediction, run_case,
                       run_sweep, solve_decay_fixture)
 from .errors import (BranchError, FitError, GeometryError, MeshCapacityError,

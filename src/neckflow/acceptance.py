@@ -29,7 +29,8 @@ from .geometry import (INC1, ConstantPotential, build_annulus,
 from .harness import (SweepSpec, run_sweep, solve_decay_fixture, case_mesh,
                       solution_path)
 from .meshing import generate
-from .solver import ElementOps, SolveConfig, solve, uniqueness_probe
+from .solver import (NEWTON_TOL, ElementOps, SolveConfig, solve,
+                     uniqueness_probe)
 
 SENSES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
           ">": operator.gt, "==": operator.eq}
@@ -283,19 +284,20 @@ def criterion_properties(report, geom, spec):
               itertools.groupby(r["history"], key=operator.itemgetter(0))]
     rises = [[-math.inf]] + [np.diff(s) / max(1.0, abs(s[0])) for s in stages]
     lo, hi = geom.phi_range()
-    tol = 1e-10     # of the uniqueness probes, gated at multiples of it
     g = build_symmetric_disc_example(scale=1.0).with_eps(1e-2)
     mesh = generate(g, 0.18, 6, seed=spec.seed)
-    dist = {p: uniqueness_probe(mesh, g, SolveConfig(p=p, newton_tol=tol),
-                                seed=spec.seed) for p in (2.0, 1.3)}
+    # the probes solve to NEWTON_TOL and are gated at multiples of it
+    dist = {p: uniqueness_probe(mesh, g, SolveConfig(p=p), seed=spec.seed)
+            for p in (2.0, 1.3)}
     return [Check("grad vs FD rel", np.max(rel), "<=", 1e-6, ".1e"),
             Check("energy rise per stage", np.max(np.concatenate(rises)), "<=",
                   1e-12, ".1e"),
             Check("max-principle overshoot", np.max(
                 [[r["u_max"] - hi, lo - r["u_min"]] for r in report.rows]),
                 "<=", 1e-8 * (hi - lo), ".1e"),
-            Check("uniqueness dist p=2", dist[2.0], "<=", 10 * tol, ".1e"),
-            Check("uniqueness dist p=1.3", dist[1.3], "<=", 100 * tol,
+            Check("uniqueness dist p=2", dist[2.0], "<=", 10 * NEWTON_TOL,
+                  ".1e"),
+            Check("uniqueness dist p=1.3", dist[1.3], "<=", 100 * NEWTON_TOL,
                   ".1e")]
 
 

@@ -66,17 +66,6 @@ def blowup_scale(eps, regime: Regime):
 
 
 # ---------------------------------------------------------------------------
-# Gamma function
-# ---------------------------------------------------------------------------
-
-def gamma_fn(z):
-    """Gamma(z) for z > 0 (math.gamma with the domain check of this module)."""
-    if z <= 0:
-        raise GeometryError("gamma_fn requires z > 0")
-    return math.gamma(z)
-
-
-# ---------------------------------------------------------------------------
 # the neck constant and its quadrature oracle
 # ---------------------------------------------------------------------------
 
@@ -101,14 +90,18 @@ def gap_constant(hessian_gap, regime: Regime):
     det_sqrt = math.sqrt(float(np.prod(lam)))
     b = regime.branch
     if b == SUPER:
-        return det_sqrt * gamma_fn(p - 1.0) / (
-            (2 * math.pi) ** ((n - 1) / 2.0) * gamma_fn(p - (n + 1) / 2.0))
+        return det_sqrt * math.gamma(p - 1.0) / (
+            (2 * math.pi) ** ((n - 1) / 2.0) * math.gamma(p - (n + 1) / 2.0))
     if b == CRITICAL:
-        return det_sqrt * gamma_fn((n - 1) / 2.0) / (2 * math.pi) ** ((n - 1) / 2.0)
+        return det_sqrt * math.gamma((n - 1) / 2.0) / (2 * math.pi) ** ((n - 1) / 2.0)
     raise BranchError("the neck constant is undefined on the SUB branch")
 
 
-def neck_integral(regime: Regime, hessian_gap, radius, eps, rel_tol=1e-6):
+# Relative accuracy asked of the neck-integral quadrature.
+NECK_INTEGRAL_REL_TOL = 1e-6
+
+
+def neck_integral(regime: Regime, hessian_gap, radius, eps):
     """Adaptive quadrature of
 
         int_{|y'| < radius} ( scale(eps) / (eps + y'^T H y' / 2) )^(p-1) dy'
@@ -138,7 +131,8 @@ def neck_integral(regime: Regime, hessian_gap, radius, eps, rel_tol=1e-6):
             pieces = [(0.0, upper)]
         total = 0.0
         for a, b in pieces:
-            val, err = quad(f, a, b, epsrel=rel_tol * 1e-2, epsabs=0.0, limit=200)
+            val, err = quad(f, a, b, epsrel=NECK_INTEGRAL_REL_TOL * 1e-2,
+                            epsabs=0.0, limit=200)
             if not math.isfinite(val):
                 raise QuadratureError("radial quadrature failed")
             total += val
@@ -155,7 +149,8 @@ def neck_integral(regime: Regime, hessian_gap, radius, eps, rel_tol=1e-6):
                             + 2.0 / lam[1] * math.sin(t1) ** 2)
             return radial(radius / phi)
 
-        val, err = quad(f1, 0.0, 2 * math.pi, epsrel=rel_tol * 1e-1, limit=100)
+        val, err = quad(f1, 0.0, 2 * math.pi,
+                        epsrel=NECK_INTEGRAL_REL_TOL * 1e-1, limit=100)
         return theta_pow * front * val
     if n == 4:
         def inner(t1):
@@ -166,10 +161,12 @@ def neck_integral(regime: Regime, hessian_gap, radius, eps, rel_tol=1e-6):
                                 + 2.0 / lam[2] * (s1 * math.sin(t2)) ** 2)
                 return radial(radius / phi)
 
-            val2, _ = quad(f2, 0.0, 2 * math.pi, epsrel=rel_tol, limit=60)
+            val2, _ = quad(f2, 0.0, 2 * math.pi,
+                           epsrel=NECK_INTEGRAL_REL_TOL, limit=60)
             return math.sin(t1) * val2
 
-        val, err = quad(inner, 0.0, math.pi, epsrel=rel_tol, limit=60)
+        val, err = quad(inner, 0.0, math.pi, epsrel=NECK_INTEGRAL_REL_TOL,
+                        limit=60)
         return theta_pow * front * val
     raise QuadratureError(f"neck integral implemented for n <= 4, got n={n}")
 
@@ -386,15 +383,21 @@ def extrapolate_flux(rows):
     return FluxExtrapolation(f_inf, a, b)
 
 
-def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
-                             min_pts=3):
+# A separation eps qualifies for window radius r when eps <= r^2 /
+# WINDOW_QUALIFY_RATIO; a radius is fitted from WINDOW_MIN_PTS of them.
+WINDOW_QUALIFY_RATIO = 25.0
+WINDOW_MIN_PTS = 3
+
+
+def extrapolated_window_rows(tables, regime: Regime):
     """Turn a window-flux table {eps: {r: flux}} into (r, flux) rows suitable
     for `extrapolate_flux`.
 
     A separation value qualifies for radius r only when eps <= r^2 /
-    qualify_ratio (the window flux is meaningful only for eps well below the
-    window scale).  On the flux-carrying branches each radius with at least
-    min_pts qualifying separations is extrapolated to eps -> 0 by the fit
+    WINDOW_QUALIFY_RATIO (the window flux is meaningful only for eps well
+    below the window scale).  On the flux-carrying branches each radius with
+    at least WINDOW_MIN_PTS qualifying separations is extrapolated to
+    eps -> 0 by the fit
     s0 + c eps^q, q in [0.1, 1.5]; radii with fewer points are dropped.
     On the SUB branch the raw values at the smallest qualifying separation
     are used: the limit being demonstrated is zero and the slow gap
@@ -403,13 +406,13 @@ def extrapolated_window_rows(tables, regime: Regime, qualify_ratio=25.0,
     radii = sorted({r for t in tables.values() for r in t.keys()}, reverse=True)
     rows = []
     for r in radii:
-        qual = [e for e in eps_sorted if e <= r * r / qualify_ratio]
+        qual = [e for e in eps_sorted if e <= r * r / WINDOW_QUALIFY_RATIO]
         if not qual:
             continue
         vals = np.array([tables[e][r] for e in qual], dtype=float)
         if regime.branch == SUB:
             rows.append((r, float(vals[-1])))
-        elif len(qual) >= min_pts:
+        elif len(qual) >= WINDOW_MIN_PTS:
             s0, _, _ = _separable_fit(np.array(qual), vals, np.power, 0.1, 1.5,
                                       log=False)
             rows.append((r, s0))

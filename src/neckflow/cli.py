@@ -1,9 +1,11 @@
 """Command-line entry points.
 
-  neckflow solve  --config geom.cfg --p 2 --eps 1e-3 [--out DIR]
+  neckflow solve  --config geom.cfg --p 2 --eps 1e-3 [--out DIR] [--seed N]
   neckflow sweep  --config geom.cfg [--p 1.3,2,3] [--eps 1e-2,...] --out DIR
-  neckflow oracle [--out DIR]       closed-form self checks, no PDE
-  neckflow accept [--out DIR]       full acceptance matrix; exit 0 iff green
+                  [--seed N] [--workers N]
+  neckflow oracle [--out DIR]       neck-integral self check, no PDE
+  neckflow accept [--out DIR] [--seed N] [--workers N]
+                                    full acceptance matrix; exit 0 iff green
 
 The mesh cache directory is taken from NECKFLOW_CACHE when set.
 """
@@ -73,18 +75,9 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
-    from . import asymptotics as asy
     from .acceptance import criterion_oracle
-    ok = True
-    print("gamma-function spot checks:")
-    exact = {1.0: 1.0, 0.5: math.sqrt(math.pi), 2.0: 1.0, 5.0: 24.0,
-             1.5: math.sqrt(math.pi) / 2, 10.0: 362880.0}
-    for z, val in sorted(exact.items()):
-        rel = abs(asy.gamma_fn(z) - val) / val
-        ok &= rel < 1e-12
-        print(f"  gamma({z:g}) rel err {rel:.2e}")
     result = criterion_oracle()
-    ok &= result.passed
+    ok = result.passed
     print(result.line())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -108,18 +101,18 @@ def main(argv=None):
                                  description="two-inclusion nonlinear "
                                  "conductivity solver and verification harness")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    common = dict(config=lambda sp: sp.add_argument("--config", default=None),
-                  out=lambda sp: sp.add_argument("--out", default=None),
-                  seed=lambda sp: sp.add_argument("--seed", type=int, default=0),
-                  workers=lambda sp: sp.add_argument("--workers", type=int,
-                                                     default=1))
+    # each subcommand takes only the options it reads
     for name, fn in (("solve", cmd_solve), ("sweep", cmd_sweep),
                      ("oracle", cmd_oracle), ("accept", cmd_accept)):
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
-        for add in common.values():
-            add(sp)
+        sp.add_argument("--out", default=None)
+        if name != "oracle":
+            sp.add_argument("--seed", type=int, default=0)
+        if name in ("sweep", "accept"):
+            sp.add_argument("--workers", type=int, default=1)
         if name in ("solve", "sweep"):
+            sp.add_argument("--config", default=None)
             sp.add_argument("--p", type=lambda s: _parse_list(s), default=None)
             sp.add_argument("--eps", type=lambda s: _parse_list(s), default=None)
             sp.add_argument("--target-h", dest="target_h", type=float,

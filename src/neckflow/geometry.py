@@ -339,10 +339,16 @@ class ConstantPotential:
 
 
 class PolyPotential:
-    """phi(x) = sum over terms (coef, i, j) of coef * x'^i * x_n^j."""
+    """phi(x) = sum over terms (coef, i, j) of coef * x'^i * x_n^j; the
+    exponents must be non-negative integers."""
 
     def __init__(self, terms):
-        self.terms = [(float(c), int(i), int(j)) for c, i, j in terms]
+        self.terms = []
+        for c, i, j in terms:
+            if not all(float(k).is_integer() and k >= 0 for k in (i, j)):
+                raise GeometryError(f"polynomial exponents must be "
+                                    f"non-negative integers, got ({i}, {j})")
+            self.terms.append((float(c), int(i), int(j)))
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -663,27 +669,34 @@ def load_geometry_config(path):
     import os
 
     cfg = parse_config(path)
+
+    def value(key, default, cast=float):
+        try:
+            return cast(cfg.get(key, default))
+        except (ValueError, GeometryError) as exc:
+            raise GeometryError(f"{path}: bad {key} = "
+                                f"{cfg.get(key, default)!r}: {exc}") from None
+
     shape = cfg.get("shape", "disc")
-    eps = float(cfg.get("eps", "0.01"))
-    scale = float(cfg.get("scale", "1"))
+    eps = value("eps", "0.01")
+    scale = value("scale", "1")
     phi_kind = cfg.get("phi", "linear_xn")
     if phi_kind == "linear_xn":
         phi = LinearPotential()
     elif phi_kind == "const":
-        phi = ConstantPotential(float(cfg.get("phi_value", "1")))
+        phi = ConstantPotential(value("phi_value", "1"))
     elif phi_kind == "custom_poly":
-        terms = []
-        for chunk in cfg.get("phi_poly", "1:0:1").replace(",", " ").split():
-            c, i, j = chunk.split(":")
-            terms.append((float(c), int(i), int(j)))
-        phi = PolyPotential(terms)
+        # a chunk that is not coef:i:j fails to unpack in PolyPotential
+        phi = value("phi_poly", "1:0:1", lambda text: PolyPotential(
+            map(float, chunk.split(":"))
+            for chunk in text.replace(",", " ").split()))
     else:
         raise GeometryError(f"unknown phi kind {phi_kind!r}")
 
     if shape == "disc":
         return build_symmetric_disc_example(scale=scale, eps=eps, phi=phi)
     if shape == "parabola":
-        return build_parabola_example(a=float(cfg.get("parabola_a", "0.25")),
+        return build_parabola_example(a=value("parabola_a", "0.25"),
                                       eps=eps, scale=scale, phi=phi)
     if shape == "table":
         table = cfg.get("table")
@@ -693,6 +706,6 @@ def load_geometry_config(path):
             table = os.path.join(os.path.dirname(os.path.abspath(path)), table)
         return build_table_example(table, eps=eps, scale=scale, phi=phi)
     if shape == "annulus":
-        return build_annulus(float(cfg.get("r_inner", "1")),
-                             float(cfg.get("r_outer", "2")), phi=phi)
+        return build_annulus(value("r_inner", "1"), value("r_outer", "2"),
+                             phi=phi)
     raise GeometryError(f"unknown shape {shape!r}")

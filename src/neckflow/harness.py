@@ -44,7 +44,7 @@ from .errors import MeshError, NeckflowError
 from .geometry import (INC1, INC2, ConstantPotential,
                        build_symmetric_disc_example, load_geometry_config)
 from .meshing import generate, generate_neck_strip, load_mesh, save_mesh
-from .solver import Condenser, SolveConfig, odd_mirror, solve
+from .solver import Condenser, SolveConfig, solve
 
 CSV_BASE_COLUMNS = (
     "p", "eps", "U1", "U2", "ugap", "ugap_over_scale", "maxgrad",
@@ -172,25 +172,17 @@ def case_mesh(geom, spec, eps):
 # single case
 # ---------------------------------------------------------------------------
 
-def case_condenser(mesh, g):
-    """The Condenser (the solver's mesh constants) of a case on mesh with
-    geometry g: on the upper half's unknowns when the mesh has a mirror map
-    and the outer data is odd under it (solver.odd_mirror), in the full
-    space otherwise."""
-    return Condenser(mesh, g, mirror=odd_mirror(mesh, g))
-
-
 def run_case(geom, p, eps, spec, mesh=None, cond=None):
     """Solve one (p, eps) case and collect the row dictionary.  Without cond
-    it builds the case's own (case_condenser); the row records the reduced
-    system's size (`n_dofs`) and whether it was odd-reduced
-    (`odd_reduced`)."""
+    it builds the case's own, odd-reduced where it can be (Condenser with
+    odd=True); the row records the reduced system's size (`n_dofs`) and
+    whether it was odd-reduced (`odd_reduced`)."""
     t0 = time.time()
     g = geom.with_eps(eps)
     if mesh is None:
         mesh = case_mesh(geom, spec, eps)
     if cond is None:
-        cond = case_condenser(mesh, g)
+        cond = Condenser(mesh, g, odd=True)
     sol = solve(mesh, g, SolveConfig(p=p), cond)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
@@ -250,8 +242,8 @@ def _persist_solution(sol, row, out_dir):
 
 
 def _separation_task(geom, spec, eps):
-    """Mesh one separation and build its Condenser (case_condenser) once,
-    and solve it for every exponent; returns (rows, failures).  A
+    """Mesh one separation and build its Condenser (odd=True) once, and
+    solve it for every exponent; returns (rows, failures).  A
     NeckflowError from the mesh or a solve becomes a failure entry for the
     (p, eps) cases it stops."""
     def failure(p, exc):
@@ -259,7 +251,7 @@ def _separation_task(geom, spec, eps):
 
     try:
         mesh, g = case_mesh(geom, spec, eps), geom.with_eps(eps)
-        cond = case_condenser(mesh, g)
+        cond = Condenser(mesh, g, odd=True)
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list]
     rows, failures = [], []

@@ -13,15 +13,15 @@ a Newton step solves it only to a forcing term, by CG preconditioned with
 the solve's last factorization (see Condenser.linear_solve).
 
 When the mesh is its own mirror image under x_n -> -x_n and the outer data
-is odd under it, the minimizer is odd, and a Condenser given the mesh's
-mirror map (see odd_mirror) solves on the upper half's unknowns alone: a
-signed condensation u = lift + s q[dof], s in {+1, -1, 0}, with the
-reduced gradient and Hessian in full-space units.
+is odd under it, the minimizer is odd, and a Condenser built with odd=True
+solves on the upper half's unknowns alone: a signed condensation u = lift +
+s q[dof], s in {+1, -1, 0}, with the reduced gradient and Hessian in
+full-space units.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,8 +31,13 @@ from .errors import SolverError
 from .geometry import INC1, INC2, OUTER
 from .meshing import TriMesh
 
+# Newton stops at this scaled residual, within MAX_NEWTON_ITERS steps, and
+# then takes up to POLISH_ITERS extra full steps (see _newton).
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERS = 100
+POLISH_ITERS = 2
 # Continuation stages before the last two only supply the next stage's start,
-# so they stop at max(newton_tol, LOOSE_STAGE_TOL) and take no polish steps.
+# so they stop at max(NEWTON_TOL, LOOSE_STAGE_TOL) and take no polish steps.
 LOOSE_STAGE_TOL = 1e-6
 # A direct solve with a larger relative residual (max norm) is redone with
 # Levenberg damping.
@@ -47,7 +52,7 @@ FILL_REDUCING_ORDER = "MMD_AT_PLUS_A"
 _SPLU_SYMMETRIC = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def default_eta_schedule(p):
+def eta_schedule(p):
     """Continuation in the regularization parameter: the Hessian degenerates
     where the gradient vanishes for p < 2, so eta is walked down geometrically;
     for p >= 2 no regularization is needed."""
@@ -59,25 +64,11 @@ def default_eta_schedule(p):
 @dataclass
 class SolveConfig:
     p: float
-    eta_schedule: tuple = None
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 100
     inclusion_values: dict = None   # {tag: value} pins an inclusion potential
-    polish_iters: int = 2   # extra full Newton steps after the tolerance is met
 
     def __post_init__(self):
         if self.p <= 1.0:
             raise ValueError("exponent p must exceed 1")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.eta_schedule is None:
-            self.eta_schedule = default_eta_schedule(self.p)
-        sched = tuple(float(e) for e in self.eta_schedule)
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("eta_schedule must be strictly decreasing")
-        if sched[-1] < 0:
-            raise ValueError("final eta must be >= 0")
-        self.eta_schedule = sched
 
 
 @dataclass
@@ -239,13 +230,16 @@ class Condenser:
 
     Reduced layout: interior vertices first, then one scalar per floating
     inclusion (INC1 before INC2 when both float); `dof` is -1 (s = 0) at
-    Dirichlet and pinned vertices, and s is +1 elsewhere.  With a `mirror`
-    (see odd_mirror) only upper-half interior vertices own DOFs, their
-    mirror images take the negated DOF, seam vertices (x_n = 0) are fixed
-    at 0, and INC2 takes INC1's scalar with sign -1.  Each DOF then stands
-    for two vertices (`copies`); the reduced gradient and Hessian are
-    divided by that, exactly, so that they, the residual and the stopping
-    test stay in full-space units.
+    Dirichlet and pinned vertices, and s is +1 elsewhere.  With odd=True
+    it reduces by the mesh's mirror map (`mirror`, else None) when there is
+    one, no inclusion is pinned and the outer data is odd under it bit for
+    bit, so that the minimizer is odd (the energy is strictly convex): only
+    upper-half interior vertices own DOFs, their mirror images take the
+    negated DOF, seam vertices (x_n = 0) are fixed at 0, and INC2 takes
+    INC1's scalar with sign -1.  Each DOF then stands for two vertices
+    (`copies`); the reduced gradient and Hessian are divided by that,
+    exactly, so that they, the residual and the stopping test stay in
+    full-space units.
 
     The element factors (`ops`), the reduced Hessian's pattern, the slot of
     every element-block entry in it and the int8 sign tables of the element
@@ -257,14 +251,14 @@ class Condenser:
     can share a Condenser.
     """
 
-    def __init__(self, mesh, geom, inclusion_values=None, mirror=None):
+    def __init__(self, mesh, geom, inclusion_values=None, odd=False):
         inclusion_values = inclusion_values or {}
         tag = mesh.vertex_tag
         self.lift = _outer_lift(mesh, geom)
-        if mirror is not None and (inclusion_values
-                                   or not _is_odd(self.lift, mirror)):
-            raise ValueError("a mirror needs odd outer data and floating "
-                             "inclusions")
+        mirror = mesh.mirror
+        if not (odd and mirror is not None and not inclusion_values
+                and np.array_equal(self.lift[mirror], -self.lift)):
+            mirror = None
         own = tag == 0
         if mirror is not None:
             own &= mesh.vertices[:, 1] > 0
@@ -383,19 +377,6 @@ def _outer_lift(mesh, geom):
     return lift
 
 
-def _is_odd(lift, mirror):
-    return bool(np.array_equal(lift[mirror], -lift))
-
-
-def odd_mirror(mesh, geom):
-    """mesh.mirror when the outer data geom.phi is odd under it bit for bit,
-    so that a Condenser may use it; None otherwise.  The minimizer is then
-    odd: the energy is strictly convex, and the mirror image of a
-    minimizer is one.  The Condenser also needs floating inclusions."""
-    m = mesh.mirror
-    return m if m is not None and _is_odd(_outer_lift(mesh, geom), m) else None
-
-
 # ---------------------------------------------------------------------------
 # Newton iteration
 # ---------------------------------------------------------------------------
@@ -493,24 +474,25 @@ def _scaled_residual(cond, q, p, eta):
     return float(np.abs(cond.reduce_grad(ge)).max()) / max(1.0, abs(energy))
 
 
-def _newton(cond, q, p, eta, cfg, stats):
-    """Damped Newton on the reduced energy; returns (q, scaled residual).
+def _newton(cond, q, p, eta, stats, tol, max_iters, polish):
+    """Damped Newton on the reduced energy to the scaled residual tol within
+    max_iters steps; returns (q, scaled residual).
 
-    After the tolerance is met, up to cfg.polish_iters extra full steps are
-    taken while they keep lowering the residual; downstream flux sums benefit
-    from residuals well below the stopping tolerance."""
+    After the tolerance is met, up to `polish` extra full steps are taken
+    while they keep lowering the residual; downstream flux sums benefit from
+    residuals well below the stopping tolerance."""
     ops = cond.ops
-    polish_left = cfg.polish_iters
+    polish_left = polish
     # every pass that does not return takes one step, so `it` counts steps
-    for it in range(cfg.max_newton_iters + cfg.polish_iters):
+    for it in range(max_iters + polish):
         energy, ge, kern = ops.element_grad(cond.nodal(q), p, eta)
         grad = cond.reduce_grad(ge)
         del ge
         scale = max(1.0, abs(energy))
         res = float(np.abs(grad).max()) / scale
         stats.history.append((eta, energy, res))
-        done = res <= cfg.newton_tol and it > 0
-        if done and (polish_left <= 0 or res <= 1e-3 * cfg.newton_tol):
+        done = res <= tol and it > 0
+        if done and (polish_left <= 0 or res <= 1e-3 * tol):
             return q, res
         blocks = ops.hessian(kern)
         del kern   # no step intermediate outlives its use: a lower peak
@@ -543,36 +525,37 @@ def _newton(cond, q, p, eta, cfg, stats):
                 break
             t *= BACKTRACK
         if not accepted:
-            if res <= 100 * cfg.newton_tol:
+            if res <= 100 * tol:
                 stats.floor_accepts += 1
                 return q, res   # at the rounding floor; accept
             raise SolverError("line search stagnated", residual=res, eta=eta)
         q = q + t * d
         stats.newton_iters += 1
     res = _scaled_residual(cond, q, p, eta)
-    if res > cfg.newton_tol:
-        raise SolverError(f"Newton did not converge in {cfg.max_newton_iters} "
-                          f"iterations", residual=res, eta=eta)
+    if res > tol:
+        raise SolverError(f"Newton did not converge in {max_iters} iterations",
+                          residual=res, eta=eta)
     return q, res
 
 
-def _continuation(cond, q, cfg, stats):
-    """Newton through cfg.eta_schedule from q; returns (q, scaled residual,
+def _continuation(cond, q, p, stats):
+    """Newton through eta_schedule(p) from q; returns (q, scaled residual,
     eta_sensitivity).
 
-    Stages before the last two run at the looser of newton_tol and
+    Stages before the last two run at the looser of NEWTON_TOL and
     LOOSE_STAGE_TOL without polish (inexact continuation).  The last two run
-    at newton_tol: the solution is the final stage's, and eta_sensitivity,
+    at NEWTON_TOL: the solution is the final stage's, and eta_sensitivity,
     the relative change of the gap U1 - U2 between the last two stages, is
     only meaningful when both are converged tightly.
     """
-    sched = cfg.eta_schedule
-    loose = replace(cfg, newton_tol=max(cfg.newton_tol, LOOSE_STAGE_TOL),
-                    polish_iters=0)
+    sched = eta_schedule(p)
     gaps = []
     for stage, eta in enumerate(sched):
-        stage_cfg = loose if stage < len(sched) - 2 else cfg
-        q, res = _newton(cond, q, cfg.p, eta, stage_cfg, stats)
+        if stage < len(sched) - 2:
+            tol, polish = max(NEWTON_TOL, LOOSE_STAGE_TOL), 0
+        else:
+            tol, polish = NEWTON_TOL, POLISH_ITERS
+        q, res = _newton(cond, q, p, eta, stats, tol, MAX_NEWTON_ITERS, polish)
         pots = cond.potentials(q)
         gaps.append(pots[INC1] - pots[INC2])
     sensitivity = None
@@ -603,13 +586,14 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
     q = cond.initial_q()
 
     if cfg.p != 2.0:
-        # warm start from the p = 2 solution; its steps are not in the history
-        warm = SolveConfig(p=2.0, newton_tol=1e-9, max_newton_iters=10)
-        q, _ = _newton(cond, q, 2.0, 0.0, warm, stats)
+        # warm start from the p = 2 solution; its steps are not in the
+        # history.  It only supplies the start (so 1e-9), and its energy is
+        # quadratic (so 10 steps are plenty)
+        q, _ = _newton(cond, q, 2.0, 0.0, stats, 1e-9, 10, POLISH_ITERS)
         stats.history.clear()
-    q, res, sensitivity = _continuation(cond, q, cfg, stats)
+    q, res, sensitivity = _continuation(cond, q, cfg.p, stats)
 
-    eta_final = cfg.eta_schedule[-1]
+    eta_final = eta_schedule(cfg.p)[-1]
     u = cond.nodal(q)
     energy, grad_full, kern = cond.ops.energy_grad(u, cfg.p, eta_final)
     scale = max(1.0, abs(energy))
@@ -631,25 +615,23 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
         factorizations=stats.factorizations, floor_accepts=stats.floor_accepts)
 
 
-def uniqueness_probe(mesh, geom, cfg, n_starts=3, seed=0):
-    """Solve from randomized initial iterates; return the max pairwise
-    relative nodal-l2 distance between the converged states.
+def uniqueness_probe(mesh, geom, cfg, seed=0):
+    """Solve from the zero state and two random ones; return the max
+    pairwise relative nodal-l2 distance between the converged states.
 
     The energy is convex, so all starts must land on the same minimizer up
     to solver tolerance.  The distance is relative to the larger nodal norm,
     floored at unit RMS so that zero boundary data (whose minimizer is
     identically zero) reports the absolute RMS difference.
     """
-    if n_starts < 2:
-        raise ValueError("need at least two starts")
     rng = np.random.default_rng(seed)
     cond = Condenser(mesh, geom, cfg.inclusion_values)
     vals = np.atleast_1d(geom.phi(mesh.vertices[mesh.vertex_tag == OUTER]))
     lo, hi = (vals.min(), vals.max()) if len(vals) else (0.0, 0.0)
     sols = []
-    for k in range(n_starts):
+    for k in range(3):
         q = rng.uniform(lo - 0.1, hi + 0.1, cond.n_dofs) if k else cond.initial_q()
-        q, _, _ = _continuation(cond, q, cfg, _Stats())
+        q, _, _ = _continuation(cond, q, cfg.p, _Stats())
         sols.append(cond.nodal(q))
     floor = math.sqrt(mesh.n_vertices)
     return max(float(np.linalg.norm(a - b))

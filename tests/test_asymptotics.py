@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from neckflow import (BranchError, FitError, GeometryError, Regime,
                       blowup_scale, extrapolate_flux, extrapolated_window_rows,
-                      fit_ugap_limit, gamma_fn, gap_constant,
+                      fit_ugap_limit, gap_constant,
                       lower_bound_region, neck_integral, neck_integral_limit,
                       predict_expansion)
 from neckflow.asymptotics import (CRITICAL, SUB, SUPER, _aitken,
@@ -62,34 +62,6 @@ class TestBlowupScale:
         for bad in (0.0, 1.0, 2.0, -1e-3):
             with pytest.raises(GeometryError):
                 blowup_scale(bad, Regime(2.0, 2))
-
-
-class TestGamma:
-    def test_classical_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
-
-    def test_against_high_precision_oracle(self):
-        import mpmath
-        mpmath.mp.dps = 30
-        zs = np.concatenate([np.geomspace(1e-3, 0.5, 40),
-                             np.linspace(0.5, 50.0, 300)])
-        worst = max(abs(gamma_fn(z) - float(mpmath.gamma(z)))
-                    / float(mpmath.gamma(z)) for z in zs)
-        assert worst <= 1e-12
-
-    def test_value_4p5(self):
-        import mpmath
-        mpmath.mp.dps = 30
-        assert gamma_fn(4.5) == pytest.approx(float(mpmath.gamma(4.5)),
-                                              rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(GeometryError):
-            gamma_fn(0.0)
-        with pytest.raises(GeometryError):
-            gamma_fn(-1.5)
 
 
 class TestGapConstant:
@@ -318,19 +290,16 @@ class TestFluxExtrapolation:
         assert rows == [(0.4, 1.0 + 1e-4), (0.3, 0.9 + 1e-4)]
 
     def test_window_rows_per_radius(self):
-        radii = (0.4, 0.3, 0.2)
+        # eps <= r^2 / 25 qualifies: 4, 4, 3 and 2 separations for the radii
+        radii = (0.4, 0.3, 0.2, 0.1)
         eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
         tables = {e: {r: r * (1 + e**0.4) for r in radii} for e in eps_list}
-        rows = extrapolated_window_rows(tables, Regime(2.0, 2),
-                                        qualify_ratio=1.0)
-        assert [r for r, _ in rows] == list(radii)
-        assert [s for _, s in rows] == pytest.approx(radii, rel=1e-8)
-        # too few qualifying separations: the radius is dropped
-        assert extrapolated_window_rows(tables, Regime(2.0, 2),
-                                        qualify_ratio=1.0, min_pts=6) == []
-        # raw rows on the SUB branch are not fits and need no min_pts
-        rows = extrapolated_window_rows(tables, Regime(1.3, 2),
-                                        qualify_ratio=1.0, min_pts=6)
+        rows = extrapolated_window_rows(tables, Regime(2.0, 2))
+        # too few qualifying separations: radius 0.1 is dropped
+        assert [r for r, _ in rows] == list(radii[:3])
+        assert [s for _, s in rows] == pytest.approx(radii[:3], rel=1e-8)
+        # raw rows on the SUB branch are not fits and need no minimum count
+        rows = extrapolated_window_rows(tables, Regime(1.3, 2))
         assert rows == [(r, r * (1 + 1e-4**0.4)) for r in radii]
 
 

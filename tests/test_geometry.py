@@ -184,6 +184,18 @@ class TestConfigLoading:
         cfg.write_text("shape = dodecahedron\n")
         with pytest.raises(GeometryError):
             load_geometry_config(str(cfg))
+        # malformed values and exponents the evaluator cannot represent
+        for text, key in (("eps = abc", "eps"),
+                          ("phi = custom_poly\nphi_poly = 1:0", "phi_poly"),
+                          ("phi = custom_poly\nphi_poly = 1:0:-1", "phi_poly"),
+                          ("phi = custom_poly\nphi_poly = 1:0.7:1",
+                           "phi_poly")):
+            cfg.write_text(text + "\n")
+            with pytest.raises(GeometryError, match=f"geom.cfg: bad {key}"):
+                load_geometry_config(str(cfg))
+        for terms in ([(1.0, 0, -1)], [(1.0, 0.7, 0)]):
+            with pytest.raises(GeometryError, match="non-negative integers"):
+                PolyPotential(terms)
 
 
 def test_parabola_curvature():

@@ -421,6 +421,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "oracle: ok" in out
 
+    @pytest.mark.parametrize("argv", [["accept", "--config", "x"],
+                                      ["oracle", "--workers", "2"]])
+    def test_options_a_subcommand_does_not_read_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+
     def test_solve_smoke(self, tmp_path, capsys):
         rc = cli_main(["solve", "--p", "2", "--eps", "1e-2",
                        "--target-h", "0.2", "--out", str(tmp_path / "o")])

@@ -13,9 +13,11 @@ from neckflow import (INC1, INC2, OUTER, ConstantPotential, PolyPotential,
                       uniqueness_probe)
 from neckflow.analysis import cross_section_flux
 from neckflow.harness import DEFAULT_FLUX_WINDOWS
-from neckflow.solver import (PCG_MAXIT, Condenser, ElementOps, _continuation,
+from neckflow import solver
+from neckflow.solver import (MAX_NEWTON_ITERS, NEWTON_TOL, PCG_MAXIT,
+                             POLISH_ITERS, Condenser, ElementOps, _continuation,
                              _linear_solve, _newton, _pcg, _scaled_residual,
-                             _Stats, odd_mirror)
+                             _Stats, eta_schedule)
 
 SYMMETRIC_MMD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
@@ -111,16 +113,10 @@ class TestSolveConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(p=1.0)
-        with pytest.raises(ValueError):
-            SolveConfig(p=2.0, newton_tol=0.0)
-        with pytest.raises(ValueError):
-            SolveConfig(p=2.0, eta_schedule=(1e-3, 1e-2))
-        with pytest.raises(ValueError):
-            SolveConfig(p=2.0, eta_schedule=(1e-2, -1e-3))
 
     def test_default_schedules(self):
-        assert SolveConfig(p=2.5).eta_schedule == (0.0,)
-        sched = SolveConfig(p=1.5).eta_schedule
+        assert eta_schedule(2.5) == (0.0,)
+        sched = eta_schedule(1.5)
         assert sched[-1] > 0 and all(b < a for a, b in zip(sched, sched[1:]))
 
 
@@ -187,16 +183,17 @@ class TestContinuation:
     def test_loose_early_stages_match_full_tolerance(self, disc_geom,
                                                      disc_mesh_1e2,
                                                      disc_solutions_1e2):
-        # reference: the same p=2 warm start, then every stage at the full cfg
+        # reference: the same p=2 warm start, then every stage at the full
+        # tolerance with polish
         g = disc_geom.with_eps(1e-2)
-        cfg = SolveConfig(p=1.3)
         cond = Condenser(disc_mesh_1e2, g)
         stats = _Stats()
-        warm = SolveConfig(p=2.0, newton_tol=1e-9, max_newton_iters=10)
-        q, _ = _newton(cond, cond.initial_q(), 2.0, 0.0, warm, stats)
+        q, _ = _newton(cond, cond.initial_q(), 2.0, 0.0, stats, 1e-9, 10,
+                       POLISH_ITERS)
         gaps = []
-        for eta in cfg.eta_schedule:
-            q, _ = _newton(cond, q, cfg.p, eta, cfg, stats)
+        for eta in eta_schedule(1.3):
+            q, _ = _newton(cond, q, 1.3, eta, stats, NEWTON_TOL,
+                           MAX_NEWTON_ITERS, POLISH_ITERS)
             gaps.append(q[cond.iU[INC1]] - q[cond.iU[INC2]])
         sol = disc_solutions_1e2[1.3]
         assert sol.eta_sensitivity == pytest.approx(
@@ -408,7 +405,8 @@ class TestFixedPattern:
         # u = lift + S q; the reduced gradient and Hessian are S^T grad / 2
         # and S^T H S / 2
         g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        ops, cond = ElementOps(m), Condenser(m, g, mirror=m.mirror)
+        ops, cond = ElementOps(m), Condenser(m, g, odd=True)
+        assert cond.mirror is m.mirror
         S = odd_constraint_matrix(m)
         assert (cond.n_dofs, cond.copies) == (S.shape[1], 2)
         q = rng.normal(size=cond.n_dofs)
@@ -426,29 +424,33 @@ class TestFixedPattern:
                            0.5 * (S.T @ H @ S)) <= 1e-12
 
     def test_mirror_needs_odd_data(self, disc_geom, disc_mesh_1e2):
+        # odd=True reduces only odd data with floating inclusions on a mesh
+        # with a mirror map; every other case stays in the full space
         g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        assert odd_mirror(m, g) is m.mirror
+        full = Condenser(m, g).n_dofs
+        assert Condenser(m, g).mirror is None
         odd = PolyPotential([(1.0, 0, 1), (0.5, 2, 1)])
-        assert odd_mirror(m, replace(g, phi=odd)) is m.mirror
+        assert Condenser(m, replace(g, phi=odd), odd=True).mirror is m.mirror
         for phi in (ConstantPotential(1.0),
                     PolyPotential([(1.0, 0, 1), (0.1, 0, 2)])):
-            assert odd_mirror(m, replace(g, phi=phi)) is None
-            with pytest.raises(ValueError, match="odd"):
-                Condenser(m, replace(g, phi=phi), mirror=m.mirror)
-        with pytest.raises(ValueError, match="floating"):
-            Condenser(m, g, {INC1: 0.0, INC2: 0.0}, mirror=m.mirror)
+            cond = Condenser(m, replace(g, phi=phi), odd=True)
+            assert (cond.mirror, cond.copies, cond.n_dofs) == (None, 1, full)
+        pinned = Condenser(m, g, {INC1: 0.0, INC2: 0.0}, odd=True)
+        assert (pinned.mirror, pinned.n_dofs) == (None, full - 2)
         annulus = generate(build_annulus(1.0, 2.0), 0.3)
-        assert odd_mirror(annulus, build_annulus(1.0, 2.0)) is None
+        cond = Condenser(annulus, build_annulus(1.0, 2.0), odd=True)
+        assert cond.mirror is None
+        assert cond.n_dofs == int((annulus.vertex_tag == 0).sum()) + 1
 
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
     def test_odd_solve_matches_full_solve(self, disc_geom, disc_mesh_1e2,
                                           disc_solutions_1e2, p):
         g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
         cfg, full = SolveConfig(p=p), disc_solutions_1e2[p]
-        half = solve(m, g, cfg, Condenser(m, g, mirror=m.mirror))
+        half = solve(m, g, cfg, Condenser(m, g, odd=True))
         assert half.U1 == -half.U2
         assert np.array_equal(half.nodal_values[m.mirror], -half.nodal_values)
-        assert half.kkt_residual <= cfg.newton_tol
+        assert half.kkt_residual <= NEWTON_TOL
         for a, b in ((half.ugap, full.ugap), (half.energy, full.energy),
                      *((cross_section_flux(half, m, r),
                         cross_section_flux(full, m, r))
@@ -607,7 +609,7 @@ class TestInexactNewton:
             return splu(*args, **kw)
 
         monkeypatch.setattr(spla, "splu", checking_splu)
-        _continuation(cond, cond.initial_q(), SolveConfig(p=1.3), stats)
+        _continuation(cond, cond.initial_q(), 1.3, stats)
         assert stats.cg_iters > 0
         assert len(cleared) == stats.factorizations > 1 and all(cleared)
 
@@ -624,10 +626,10 @@ class TestInexactNewton:
 
 
 class TestLinearCase:
-    def test_one_newton_step(self, disc_geom, disc_mesh_1e2):
+    def test_one_newton_step(self, disc_geom, disc_mesh_1e2, monkeypatch):
         g = disc_geom.with_eps(1e-2)
-        cfg = SolveConfig(p=2.0, polish_iters=0)
-        sol = solve(disc_mesh_1e2, g, cfg)
+        monkeypatch.setattr(solver, "POLISH_ITERS", 0)
+        sol = solve(disc_mesh_1e2, g, SolveConfig(p=2.0))
         assert sol.newton_iters == 1
         assert sol.kkt_residual <= 1e-10
         assert sol.linear_fallbacks == 0
@@ -650,15 +652,13 @@ class TestUniqueness:
         g = disc_geom.with_eps(1e-2)
         m = generate(g, 0.2, 6, seed=0)
         for p in (2.0, 3.0):
-            d = uniqueness_probe(m, g, SolveConfig(p=p, newton_tol=1e-10),
-                                 n_starts=3, seed=1)
+            d = uniqueness_probe(m, g, SolveConfig(p=p), seed=1)
             assert d <= 10 * 1e-10
 
     def test_degenerate_regime(self, disc_geom):
         g = disc_geom.with_eps(1e-2)
         m = generate(g, 0.2, 6, seed=0)
-        d = uniqueness_probe(m, g, SolveConfig(p=1.3, newton_tol=1e-10),
-                             n_starts=3, seed=2)
+        d = uniqueness_probe(m, g, SolveConfig(p=1.3), seed=2)
         assert d <= 100 * 1e-10
 
     def test_zero_data(self):
@@ -668,13 +668,8 @@ class TestUniqueness:
         sol = solve(m, g, cfg)
         assert np.abs(sol.nodal_values).max() <= 1e-10
         # every randomized start also lands on the zero state
-        d = uniqueness_probe(m, g, cfg, n_starts=3, seed=3)
-        assert d <= 10 * cfg.newton_tol
-
-    def test_needs_two_starts(self, disc_geom, disc_mesh_1e2):
-        with pytest.raises(ValueError):
-            uniqueness_probe(disc_mesh_1e2, disc_geom.with_eps(1e-2),
-                             SolveConfig(p=2.0), n_starts=1)
+        d = uniqueness_probe(m, g, cfg, seed=3)
+        assert d <= 10 * NEWTON_TOL
 
 
 class TestHessianSpectrum:
@@ -686,18 +681,19 @@ class TestHessianSpectrum:
             sol = solve(m, g, cfg)
             cond = Condenser(m, g)
             _, _, state = cond.ops.element_grad(sol.nodal_values, p,
-                                                cfg.eta_schedule[-1])
+                                                eta_schedule(p)[-1])
             H = cond.reduce_hess(cond.ops.hessian(state)).toarray()
             lam = np.linalg.eigvalsh(H)
             assert lam[0] >= -1e-10 * abs(lam[-1])
 
 
-def test_stagnation_diagnostic(disc_geom, disc_mesh_1e2):
+def test_stagnation_diagnostic(disc_geom, disc_mesh_1e2, monkeypatch):
     g = disc_geom.with_eps(1e-2)
-    cfg = SolveConfig(p=3.0, max_newton_iters=1, newton_tol=1e-14,
-                      polish_iters=0)
+    for name, value in (("MAX_NEWTON_ITERS", 1), ("NEWTON_TOL", 1e-14),
+                        ("POLISH_ITERS", 0)):
+        monkeypatch.setattr(solver, name, value)
     with pytest.raises(SolverError) as exc:
-        solve(disc_mesh_1e2, g, cfg)
+        solve(disc_mesh_1e2, g, SolveConfig(p=3.0))
     assert exc.value.residual is not None
     assert exc.value.eta == 0.0
 
@@ -705,17 +701,19 @@ def test_stagnation_diagnostic(disc_geom, disc_mesh_1e2):
 def test_floor_accept_is_counted(disc_geom, disc_mesh_1e2,
                                  disc_solutions_1e2, monkeypatch):
     # a line search that never finds a decrease: from a residual within
-    # 100 newton_tol the iterate is accepted at the rounding floor, counted
+    # 100 NEWTON_TOL the iterate is accepted at the rounding floor, counted
     g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
     assert all(s.floor_accepts == 0 for s in disc_solutions_1e2.values())
     cond = Condenser(m, g)
     res0 = _scaled_residual(cond, cond.initial_q(), 2.0, 0.0)
     monkeypatch.setattr(ElementOps, "energy", lambda *args: math.inf)
-    sol = solve(m, g, SolveConfig(p=2.0, newton_tol=res0 / 50), cond)
+    monkeypatch.setattr(solver, "NEWTON_TOL", res0 / 50)
+    sol = solve(m, g, SolveConfig(p=2.0), cond)
     assert (sol.floor_accepts, sol.newton_iters) == (1, 0)
     assert sol.kkt_residual == res0
+    monkeypatch.setattr(solver, "NEWTON_TOL", res0 / 200)
     with pytest.raises(SolverError, match="stagnated"):
-        solve(m, g, SolveConfig(p=2.0, newton_tol=res0 / 200), cond)
+        solve(m, g, SolveConfig(p=2.0), cond)
 
 
 def test_condenser_layout(disc_geom, disc_mesh_1e2):
