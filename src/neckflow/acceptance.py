@@ -247,7 +247,14 @@ def criterion_expansion(report):
                    Check(f"p={p:g} rel", e["rel_error"], "<=", 0.10, ".4f"),
                    Check(f"p={p:g} transverse ratio",
                          abs(e["grad_x"] / e["grad_n"]), "<=", 0.10, ".1e")]
-    return checks
+    # shown, not gated, for the p = 1.3 probe e: the SUB prediction above is
+    # built from the gap at the same separation, this one from the
+    # extrapolated gap limit
+    pred = asy.predict_expansion(report.fits[1.3]["ugap_fit"]["limit"],
+                                 asy.Regime(1.3, 2), 1e-4)
+    dn = pred.predicted_dn(e["delta"])
+    return checks + [Check("p=1.3 rel vs gap limit",
+                           abs(e["grad_n"] - dn) / abs(dn))]
 
 
 @_criterion(11, "Hölder-quotient boundedness")

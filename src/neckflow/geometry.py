@@ -661,26 +661,31 @@ def parse_config(path):
 def load_geometry_config(path):
     """Build a Geometry from a key-value config file.
 
-    Recognized keys: shape = disc|parabola|table|annulus, eps, scale,
-    phi = linear_xn|custom_poly|const, phi_poly (triples coef:i:j),
-    phi_value, table (path to two-column profile), parabola_a,
-    r_inner/r_outer (annulus).
+    Recognized keys: shape = disc|parabola|table|annulus, eps and scale
+    (not annulus), phi = linear_xn|custom_poly|const, phi_poly (triples
+    coef:i:j; custom_poly), phi_value (const), table (path to two-column
+    profile; table), parabola_a (parabola), r_inner/r_outer (annulus).
+    A key that is unknown, or that the chosen shape and phi do not read,
+    raises GeometryError.
     """
     import os
 
     cfg = parse_config(path)
+    read = set()
+
+    def get(key, default=None):
+        read.add(key)
+        return cfg.get(key, default)
 
     def value(key, default, cast=float):
         try:
-            return cast(cfg.get(key, default))
+            return cast(get(key, default))
         except (ValueError, GeometryError) as exc:
             raise GeometryError(f"{path}: bad {key} = "
                                 f"{cfg.get(key, default)!r}: {exc}") from None
 
-    shape = cfg.get("shape", "disc")
-    eps = value("eps", "0.01")
-    scale = value("scale", "1")
-    phi_kind = cfg.get("phi", "linear_xn")
+    shape = get("shape", "disc")
+    phi_kind = get("phi", "linear_xn")
     if phi_kind == "linear_xn":
         phi = LinearPotential()
     elif phi_kind == "const":
@@ -693,19 +698,28 @@ def load_geometry_config(path):
     else:
         raise GeometryError(f"unknown phi kind {phi_kind!r}")
 
-    if shape == "disc":
-        return build_symmetric_disc_example(scale=scale, eps=eps, phi=phi)
-    if shape == "parabola":
-        return build_parabola_example(a=value("parabola_a", "0.25"),
-                                      eps=eps, scale=scale, phi=phi)
-    if shape == "table":
-        table = cfg.get("table")
-        if table is None:
-            raise GeometryError("shape=table requires a 'table' path")
-        if not os.path.isabs(table):
-            table = os.path.join(os.path.dirname(os.path.abspath(path)), table)
-        return build_table_example(table, eps=eps, scale=scale, phi=phi)
     if shape == "annulus":
-        return build_annulus(value("r_inner", "1"), value("r_outer", "2"),
+        geom = build_annulus(value("r_inner", "1"), value("r_outer", "2"),
                              phi=phi)
-    raise GeometryError(f"unknown shape {shape!r}")
+    elif shape in ("disc", "parabola", "table"):
+        eps, scale = value("eps", "0.01"), value("scale", "1")
+        if shape == "disc":
+            geom = build_symmetric_disc_example(scale=scale, eps=eps, phi=phi)
+        elif shape == "parabola":
+            geom = build_parabola_example(a=value("parabola_a", "0.25"),
+                                          eps=eps, scale=scale, phi=phi)
+        else:
+            table = get("table")
+            if table is None:
+                raise GeometryError("shape=table requires a 'table' path")
+            if not os.path.isabs(table):
+                table = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                     table)
+            geom = build_table_example(table, eps=eps, scale=scale, phi=phi)
+    else:
+        raise GeometryError(f"unknown shape {shape!r}")
+    for key in cfg:
+        if key not in read:
+            raise GeometryError(f"{path}: key {key!r} is unknown or not read "
+                                f"with shape = {shape}, phi = {phi_kind}")
+    return geom

@@ -27,6 +27,7 @@ import functools
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import pickle
@@ -52,6 +53,8 @@ CSV_BASE_COLUMNS = (
     "eta_sensitivity", "u_min", "u_max", "nv", "nt", "min_angle_deg",
     "neck_layers",
 )
+
+_log = logging.getLogger("neckflow")
 
 DEFAULT_FLUX_WINDOWS = (0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.07, 0.05)
 # max_gradient looks only at triangles with centroid |x'| <= MAXGRAD_WINDOW
@@ -106,6 +109,7 @@ class SweepReport:
     predictions: list
     failures: list = field(default_factory=list)
     runtime_s: float = 0.0
+    warnings: list = field(default_factory=list)
 
     @property
     def ok(self):
@@ -371,6 +375,21 @@ def _steady_memory():
             pass    # not glibc
 
 
+def mesh_warnings(rows):
+    """One warning per separation whose mesh has a smallest angle below the
+    quality gate meshing.MIN_ANGLE_DEG, also logged; its cases still run."""
+    out = []
+    for eps, angle in sorted({(r["eps"], r["min_angle_deg"]) for r in rows},
+                             reverse=True):
+        if angle < meshing.MIN_ANGLE_DEG:
+            message = (f"mesh at eps={eps:g} has min angle {angle:.2f} deg, "
+                       f"below {meshing.MIN_ANGLE_DEG:g}")
+            _log.warning(message)
+            out.append({"eps": eps, "min_angle_deg": angle,
+                        "message": message})
+    return out
+
+
 def run_sweep(spec: SweepSpec) -> SweepReport:
     spec.validate()
     t0 = time.time()
@@ -400,7 +419,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 
     report = SweepReport(spec=spec.meta(), rows=rows, fits=fits,
                          predictions=predictions, failures=failures,
-                         runtime_s=time.time() - t0)
+                         runtime_s=time.time() - t0,
+                         warnings=mesh_warnings(rows))
     if spec.out_dir:
         write_report(report, spec)
     return report
@@ -427,7 +447,7 @@ def write_report(report: SweepReport, spec: SweepSpec):
                "fits": {str(k): v for k, v in report.fits.items()},
                "predictions": report.predictions,
                "failures": report.failures,
-               "runtime_s": report.runtime_s}
+               "runtime_s": report.runtime_s, "warnings": report.warnings}
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
 

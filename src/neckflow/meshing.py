@@ -43,6 +43,10 @@ _VERTEX_CAP = 2_000_000
 # mesh file: the bump keeps version-3 files, which lack it, from being read
 MESHER_VERSION = 4
 
+# the mesh-quality gate: check_mesh's default, and the angle below which a
+# sweep flags a mesh in its report
+MIN_ANGLE_DEG = 20.0
+
 
 @dataclass(frozen=True)
 class GradingReport:
@@ -65,7 +69,11 @@ class TriMesh:
     under which the mesh is invariant: an involution with vertices[mirror]
     == vertices * (1, -1) exactly, mapping the triangle set onto itself,
     swapping INC1 and INC2 and keeping OUTER.  A map that fails any of
-    these raises MeshError.
+    these raises MeshError.  With a mirror, `mirror_triangles` is the (nt,)
+    triangle map it induces, an involution too: the triangle whose vertex
+    set is mirror[triangles[t]]; a fixed point is a triangle of two mirror
+    images and a seam vertex.  It is formed by the check of `mirror` and is
+    not stored in the mesh file.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_tags,
@@ -114,7 +122,7 @@ class TriMesh:
         for tag in (OUTER, INC1, INC2):
             sel = self.boundary_edges[self.boundary_tags == tag]
             self.vertex_tag[sel.ravel()] = tag
-        self.mirror = mirror
+        self.mirror, self.mirror_triangles = mirror, None
         if mirror is not None:
             self._check_mirror()
             mirror.flags.writeable = False
@@ -142,10 +150,18 @@ class TriMesh:
         def keys(t):
             # one int64 per vertex set, exact while n^3 < 2^63 (n < 2.09e6)
             t = np.sort(t, axis=1)
-            return np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+            return (t[:, 0] * n + t[:, 1]) * n + t[:, 2]
 
-        if not np.array_equal(keys(self.triangles), keys(m[self.triangles])):
+        # each triangle's image is found among the sorted vertex-set keys
+        key, image = keys(self.triangles), keys(m[self.triangles])
+        order = np.argsort(key)
+        pos = np.searchsorted(key, image, sorter=order)
+        partner = order[np.minimum(pos, len(key) - 1)]
+        if not (np.array_equal(key[partner], image)
+                and np.array_equal(partner[partner], np.arange(len(key)))):
             raise MeshError("mirror does not map the triangles onto themselves")
+        partner.flags.writeable = False
+        self.mirror_triangles = partner
         swap = np.arange(max(OUTER, INC1, INC2) + 1)   # indexed by tag
         swap[[INC1, INC2]] = INC2, INC1
         if not np.array_equal(self.vertex_tag[m], swap[self.vertex_tag]):
@@ -1218,7 +1234,7 @@ def load_mesh(path, geometry=None):
         raise MeshError(f"unreadable mesh file {path}: {exc}") from exc
 
 
-def check_mesh(mesh, min_angle=20.0):
+def check_mesh(mesh, min_angle=MIN_ANGLE_DEG):
     """Raise MeshError when a mesh invariant fails; returns the report."""
     if not np.all(mesh.areas > 0):
         raise MeshError("non-positive triangle area")

@@ -16,9 +16,10 @@ When the mesh is its own mirror image under x_n -> -x_n and the outer data
 is odd under it, the minimizer is odd, and a Condenser built with odd=True
 solves on the upper half's unknowns alone: a signed condensation u = lift +
 s q[dof], s in {+1, -1, 0}, with the reduced gradient and Hessian in
-full-space units.
+full-space units, assembled from one triangle of each mirror pair.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -114,17 +115,26 @@ class ElementOps:
     each kernel product is a whole-row vector op: `tri` is the (3, nt) vertex
     table, `Bx`/`By` the (3, nt) barycentric derivatives, `BtB` the (9, nt)
     entries of B^T B.  Element gradients are (2, nt), gradient contributions
-    (3, nt) and Hessian blocks (9, nt), row 3 k + l for vertices (k, l)."""
+    (3, nt) and Hessian blocks (9, nt), row 3 k + l for vertices (k, l).
 
-    def __init__(self, mesh: TriMesh):
-        self.mesh, self.area = mesh, mesh.areas
-        self.tri = np.ascontiguousarray(mesh.triangles.T)
+    `subset` (triangle indices) restricts every operation to those
+    triangles, nt being their number, and `weight` (per triangle) multiplies
+    their `area`, the area that the energy and its derivatives integrate
+    over; the barycentric derivatives keep the geometric area.  Without a
+    subset the ops cover the whole mesh with `area` the mesh's areas."""
+
+    def __init__(self, mesh: TriMesh, subset=None, weight=None):
+        area, tri = mesh.areas, mesh.triangles
+        if subset is not None:
+            area, tri = area[subset], tri[subset]
+        self.mesh, self.tri = mesh, np.ascontiguousarray(tri.T)
         # vertex k's is (y[k+1] - y[k+2], x[k+2] - x[k+1]) / (2 area)
         x, y = mesh.vertices.T[:, self.tri]
-        self.Bx = (np.roll(y, -1, 0) - np.roll(y, -2, 0)) / (2.0 * self.area)
-        self.By = (np.roll(x, -2, 0) - np.roll(x, -1, 0)) / (2.0 * self.area)
+        self.Bx = (np.roll(y, -1, 0) - np.roll(y, -2, 0)) / (2.0 * area)
+        self.By = (np.roll(x, -2, 0) - np.roll(x, -1, 0)) / (2.0 * area)
         self.BtB = (self.Bx[:, None] * self.Bx
                     + self.By[:, None] * self.By).reshape(9, -1)
+        self.area = area if weight is None else area * weight
 
     def gradients(self, u):
         # summed in np.einsum's order, (k=0 + k=2) + k=1, so that energies
@@ -239,7 +249,12 @@ class Condenser:
     INC1's scalar with sign -1.  Each DOF then stands for two vertices
     (`copies`); the reduced gradient and Hessian are divided by that,
     exactly, so that they, the residual and the stopping test stay in
-    full-space units.
+    full-space units.  On an odd state a triangle's signed contributions
+    equal its mirror image's (mesh.mirror_triangles), so `ops` covers one
+    triangle of each pair with weight 2 (a triangle that is its own image
+    keeps weight 1): the element work is halved, and the sums are the full
+    mesh's up to rounding.  `full_ops`, formed once on first use, covers
+    every triangle, for the full-space quantities of a solve's last state.
 
     The element factors (`ops`), the reduced Hessian's pattern, the slot of
     every element-block entry in it and the int8 sign tables of the element
@@ -279,21 +294,35 @@ class Condenser:
                 ndof += 1
         self.n_dofs, self.mirror = ndof, mirror
         self.copies, self._sign = 1, None
+        triangles, rep, weight = mesh.triangles, None, None
         if mirror is not None:
             owners = np.flatnonzero(self.dof >= 0)
             self.dof[mirror[owners]] = self.dof[owners]
             vsign = np.ones(mesh.n_vertices, np.int8)
             vsign[mirror[owners]] = -1
-            s3 = np.ascontiguousarray(vsign[mesh.triangles].T)
+            # one triangle of each mirror pair stands for both (weight 2); a
+            # triangle that is its own image stands for itself
+            partner = mesh.mirror_triangles
+            rep = np.flatnonzero(partner >= np.arange(len(partner)))
+            weight = np.where(partner[rep] == rep, 1.0, 2.0)
+            triangles = mesh.triangles[rep]
+            s3 = np.ascontiguousarray(vsign[triangles].T)
             # per vertex, per (3, nt) contribution, per (9, nt) block entry
             self.copies = 2
             self._sign = vsign, s3, (s3[:, None] * s3).reshape(9, -1)
         self._te = np.ascontiguousarray(
-            np.where(self.dof < 0, ndof, self.dof)[mesh.triangles].T, np.intp)
+            np.where(self.dof < 0, ndof, self.dof)[triangles].T, np.intp)
         self._pattern = _block_pattern(self._te, ndof)
         self._perm = self._inv = None   # factor position of each DOF, inverse
         self.inclusion_values = dict(inclusion_values)
-        self.ops = ElementOps(mesh)   # after the pattern's sort: a lower peak
+        # after the pattern's sort: a lower peak
+        self.ops = ElementOps(mesh, rep, weight)
+
+    @functools.cached_property
+    def full_ops(self):
+        """ElementOps of the whole mesh, formed on first use (`ops` itself
+        without a mirror), for solve's full-space final evaluation."""
+        return self.ops if self.mirror is None else ElementOps(self.ops.mesh)
 
     def nodal(self, q):
         # dof -1 picks the appended zero: u = lift there
@@ -595,7 +624,7 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
 
     eta_final = eta_schedule(cfg.p)[-1]
     u = cond.nodal(q)
-    energy, grad_full, kern = cond.ops.energy_grad(u, cfg.p, eta_final)
+    energy, grad_full, kern = cond.full_ops.energy_grad(u, cfg.p, eta_final)
     scale = max(1.0, abs(energy))
     pots = cond.potentials(q)
 

@@ -3,6 +3,7 @@ its stated tolerance.  The canonical sweep runs once per session; each test
 asserts one criterion and prints its PASS/FAIL line."""
 
 import json
+import logging
 import math
 import os
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from neckflow import acceptance as acc
+from neckflow import harness, meshing
 from neckflow.acceptance import (FULL_SPACE_CASE, SENSES, Check,
                                  CriterionResult, canonical_spec,
                                  criterion_symmetry, run_acceptance)
@@ -97,6 +99,19 @@ def test_criterion_10_expansion_pointwise(acceptance):
     _check(acceptance, 10)
 
 
+def test_criterion_10_shows_the_sub_branch_against_the_gap_limit(
+        acceptance):
+    # ungated: the p = 1.3 probe against the extrapolated gap limit is off
+    # by about 0.1 at eps = 1e-4, where the same-separation prediction is
+    # exact to 1e-4
+    results, _ = acceptance
+    checks = {c.name: c for c in results[10].checks}
+    shown = checks["p=1.3 rel vs gap limit"]
+    assert (shown.gate, shown.sense) == (None, None)
+    assert shown.text() in results[10].line()
+    assert checks["p=1.3 rel"].value < 1e-4 < 0.05 < shown.value < 0.2
+
+
 def test_criterion_11_holder_boundedness(acceptance):
     _check(acceptance, 11)
 
@@ -124,6 +139,24 @@ def test_canonical_sweep_bookkeeping(acceptance):
     # odd data on a mirror-symmetric mesh: every case is odd-reduced
     assert all(r["odd_reduced"] for r in report["rows"])
     assert len({(r["eps"], r["n_dofs"]) for r in report["rows"]}) == 5
+
+
+def test_meshes_below_the_quality_gate_are_warned(acceptance, monkeypatch,
+                                                  caplog):
+    # the canonical meshes pass the gate, so the report has no warning; with
+    # the gate above their angles every separation is named and logged
+    _, out = acceptance
+    report = json.loads(open(os.path.join(out, "sweep", "report.json")).read())
+    assert report["warnings"] == []
+    angles = {r["eps"]: r["min_angle_deg"] for r in report["rows"]}
+    assert min(angles.values()) >= meshing.MIN_ANGLE_DEG
+    monkeypatch.setattr(meshing, "MIN_ANGLE_DEG", max(angles.values()) + 1.0)
+    with caplog.at_level(logging.WARNING, logger="neckflow"):
+        warned = harness.mesh_warnings(report["rows"])
+    assert [(w["eps"], w["min_angle_deg"]) for w in warned] == \
+        sorted(angles.items(), reverse=True)
+    assert [r.getMessage() for r in caplog.records] == \
+        [w["message"] for w in warned]
 
 
 def test_transverse_component_small_in_expansion_region(acceptance):

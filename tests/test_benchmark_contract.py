@@ -53,14 +53,21 @@ def test_argument_readers_are_the_checked_functions(spans):
 
 def test_each_newton_step_assembles_once(disc_geom, disc_mesh_1e2,
                                          monkeypatch):
-    # each Newton step, polish steps and the p = 2 warm start included
+    # each Newton step, polish steps and the p = 2 warm start included, in
+    # the full space and on the odd-reduced system the sweep solves (one
+    # Condenser shared by the exponents, as in the sweep)
     calls = Counter()
     for owner, name in ((ElementOps, "hessian"), (Condenser, "reduce_hess")):
         def counting(*args, _orig=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(owner, name, counting)
-    for p in (1.3, 2.0, 3.0):
-        calls.clear()
-        sol = solve(disc_mesh_1e2, disc_geom.with_eps(1e-2), SolveConfig(p=p))
-        assert calls["hessian"] == calls["reduce_hess"] == sol.newton_iters > 0
+    g = disc_geom.with_eps(1e-2)
+    odd = Condenser(disc_mesh_1e2, g, odd=True)
+    assert odd.mirror is not None
+    for cond in (None, odd):
+        for p in (1.3, 2.0, 3.0):
+            calls.clear()
+            sol = solve(disc_mesh_1e2, g, SolveConfig(p=p), cond)
+            assert calls["hessian"] == calls["reduce_hess"] \
+                == sol.newton_iters > 0

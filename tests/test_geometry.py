@@ -193,6 +193,15 @@ class TestConfigLoading:
             cfg.write_text(text + "\n")
             with pytest.raises(GeometryError, match=f"geom.cfg: bad {key}"):
                 load_geometry_config(str(cfg))
+        # a typo, and keys the chosen shape or phi does not read
+        for text, key in (("esp = 0.001\nphi_value = 3", "esp"),
+                          ("phi = linear_xn\nphi_value = 3", "phi_value"),
+                          ("shape = disc\nparabola_a = 0.5", "parabola_a"),
+                          ("shape = annulus\neps = 0.001", "eps")):
+            cfg.write_text(text + "\n")
+            with pytest.raises(GeometryError,
+                               match=f"geom.cfg: key '{key}' is unknown"):
+                load_geometry_config(str(cfg))
         for terms in ([(1.0, 0, -1)], [(1.0, 0.7, 0)]):
             with pytest.raises(GeometryError, match="non-negative integers"):
                 PolyPotential(terms)

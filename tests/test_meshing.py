@@ -139,6 +139,18 @@ class TestInvariants:
         fixed = m.mirror == np.arange(n)
         assert fixed.any() and np.all(m.vertices[fixed, 1] == 0.0)
 
+    def test_mirror_pairs_the_triangles(self, disc_mesh):
+        # an involution sending each triangle to the one with the mirror
+        # image of its vertex set; the mesher makes no self-mirrored one
+        _, m = disc_mesh
+        partner = m.mirror_triangles
+        assert partner.dtype == np.intp and not partner.flags.writeable
+        assert np.array_equal(partner[partner], np.arange(m.n_triangles))
+        assert np.array_equal(np.sort(m.triangles[partner], axis=1),
+                              np.sort(m.mirror[m.triangles], axis=1))
+        assert not np.any(partner == np.arange(m.n_triangles))
+        assert generate(build_annulus(1.0, 2.0), 0.5).mirror_triangles is None
+
 
 def test_smaller_separations_stay_valid():
     g = build_symmetric_disc_example(scale=1.0)

@@ -1,13 +1,14 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from neckflow import (INC1, INC2, OUTER, ConstantPotential, PolyPotential,
-                      SolveConfig,
+from neckflow import (INC1, INC2, OUTER, ConstantPotential, LinearPotential,
+                      PolyPotential, SolveConfig,
                       SolverError, TriMesh, assemble_energy, build_annulus,
                       build_symmetric_disc_example, generate, solve,
                       uniqueness_probe)
@@ -288,6 +289,64 @@ def odd_constraint_matrix(mesh):
     return sp.csr_matrix((v, (r, c)), shape=(mesh.n_vertices, len(upper) + 1))
 
 
+def mirrored_grid_mesh():
+    """A 4 x 3 cell grid on [0, 4] x [-1.5, 1.5], mirror-symmetric about
+    x_n = 0: INC1 along the top, INC2 along the bottom, OUTER on the sides.
+    The middle row's cells have a seam vertex at their centre and four
+    triangles each: a mirror pair above and below it and two self-mirrored
+    ones left and right of it."""
+    ys = (-1.5, -0.5, 0.5, 1.5)
+    pts = [(x, y) for x in range(5) for y in ys]
+    pts += [(i + 0.5, 0.0) for i in range(4)]
+
+    def v(i, r):
+        return 4 * i + r
+
+    def mirror(i):
+        return i if i >= 20 else 4 * (i // 4) + 3 - i % 4
+
+    tris = []
+    for i in range(4):
+        c = 20 + i
+        for t in ((v(i, 2), v(i + 1, 2), v(i + 1, 3)),
+                  (v(i, 2), v(i + 1, 3), v(i, 3)),
+                  (v(i, 2), v(i + 1, 2), c)):
+            tris += [t, tuple(map(mirror, t))]
+        tris += [(v(i, 1), c, v(i, 2)), (v(i + 1, 1), v(i + 1, 2), c)]
+    edges, tags = [], []
+    for x in (0, 4):
+        edges += [(v(x, r), v(x, r + 1)) for r in range(3)]
+        tags += [OUTER] * 3
+    for r, tag in ((3, INC1), (0, INC2)):
+        edges += [(v(i, r), v(i + 1, r)) for i in range(4)]
+        tags += [tag] * 4
+    return TriMesh(np.array(pts, float), tris, edges, tags,
+                   mirror=[mirror(i) for i in range(len(pts))])
+
+
+def assert_odd_reduction(cond, mesh, rng):
+    """With u = lift + S q, the odd Condenser's energy over its triangles is
+    the full mesh's, and its reduced gradient and Hessian are S^T grad / 2
+    and S^T H S / 2 of the full-space assembly."""
+    S = odd_constraint_matrix(mesh)
+    assert (cond.n_dofs, cond.copies) == (S.shape[1], 2)
+    q = rng.normal(size=cond.n_dofs)
+    u = cond.nodal(q)
+    assert np.array_equal(u, cond.lift + S @ q)
+    assert np.array_equal(u[mesh.mirror], -u)
+    assert cond.potentials(q) == {INC1: q[-1], INC2: -q[-1]}
+    for p, eta in ((1.3, 1e-2), (2.0, 0.0), (3.0, 0.0)):
+        energy, grad, H = assemble_energy(mesh, u, p, eta)
+        e_half, ge, kern = cond.ops.element_grad(u, p, eta)
+        assert abs(e_half - energy) <= 1e-12 * abs(energy)
+        assert cond.ops.energy(u, p, eta) == e_half
+        ref = 0.5 * (S.T @ grad)
+        assert np.abs(cond.reduce_grad(ge) - ref).max() \
+            <= 1e-12 * np.abs(ref).max()
+        assert max_rel(cond.reduce_hess(cond.ops.hessian(kern)),
+                       0.5 * (S.T @ H @ S)) <= 1e-12
+
+
 def block_matrix(mesh, blocks):
     """Reference full-space assembly of (9, nt) element blocks through COO."""
     t = mesh.triangles.T
@@ -402,26 +461,26 @@ class TestFixedPattern:
 
     def test_odd_reduction_matches_reference(self, disc_geom, disc_mesh_1e2,
                                              rng):
-        # u = lift + S q; the reduced gradient and Hessian are S^T grad / 2
-        # and S^T H S / 2
         g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        ops, cond = ElementOps(m), Condenser(m, g, odd=True)
+        cond = Condenser(m, g, odd=True)
         assert cond.mirror is m.mirror
-        S = odd_constraint_matrix(m)
-        assert (cond.n_dofs, cond.copies) == (S.shape[1], 2)
-        q = rng.normal(size=cond.n_dofs)
-        u = cond.nodal(q)
-        assert np.array_equal(u, cond.lift + S @ q)
-        assert np.array_equal(u[m.mirror], -u)
-        assert cond.potentials(q) == {INC1: q[-1], INC2: -q[-1]}
-        for p, eta in ((1.3, 1e-2), (2.0, 0.0), (3.0, 0.0)):
-            _, grad, H = assemble_energy(m, u, p, eta, ops)
-            _, ge, kern = ops.element_grad(u, p, eta)
-            ref = 0.5 * (S.T @ grad)
-            assert np.abs(cond.reduce_grad(ge) - ref).max() \
-                <= 1e-12 * np.abs(ref).max()
-            assert max_rel(cond.reduce_hess(ops.hessian(kern)),
-                           0.5 * (S.T @ H @ S)) <= 1e-12
+        # one triangle per mirror pair, of twice its area
+        assert cond.ops.tri.shape == (3, m.n_triangles // 2)
+        assert abs(cond.ops.area.sum() - m.areas.sum()) <= 1e-14
+        assert_odd_reduction(cond, m, rng)
+
+    def test_odd_reduction_with_self_mirrored_triangles(self, rng):
+        m = mirrored_grid_mesh()
+        fixed = np.count_nonzero(m.mirror_triangles == np.arange(m.n_triangles))
+        assert (m.n_triangles, fixed) == (32, 8)
+        cond = Condenser(m, SimpleNamespace(phi=LinearPotential()), odd=True)
+        assert cond.mirror is m.mirror
+        # three upper interior vertices and INC1; one triangle per pair and
+        # each self-mirrored one, of its own area
+        assert cond.n_dofs == 4
+        assert cond.ops.tri.shape == (3, (32 + 8) // 2)
+        assert abs(cond.ops.area.sum() - m.areas.sum()) <= 1e-14
+        assert_odd_reduction(cond, m, rng)
 
     def test_mirror_needs_odd_data(self, disc_geom, disc_mesh_1e2):
         # odd=True reduces only odd data with floating inclusions on a mesh
