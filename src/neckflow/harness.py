@@ -147,10 +147,10 @@ def _mesh_key(geom, spec, eps):
 
 def case_mesh(geom, spec, eps):
     """The mesh of one separation, read from the mesh cache when it holds
-    one.  A cached mesh must pass check_mesh's structural checks (positive
-    areas, conforming boundary edges, one loop per tag); its angles are the
-    generator's, as for a mesh made here.  A corrupt file raises
-    MeshError."""
+    one.  A cached mesh must pass check_mirror and check_mesh's structural
+    checks (positive areas, conforming boundary edges, one loop per tag);
+    its angles are the generator's, as for a mesh made here.  A corrupt
+    file raises MeshError."""
     g = geom.with_eps(eps)
     cdir = _cache_dir(spec)
     if cdir:
@@ -159,6 +159,7 @@ def case_mesh(geom, spec, eps):
         if os.path.exists(path):
             mesh = load_mesh(path, geometry=g)
             try:
+                meshing.check_mirror(mesh)
                 meshing.check_mesh(mesh, min_angle=0.0)
             except MeshError as exc:
                 raise MeshError(f"cached mesh {path}: {exc}") from exc

@@ -14,8 +14,8 @@ Two-inclusion domains are meshed in two parts that share vertices exactly:
   round cap.
 
 Mirror-symmetric domains are meshed on the upper half and reflected, so the
-vertex set is exactly symmetric under x_n -> -x_n, and the mesh carries the
-reflection's vertex map (TriMesh.mirror).  Annulus domains use a
+mesh is exactly symmetric under x_n -> -x_n; TriMesh.mirror derives the
+reflection's vertex map from the coordinates.  Annulus domains use a
 structured polar grid.  Meshes are immutable once built.
 """
 
@@ -39,9 +39,9 @@ _VERTEX_CAP = 2_000_000
 
 # part of every mesh-cache key: bump it whenever a change to this module
 # changes the meshes it builds, so that stale cache files are not reused.
-# Version 4 builds the meshes of version 3 and adds the `mirror` array to the
-# mesh file: the bump keeps version-3 files, which lack it, from being read
-MESHER_VERSION = 4
+# Version 5 makes every strip column's row count even and reflects the
+# strip's stitches, and drops the `mirror` array from the mesh file
+MESHER_VERSION = 5
 
 # the mesh-quality gate: check_mesh's default, and the angle below which a
 # sweep flags a mesh in its report
@@ -66,26 +66,20 @@ class TriMesh:
     refinement).  `areas` are the (positive) triangle areas.
 
     `mirror` is None or the (nv,) vertex map of the reflection x_n -> -x_n
-    under which the mesh is invariant: an involution with vertices[mirror]
-    == vertices * (1, -1) exactly, mapping the triangle set onto itself,
-    swapping INC1 and INC2 and keeping OUTER.  A map that fails any of
-    these raises MeshError.  With a mirror, `mirror_triangles` is the (nt,)
-    triangle map it induces, an involution too: the triangle whose vertex
-    set is mirror[triangles[t]]; a fixed point is a triangle of two mirror
-    images and a seam vertex.  It is formed by the check of `mirror` and is
-    not stored in the mesh file.
+    under which the mesh is invariant: vertices[mirror] == vertices * (1, -1)
+    exactly, and the map sends the triangle set onto itself, swaps INC1 and
+    INC2 and keeps OUTER.  `mirror_triangles` is then the (nt,) triangle map
+    it induces, an involution: the triangle whose vertex set is
+    mirror[triangles[t]]; a fixed point is a triangle of two mirror images
+    and a seam vertex.  Both are derived from the mesh on first use, and are
+    None unless every condition holds.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_tags,
-                 geometry=None, neck_layers=0, mirror=None):
+                 geometry=None, neck_layers=0):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
-        if mirror is not None:
-            mirror = np.array(mirror, dtype=np.int64)   # frozen below
-            if mirror.shape != (len(vertices),) or not np.all(
-                    (mirror >= 0) & (mirror < len(vertices))):
-                raise MeshError("mirror is not a map of the vertices")
         # drop vertices not referenced by any triangle (relaxation leftovers)
         used = np.zeros(len(vertices), dtype=bool)
         used[triangles.ravel()] = True
@@ -97,8 +91,6 @@ class TriMesh:
             vertices = vertices[used]
             triangles = remap[triangles]
             boundary_edges = remap[boundary_edges]
-            if mirror is not None:
-                mirror = remap[mirror[used]]
         self.vertices = vertices
         self.triangles = triangles
         self.boundary_edges = boundary_edges
@@ -122,10 +114,6 @@ class TriMesh:
         for tag in (OUTER, INC1, INC2):
             sel = self.boundary_edges[self.boundary_tags == tag]
             self.vertex_tag[sel.ravel()] = tag
-        self.mirror, self.mirror_triangles = mirror, None
-        if mirror is not None:
-            self._check_mirror()
-            mirror.flags.writeable = False
 
     def _fix_orientation(self, area):
         """Make every triangle counterclockwise; returns the areas after."""
@@ -138,14 +126,15 @@ class TriMesh:
             raise MeshError("degenerate (zero-area) triangle produced")
         return area
 
-    def _check_mirror(self):
-        m, n = self.mirror, self.n_vertices
-        if np.any(m < 0):
-            raise MeshError("mirror sends a vertex to an unused one")
-        if not np.array_equal(m[m], np.arange(n)):
-            raise MeshError("mirror is not an involution")
-        if not np.array_equal(self.vertices[m], self.vertices * (1.0, -1.0)):
-            raise MeshError("mirror moves a vertex off its reflection")
+    @functools.cached_property
+    def _reflection(self):
+        """(mirror, mirror_triangles), read-only, or (None, None)."""
+        m, n = _mirror_map(self.vertices), self.n_vertices
+        swap = np.arange(max(OUTER, INC1, INC2) + 1)   # indexed by tag
+        swap[[INC1, INC2]] = INC2, INC1
+        if m is None or not np.array_equal(self.vertex_tag[m],
+                                           swap[self.vertex_tag]):
+            return None, None
 
         def keys(t):
             # one int64 per vertex set, exact while n^3 < 2^63 (n < 2.09e6)
@@ -159,13 +148,12 @@ class TriMesh:
         partner = order[np.minimum(pos, len(key) - 1)]
         if not (np.array_equal(key[partner], image)
                 and np.array_equal(partner[partner], np.arange(len(key)))):
-            raise MeshError("mirror does not map the triangles onto themselves")
-        partner.flags.writeable = False
-        self.mirror_triangles = partner
-        swap = np.arange(max(OUTER, INC1, INC2) + 1)   # indexed by tag
-        swap[[INC1, INC2]] = INC2, INC1
-        if not np.array_equal(self.vertex_tag[m], swap[self.vertex_tag]):
-            raise MeshError("mirror does not swap INC1 and INC2 and keep OUTER")
+            return None, None
+        m.flags.writeable = partner.flags.writeable = False
+        return m, partner
+
+    mirror = property(lambda self: self._reflection[0])
+    mirror_triangles = property(lambda self: self._reflection[1])
 
     # -- basic quantities ----------------------------------------------------
 
@@ -267,19 +255,39 @@ def _angle_cosines(dx, dy, length):
     return -(dx * prev(dx) + dy * prev(dy)) / (length * prev(length))
 
 
+def _mirror_map(points):
+    """The vertex map m of the reflection x_n -> -x_n, with points[m] ==
+    points * (1, -1) exactly, or None when some point has no reflection
+    among the points.  Sorting by (x, y) and by (x, -y) lists a symmetric
+    point set in the same order as its reflection."""
+    x, y = points[:, 0], points[:, 1]
+    m = np.empty(len(points), dtype=np.int64)
+    m[np.lexsort((y, x))] = np.lexsort((-y, x))
+    if not np.array_equal(points[m], points * (1.0, -1.0)):
+        return None
+    return m
+
+
 # ---------------------------------------------------------------------------
 # graded neck strip
 # ---------------------------------------------------------------------------
 
+def _column_rows(delta, target_h, layers):
+    """Row count of a strip column over a gap of width delta, at least
+    `layers` and even, so that the column has a vertex on its midline."""
+    k = np.maximum(layers, np.ceil(delta / target_h).astype(np.int64))
+    return k + k % 2
+
+
 def _strip_columns_x(geom, target_h, layers, w, vertex_cap):
-    """Column abscissae on [0, w], spacing ~ local gap / layer count."""
+    """Column abscissae on [0, w], spacing ~ local gap / row count."""
     gap = geom.gap
     xs = [0.0]
     count = 0
     x = 0.0
     while x < w:
         delta = geom.eps + float(gap.diff(x))
-        k = max(layers, int(math.ceil(delta / target_h)))
+        k = int(_column_rows(delta, target_h, layers))
         dx = delta / k
         count += k + 1
         if count > vertex_cap:
@@ -355,9 +363,11 @@ class _StripMesh:
 
     Column c at x_c holds k_c + 1 vertices, bottom to top, at the exactly
     antisymmetric fractions s = (2j - k_c) / (2 k_c) of the local gap, where
-    k_c = max(layers, ceil(gap / target_h)), made even on the two walls.
-    Columns are stored one after another, so column c is the index run
-    bot_idx[c] .. top_idx[c].
+    k_c = _column_rows(gap, target_h, layers) is even.  Columns are stored
+    one after another, so column c is the index run bot_idx[c] ..
+    top_idx[c], and vertex v of it has the mirror index bot + top - v.
+    Unequal neighbours are stitched on rows 0 .. k/2, and the stitch is
+    reflected by that index, so a symmetric geometry's strip is symmetric.
     """
 
     def __init__(self, geom, target_h, layers, w, vertex_cap=_VERTEX_CAP):
@@ -365,10 +375,8 @@ class _StripMesh:
         xs = np.concatenate([-xs_half[::-1], xs_half[1:]])
         h1, h2 = geom.gap.h1(xs), geom.gap.h2(xs)
         delta = geom.eps + (h1 - h2)
-        k = np.maximum(layers, np.ceil(delta / target_h).astype(np.int64))
-        k += (np.abs(np.abs(xs) - w) < 1e-15) & (k % 2 == 1)
-        neck = k[np.abs(xs) <= 0.5 + 1e-12]
-        self.neck_layers = int(neck.min()) if neck.size else int(layers)
+        k = _column_rows(delta, target_h, layers)
+        self.neck_layers = int(k[np.abs(xs) <= 0.5 + 1e-12].min())
 
         col, j = _runs(k + 1)
         s = (2.0 * j - k[col]) / (2.0 * k[col])
@@ -378,6 +386,7 @@ class _StripMesh:
         self.top_idx = self.bot_idx + k
         self.left_wall = np.arange(self.bot_idx[0], self.top_idx[0] + 1)
         self.right_wall = np.arange(self.bot_idx[-1], self.top_idx[-1] + 1)
+        flip = (self.bot_idx + self.top_idx)[col] - np.arange(len(col))
 
         # column pairs with equal row counts are rows of quads; the others
         # are stitched, and a stable sort by pair keeps the pairs in order
@@ -388,9 +397,10 @@ class _StripMesh:
         tris = [_split_quad_rows(a0, a0 + 1, b0, b0 + 1, self.vertices)]
         pair = [np.repeat(same, 2 * k[same])]
         for a in np.flatnonzero(k[:-1] != k[1:]):
-            ia, ib = (np.arange(self.bot_idx[c], self.top_idx[c] + 1)
+            ia, ib = (np.arange(self.bot_idx[c], self.bot_idx[c] + k[c] // 2 + 1)
                       for c in (a, a + 1))
-            tris.append(_stitch_columns(ia, s[ia] + 0.5, ib, s[ib] + 0.5))
+            lower = _stitch_columns(ia, s[ia] + 0.5, ib, s[ib] + 0.5)
+            tris.append(np.vstack([lower, flip[lower]]))
             pair.append(np.full(len(tris[-1]), a))
         order = np.argsort(np.concatenate(pair), kind="stable")
         self.triangles = np.vstack(tris)[order]
@@ -883,12 +893,11 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
         anchors.append(((x, float(geom.lower_wall(x))), wall_sz[sgn]))
     size = _SizeField(target_h, anchors)
 
-    symmetric = geom.is_mirror_symmetric()
-    if symmetric:
+    if geom.is_mirror_symmetric():
         mesh = _far_symmetric(geom, pool, strip, size, rng, w, wall_sz)
     else:
         mesh = _far_general(geom, pool, strip, size, rng, w, wall_sz)
-    tris, b_edges, b_tags, mirror = mesh
+    tris, b_edges, b_tags = mesh
 
     s_edges, s_tags = strip.boundary(walls_tag=None)
     b_edges = np.vstack([s_edges, b_edges])
@@ -897,8 +906,10 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
     if pool.n > vertex_cap:
         raise MeshCapacityError(f"mesh exceeds vertex cap {vertex_cap}",
                                 eps_floor=4.0 * geom.eps)
-    return TriMesh(pool.pts, all_tris, b_edges, b_tags, geometry=geom,
-                   neck_layers=strip.neck_layers, mirror=mirror)
+    mesh = TriMesh(pool.pts, all_tris, b_edges, b_tags, geometry=geom,
+                   neck_layers=strip.neck_layers)
+    check_mirror(mesh)
+    return mesh
 
 
 def _arc_ccw_angles(a0, a1):
@@ -983,14 +994,11 @@ def _pocket_seeds(pool, strip, wall_sz, w, upper_only):
 
 def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
     """Upper-half far region meshed and mirrored; exact mirror symmetry.
-    Returns the far triangles, boundary edges and tags, and the mirror map
-    of every pool vertex."""
+    Returns the far triangles, boundary edges and tags."""
     r_out = geom.outer.radius
-    # wall halves (y >= 0), bottom to top; wall node counts are even so y=0 exists
-    rw = strip.right_wall
-    lw = strip.left_wall
-    rw_up = rw[pool.pts[rw][:, 1] >= -1e-15]
-    lw_up = lw[pool.pts[lw][:, 1] >= -1e-15]
+    # wall halves (y >= 0), bottom to top: every column has a vertex on y=0
+    rw_up, lw_up = (wall[len(wall) // 2:]
+                    for wall in (strip.right_wall, strip.left_wall))
 
     # seams y = 0 from wall feet to the outer circle
     def seam(sgn):
@@ -1024,39 +1032,23 @@ def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
     seeds = _pocket_seeds(pool, strip, wall_sz, w, upper_only=True)
     tris_u = _relax_region(pool, [loop], size, rng, extra_seeds=seeds)
 
-    # mirror: strip vertices already contain their partners; seam is fixed
-    n_before = pool.n
-    upper_extra = np.arange(len(strip.vertices), n_before)
-    ymir = pool.pts[upper_extra].copy()
-    ymir[:, 1] = -ymir[:, 1]
-    on_seam = np.abs(pool.pts[upper_extra][:, 1]) < 1e-15
-    mirror_map = np.arange(pool.n)
-    new_idx = pool.add(ymir[~on_seam])
-    mirror_map[upper_extra[~on_seam]] = new_idx
-    mirror_map = np.append(mirror_map, upper_extra[~on_seam])   # new_idx's
-    # strip vertices: mirror via structured pairing (columns stored bottom-to-top)
-    mirror_map[: len(strip.vertices)] = _strip_mirror_map(strip)
-
-    tris_l = mirror_map[tris_u]
-    tris = np.vstack([tris_u, tris_l])
+    # the strip holds its own reflection; the far field's upper points off
+    # the seam are reflected
+    upper = pool.pts[len(strip.vertices):]
+    pool.add(upper[upper[:, 1] != 0.0] * (1.0, -1.0))
+    mirror = _mirror_map(pool.pts)
+    if mirror is None:
+        raise MeshError("the neck strip is not its own mirror image")
+    tris = np.vstack([tris_u, mirror[tris_u]])
 
     # each upper edge is followed by its mirror image; arc_idx runs
     # right->left, so the left joint chains to arc_idx[::-1]
     arc_loop = np.concatenate([joint_l, arc_idx[::-1], joint_r])
-    arc = _chain(np.column_stack([arc_loop, mirror_map[arc_loop]]))
-    rim = _chain(np.column_stack([outer_idx, mirror_map[outer_idx]]))
+    arc = _chain(np.column_stack([arc_loop, mirror[arc_loop]]))
+    rim = _chain(np.column_stack([outer_idx, mirror[outer_idx]]))
     b_tags = np.concatenate([np.tile([INC1, INC2], len(arc_loop) - 1),
                              np.full(len(rim), OUTER)])
-    return tris, np.vstack([arc, rim]), b_tags, mirror_map
-
-
-def _strip_mirror_map(strip):
-    """Index map sending each strip vertex to its x_n -> -x_n partner: the
-    columns are consecutive runs bot_idx..top_idx, bottom to top, so vertex
-    v of a column goes to bot + top - v."""
-    col = np.repeat(np.arange(len(strip.bot_idx)),
-                    strip.top_idx - strip.bot_idx + 1)
-    return (strip.bot_idx + strip.top_idx)[col] - np.arange(len(col))
+    return tris, np.vstack([arc, rim]), b_tags
 
 
 def _far_general(geom, pool, strip, size, rng, w, wall_sz):
@@ -1083,7 +1075,7 @@ def _far_general(geom, pool, strip, size, rng, w, wall_sz):
     lo = _chain(np.concatenate([[lw[0]], arc2[::-1], [rw[0]]]))
     rim = _chain(outer_idx, closed=True)
     b_tags = np.repeat([INC1, INC2, OUTER], [len(up), len(lo), len(rim)])
-    return tris, np.vstack([up, lo, rim]), b_tags, None
+    return tris, np.vstack([up, lo, rim]), b_tags
 
 
 def _generate_annulus(geom, target_h):
@@ -1177,31 +1169,27 @@ def refine_uniform(mesh):
 # the arrays of a mesh file: dtype kind and shape (None: any length)
 _MESH_ARRAYS = {"vertices": ("f", (None, 2)), "triangles": ("i", (None, 3)),
                 "boundary_edges": ("i", (None, 2)),
-                "boundary_tags": ("i", (None,)), "neck_layers": ("i", ()),
-                "mirror": ("i", (None,))}
+                "boundary_tags": ("i", (None,)), "neck_layers": ("i", ())}
 
 
 def save_mesh(mesh, path):
     """One uncompressed .npz: `vertices` float64 (nv, 2), `triangles` int64
-    (nt, 3), `boundary_edges` int64 (nbe, 2), `boundary_tags` int64 (nbe,),
-    the int64 scalar `neck_layers` and `mirror` int64, (nv,) or (0,) for a
-    mesh without one.  Written through an open file, so the file gets
-    exactly the given name (np.savez appends .npz to a str)."""
-    mirror = np.zeros(0, np.int64) if mesh.mirror is None else mesh.mirror
+    (nt, 3), `boundary_edges` int64 (nbe, 2), `boundary_tags` int64 (nbe,)
+    and the int64 scalar `neck_layers`.  Written through an open file, so
+    the file gets exactly the given name (np.savez appends .npz to a str)."""
     with open(path, "wb") as fh:
         np.savez(fh, vertices=mesh.vertices, triangles=mesh.triangles,
                  boundary_edges=mesh.boundary_edges,
                  boundary_tags=mesh.boundary_tags,
-                 neck_layers=np.int64(mesh.grading_report.neck_layers),
-                 mirror=mirror)
+                 neck_layers=np.int64(mesh.grading_report.neck_layers))
 
 
 def load_mesh(path, geometry=None):
     """Read a mesh written by save_mesh.  A file that does not hold one
     (unreadable, truncated, with a missing, extra, object or misshapen
     array, an index out of range, a boundary tag other than OUTER, INC1,
-    INC2, a negative neck_layers or a mirror map that TriMesh refuses)
-    raises MeshError naming the path.  Nothing is ever unpickled."""
+    INC2 or a negative neck_layers) raises MeshError naming the path.
+    Nothing is ever unpickled."""
     try:
         # np.load leaves a path it opened open when it is not a zip file
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
@@ -1227,11 +1215,19 @@ def load_mesh(path, geometry=None):
             raise ValueError(f"neck_layers {neck_layers} is negative")
         return TriMesh(a["vertices"], a["triangles"], a["boundary_edges"],
                        a["boundary_tags"], geometry=geometry,
-                       neck_layers=neck_layers,
-                       mirror=a["mirror"] if len(a["mirror"]) else None)
+                       neck_layers=neck_layers)
     except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError,
             TypeError, MeshError) as exc:
         raise MeshError(f"unreadable mesh file {path}: {exc}") from exc
+
+
+def check_mirror(mesh):
+    """Raise MeshError when the mesh of a two-inclusion geometry that is
+    mirror-symmetric is not its own mirror image (TriMesh.mirror is None)."""
+    g = mesh.geometry
+    if (g is not None and g.kind != "annulus" and g.is_mirror_symmetric()
+            and mesh.mirror is None):
+        raise MeshError("the mesh of a mirror-symmetric geometry has no mirror")
 
 
 def check_mesh(mesh, min_angle=MIN_ANGLE_DEG):

@@ -270,8 +270,8 @@ class Condenser:
         inclusion_values = inclusion_values or {}
         tag = mesh.vertex_tag
         self.lift = _outer_lift(mesh, geom)
-        mirror = mesh.mirror
-        if not (odd and mirror is not None and not inclusion_values
+        mirror = mesh.mirror if odd else None   # derived on first use
+        if not (mirror is not None and not inclusion_values
                 and np.array_equal(self.lift[mirror], -self.lift)):
             mirror = None
         own = tag == 0

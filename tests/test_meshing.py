@@ -12,20 +12,20 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
-                      build_annulus, build_parabola_example,
+                      SweepSpec, build_annulus, build_parabola_example,
                       build_symmetric_disc_example, check_mesh, gap_width,
-                      generate, generate_neck_strip, load_mesh, meshing,
-                      refine_uniform, save_mesh, solve)
+                      generate, generate_neck_strip, harness, load_mesh,
+                      meshing, refine_uniform, save_mesh, solve)
 from neckflow.errors import MeshError
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, _c2_bound)
-from neckflow.solver import ElementOps
+from neckflow.solver import Condenser, ElementOps
 from neckflow.meshing import (TriMesh, _chain, _check_loops_covered,
-                              _points_in_loops, _RepairFailed, _SegmentField,
-                              _signed_areas, _SizeField, _split_quad_rows,
-                              _stitch_columns, _strip_columns_x, _StripMesh,
-                              _strip_mirror_map)
+                              _mirror_map, _points_in_loops, _RepairFailed,
+                              _SegmentField, _signed_areas, _SizeField,
+                              _split_quad_rows, _stitch_columns,
+                              _strip_columns_x, _StripMesh, check_mirror)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestInvariants:
         assert ElementOps(m).area is m.areas
 
     def test_mirror_from_the_mesher(self, disc_mesh):
-        # TriMesh checked the map on construction; these restate it
+        # TriMesh derived the map from the coordinates; these restate it
         _, m = disc_mesh
         n = m.n_vertices
         assert m.mirror.dtype == np.int64 and not m.mirror.flags.writeable
@@ -160,6 +160,39 @@ def test_smaller_separations_stay_valid():
         assert m.grading_report.neck_layers >= 6
 
 
+@pytest.mark.parametrize("target_h,layers", [
+    (0.1, 5), (0.1, 7), (0.07, 6), (0.05, 8), (0.1, 10)])
+def test_every_setting_meshes_with_a_mirror(target_h, layers):
+    # odd layer counts and the stitches of unequal columns used to break the
+    # strip's symmetry; an odd count rounds up to the even one built
+    m = generate(build_symmetric_disc_example(scale=1.0, eps=1e-2), target_h,
+                 layers, seed=0)
+    assert m.mirror is not None
+    check_mesh(m, min_angle=20.0)
+    assert m.grading_report.neck_layers == layers + layers % 2
+
+
+def _assert_odd_solve_matches_full(m, g, p):
+    full = solve(m, g, SolveConfig(p=p))
+    cond = Condenser(m, g, odd=True)
+    assert cond.mirror is m.mirror is not None
+    half = solve(m, g, SolveConfig(p=p), cond)
+    for a, b in ((half.ugap, full.ugap), (half.energy, full.energy)):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    scale = np.abs(full.nodal_values).max()
+    assert np.abs(half.nodal_values - full.nodal_values).max() <= 1e-10 * scale
+
+
+def test_odd_solve_on_a_stitched_mesh_matches_full_solve():
+    # 0.07/6 stitches the strip's walls to its inner columns
+    g = build_symmetric_disc_example(scale=1.0, eps=1e-2)
+    m = generate(g, 0.07, 6, seed=0)
+    strip = _StripMesh(g, 0.07, 6, 0.9 * g.gap.chart)
+    k = strip.top_idx - strip.bot_idx
+    assert np.count_nonzero(k[:-1] != k[1:]) > 0
+    _assert_odd_solve_matches_full(m, g, 2.0)
+
+
 @pytest.mark.parametrize("seed,target_h,eps", [
     (0, 0.2, 1e-2), (1, 0.2, 1e-2), (3, 0.2, 1e-4), (2, 0.08, 1e-3),
 ])
@@ -183,6 +216,21 @@ def test_capacity_error_with_suggested_floor():
         generate(g, 0.1, 6, vertex_cap=4000)
     assert exc.value.eps_floor is not None
     assert exc.value.eps_floor > 1e-4
+
+
+def test_strip_vertex_cap_counts_the_rows_built():
+    # the cap counts k + 1 vertices per half-strip column from x' = 0 up to,
+    # not including, the wall, with the k that is built: 0.1/7 builds 8 rows
+    g = build_symmetric_disc_example(scale=1.0, eps=1e-2)
+    w = 0.9 * g.gap.chart
+    xs = _strip_columns_x(g, 0.1, 7, w, 10**7)
+    strip = _StripMesh(g, 0.1, 7, w)
+    k = (strip.top_idx - strip.bot_idx)[len(xs) - 1:]   # the columns at x' >= 0
+    assert np.all(k == 8)
+    n = int(np.sum(k[:-1] + 1))
+    assert np.array_equal(_strip_columns_x(g, 0.1, 7, w, n), xs)
+    with pytest.raises(MeshCapacityError):
+        _strip_columns_x(g, 0.1, 7, w, n - 1)
 
 
 @pytest.mark.parametrize("geom", [build_annulus(1.0, 2.0),
@@ -261,6 +309,15 @@ class TestRefine:
         assert len(r.boundary_edges) == 2 * len(m.boundary_edges)
         assert r.boundary_loops_ok()
 
+    def test_refined_mesh_has_a_mirror(self, disc_mesh):
+        # midpoints of mirror-image edges, projected onto mirror-image
+        # curves, are mirror images bit for bit
+        g, m = disc_mesh
+        r = refine_uniform(m)
+        assert r.mirror is not None
+        check_mirror(r)
+        _assert_odd_solve_matches_full(r, g, 1.3)
+
 
 def test_energy_error_drops_3x_per_refinement():
     # manufactured radial state on the annulus: energy converges at second
@@ -299,9 +356,7 @@ def _mesh_arrays(mesh):
     return {"vertices": mesh.vertices, "triangles": mesh.triangles,
             "boundary_edges": mesh.boundary_edges,
             "boundary_tags": mesh.boundary_tags,
-            "neck_layers": np.int64(mesh.grading_report.neck_layers),
-            "mirror": (np.zeros(0, np.int64) if mesh.mirror is None
-                       else mesh.mirror)}
+            "neck_layers": np.int64(mesh.grading_report.neck_layers)}
 
 
 _UNPICKLED = []
@@ -441,59 +496,27 @@ class TestMeshIO:
                 assert back.mirror.dtype == np.int64
                 assert np.array_equal(back.mirror, mesh.mirror)
 
-    @pytest.mark.parametrize("damage, message", [
-        ("not_involution", "not an involution"),
-        ("moved_vertex", "off its reflection"),
-        ("unmapped_triangle", "triangles onto themselves"),
-        ("inc1_to_outer", "swap INC1 and INC2"),
-        ("short", "not a map of the vertices"),
-        ("index_high", "not a map of the vertices"),
-    ])
-    def test_corrupt_mirror_raises_mesh_error(self, disc_mesh, tmp_path,
-                                              damage, message):
-        _, m = disc_mesh
+    @pytest.mark.parametrize("damage", ["unmapped_triangle", "inc2_tagged_outer"])
+    def test_corrupt_mirror_raises_mesh_error(self, tmp_path, damage):
+        # a cached mesh of the symmetric geometry that has lost its mirror
+        spec = SweepSpec(geometry=build_symmetric_disc_example(scale=1.0),
+                         target_h=0.2, cache_dir=str(tmp_path))
+        m = harness.case_mesh(spec.geometry, spec, 1e-2)
+        assert m.mirror is not None
         arrays = _mesh_arrays(m)
-        mirror, tris = m.mirror.copy(), m.triangles.copy()
-        # two upper interior vertices, a and b, and their images
-        a, b = np.flatnonzero((m.vertex_tag == 0) & (m.vertices[:, 1] > 0))[:2]
-        ma, mb = mirror[a], mirror[b]
-        if damage == "not_involution":
-            mirror[a], mirror[b] = mb, ma
-        elif damage == "moved_vertex":
-            # still an involution: a <-> mb and b <-> ma
-            mirror[[a, mb, b, ma]] = mb, a, ma, b
-        elif damage == "unmapped_triangle":
+        if damage == "unmapped_triangle":
             # an upper triangle repeated in place of another upper one
             up = np.flatnonzero(m.centroids[:, 1] > 0.1)
-            tris[up[0]] = tris[up[1]]
-            arrays["triangles"] = tris
-        elif damage == "inc1_to_outer":
+            arrays["triangles"] = m.triangles.copy()
+            arrays["triangles"][up[0]] = m.triangles[up[1]]
+        else:
             arrays["boundary_tags"] = np.where(m.boundary_tags == INC2, OUTER,
                                                m.boundary_tags)
-        elif damage == "short":
-            mirror = mirror[:-1]
-        elif damage == "index_high":
-            mirror[a] = m.n_vertices
-        arrays["mirror"] = mirror
-        path = tmp_path / "mesh.npz"
+        (path,) = tmp_path.glob("mesh_*.npz")
         np.savez(str(path), **arrays)
-        with pytest.raises(MeshError, match="mesh.npz") as exc:
-            load_mesh(str(path))
-        assert message in str(exc.value)
-
-    def test_mirror_remapped_with_unused_vertices(self, disc_mesh):
-        # an unused mirror pair ahead of the mesh's vertices is dropped
-        _, m = disc_mesh
-        pts = np.vstack([[[5.0, 1.0], [5.0, -1.0]], m.vertices])
-        mirror = np.concatenate([[1, 0], m.mirror + 2])
-        m2 = TriMesh(pts, m.triangles + 2, m.boundary_edges + 2,
-                     m.boundary_tags, mirror=mirror)
-        assert np.array_equal(m2.mirror, m.mirror)
-        # a used vertex sent to a dropped one
-        mirror[2] = 0
-        with pytest.raises(MeshError, match="unused"):
-            TriMesh(pts, m.triangles + 2, m.boundary_edges + 2,
-                    m.boundary_tags, mirror=mirror)
+        with pytest.raises(MeshError, match="has no mirror") as exc:
+            harness.case_mesh(spec.geometry, spec, 1e-2)
+        assert path.name in str(exc.value)
 
     def test_tripwire_records_unpickling(self):
         # the object_array case above would see an unpickling
@@ -782,26 +805,27 @@ def test_flip_repair_reports_failure(monkeypatch):
     _assert_consistent(pts, simp, nbr)
 
 
-# sha256 of the mesh of each far-field path at target_h 0.2, eps 1e-2 and
-# seed 0 (integer arrays exact, vertices rounded to 12 digits), by
-# MESHER_VERSION: a change that alters the meshes must bump the version, so
-# that mesh-cache files of the old meshes are not read as the new ones.
-# Version 4 left the mesh arrays as they were and added `mirror` to the mesh
-# file, so its hashes are version 3's
+# sha256 of the mesh of each far-field path at eps 1e-2 and seed 0 (integer
+# arrays exact, vertices rounded to 12 digits), by MESHER_VERSION: a change
+# that alters the meshes must bump the version, so that mesh-cache files of
+# the old meshes are not read as the new ones.  At target_h 0.2 neither path
+# stitches, and the meshes are those of versions 3 and 4; at 0.1 the general
+# path stitches the strip's walls to its inner columns
 _MESH_HASHES = {
-    3: {"symmetric": "cbc7be68938d22f61a9a805df4c9d44c"
+    5: {"symmetric": "cbc7be68938d22f61a9a805df4c9d44c"
                      "4b4c35c450f16ae44753adc09ccfd9ba",
         "general": "53450a02d03a49ff2ebd672e44661ff0"
-                   "ecdd6e5aa32e3998e11205c9325e5eda"},
+                   "ecdd6e5aa32e3998e11205c9325e5eda",
+        "general_stitched": "23e4bc4985fa85dcea47e9c4e374c144"
+                            "eb1de9187c1e2c849c42dd66738b4122"},
 }
-_MESH_HASHES[4] = _MESH_HASHES[3]
 
 
-@pytest.mark.parametrize("path", ["symmetric", "general"])
+@pytest.mark.parametrize("path", ["symmetric", "general", "general_stitched"])
 def test_mesher_version_pins_output(path):
     geom = (build_symmetric_disc_example(scale=1.0, eps=1e-2)
             if path == "symmetric" else _asymmetric_geometry(1e-2))
-    m = generate(geom, 0.2, 6, seed=0)
+    m = generate(geom, 0.1 if path == "general_stitched" else 0.2, 6, seed=0)
     h = hashlib.sha256((np.round(m.vertices, 12) + 0.0).tobytes())   # -0.0 is 0.0
     for a in (m.triangles, m.boundary_edges, m.boundary_tags):
         h.update(a.tobytes())
@@ -984,7 +1008,9 @@ def test_split_quad_rows_matches_loop(n, seed, grid):
 
 def _strip_loop(geom, target_h, layers, w):
     """Reference: the strip built one column and one column pair at a time,
-    returning (vertices, triangles, boundary edges, tags, neck_layers)."""
+    returning (vertices, triangles, boundary edges, tags, neck_layers).
+    Every column has an even row count; unequal neighbours are stitched on
+    their lower halves, and the stitch is reflected within each column."""
     xs_half = _strip_columns_x(geom, target_h, layers, w, 10**7)
     xs = np.concatenate([-xs_half[::-1], xs_half[1:]])
     cols_idx, cols_s, pts = [], [], []
@@ -993,8 +1019,7 @@ def _strip_loop(geom, target_h, layers, w):
     for x in xs:
         delta = geom.eps + float(geom.gap.diff(x))
         k = max(layers, int(math.ceil(delta / target_h)))
-        if abs(abs(x) - w) < 1e-15 and k % 2 == 1:
-            k += 1
+        k += k % 2
         s = (2.0 * np.arange(k + 1) - k) / (2.0 * k)
         if abs(x) <= 0.5 + 1e-12:
             min_layers = k if min_layers is None else min(min_layers, k)
@@ -1012,8 +1037,13 @@ def _strip_loop(geom, target_h, layers, w):
         if len(ia) == len(ib):
             tris.append(_split_quad_rows_loop(ia, ib, vertices))
         else:
-            tris.append(_stitch_columns(ia, cols_s[a] + 0.5,
-                                        ib, cols_s[a + 1] + 0.5))
+            # the lower halves' stitch, then its reflection in each column
+            ha, hb = len(ia) // 2 + 1, len(ib) // 2 + 1
+            lower = _stitch_columns(ia[:ha], cols_s[a][:ha] + 0.5,
+                                    ib[:hb], cols_s[a + 1][:hb] + 0.5)
+            flip = {v: c[0] + c[-1] - v for c in (ia, ib) for v in c}
+            upper = [[flip[v] for v in t] for t in lower]
+            tris.append(np.vstack([lower, upper]))
     edges, tags = [], []
     for a in range(len(xs) - 1):
         edges.append((cols_idx[a][-1], cols_idx[a + 1][-1]))
@@ -1060,7 +1090,7 @@ def test_strip_matches_column_loop(asym, log_eps, target_h, layers,
                                              (True, -3.0, 0.1, 6)):
         # the decay strip and the mesh_asym strip stitch unequal columns
         k = strip.top_idx - strip.bot_idx
-        assert np.count_nonzero(k[:-1] != k[1:]) == (2 if asym else 8)
+        assert np.count_nonzero(k[:-1] != k[1:]) == (2 if asym else 4)
 
 
 def _annulus_loop(r1, r2, target_h):
@@ -1125,12 +1155,29 @@ def test_chain_matches_loop():
 
 
 def test_strip_mirror_map_reflects_each_column():
+    # vertex v of a column has its reflection at bot + top - v, and the
+    # strip's triangles, stitches included (0.03/7), map onto themselves
     g = build_symmetric_disc_example(scale=1.0, eps=1e-3)
-    strip = _StripMesh(g, 0.1, 6, 0.9 * g.gap.chart)
-    m = _strip_mirror_map(strip)
-    v = strip.vertices
-    assert np.array_equal(v[m], v * [1.0, -1.0])
-    assert np.array_equal(m[m], np.arange(len(v)))
+    for target_h, layers, stitches in ((0.1, 6, 0), (0.03, 7, 8)):
+        strip = _StripMesh(g, target_h, layers, 0.9 * g.gap.chart)
+        k = strip.top_idx - strip.bot_idx
+        assert np.all(k % 2 == 0)
+        assert np.count_nonzero(k[:-1] != k[1:]) == stitches
+        col = np.repeat(np.arange(len(k)), k + 1)
+        want = (strip.bot_idx + strip.top_idx)[col] - np.arange(len(col))
+        assert np.array_equal(_mirror_map(strip.vertices), want)
+        edges, tags = strip.boundary(walls_tag=OUTER)
+        m = TriMesh(strip.vertices, strip.triangles, edges, tags)
+        assert np.array_equal(m.mirror, want)
+        assert m.mirror_triangles is not None
+
+
+def test_mirror_map_needs_every_reflection():
+    pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [2.0, -0.5],
+                    [2.0, 0.5]])
+    assert _mirror_map(pts).tolist() == [2, 1, 0, 4, 3]
+    pts[3, 1] = -0.5 - 1e-16
+    assert _mirror_map(pts) is None
 
 
 # ---------------------------------------------------------------------------

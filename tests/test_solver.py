@@ -320,8 +320,9 @@ def mirrored_grid_mesh():
     for r, tag in ((3, INC1), (0, INC2)):
         edges += [(v(i, r), v(i + 1, r)) for i in range(4)]
         tags += [tag] * 4
-    return TriMesh(np.array(pts, float), tris, edges, tags,
-                   mirror=[mirror(i) for i in range(len(pts))])
+    mesh = TriMesh(np.array(pts, float), tris, edges, tags)
+    assert mesh.mirror.tolist() == [mirror(i) for i in range(len(pts))]
+    return mesh
 
 
 def assert_odd_reduction(cond, mesh, rng):
