@@ -13,9 +13,12 @@ Two-inclusion domains are meshed in two parts that share vertices exactly:
   qhull runs again only when a repair meets an inverted triangle or its
   round cap.
 
-Mirror-symmetric domains are meshed on the upper half and reflected, so the
-mesh is exactly symmetric under x_n -> -x_n; TriMesh.mirror derives the
-reflection's vertex map from the coordinates.  Annulus domains use a
+The far field is split into an upper and a lower region by a seam from
+each strip wall's mid vertex straight out to the outer circle.  The upper
+region is relaxed.  On mirror-symmetric domains the lower region is its
+reflection, so the mesh is exactly symmetric under x_n -> -x_n
+(TriMesh.mirror derives the reflection's vertex map from the
+coordinates); otherwise it is relaxed the same way.  Annulus domains use a
 structured polar grid.  Meshes are immutable once built.
 """
 
@@ -39,9 +42,9 @@ _VERTEX_CAP = 2_000_000
 
 # part of every mesh-cache key: bump it whenever a change to this module
 # changes the meshes it builds, so that stale cache files are not reused.
-# Version 5 makes every strip column's row count even and reflects the
-# strip's stitches, and drops the `mirror` array from the mesh file
-MESHER_VERSION = 5
+# Version 6 splits every far field at the seams from the strip walls' mid
+# vertices into two regions, and evens out a resampled arc's end gap
+MESHER_VERSION = 6
 
 # the mesh-quality gate: check_mesh's default, and the angle below which a
 # sweep flags a mesh in its report
@@ -176,12 +179,14 @@ class TriMesh:
         return c
 
     def boundary_edges_conform(self):
-        """Every boundary edge is an edge of exactly one triangle."""
+        """The boundary edges are exactly the edges of one triangle, each
+        listed once, and no edge is on more than two triangles: a hole or an
+        overlap in the triangulation fails."""
         t, be, n = self.triangles, self.boundary_edges, self.n_vertices
         keys, counts = np.unique(_edge_keys(t, np.roll(t, -1, axis=1), n),
                                  return_counts=True)
-        return bool(np.isin(_edge_keys(be[:, 0], be[:, 1], n),
-                            keys[counts == 1]).all())
+        return bool(counts.max(initial=0) <= 2 and np.array_equal(
+            np.sort(_edge_keys(be[:, 0], be[:, 1], n)), keys[counts == 1]))
 
     def boundary_loops_ok(self):
         """Each tag's edges form one closed loop: every vertex on them has
@@ -678,20 +683,21 @@ def _grade_spacing(length, s0, s1, target_h, growth=1.25):
     return np.concatenate([[0.0], np.cumsum(arr)])
 
 
-def _relax_region(pool, loop_indices, size, rng, extra_seeds):
-    """Mesh the region bounded by the given loops (vertex-index loops into the
-    pool).  Returns triangle index triples.  Boundary vertices stay fixed.
+def _relax_region(pool, loop, size, rng, extra_seeds):
+    """Mesh the region bounded by the given loop (a vertex-index loop into
+    the pool).  Returns triangle index triples.  Boundary vertices stay
+    fixed.
 
     Each relaxation step pushes the free points apart along the edges of the
     last Delaunay triangulation.  That triangulation, and its edge list, are
     rebuilt only once some free point has moved more than _REBUILD_MOVE of
     its local size since it was built.  The first build calls qhull; every
     later one repairs the previous full triangulation (the convex hull of
-    the region's points, holes included) by Lawson edge flips
-    (_flip_repair), and calls qhull again only when the repair fails: a
-    triangle inverted at the new positions, or _FLIP_ROUNDS rounds without
-    convergence.  The edge list is the sorted edges of the triangles whose
-    centroids lie inside the loops, which do not depend on triangle order.
+    the region's points) by Lawson edge flips (_flip_repair), and calls
+    qhull again only when the repair fails: a triangle inverted at the new
+    positions, or _FLIP_ROUNDS rounds without convergence.  The edge list
+    is the sorted edges of the triangles whose centroids lie inside the
+    loop, which do not depend on triangle order.
     After the last step, one fresh qhull triangulation serves all three
     Laplacian passes (the relaxation's last one left slivers on coarse
     meshes), and the final triangulation is fresh too, so the returned
@@ -699,19 +705,17 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
     its order.  One DEBUG record on the "neckflow" logger gives the qhull
     calls, flip repairs and fallbacks of the region.
 
-    Each free point keeps a lower bound on its distance to the loops, taken
+    Each free point keeps a lower bound on its distance to the loop, taken
     at each rebuild and shortened by every step it takes, so that a step is
-    tested against the loops (_SegmentField.admit) only near them.
+    tested against the loop (_SegmentField.admit) only near it.
     """
-    loops_pts = [pool.pts[idx] for idx in loop_indices]
-    boundary_idx = np.concatenate(loop_indices)
-    segfield = _SegmentField(loops_pts)
+    loop_pts = pool.pts[loop]
+    segfield = _SegmentField([loop_pts])
 
     # seed interior points from a jittered hex lattice, rejection-thinned
     h0 = 0.85 * size.min_size()
-    allpts = np.vstack(loops_pts)
-    lo = allpts.min(axis=0) - h0
-    hi = allpts.max(axis=0) + h0
+    lo = loop_pts.min(axis=0) - h0
+    hi = loop_pts.max(axis=0) + h0
     nx = int((hi[0] - lo[0]) / h0) + 1
     ny = int((hi[1] - lo[1]) / (h0 * math.sqrt(3) / 2)) + 1
     gx, gy = np.meshgrid(np.arange(nx), np.arange(ny))
@@ -737,7 +741,7 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
     cand = cand[~drop]
 
     free = pool.add(cand)
-    active = np.concatenate([boundary_idx, free])
+    active = np.concatenate([loop, free])
 
     def triangulate():
         pts = pool.pts[active]
@@ -821,17 +825,16 @@ def _relax_region(pool, loop_indices, size, rng, extra_seeds):
         bound = np.where(ok, moved, bound)
 
     tris = triangulate()
-    _check_loops_covered(tris, loop_indices)
+    _check_loop_covered(tris, loop)
     return tris
 
 
-def _check_loops_covered(tris, loop_indices):
-    n = int(np.concatenate([tris.ravel(), *loop_indices]).max()) + 1
+def _check_loop_covered(tris, loop):
+    n = int(max(tris.max(), loop.max())) + 1
     have = _edge_keys(tris, np.roll(tris, -1, axis=1), n)
-    for idx in loop_indices:
-        if not np.isin(_edge_keys(idx, np.roll(idx, -1), n), have).all():
-            raise MeshError("far-field triangulation missed a boundary edge; "
-                            "adjust target_h")
+    if not np.isin(_edge_keys(loop, np.roll(loop, -1), n), have).all():
+        raise MeshError("far-field triangulation missed a boundary edge; "
+                        "adjust target_h")
 
 
 def _edge_keys(i, j, n):
@@ -893,11 +896,7 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
         anchors.append(((x, float(geom.lower_wall(x))), wall_sz[sgn]))
     size = _SizeField(target_h, anchors)
 
-    if geom.is_mirror_symmetric():
-        mesh = _far_symmetric(geom, pool, strip, size, rng, w, wall_sz)
-    else:
-        mesh = _far_general(geom, pool, strip, size, rng, w, wall_sz)
-    tris, b_edges, b_tags = mesh
+    tris, b_edges, b_tags = _far_field(geom, pool, strip, size, rng, w, wall_sz)
 
     s_edges, s_tags = strip.boundary(walls_tag=None)
     b_edges = np.vstack([s_edges, b_edges])
@@ -943,12 +942,14 @@ def _inclusion_arc(geom, size, w, upper=True):
         return pts[1:-1]
     # generic curve: dense polyline, cut at the joints, resample by size
     poly = curve_polyline(curve, 4000)
-    return _cut_and_resample(poly, (w, yr), (-w, yl), size, go_over=upper)
+    return _cut_and_resample(poly, (w, yr), (-w, yl), size)
 
 
-def _cut_and_resample(poly, p_start, p_end, size, go_over):
+def _cut_and_resample(poly, p_start, p_end, size):
     """Extract the sub-polyline from p_start to p_end avoiding the neck side,
-    resampled at the local size."""
+    resampled at the local size.  The marks are then scaled so that p_end
+    lies one step of its own size past the last of them, which evens out
+    the gap at that end."""
     d_start = np.linalg.norm(poly - np.asarray(p_start), axis=1)
     d_end = np.linalg.norm(poly - np.asarray(p_end), axis=1)
     i0, i1 = int(d_start.argmin()), int(d_end.argmin())
@@ -961,121 +962,101 @@ def _cut_and_resample(poly, p_start, p_end, size, go_over):
     seg = np.linalg.norm(np.diff(pick, axis=0), axis=1)
     s = np.concatenate([[0], np.cumsum(seg)])
     total = s[-1]
-    out = [np.asarray(p_start)]
-    pos = 0.0
+
+    def at(pos):
+        return np.column_stack([np.interp(pos, s, pick[:, c]) for c in (0, 1)])
+
+    marks = [0.0]
     while True:
-        here = out[-1]
-        step = size.at(here)
-        pos += step
-        if pos >= total - 0.4 * step:
+        step = size.at(at(marks[-1]))
+        if marks[-1] + step >= total - 0.4 * step:
             break
-        k = int(np.searchsorted(s, pos))
-        t = (pos - s[k - 1]) / max(s[k] - s[k - 1], 1e-300)
-        out.append(pick[k - 1] * (1 - t) + pick[k] * t)
-    return np.asarray(out[1:])
+        marks.append(marks[-1] + step)
+    marks = np.asarray(marks[1:])
+    return at(marks * total / (marks[-1] + size.at(p_end)))
 
 
-def _pocket_seeds(pool, strip, wall_sz, w, upper_only):
+def _pocket_seeds(pool, walls, wall_sz, w, upper):
     """Structured helper seeds in the wedge pockets just outside the strip
-    walls; without them the coarse far field fans wall nodes onto the first
-    seam node and the min-angle gate fails."""
+    walls, beside the given wall halves (right, then left) and offset away
+    from the seam; without them the coarse far field fans wall nodes onto
+    the first seam node and the min-angle gate fails."""
     seeds = []
-    for sgn, wall in ((1, strip.right_wall), (-1, strip.left_wall)):
+    for sgn, wall in zip((1, -1), walls):
         s = wall_sz[sgn]
         ys = pool.pts[wall][:, 1]
-        if upper_only:
-            ys = ys[ys >= -1e-15]
         for j in (1, 2, 3):
-            yj = ys + (0.5 * s if j % 2 else 0.0)
+            yj = ys + ((0.5 if upper else -0.5) * s if j % 2 else 0.0)
             seeds.append(np.column_stack([np.full(len(yj), sgn * (w + j * s)),
                                           yj]))
     return np.vstack(seeds)
 
 
-def _far_symmetric(geom, pool, strip, size, rng, w, wall_sz):
-    """Upper-half far region meshed and mirrored; exact mirror symmetry.
+def _far_field(geom, pool, strip, size, rng, w, wall_sz):
+    """The far field, split into an upper and a lower region by a seam from
+    each strip wall's mid vertex straight out to the outer circle.  The
+    upper region is relaxed; the lower one is its exact mirror image when
+    the geometry is mirror-symmetric, and is relaxed the same way otherwise.
     Returns the far triangles, boundary edges and tags."""
-    r_out = geom.outer.radius
-    # wall halves (y >= 0), bottom to top: every column has a vertex on y=0
-    rw_up, lw_up = (wall[len(wall) // 2:]
-                    for wall in (strip.right_wall, strip.left_wall))
+    outer = geom.outer
+    (cx, cy), r_out = outer.center, outer.radius
+    walls = (strip.right_wall, strip.left_wall)
 
-    # seams y = 0 from wall feet to the outer circle
-    def seam(sgn):
-        x0, x1 = sgn * w, sgn * r_out
+    def seam(sgn, wall):
+        """Horizontal seam from the wall's mid vertex to the outer circle:
+        its points between the two, and its end on the circle."""
+        x0, y = pool.pts[wall[len(wall) // 2]]
+        x1 = cx + sgn * math.sqrt(r_out ** 2 - (y - cy) ** 2)
         frac = _grade_spacing(abs(x1 - x0), wall_sz[sgn], size.target_h, size.target_h)
-        xs = x0 + np.sign(x1 - x0) * frac
-        pts = np.column_stack([xs, np.zeros(len(xs))])
-        return pts[1:-1]  # endpoints provided by wall foot / outer node
+        xs = x0 + np.sign(x1 - x0) * frac[1:-1]
+        return pool.add(np.column_stack([xs, np.full(len(xs), y)])), (x1, y)
 
-    seam_r = pool.add(seam(1))
-    seam_l = pool.add(seam(-1))
+    (seam_r, end_r), (seam_l, end_l) = (seam(sgn, wall)
+                                        for sgn, wall in zip((1, -1), walls))
+    t_r, t_l = outer.angle_of(end_r), outer.angle_of(end_l)
 
-    # outer upper semicircle, angle 0 .. pi, endpoints exactly on y=0
-    n_half = max(8, int(math.pi * r_out / size.target_h))
-    ang = np.linspace(0, math.pi, n_half + 1)
-    outer_pts = np.column_stack([r_out * np.cos(ang), r_out * np.sin(ang)])
-    outer_pts[0, 1] = 0.0
-    outer_pts[-1, 1] = 0.0
-    outer_idx = pool.add(outer_pts)
+    def rim_points(upper):
+        """The outer circle from the right seam end to the left one, over
+        the top or under the bottom, ends exact."""
+        a0, a1 = (_arc_ccw_angles(t_r, t_l) if upper
+                  else _arc_ccw_angles(t_l, t_r)[::-1])
+        n = max(8, int(abs(a1 - a0) * r_out / size.target_h))
+        ang = np.linspace(a0, a1, n + 1)
+        pts = np.column_stack([cx + r_out * np.cos(ang), cy + r_out * np.sin(ang)])
+        pts[0], pts[-1] = end_r, end_l
+        return pts
 
-    arc_pts = _inclusion_arc(geom, size, w, upper=True)
-    arc_idx = pool.add(arc_pts)
+    def half(upper, rim):
+        """The half's triangles, and its inclusion arc (left joint to right
+        joint) and rim as vertex chains."""
+        # wall halves from the mid vertex out to the joint
+        rw, lw = (wall[len(wall) // 2:] if upper else wall[len(wall) // 2::-1]
+                  for wall in walls)
+        arc = pool.add(_inclusion_arc(geom, size, w, upper=upper))[::-1]
+        loop = np.concatenate([rw[:1], seam_r, rim, seam_l[::-1], lw, arc,
+                               rw[:0:-1]])
+        seeds = _pocket_seeds(pool, (rw, lw), wall_sz, w, upper)
+        tris = _relax_region(pool, loop, size, rng, extra_seeds=seeds)
+        return tris, np.concatenate([lw[-1:], arc, rw[-1:]]), rim
 
-    joint_r = rw_up[-1:]   # (w, y_plus(w))
-    joint_l = lw_up[-1:]
-    # closed CCW loop around the upper-half far region
-    loop = np.concatenate([
-        [rw_up[0]], seam_r, outer_idx, seam_l[::-1], [lw_up[0]],
-        lw_up[1:-1], joint_l, arc_idx[::-1], joint_r, rw_up[1:-1][::-1],
-    ])
-    seeds = _pocket_seeds(pool, strip, wall_sz, w, upper_only=True)
-    tris_u = _relax_region(pool, [loop], size, rng, extra_seeds=seeds)
-
-    # the strip holds its own reflection; the far field's upper points off
-    # the seam are reflected
-    upper = pool.pts[len(strip.vertices):]
-    pool.add(upper[upper[:, 1] != 0.0] * (1.0, -1.0))
-    mirror = _mirror_map(pool.pts)
-    if mirror is None:
-        raise MeshError("the neck strip is not its own mirror image")
-    tris = np.vstack([tris_u, mirror[tris_u]])
-
-    # each upper edge is followed by its mirror image; arc_idx runs
-    # right->left, so the left joint chains to arc_idx[::-1]
-    arc_loop = np.concatenate([joint_l, arc_idx[::-1], joint_r])
-    arc = _chain(np.column_stack([arc_loop, mirror[arc_loop]]))
-    rim = _chain(np.column_stack([outer_idx, mirror[outer_idx]]))
-    b_tags = np.concatenate([np.tile([INC1, INC2], len(arc_loop) - 1),
-                             np.full(len(rim), OUTER)])
-    return tris, np.vstack([arc, rim]), b_tags
-
-
-def _far_general(geom, pool, strip, size, rng, w, wall_sz):
-    """Far field for asymmetric domains: one region with a hole."""
-    r_out = geom.outer.radius
-    n_out = max(16, int(2 * math.pi * r_out / size.target_h))
-    ang = 2 * math.pi * np.arange(n_out) / n_out
-    outer_idx = pool.add(np.column_stack([r_out * np.cos(ang) + geom.outer.center[0],
-                                          r_out * np.sin(ang) + geom.outer.center[1]]))
-    arc1 = pool.add(_inclusion_arc(geom, size, w, upper=True))
-    arc2 = pool.add(_inclusion_arc(geom, size, w, upper=False))
-    rw, lw = strip.right_wall, strip.left_wall
-    # envelope of the dumbbell: upper arc (right->left), left wall down,
-    # lower arc (left->right reversed), right wall up
-    env = np.concatenate([
-        [rw[-1]], arc1, [lw[-1]], lw[:-1][::-1],
-        arc2[::-1], [rw[0]], rw[1:-1],
-    ])
-    loops = [outer_idx, env]
-    seeds = _pocket_seeds(pool, strip, wall_sz, w, upper_only=False)
-    tris = _relax_region(pool, loops, size, rng, extra_seeds=seeds)
-
-    up = _chain(np.concatenate([[rw[-1]], arc1, [lw[-1]]]))
-    lo = _chain(np.concatenate([[lw[0]], arc2[::-1], [rw[0]]]))
-    rim = _chain(outer_idx, closed=True)
-    b_tags = np.repeat([INC1, INC2, OUTER], [len(up), len(lo), len(rim)])
-    return tris, np.vstack([up, lo, rim]), b_tags
+    rim_up = pool.add(rim_points(True))
+    upper = half(True, rim_up)
+    if geom.is_mirror_symmetric():
+        # the strip holds its own reflection; the far field's upper points
+        # off the seams are reflected
+        far = pool.pts[len(strip.vertices):]
+        pool.add(far[far[:, 1] != 0.0] * (1.0, -1.0))
+        mirror = _mirror_map(pool.pts)
+        if mirror is None:
+            raise MeshError("the neck strip is not its own mirror image")
+        lower = [mirror[a] for a in upper]
+    else:
+        # the lower rim shares the upper one's end vertices
+        lower = half(False, np.concatenate([
+            rim_up[:1], pool.add(rim_points(False)[1:-1]), rim_up[-1:]]))
+    chains = [_chain(c) for c in (upper[1], lower[1], upper[2], lower[2])]
+    b_tags = np.repeat([INC1, INC2, OUTER, OUTER], [len(c) for c in chains])
+    return np.vstack([upper[0], lower[0]]), np.vstack(chains), b_tags
 
 
 def _generate_annulus(geom, target_h):
@@ -1238,7 +1219,8 @@ def check_mesh(mesh, min_angle=MIN_ANGLE_DEG):
         raise MeshError(f"min angle {mesh.grading_report.min_angle_deg:.2f} below "
                         f"{min_angle}")
     if not mesh.boundary_edges_conform():
-        raise MeshError("a boundary edge is not a (unique) triangle edge")
+        raise MeshError("boundary edges are not the edges of exactly one "
+                        "triangle (a hole or an overlap)")
     if not mesh.boundary_loops_ok():
         raise MeshError("boundary edges of some tag do not form a single loop")
     return mesh.grading_report

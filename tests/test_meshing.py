@@ -4,7 +4,9 @@ import logging
 import math
 import os
 import pickle
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, _c2_bound)
 from neckflow.solver import Condenser, ElementOps
-from neckflow.meshing import (TriMesh, _chain, _check_loops_covered,
+from neckflow.meshing import (TriMesh, _chain, _check_loop_covered,
                               _mirror_map, _points_in_loops, _RepairFailed,
                               _SegmentField, _signed_areas, _SizeField,
                               _split_quad_rows, _stitch_columns,
@@ -255,8 +257,8 @@ def test_parabola_geometry_meshes():
 
 
 def _asymmetric_geometry(eps):
-    # different nose curvatures break the mirror symmetry and route meshing
-    # through the general far-field path
+    # different nose curvatures break the mirror symmetry, so the lower
+    # far-field region is relaxed, not reflected
     h1 = ParabolaProfile(0.3)
     h2 = ParabolaProfile(0.5)
     gap = GapProfile(h1=h1, h2=NegatedProfile(h2), c1=0.79,
@@ -279,6 +281,43 @@ def test_asymmetric_geometry_far_field():
     sol = solve(m, geom, SolveConfig(p=2.0))
     assert sol.kkt_residual <= 1e-10
     assert sol.U1 > sol.U2   # upward data still drives the gap sign
+
+
+@pytest.mark.parametrize("geom", [
+    replace(build_symmetric_disc_example(scale=1.0, eps=1e-2),
+            outer=Circle((0.5, 0.0), 5.0)),
+    _asymmetric_geometry(1e-2),
+], ids=["off_centre", "asymmetric"])
+def test_outer_vertices_lie_on_the_outer_circle(geom):
+    # the seams end on geom.outer and the rims follow it, wherever its
+    # centre is; an off-centre circle on the axis keeps the mirror
+    geom.validate()
+    m = generate(geom, 0.2, 6, seed=0)
+    check_mesh(m)
+    assert (m.mirror is not None) == geom.is_mirror_symmetric()
+    outer = m.vertices[m.vertex_tag == OUTER]
+    dist = np.linalg.norm(outer - geom.outer.center, axis=1)
+    assert np.abs(dist - geom.outer.radius).max() <= 1e-12
+
+
+def _interior_triangle(m):
+    """The first triangle with no boundary vertex."""
+    return int(np.flatnonzero((m.vertex_tag[m.triangles] == 0).all(axis=1))[0])
+
+
+@pytest.mark.parametrize("damage", ["hole", "overlap"])
+def test_check_mesh_sees_holes_and_overlaps(damage):
+    # one interior triangle removed, or repeated: the boundary edges, the
+    # angles and the loops are those of the whole mesh
+    m = generate(build_symmetric_disc_example(scale=1.0, eps=1e-2), 0.2, 6,
+                 seed=0)
+    t = _interior_triangle(m)
+    tris = (np.delete(m.triangles, t, axis=0) if damage == "hole"
+            else np.vstack([m.triangles, m.triangles[t]]))
+    bad = TriMesh(m.vertices, tris, m.boundary_edges, m.boundary_tags)
+    assert bad.grading_report.min_angle_deg >= 20.0 and bad.boundary_loops_ok()
+    with pytest.raises(MeshError, match="exactly one triangle"):
+        check_mesh(bad)
 
 
 class TestRefine:
@@ -518,6 +557,21 @@ class TestMeshIO:
             harness.case_mesh(spec.geometry, spec, 1e-2)
         assert path.name in str(exc.value)
 
+    def test_holed_cached_mesh_raises_mesh_error(self, tmp_path):
+        # an asymmetric geometry's cached mesh has no mirror to check; one
+        # interior triangle removed still fails the read
+        spec = SweepSpec(geometry=_asymmetric_geometry(1e-2), target_h=0.2,
+                         cache_dir=str(tmp_path))
+        m = harness.case_mesh(spec.geometry, spec, 1e-2)
+        arrays = _mesh_arrays(m)
+        arrays["triangles"] = np.delete(m.triangles, _interior_triangle(m),
+                                        axis=0)
+        (path,) = tmp_path.glob("mesh_*.npz")
+        np.savez(str(path), **arrays)
+        with pytest.raises(MeshError, match="exactly one triangle") as exc:
+            harness.case_mesh(spec.geometry, spec, 1e-2)
+        assert path.name in str(exc.value)
+
     def test_tripwire_records_unpickling(self):
         # the object_array case above would see an unpickling
         _UNPICKLED.clear()
@@ -628,7 +682,7 @@ def test_points_in_loops_random_polygons(case, cap):
 @given(radii=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=40),
        n_out=st.integers(16, 64), seed=st.integers(0, 2**32 - 1), cap=_caps)
 def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
-    # as in _far_general: a CCW outer circle around a clockwise star hole
+    # nested loops: a CCW outer circle around a clockwise star hole
     ang = 2 * math.pi * np.arange(n_out) / n_out
     outer = 5.0 * np.column_stack([np.cos(ang), np.sin(ang)])
     ang = 2 * math.pi * np.arange(len(radii)) / len(radii)
@@ -651,14 +705,15 @@ def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
     build_symmetric_disc_example(scale=1.0, eps=1e-2), _asymmetric_geometry(5e-3),
 ], ids=["symmetric", "general"])
 def test_relaxation_reuses_triangulations(geom, monkeypatch):
-    # both far-field paths relax one region.  Each rebuild takes the free
-    # points' distance bounds (lower_bound); the first rebuild calls qhull
-    # (D) and every later one repairs the last triangulation by flips (R),
-    # falling back to qhull when the repair fails (F, then D).  Each
-    # relaxation step and each of the 3 Laplacian passes admits its moves
-    # once (A); the passes share one fresh triangulation, so exactly two
-    # qhull calls follow the last relaxation step.  Most moves are far from
-    # the loops, and admit tests only the others
+    # the symmetric far field relaxes its upper region, the general one both
+    # regions.  Each rebuild takes the free points' distance bounds
+    # (lower_bound); a region's first rebuild calls qhull (D) and every
+    # later one repairs the last triangulation by flips (R), falling back to
+    # qhull when the repair fails (F, then D).  Each relaxation step and
+    # each of the 3 Laplacian passes admits its moves once (A); the passes
+    # share one fresh triangulation, so exactly two qhull calls follow a
+    # region's last relaxation step.  Most moves are far from the loops, and
+    # admit tests only the others
     events, moves, tested = [], [0], [0]
     delaunay, repair = meshing.Delaunay, meshing._flip_repair
     admit, lower_bound = _SegmentField.admit, _SegmentField.lower_bound
@@ -693,36 +748,54 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
     m = generate(geom, 0.2, 6, seed=0)
     check_mesh(m, min_angle=20.0)
     events = "".join(events)
-    assert events.endswith("ADAAAD"), events
-    assert events.count("D") == 3 + events.count("F"), events
-    assert events.count("R") + events.count("F") == events.count("B") - 1, events
-    assert events.count("R") > 0
+    # ADAAAD ends a region, and only there does A precede D
+    regions = re.findall(".*?ADAAAD", events)
+    assert "".join(regions) == events, events
+    assert len(regions) == (1 if geom.is_mirror_symmetric() else 2), events
+    for region in regions:
+        assert region.count("D") == 3 + region.count("F"), region
+        assert (region.count("R") + region.count("F")
+                == region.count("B") - 1), region
+        assert region.count("R") > 0, region
     assert tested[0] < 0.25 * moves[0]
 
 
 def test_relaxation_logs_its_fallbacks(monkeypatch, caplog):
-    # the coarse general-path region has flip repairs that meet an inverted
-    # triangle; its one DEBUG record names each fallback and its reason
-    failures = [0]
-    repair = meshing._flip_repair
+    # the first and third flip repairs of each general-path region are made
+    # to fail; each region's one DEBUG record names each fallback, forced or
+    # not, with its reason, and counts a qhull call for it
+    forced = {1: "inverted triangle", 3: "round cap"}
+    regions = []   # per region: each repair call's failure reason, or None
+    relax, repair = meshing._relax_region, meshing._flip_repair
+
+    def relaxing(*args, **kwargs):
+        regions.append([])
+        return relax(*args, **kwargs)
 
     def repairing(pts, simp, nbr):
+        calls = regions[-1]
+        calls.append(forced.get(len(calls) + 1))
+        if calls[-1]:
+            raise _RepairFailed(calls[-1])
         try:
             return repair(pts, simp, nbr)
-        except _RepairFailed:
-            failures[0] += 1
+        except _RepairFailed as exc:
+            calls[-1] = str(exc)
             raise
 
+    monkeypatch.setattr(meshing, "_relax_region", relaxing)
     monkeypatch.setattr(meshing, "_flip_repair", repairing)
     caplog.set_level(logging.DEBUG, logger="neckflow")
-    generate(_asymmetric_geometry(5e-3), 0.2, 6, seed=0)
+    check_mesh(generate(_asymmetric_geometry(5e-3), 0.2, 6, seed=0))
     records = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("far-field region")]
-    assert len(records) == 1, records
-    msg = records[0]
-    assert failures[0] > 0
-    assert f"{3 + failures[0]} qhull calls" in msg, msg
-    assert msg.count("inverted triangle") + msg.count("round cap") == failures[0]
+    assert len(records) == len(regions) == 2, records
+    for msg, calls in zip(records, regions):
+        assert len(calls) >= 3, msg
+        failed = [reason for reason in calls if reason]
+        assert f"{3 + len(failed)} qhull calls" in msg, msg
+        for reason in forced.values():
+            assert msg.count(reason) == failed.count(reason) > 0, msg
 
 
 def _assert_consistent(pts, simp, nbr):
@@ -808,16 +881,16 @@ def test_flip_repair_reports_failure(monkeypatch):
 # sha256 of the mesh of each far-field path at eps 1e-2 and seed 0 (integer
 # arrays exact, vertices rounded to 12 digits), by MESHER_VERSION: a change
 # that alters the meshes must bump the version, so that mesh-cache files of
-# the old meshes are not read as the new ones.  At target_h 0.2 neither path
-# stitches, and the meshes are those of versions 3 and 4; at 0.1 the general
-# path stitches the strip's walls to its inner columns
+# the old meshes are not read as the new ones.  The symmetric mesh reflects
+# its upper far-field region and the general ones relax both; at target_h
+# 0.1 the general path stitches the strip's walls to its inner columns
 _MESH_HASHES = {
-    5: {"symmetric": "cbc7be68938d22f61a9a805df4c9d44c"
-                     "4b4c35c450f16ae44753adc09ccfd9ba",
-        "general": "53450a02d03a49ff2ebd672e44661ff0"
-                   "ecdd6e5aa32e3998e11205c9325e5eda",
-        "general_stitched": "23e4bc4985fa85dcea47e9c4e374c144"
-                            "eb1de9187c1e2c849c42dd66738b4122"},
+    6: {"symmetric": "a3c224f217981d8bf5ddcf3881038cb8"
+                     "4b82fd33fb6c750d1d9ce1e56c1e9242",
+        "general": "b974c332ddbe8657be37874fd33bb1bd"
+                   "cdf1f2eaa8a5f33b60c2149c34a1f15b",
+        "general_stitched": "7bf2ae2eac8d6a93f9ae4fb04e7e0861"
+                            "6e46a4959478f23352191ca04c711f74"},
 }
 
 
@@ -883,7 +956,8 @@ def test_clear_of_random_polygons(case, seed, r_max):
 @given(radii=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=40),
        n_out=st.integers(16, 64), seed=st.integers(0, 2**32 - 1))
 def test_clear_of_outer_loop_with_hole(radii, n_out, seed):
-    # the _far_general layout, with clearances graded like the size field
+    # nested loops (a circle around a star hole), with clearances graded
+    # like the size field
     ang = 2 * math.pi * np.arange(n_out) / n_out
     outer = 5.0 * np.column_stack([np.cos(ang), np.sin(ang)])
     ang = 2 * math.pi * np.arange(len(radii)) / len(radii)
@@ -941,7 +1015,8 @@ def test_admit_random_polygons(case, pieces, seed, scale):
        n_out=st.integers(16, 64), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([0.01, 0.1, 0.5]))
 def test_admit_outer_loop_with_hole(radii, n_out, seed, scale):
-    # the _far_general layout: most points are far from both loops
+    # nested loops (a circle around a star hole): most points are far from
+    # both
     ang = 2 * math.pi * np.arange(n_out) / n_out
     outer = 5.0 * np.column_stack([np.cos(ang), np.sin(ang)])
     ang = 2 * math.pi * np.arange(len(radii)) / len(radii)
@@ -1205,14 +1280,13 @@ class TestEdgeKeyChecks:
         assert not self._mesh(edges).boundary_edges_conform()
 
     def test_loop_covered(self):
-        _check_loops_covered(self.TRIS, [np.array([0, 1, 2, 3])])
+        _check_loop_covered(self.TRIS, np.array([0, 1, 2, 3]))
 
     def test_missing_loop_edge_raises(self):
         with pytest.raises(MeshError):
-            _check_loops_covered(self.TRIS[:1], [np.array([0, 1, 2, 3])])
+            _check_loop_covered(self.TRIS[:1], np.array([0, 1, 2, 3]))
         with pytest.raises(MeshError):
-            _check_loops_covered(self.TRIS, [np.array([0, 1, 2, 3]),
-                                             np.array([0, 1, 3])])
+            _check_loop_covered(self.TRIS, np.array([0, 1, 3]))
 
 
 class TestBoundaryLoops:
