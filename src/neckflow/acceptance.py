@@ -192,6 +192,15 @@ def _last_variation(report, p, key):
     return abs(rows[-1][key] - rows[-2][key]) / abs(rows[-1][key])
 
 
+def _loo_checks(report, p, fmt):
+    """The leave-one-radius-out range of F_inf at p (NaN when there is
+    none), shown, not gated."""
+    lo, hi = (report.fits[p]["flux_extrapolation"]["loo_range"]
+              or (math.nan, math.nan))
+    return [Check(f"p={p:g} F_inf leave-one-out min", lo, fmt=fmt),
+            Check(f"p={p:g} F_inf leave-one-out max", hi, fmt=fmt)]
+
+
 @_criterion(6, "potential-gap scaling (p=2)")
 def criterion_ugap(report):
     fhat = report.fits[2.0]["ugap_fit"]["flux_implied"]
@@ -201,7 +210,7 @@ def criterion_ugap(report):
             Check("implied flux", fhat, fmt=".2f"),
             Check("extrapolated flux", finf, fmt=".2f"),
             Check("implied vs extrapolated rel", abs(fhat - finf) / abs(fhat),
-                  "<=", 0.15)]
+                  "<=", 0.15)] + _loo_checks(report, 2.0, ".2f")
 
 
 @_criterion(7, "sub-branch gap limit and vanishing flux")
@@ -213,7 +222,7 @@ def criterion_sub_branch(report):
                   0.05),
             Check("limit", report.fits[1.3]["ugap_fit"]["limit"], ">", 0.0),
             Check(f"|F_inf| vs {share:.0%} of p=2 flux", f_sub, "<=",
-                  share * f_ref)]
+                  share * f_ref)] + _loo_checks(report, 1.3, ".3f")
 
 
 @_criterion(8, "neck-integral oracle matches 1/K")

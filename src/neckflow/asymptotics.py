@@ -12,7 +12,7 @@ state is touched.  The exponent branches split at p = (n+1)/2:
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -359,17 +359,37 @@ class FluxExtrapolation:
     amplitude: float
     rate: float
     fallback: bool = False
+    # (min, max) of value refitted with each radius left out in turn, over
+    # the refits that do not fall back; None with fewer than LOO_MIN_ROWS
+    # rows or when every refit falls back
+    loo_range: tuple = None
+
+
+# the fewest rows whose leave-one-radius-out refits are fitted
+LOO_MIN_ROWS = 4
 
 
 def extrapolate_flux(rows):
     """Fit F(r) = F_inf + A exp(-B/r), B in [1e-6, 1e3], over window radii
-    and return F_inf.
+    and return F_inf, with its leave-one-radius-out range (loo_range).
 
     rows: sequence of (r, windowed flux); radii need not be ordered.  With
     fewer than three rows, or when the best fit misses a row by more than
     0.2 of the largest |flux|, the smallest-radius value is returned with
     the fallback flag."""
     rows = sorted(rows, key=lambda t: -t[0])
+    fit = _fit_flux(rows)
+    if len(rows) < LOO_MIN_ROWS:
+        return fit
+    refits = [_fit_flux(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
+    values = [f.value for f in refits if not f.fallback]
+    return replace(fit, loo_range=(min(values), max(values)) if values
+                   else None)
+
+
+def _fit_flux(rows):
+    """extrapolate_flux without the leave-one-out range, on rows sorted by
+    decreasing radius."""
     r = np.array([t[0] for t in rows], dtype=float)
     f = np.array([t[1] for t in rows], dtype=float)
     if len(r) < 3 or np.any(r <= 0):

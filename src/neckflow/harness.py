@@ -19,7 +19,12 @@ meshing its own eps; no disk cache is forced.
 Mesh reuse: set NECKFLOW_CACHE (or SweepSpec.cache_dir) to a directory and
 meshes are stored there as `mesh_<key>.npz` (meshing.save_mesh), keyed by
 the content of the geometry (not phi or its name), eps, the grading and the
-mesher.
+mesher.  Within one sweep, the separations that miss the cache share one
+meshing.FarField: the far field is relaxed once, on the first miss, and
+moved to each separation, so a fully cached sweep relaxes nothing.  With
+workers, each task gets its own copy and relaxes it on a miss.  Nothing is
+kept between sweeps, and a mesh is the same as generate's without a shared
+far field.
 """
 
 import ctypes
@@ -145,12 +150,14 @@ def _mesh_key(geom, spec, eps):
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
-def case_mesh(geom, spec, eps):
+def case_mesh(geom, spec, eps, far=None):
     """The mesh of one separation, read from the mesh cache when it holds
-    one.  A cached mesh must pass check_mirror and check_mesh's structural
-    checks (positive areas, conforming boundary edges, one loop per tag);
-    its angles are the generator's, as for a mesh made here.  A corrupt
-    file raises MeshError."""
+    one, else generated with the far field `far` (a meshing.FarField of
+    geom and spec, or None for generate's own).  A cached mesh must pass
+    check_mirror and check_mesh's structural checks (positive areas,
+    conforming boundary edges, one loop per tag); its angles are the
+    generator's, as for a mesh made here.  A corrupt file raises
+    MeshError."""
     g = geom.with_eps(eps)
     cdir = _cache_dir(spec)
     if cdir:
@@ -165,7 +172,7 @@ def case_mesh(geom, spec, eps):
                 raise MeshError(f"cached mesh {path}: {exc}") from exc
             return mesh
     mesh = generate(g, spec.target_h, spec.neck_layers, seed=spec.seed,
-                    vertex_cap=spec.mesh_vertex_cap)
+                    vertex_cap=spec.mesh_vertex_cap, far=far)
     if cdir:
         tmp = path + f".tmp{os.getpid()}"
         save_mesh(mesh, tmp)
@@ -246,16 +253,16 @@ def _persist_solution(sol, row, out_dir):
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def _separation_task(geom, spec, eps):
-    """Mesh one separation and build its Condenser (odd=True) once, and
-    solve it for every exponent; returns (rows, failures).  A
-    NeckflowError from the mesh or a solve becomes a failure entry for the
-    (p, eps) cases it stops."""
+def _separation_task(geom, spec, eps, far=None):
+    """Mesh one separation (case_mesh with the far field `far`) and build
+    its Condenser (odd=True) once, and solve it for every exponent; returns
+    (rows, failures).  A NeckflowError from the mesh or a solve becomes a
+    failure entry for the (p, eps) cases it stops."""
     def failure(p, exc):
         return {"p": p, "eps": eps, "error": f"{type(exc).__name__}: {exc}"}
 
     try:
-        mesh, g = case_mesh(geom, spec, eps), geom.with_eps(eps)
+        mesh, g = case_mesh(geom, spec, eps, far), geom.with_eps(eps)
         cond = Condenser(mesh, g, odd=True)
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list]
@@ -301,6 +308,8 @@ def fit_case_family(rows, p, gap_hessian):
         out["flux_extrapolation"] = {"value": fx.value,
                                      "amplitude": fx.amplitude,
                                      "rate": fx.rate, "fallback": fx.fallback,
+                                     "loo_range": fx.loo_range and list(
+                                         fx.loo_range),
                                      "rows": [[r, v] for r, v in wrows]}
     return out
 
@@ -399,7 +408,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         raise NeckflowError("sweeps require a two-inclusion geometry")
     geom.validate(eps_values=spec.eps_list)
     _steady_memory()
-    task = functools.partial(_separation_task, geom, spec)
+    far = meshing.FarField(geom, spec.target_h, spec.neck_layers, spec.seed)
+    task = functools.partial(_separation_task, geom, spec, far=far)
     if spec.workers == 1:
         results = list(map(task, spec.eps_list))
     else:

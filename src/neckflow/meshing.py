@@ -7,30 +7,34 @@ Two-inclusion domains are meshed in two parts that share vertices exactly:
   the requested number of element layers), and
 * an unstructured far field produced by a short spring-relaxation loop over
   a Delaunay triangulation (distmesh-style), seeded from a graded lattice.
-  qhull triangulates each far-field region about three times: once at the
-  start, and twice after the last relaxation step.  In between, Lawson edge
-  flips repair the last triangulation after the points have moved, and
-  qhull runs again only when a repair meets an inverted triangle or its
-  round cap.
+  qhull triangulates each far-field region about twice during the
+  relaxation: once at the start, and once after the last relaxation step.
+  In between, Lawson edge flips repair the last triangulation after the
+  points have moved, and qhull runs again only when a repair meets an
+  inverted triangle or its round cap.
 
 The far field is split into an upper and a lower region by a seam from
-each strip wall's mid vertex straight out to the outer circle.  The upper
-region is relaxed.  On mirror-symmetric domains the lower region is its
-reflection, so the mesh is exactly symmetric under x_n -> -x_n
-(TriMesh.mirror derives the reflection's vertex map from the
-coordinates); otherwise it is relaxed the same way.  Annulus domains use a
-structured polar grid.  Meshes are immutable once built.
+each strip wall's mid vertex straight out to the outer circle.  It is
+relaxed once per geometry and mesh settings, at eps = 0, and moved to each
+separation by a harmonic displacement; each region is then triangulated by
+qhull once more (FarField).  The upper region is relaxed.  On
+mirror-symmetric domains the lower region is its reflection, so the mesh is
+exactly symmetric under x_n -> -x_n (TriMesh.mirror derives the
+reflection's vertex map from the coordinates); otherwise it is relaxed the
+same way.  Annulus domains use a structured polar grid.  Meshes are
+immutable once built.
 """
 
 import functools
 import logging
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshCapacityError, MeshError
@@ -42,9 +46,9 @@ _VERTEX_CAP = 2_000_000
 
 # part of every mesh-cache key: bump it whenever a change to this module
 # changes the meshes it builds, so that stale cache files are not reused.
-# Version 6 splits every far field at the seams from the strip walls' mid
-# vertices into two regions, and evens out a resampled arc's end gap
-MESHER_VERSION = 6
+# Version 7 relaxes the far field once, at eps = 0, and moves it to each
+# separation
+MESHER_VERSION = 7
 
 # the mesh-quality gate: check_mesh's default, and the angle below which a
 # sweep flags a mesh in its report
@@ -363,30 +367,40 @@ def _chain(idx, closed=False):
     return np.stack([head, tail], axis=-1).reshape(-1, 2)
 
 
+def _columns(geom, xs, k):
+    """Vertices of the columns at abscissae xs, k[c] + 1 in column c, bottom
+    to top, at the exactly antisymmetric fractions s = (2j - k_c) / (2 k_c)
+    of the local gap; returns the vertices, s and each vertex's column."""
+    h1, h2 = geom.gap.h1(xs), geom.gap.h2(xs)
+    delta = geom.eps + (h1 - h2)
+    col, j = _runs(k + 1)
+    s = (2.0 * j - k[col]) / (2.0 * k[col])
+    y = 0.5 * (h1 + h2)[col] + s * delta[col]
+    return np.column_stack([xs[col], y]), s, col
+
+
 class _StripMesh:
     """Structured graded strip across the neck on |x'| <= w.
 
-    Column c at x_c holds k_c + 1 vertices, bottom to top, at the exactly
-    antisymmetric fractions s = (2j - k_c) / (2 k_c) of the local gap, where
-    k_c = _column_rows(gap, target_h, layers) is even.  Columns are stored
-    one after another, so column c is the index run bot_idx[c] ..
+    Column c at x_c holds k_c + 1 vertices (_columns), where
+    k_c = _column_rows(gap, target_h, layers) is even; `wall_rows` (left,
+    right), when given, sets k of the two wall columns instead.  Columns are
+    stored one after another, so column c is the index run bot_idx[c] ..
     top_idx[c], and vertex v of it has the mirror index bot + top - v.
     Unequal neighbours are stitched on rows 0 .. k/2, and the stitch is
     reflected by that index, so a symmetric geometry's strip is symmetric.
     """
 
-    def __init__(self, geom, target_h, layers, w, vertex_cap=_VERTEX_CAP):
+    def __init__(self, geom, target_h, layers, w, vertex_cap=_VERTEX_CAP,
+                 wall_rows=None):
         xs_half = _strip_columns_x(geom, target_h, layers, w, vertex_cap)
         xs = np.concatenate([-xs_half[::-1], xs_half[1:]])
-        h1, h2 = geom.gap.h1(xs), geom.gap.h2(xs)
-        delta = geom.eps + (h1 - h2)
-        k = _column_rows(delta, target_h, layers)
+        k = _column_rows(geom.eps + geom.gap.diff(xs), target_h, layers)
+        if wall_rows is not None:
+            k[[0, -1]] = wall_rows
         self.neck_layers = int(k[np.abs(xs) <= 0.5 + 1e-12].min())
 
-        col, j = _runs(k + 1)
-        s = (2.0 * j - k[col]) / (2.0 * k[col])
-        y = 0.5 * (h1 + h2)[col] + s * delta[col]
-        self.vertices = np.column_stack([xs[col], y])
+        self.vertices, s, col = _columns(geom, xs, k)
         self.bot_idx = np.cumsum(k + 1) - (k + 1)
         self.top_idx = self.bot_idx + k
         self.left_wall = np.arange(self.bot_idx[0], self.top_idx[0] + 1)
@@ -683,10 +697,24 @@ def _grade_spacing(length, s0, s1, target_h, growth=1.25):
     return np.concatenate([[0.0], np.cumsum(arr)])
 
 
+def _triangulate(pts, active, loop_pts):
+    """qhull's Delaunay triangulation of pts[active] without the triangles
+    whose centroids lie outside the closed loop through loop_pts: index
+    triples into pts, in qhull's order."""
+    p = pts[active]
+    simp = Delaunay(p).simplices
+    keep = _points_in_loops(p[simp].mean(axis=1), loop_pts,
+                            np.roll(loop_pts, -1, axis=0))
+    return active[simp[keep]]
+
+
 def _relax_region(pool, loop, size, rng, extra_seeds):
-    """Mesh the region bounded by the given loop (a vertex-index loop into
-    the pool).  Returns triangle index triples.  Boundary vertices stay
-    fixed.
+    """Relax the points of the region bounded by the given loop (a
+    vertex-index loop into the pool).  Boundary vertices stay fixed.
+    Returns the pool indices of the free points, the triangulation that
+    the Laplacian passes used (index triples) and the number of qhull
+    calls.  The caller triangulates the final points (_triangulate), after
+    moving them to a separation (FarField).
 
     Each relaxation step pushes the free points apart along the edges of the
     last Delaunay triangulation.  That triangulation, and its edge list, are
@@ -700,9 +728,7 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
     loop, which do not depend on triangle order.
     After the last step, one fresh qhull triangulation serves all three
     Laplacian passes (the relaxation's last one left slivers on coarse
-    meshes), and the final triangulation is fresh too, so the returned
-    triangles are qhull's Delaunay triangulation of the final points, in
-    its order.  One DEBUG record on the "neckflow" logger gives the qhull
+    meshes).  One DEBUG record on the "neckflow" logger gives the qhull
     calls, flip repairs and fallbacks of the region.
 
     Each free point keeps a lower bound on its distance to the loop, taken
@@ -742,13 +768,6 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
 
     free = pool.add(cand)
     active = np.concatenate([loop, free])
-
-    def triangulate():
-        pts = pool.pts[active]
-        tri = Delaunay(pts)
-        cent = pts[tri.simplices].mean(axis=1)
-        keep = _points_in_loops(cent, segfield.a, segfield.b)
-        return active[tri.simplices[keep]]
 
     h = size(pool.pts[free])
     last = None   # free point positions at the last triangulation
@@ -802,15 +821,16 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
         if norm.size and norm.max() < 0.005 * h0:
             break
 
+    qhull_calls = 2 + len(fallbacks)
     _log.debug("far-field region: %d points, %d relaxation steps, %d qhull "
                "calls, %d flip repairs (at most %d rounds), fallbacks: %s",
-               len(active), step + 1, 3 + len(fallbacks), repairs, most_rounds,
+               len(active), step + 1, qhull_calls, repairs, most_rounds,
                fallbacks or "none")
 
     # three Laplacian smoothing passes on the free points, all on one fresh
     # triangulation: every triangle edge adds each end to the other's sum
     state = simp = nbr = None
-    tris = triangulate()
+    tris = _triangulate(pool.pts, active, loop_pts)
     nxt = np.roll(tris, -1, axis=1).ravel()
     ends = np.concatenate([tris.ravel(), nxt])
     other = np.concatenate([nxt, tris.ravel()])
@@ -823,10 +843,31 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
         ok = segfield.admit(tgt, 0.3 * size(tgt), moved)
         pool.pts[free[ok]] = tgt[ok]
         bound = np.where(ok, moved, bound)
+    return free, tris, qhull_calls
 
-    tris = triangulate()
-    _check_loop_covered(tris, loop)
-    return tris
+
+def _harmonic(tris, free, u):
+    """u at the free vertices replaced by its graph-harmonic extension over
+    the edges of tris: each free vertex takes the mean of its neighbours'
+    values (0 when it has none), the others keep theirs."""
+    n, nf = len(u), len(free)
+    keys = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), n))
+    lo, hi = np.divmod(keys, n)
+    pos = np.full(n, -1)
+    pos[free] = np.arange(nf)
+    # each edge once from each end; rows are the free ends
+    row, col = pos[np.concatenate([lo, hi])], np.concatenate([hi, lo])
+    col, row = col[row >= 0], row[row >= 0]
+    inner = pos[col] >= 0
+    deg = np.maximum(np.bincount(row, minlength=nf), 1)
+    a = coo_matrix((np.concatenate([deg, -np.ones(int(inner.sum()))]),
+                    (np.concatenate([np.arange(nf), row[inner]]),
+                     np.concatenate([np.arange(nf), pos[col[inner]]]))),
+                   shape=(nf, nf)).tocsc()
+    out = u.copy()
+    out[free] = spsolve(a, np.bincount(row[~inner], u[col[~inner]],
+                                       minlength=nf))
+    return out
 
 
 def _check_loop_covered(tris, loop):
@@ -864,13 +905,23 @@ class _VertexPool:
 # generators
 # ---------------------------------------------------------------------------
 
-def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
+def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0,
+             far=None):
     """Mesh the perforated domain.
 
     Two-inclusion geometries require eps > 0 (the touching domain is never
     meshed); element size across the neck is at most gap/neck_layers.  Raises
     MeshCapacityError with a suggested eps floor when the vertex budget would
     be exceeded.
+
+    The far field is a FarField of the geometry and the other arguments,
+    relaxed at eps = 0 and moved to geom.eps.  `far` passes one to share
+    between separations (it is relaxed on its first use); without it, a
+    fresh one is built, so a mesh is the same either way.  A far field of
+    another geometry or other settings raises MeshError.  One DEBUG record
+    on the "neckflow" logger says whether this call relaxed the far field
+    or reused it, its largest move over the local size, and the qhull calls
+    the call made.
     """
     if not target_h > 0:
         raise MeshError("target_h must be positive")
@@ -878,25 +929,22 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0):
         return _generate_annulus(geom, target_h)
     if geom.eps <= 0:
         raise MeshError("two-inclusion domains are meshed only for eps > 0")
+    if far is None:
+        far = FarField(geom, target_h, neck_layers, seed)
+    elif far.key != _far_key(geom, target_h, neck_layers, seed):
+        raise MeshError("the far field was built for another geometry or "
+                        "other mesh settings")
 
-    w = 0.9 * geom.gap.chart
-    strip = _StripMesh(geom, target_h, neck_layers, w, vertex_cap)
+    strip = _StripMesh(geom, target_h, neck_layers, far.w, vertex_cap,
+                       wall_rows=far.wall_rows[::-1])
     pool = _VertexPool(strip.vertices)
-    rng = np.random.default_rng(seed)
-
-    wall_sz = {}
-    for sgn, wall in ((1, strip.right_wall), (-1, strip.left_wall)):
-        ys = pool.pts[wall][:, 1]
-        wall_sz[sgn] = float(np.diff(ys).mean())
-
-    anchors = []
-    for sgn in (1, -1):
-        x = sgn * w
-        anchors.append(((x, float(geom.upper_wall(x))), wall_sz[sgn]))
-        anchors.append(((x, float(geom.lower_wall(x))), wall_sz[sgn]))
-    size = _SizeField(target_h, anchors)
-
-    tris, b_edges, b_tags = _far_field(geom, pool, strip, size, rng, w, wall_sz)
+    qhull_calls = far.relax()
+    relaxed = qhull_calls > 0
+    tris, b_edges, b_tags, move = far.place(geom, pool, strip)
+    qhull_calls += len(far.regions)
+    _log.debug("mesh at eps=%g: far field %s, largest move %.3g of the local "
+               "size, %d qhull calls", geom.eps,
+               "relaxed" if relaxed else "reused", move, qhull_calls)
 
     s_edges, s_tags = strip.boundary(walls_tag=None)
     b_edges = np.vstack([s_edges, b_edges])
@@ -992,71 +1040,165 @@ def _pocket_seeds(pool, walls, wall_sz, w, upper):
     return np.vstack(seeds)
 
 
-def _far_field(geom, pool, strip, size, rng, w, wall_sz):
-    """The far field, split into an upper and a lower region by a seam from
-    each strip wall's mid vertex straight out to the outer circle.  The
-    upper region is relaxed; the lower one is its exact mirror image when
-    the geometry is mirror-symmetric, and is relaxed the same way otherwise.
-    Returns the far triangles, boundary edges and tags."""
-    outer = geom.outer
-    (cx, cy), r_out = outer.center, outer.radius
-    walls = (strip.right_wall, strip.left_wall)
+def _far_key(geom, target_h, neck_layers, seed):
+    """What a far field depends on: the geometry at eps = 0 without its
+    boundary data and name, and the mesh settings."""
+    return (replace(geom.with_eps(0.0), phi=None, name=""), float(target_h),
+            int(neck_layers), int(seed))
 
-    def seam(sgn, wall):
-        """Horizontal seam from the wall's mid vertex to the outer circle:
-        its points between the two, and its end on the circle."""
-        x0, y = pool.pts[wall[len(wall) // 2]]
-        x1 = cx + sgn * math.sqrt(r_out ** 2 - (y - cy) ** 2)
-        frac = _grade_spacing(abs(x1 - x0), wall_sz[sgn], size.target_h, size.target_h)
-        xs = x0 + np.sign(x1 - x0) * frac[1:-1]
-        return pool.add(np.column_stack([xs, np.full(len(xs), y)])), (x1, y)
 
-    (seam_r, end_r), (seam_l, end_l) = (seam(sgn, wall)
-                                        for sgn, wall in zip((1, -1), walls))
-    t_r, t_l = outer.angle_of(end_r), outer.angle_of(end_l)
+class FarField:
+    """The far field of one two-inclusion geometry at one target_h,
+    neck_layers and seed, relaxed once and moved to each separation.
 
-    def rim_points(upper):
-        """The outer circle from the right seam end to the left one, over
-        the top or under the bottom, ends exact."""
-        a0, a1 = (_arc_ccw_angles(t_r, t_l) if upper
-                  else _arc_ccw_angles(t_l, t_r)[::-1])
-        n = max(8, int(abs(a1 - a0) * r_out / size.target_h))
-        ang = np.linspace(a0, a1, n + 1)
-        pts = np.column_stack([cx + r_out * np.cos(ang), cy + r_out * np.sin(ang)])
-        pts[0], pts[-1] = end_r, end_l
-        return pts
+    The far field is split into an upper and a lower region by a seam from
+    each strip wall's mid vertex straight out to the outer circle.  `relax`
+    builds it at eps = 0: the far field never meets the neck, and its
+    boundary moves little with eps.  The upper region is relaxed
+    (_relax_region); the lower one is relaxed the same way unless the
+    geometry is mirror-symmetric, in which case `place` reflects the upper
+    one.  The wall row counts (`wall_rows`, right then left) and the arc
+    points are the relaxed far field's, so every separation has the same
+    far-field boundary.
 
-    def half(upper, rim):
-        """The half's triangles, and its inclusion arc (left joint to right
-        joint) and rim as vertex chains."""
-        # wall halves from the mid vertex out to the joint
-        rw, lw = (wall[len(wall) // 2:] if upper else wall[len(wall) // 2::-1]
-                  for wall in walls)
-        arc = pool.add(_inclusion_arc(geom, size, w, upper=upper))[::-1]
-        loop = np.concatenate([rw[:1], seam_r, rim, seam_l[::-1], lw, arc,
-                               rw[:0:-1]])
-        seeds = _pocket_seeds(pool, (rw, lw), wall_sz, w, upper)
-        tris = _relax_region(pool, loop, size, rng, extra_seeds=seeds)
-        return tris, np.concatenate([lw[-1:], arc, rw[-1:]]), rim
+    `place` moves it to a separation eps by a vertical displacement (every
+    boundary move below is vertical): rigid by +-eps/2 on the inclusion
+    arcs, affine on the strip walls (the wall vertex at fraction s of the
+    gap moves by s eps), zero on the seams and the outer rim, and harmonic
+    in between, over the edges of the triangulation the Laplacian passes
+    used (mesh-velocity smoothing: Loehner & Yang, Commun. Numer. Methods
+    Eng. 12, 1996).  The boundary moves are linear in eps, so the harmonic
+    extension is solved once, for eps = 1, and scaled.  Each region is then
+    triangulated afresh, so every mesh is a Delaunay triangulation of its
+    points region by region.  A move that inverts a triangle of that
+    triangulation raises MeshError.
+    """
 
-    rim_up = pool.add(rim_points(True))
-    upper = half(True, rim_up)
-    if geom.is_mirror_symmetric():
-        # the strip holds its own reflection; the far field's upper points
-        # off the seams are reflected
-        far = pool.pts[len(strip.vertices):]
-        pool.add(far[far[:, 1] != 0.0] * (1.0, -1.0))
-        mirror = _mirror_map(pool.pts)
-        if mirror is None:
-            raise MeshError("the neck strip is not its own mirror image")
-        lower = [mirror[a] for a in upper]
-    else:
-        # the lower rim shares the upper one's end vertices
-        lower = half(False, np.concatenate([
-            rim_up[:1], pool.add(rim_points(False)[1:-1]), rim_up[-1:]]))
-    chains = [_chain(c) for c in (upper[1], lower[1], upper[2], lower[2])]
-    b_tags = np.repeat([INC1, INC2, OUTER, OUTER], [len(c) for c in chains])
-    return np.vstack([upper[0], lower[0]]), np.vstack(chains), b_tags
+    def __init__(self, geom, target_h, neck_layers=6, seed=0):
+        self.key = _far_key(geom, target_h, neck_layers, seed)
+        g = self.key[0]
+        self.w = 0.9 * g.gap.chart
+        self.wall_rows = tuple(int(k) for k in _column_rows(
+            g.gap.diff(np.array([self.w, -self.w])), target_h, neck_layers))
+        self.symmetric = g.is_mirror_symmetric()
+        self.regions = None
+
+    def relax(self):
+        """Relax the far field unless that is done; returns the number of
+        qhull calls made (0 when it was relaxed before)."""
+        if self.regions is not None:
+            return 0
+        g, target_h, _, seed = self.key
+        w, (cx, cy), r_out = self.w, g.outer.center, g.outer.radius
+        pts, s, col = _columns(g, np.array([w, -w]), np.array(self.wall_rows))
+        pool = _VertexPool(pts)
+        walls = (np.flatnonzero(col == 0), np.flatnonzero(col == 1))
+        wall_sz = {sgn: float(np.diff(pts[wall, 1]).mean())
+                   for sgn, wall in zip((1, -1), walls)}
+        anchors = []
+        for sgn in (1, -1):
+            x = sgn * w
+            anchors.append(((x, float(g.upper_wall(x))), wall_sz[sgn]))
+            anchors.append(((x, float(g.lower_wall(x))), wall_sz[sgn]))
+        size = _SizeField(target_h, anchors)
+        rng = np.random.default_rng(seed)
+
+        def seam(sgn, wall):
+            """Horizontal seam from the wall's mid vertex to the outer
+            circle: its points between the two, and its end on the circle."""
+            x0, y = pool.pts[wall[len(wall) // 2]]
+            x1 = cx + sgn * math.sqrt(r_out ** 2 - (y - cy) ** 2)
+            frac = _grade_spacing(abs(x1 - x0), wall_sz[sgn], target_h,
+                                  target_h)
+            xs = x0 + np.sign(x1 - x0) * frac[1:-1]
+            return pool.add(np.column_stack([xs, np.full(len(xs), y)])), (x1, y)
+
+        (seam_r, end_r), (seam_l, end_l) = (seam(sgn, wall)
+                                            for sgn, wall in zip((1, -1), walls))
+        t_r, t_l = g.outer.angle_of(end_r), g.outer.angle_of(end_l)
+
+        def rim_points(upper):
+            """The outer circle from the right seam end to the left one, over
+            the top or under the bottom, ends exact."""
+            a0, a1 = (_arc_ccw_angles(t_r, t_l) if upper
+                      else _arc_ccw_angles(t_l, t_r)[::-1])
+            n = max(8, int(abs(a1 - a0) * r_out / target_h))
+            ang = np.linspace(a0, a1, n + 1)
+            pts = np.column_stack([cx + r_out * np.cos(ang),
+                                   cy + r_out * np.sin(ang)])
+            pts[0], pts[-1] = end_r, end_l
+            return pts
+
+        def half(upper, rim):
+            """Relax one region; returns (loop, free points, triangulation),
+            its inclusion arc (left joint to right joint) and rim as vertex
+            chains, and its qhull calls."""
+            # wall halves from the mid vertex out to the joint
+            rw, lw = (wall[len(wall) // 2:] if upper else wall[len(wall) // 2::-1]
+                      for wall in walls)
+            arc = pool.add(_inclusion_arc(g, size, w, upper=upper))[::-1]
+            loop = np.concatenate([rw[:1], seam_r, rim, seam_l[::-1], lw, arc,
+                                   rw[:0:-1]])
+            seeds = _pocket_seeds(pool, (rw, lw), wall_sz, w, upper)
+            free, tris, calls = _relax_region(pool, loop, size, rng,
+                                              extra_seeds=seeds)
+            return ((loop, free, tris),
+                    np.concatenate([lw[-1:], arc, rw[-1:]]), rim, calls)
+
+        rim_up = pool.add(rim_points(True))
+        halves = [half(True, rim_up)]
+        if not self.symmetric:
+            # the lower rim shares the upper one's end vertices
+            halves.append(half(False, np.concatenate([
+                rim_up[:1], pool.add(rim_points(False)[1:-1]), rim_up[-1:]])))
+        # the move per unit eps: s on the walls, +-1/2 on the arcs
+        shift = np.zeros(pool.n)
+        shift[:len(s)] = s
+        for (_, arc, _, _), sign in zip(halves, (0.5, -0.5)):
+            shift[arc[1:-1]] = sign
+        for (_, free, tris), *_ in halves:
+            shift = _harmonic(tris, free, shift)
+        self.pts, self.shift = pool.pts, shift
+        self.reach = float(np.max(np.abs(shift) / size(pool.pts)))
+        self.regions = [region for region, *_ in halves]
+        self.chains = [(arc, rim) for _, arc, rim, _ in halves]
+        return sum(calls for *_, calls in halves)
+
+    def place(self, geom, pool, strip):
+        """Add the far field at geom.eps to the pool after the strip, whose
+        wall vertices it shares.  Returns the far triangles, boundary edges
+        and tags, and the largest move over the local size."""
+        pts = self.pts.copy()
+        pts[:, 1] += geom.eps * self.shift
+        walls = np.concatenate([strip.right_wall, strip.left_wall])
+        pts[:len(walls)] = strip.vertices[walls]
+        # pool index of each far-field point
+        index = np.concatenate([walls, pool.add(pts[len(walls):])])
+        tris = []
+        for loop, free, lap in self.regions:
+            if np.any(np.sign(_signed_areas(self.pts[lap]))
+                      != np.sign(_signed_areas(pts[lap]))):
+                raise MeshError(f"moving the far field to eps={geom.eps:g} "
+                                "inverts a triangle")
+            t = _triangulate(pts, np.concatenate([loop, free]), pts[loop])
+            _check_loop_covered(t, loop)
+            tris.append(index[t])
+        halves = [(t, *(index[c] for c in chains))
+                  for t, chains in zip(tris, self.chains)]
+        if self.symmetric:
+            # the strip holds its own reflection; the far field's upper
+            # points off the seams are reflected
+            far = pool.pts[len(strip.vertices):]
+            pool.add(far[far[:, 1] != 0.0] * (1.0, -1.0))
+            mirror = _mirror_map(pool.pts)
+            if mirror is None:
+                raise MeshError("the neck strip is not its own mirror image")
+            halves.append([mirror[a] for a in halves[0]])
+        (up_t, up_arc, up_rim), (lo_t, lo_arc, lo_rim) = halves
+        chains = [_chain(c) for c in (up_arc, lo_arc, up_rim, lo_rim)]
+        b_tags = np.repeat([INC1, INC2, OUTER, OUTER], [len(c) for c in chains])
+        return (np.vstack([up_t, lo_t]), np.vstack(chains), b_tags,
+                geom.eps * self.reach)
 
 
 def _generate_annulus(geom, target_h):

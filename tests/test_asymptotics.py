@@ -271,6 +271,25 @@ class TestFluxExtrapolation:
             assert fx.value + fx.amplitude * math.exp(-fx.rate / r) == \
                 pytest.approx(f, rel=1e-10)
 
+    def test_leave_one_out_range(self):
+        # each refit drops one radius; dropping the perturbed row recovers
+        # the exact model, and three rows give no range
+        F, A, B = 25.6, -12.9, 0.56
+        rows = [(r, F + A * math.exp(-B / r)) for r in (0.5, 0.3, 0.2, 0.1)]
+        assert extrapolate_flux(rows).loo_range == pytest.approx((F, F),
+                                                                 rel=1e-8)
+        rows[1] = (0.3, rows[1][1] + 0.05)
+        refits = [extrapolate_flux(rows[:i] + rows[i + 1:]) for i in range(4)]
+        assert all(f.loo_range is None and not f.fallback for f in refits)
+        values = [f.value for f in refits]
+        assert extrapolate_flux(rows).loo_range == (min(values), max(values))
+        assert values[1] == pytest.approx(F, rel=1e-8)
+        assert max(values) - min(values) > 1e-3
+        # refits that fall back are left out, and with them all, the range
+        alternating = [(0.5, 1.0), (0.4, -1.0), (0.3, 1.0), (0.2, -1.0),
+                       (0.1, 1.0)]
+        assert extrapolate_flux(alternating).loo_range is None
+
     def test_window_row_extrapolation(self):
         # synthetic table S(r, eps) = (F + A e^(-B/r)) (1 + c eps^0.4)
         F, Aa, B, c = 4.0, -1.5, 2.0, 3.0

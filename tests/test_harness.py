@@ -300,6 +300,56 @@ def _asymmetric_noses():
                     eps=0.0, gap=gap, phi=LinearPotential(), name="asym")
 
 
+def _sharing_spec(case, out_dir, cache_dir):
+    """A two-separation sweep of the tiny disc or the asymmetric noses."""
+    geom = {"disc": build_symmetric_disc_example(scale=1.0),
+            "asymmetric": _asymmetric_noses()}[case]
+    return tiny_spec(out_dir, geometry=geom, target_h=0.2,
+                     eps_list=(1e-2, 3e-3), cache_dir=cache_dir)
+
+
+@pytest.mark.parametrize("case", ["disc", "asymmetric"])
+def test_sweep_mesh_is_a_function_of_its_key(case, tmp_path):
+    # the sweep's separations share one far field; each mesh equals the one
+    # generate builds on its own, byte for byte
+    cache = tmp_path / "cache"
+    spec = _sharing_spec(case, str(tmp_path / "out"), str(cache))
+    assert run_sweep(spec).ok
+    geom = spec.resolved_geometry()
+    for eps in spec.eps_list:
+        cached = _npz_arrays(cache / f"mesh_{_mesh_key(geom, spec, eps)}.npz")
+        m = meshing.generate(geom.with_eps(eps), spec.target_h,
+                             spec.neck_layers, seed=spec.seed)
+        for name in ("vertices", "triangles", "boundary_edges",
+                     "boundary_tags"):
+            assert cached[name].dtype == getattr(m, name).dtype
+            assert cached[name].tobytes() == getattr(m, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case,regions", [("disc", 1), ("asymmetric", 2)])
+def test_a_sweep_relaxes_each_region_once(case, regions, tmp_path,
+                                          monkeypatch):
+    # the symmetric far field relaxes one region and reflects the other;
+    # sharing lasts one run_sweep, and a fully cached sweep relaxes nothing
+    calls = []
+    relax = meshing._relax_region
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(meshing, "_relax_region", counting)
+    cache = str(tmp_path / "cache")
+    for out, cache_dir, relaxed in (
+            ("cold", cache, regions), ("warm", cache, 0),
+            ("cold_again", str(tmp_path / "cache2"), regions)):
+        calls.clear()
+        spec = _sharing_spec(case, str(tmp_path / out), cache_dir)
+        assert run_sweep(spec).ok
+        assert len(calls) == relaxed, out
+    assert len(os.listdir(cache)) == len(spec.eps_list)
+
+
 @pytest.mark.parametrize("case", ["odd", "odd_cubic", "asymmetric",
                                   "constant", "even_term"])
 def test_only_odd_problems_are_odd_reduced(case):
@@ -364,8 +414,10 @@ def test_flux_extrapolation_recorded():
              "winflux": {r: r * (1 + e**0.4) for r in radii}}
             for e in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)]
     fx = harness.fit_case_family(rows, 2.0, [[1.0]])["flux_extrapolation"]
-    assert sorted(fx) == ["amplitude", "fallback", "rate", "rows", "value"]
+    assert sorted(fx) == ["amplitude", "fallback", "loo_range", "rate",
+                          "rows", "value"]
     assert not fx["fallback"]
+    assert fx["loo_range"] is None    # three radii: no leave-one-out refits
     assert [r for r, _ in fx["rows"]] == list(radii)
     for r, s0 in fx["rows"]:
         assert s0 == pytest.approx(r, rel=1e-8)

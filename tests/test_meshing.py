@@ -205,6 +205,15 @@ def test_coarse_far_field_quality(seed, target_h, eps):
     check_mesh(m, min_angle=20.0)
 
 
+@pytest.mark.parametrize("seed,target_h,eps", [(3, 0.2, 1e-3),
+                                               (5, 0.15, 1e-2)])
+def test_coarse_parabola_far_field_quality(seed, target_h, eps):
+    # a far field relaxed at each eps left a sliver just right of the right
+    # wall joint here (18.4 and 16.8 degrees)
+    m = generate(build_parabola_example(eps=eps), target_h, 6, seed=seed)
+    check_mesh(m, min_angle=20.0)
+
+
 def test_annulus_topology():
     m = generate(build_annulus(1.0, 2.0), 0.08)
     assert set(np.unique(m.boundary_tags)) == {OUTER, INC1}
@@ -298,6 +307,35 @@ def test_outer_vertices_lie_on_the_outer_circle(geom):
     outer = m.vertices[m.vertex_tag == OUTER]
     dist = np.linalg.norm(outer - geom.outer.center, axis=1)
     assert np.abs(dist - geom.outer.radius).max() <= 1e-12
+
+
+def test_a_far_field_serves_only_its_own_key(caplog):
+    # a shared far field gives the mesh generate builds alone, and is
+    # relaxed only by its first mesh; one of other settings is refused, and
+    # a move that folds a triangle raises
+    g = build_symmetric_disc_example(scale=1.0, eps=1e-2)
+    far = meshing.FarField(g, 0.2, 6, seed=0)
+    caplog.set_level(logging.DEBUG, logger="neckflow")
+    generate(g.with_eps(3e-3), 0.2, 6, seed=0, far=far)
+    shared = generate(g, 0.2, 6, seed=0, far=far)
+    records = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("mesh at eps")]
+    assert records[0].startswith("mesh at eps=0.003: far field relaxed")
+    assert records[0].endswith(", 3 qhull calls"), records
+    assert records[1].startswith("mesh at eps=0.01: far field reused")
+    assert records[1].endswith(", 1 qhull calls"), records
+    alone = generate(g, 0.2, 6, seed=0)
+    assert np.array_equal(shared.vertices, alone.vertices)
+    assert np.array_equal(shared.triangles, alone.triangles)
+    for kwargs in ({"target_h": 0.15}, {"neck_layers": 8}, {"seed": 1}):
+        args = {"target_h": 0.2, "neck_layers": 6, "seed": 0, **kwargs}
+        with pytest.raises(MeshError, match="another geometry"):
+            generate(g, far=far, **args)
+    with pytest.raises(MeshError, match="another geometry"):
+        generate(build_parabola_example(eps=1e-2), 0.2, 6, seed=0, far=far)
+    far.shift = far.shift * 1e3
+    with pytest.raises(MeshError, match="inverts a triangle"):
+        generate(g, 0.2, 6, seed=0, far=far)
 
 
 def _interior_triangle(m):
@@ -711,9 +749,10 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
     # later one repairs the last triangulation by flips (R), falling back to
     # qhull when the repair fails (F, then D).  Each relaxation step and
     # each of the 3 Laplacian passes admits its moves once (A); the passes
-    # share one fresh triangulation, so exactly two qhull calls follow a
-    # region's last relaxation step.  Most moves are far from the loops, and
-    # admit tests only the others
+    # share one fresh triangulation, so exactly one qhull call follows a
+    # region's last relaxation step.  When every region is relaxed, each is
+    # moved to the mesh's eps and triangulated once more (D).  Most moves
+    # are far from the loops, and admit tests only the others
     events, moves, tested = [], [0], [0]
     delaunay, repair = meshing.Delaunay, meshing._flip_repair
     admit, lower_bound = _SegmentField.admit, _SegmentField.lower_bound
@@ -748,12 +787,14 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
     m = generate(geom, 0.2, 6, seed=0)
     check_mesh(m, min_angle=20.0)
     events = "".join(events)
-    # ADAAAD ends a region, and only there does A precede D
-    regions = re.findall(".*?ADAAAD", events)
-    assert "".join(regions) == events, events
-    assert len(regions) == (1 if geom.is_mirror_symmetric() else 2), events
+    n = 1 if geom.is_mirror_symmetric() else 2
+    assert events.endswith("A" + "D" * n), events
+    # ADAAA ends a region's relaxation, and only there does A precede D
+    regions = re.findall(".*?ADAAA", events[:-n])
+    assert "".join(regions) == events[:-n], events
+    assert len(regions) == n, events
     for region in regions:
-        assert region.count("D") == 3 + region.count("F"), region
+        assert region.count("D") == 2 + region.count("F"), region
         assert (region.count("R") + region.count("F")
                 == region.count("B") - 1), region
         assert region.count("R") > 0, region
@@ -763,7 +804,8 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
 def test_relaxation_logs_its_fallbacks(monkeypatch, caplog):
     # the first and third flip repairs of each general-path region are made
     # to fail; each region's one DEBUG record names each fallback, forced or
-    # not, with its reason, and counts a qhull call for it
+    # not, with its reason, and counts a qhull call for it.  The mesh's
+    # record adds one qhull call per region for its triangulation at eps
     forced = {1: "inverted triangle", 3: "round cap"}
     regions = []   # per region: each repair call's failure reason, or None
     relax, repair = meshing._relax_region, meshing._flip_repair
@@ -787,15 +829,20 @@ def test_relaxation_logs_its_fallbacks(monkeypatch, caplog):
     monkeypatch.setattr(meshing, "_flip_repair", repairing)
     caplog.set_level(logging.DEBUG, logger="neckflow")
     check_mesh(generate(_asymmetric_geometry(5e-3), 0.2, 6, seed=0))
-    records = [r.getMessage() for r in caplog.records
-               if r.getMessage().startswith("far-field region")]
+    messages = [r.getMessage() for r in caplog.records]
+    records = [m for m in messages if m.startswith("far-field region")]
     assert len(records) == len(regions) == 2, records
+    qhull_calls = 2
     for msg, calls in zip(records, regions):
         assert len(calls) >= 3, msg
         failed = [reason for reason in calls if reason]
-        assert f"{3 + len(failed)} qhull calls" in msg, msg
+        assert f"{2 + len(failed)} qhull calls" in msg, msg
+        qhull_calls += 2 + len(failed)
         for reason in forced.values():
             assert msg.count(reason) == failed.count(reason) > 0, msg
+    (mesh_record,) = [m for m in messages if m.startswith("mesh at eps")]
+    assert "far field relaxed" in mesh_record, mesh_record
+    assert mesh_record.endswith(f", {qhull_calls} qhull calls"), mesh_record
 
 
 def _assert_consistent(pts, simp, nbr):
@@ -891,6 +938,12 @@ _MESH_HASHES = {
                    "cdf1f2eaa8a5f33b60c2149c34a1f15b",
         "general_stitched": "7bf2ae2eac8d6a93f9ae4fb04e7e0861"
                             "6e46a4959478f23352191ca04c711f74"},
+    7: {"symmetric": "f266f571f2be0972e27b25dbc220b435"
+                     "1fe4c0b5cde23189e23d8ad4d6f052c1",
+        "general": "ff9dfa5a6cdb3df5a0690b54c2163a2d"
+                   "1717146d76e883e8d012e65cf94bd981",
+        "general_stitched": "eecbe72f0eba4f7c2454622a49f07911"
+                            "bf6196289f219f46f0344d8eeda4aa78"},
 }
 
 
