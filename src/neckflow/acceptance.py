@@ -155,7 +155,8 @@ def criterion_symmetry(report, geom):
     """The sweep's odd-reduced rows have U1 = -U2 by construction, so
     FULL_SPACE_CASE is solved again in the full space on the sweep's mesh;
     its |U1+U2| and |U1 - row U1| are gated too.  Positive flux: p >= 3/2."""
-    gate = 1e-6 * geom.phi_oscillation()
+    lo, hi = geom.phi_range()
+    gate = 1e-6 * (hi - lo)
     p, eps = FULL_SPACE_CASE
     row = next(r for r in report.rows if (r["p"], r["eps"]) == (p, eps))
     spec = replace(SweepSpec(geometry=geom),

@@ -444,22 +444,16 @@ REGION_KAPPA1 = 0.1   # CRITICAL window kappa1 / ln|ln eps|
 REGION_KAPPA2 = 0.1   # SUB window, constant
 
 
-def lower_bound_region(regime: Regime, eps=None, ln_eps=None):
+def lower_bound_region(regime: Regime, eps):
     """Transverse half-width of the window where the leading-order term
     dominates: shrinking logarithmically (SUPER), doubly logarithmically
-    (CRITICAL), or constant (SUB).
-
-    Separations too small for float representation can be passed through
-    ln_eps (< 0) instead of eps."""
+    (CRITICAL), or constant (SUB)."""
     b = regime.branch
     if b == SUB:
         return REGION_KAPPA2
-    if ln_eps is None:
-        if eps is None or not 0 < eps < 1:
-            raise GeometryError("eps must lie in (0, 1)")
-        ln_eps = math.log(eps)
-    elif ln_eps >= 0:
-        raise GeometryError("ln_eps must be negative")
+    if not 0 < eps < 1:
+        raise GeometryError("eps must lie in (0, 1)")
+    ln_eps = math.log(eps)
     if b == SUPER:
         return abs(ln_eps) ** (-REGION_GAMMA)
     if abs(ln_eps) <= math.e:

@@ -7,7 +7,8 @@
   neckflow accept [--out DIR] [--seed N] [--workers N]
                                     full acceptance matrix; exit 0 iff green
 
-The mesh cache directory is taken from NECKFLOW_CACHE when set.
+The mesh cache directory is taken from NECKFLOW_CACHE when set.  Bad input
+(a NeckflowError) prints one `neckflow: error: ...` line and exits with 2.
 """
 
 import argparse
@@ -16,28 +17,30 @@ import math
 import os
 import sys
 
+from . import acceptance
+from .errors import NeckflowError
+from .geometry import build_symmetric_disc_example, load_geometry_config
+from .harness import SweepSpec, run_case, run_sweep
+
 
 def _parse_list(text, cast=float):
     return tuple(cast(tok) for tok in text.replace(",", " ").split())
 
 
 def _geometry(args):
-    from .geometry import build_symmetric_disc_example, load_geometry_config
     if args.config:
         return load_geometry_config(args.config)
     return build_symmetric_disc_example(scale=1.0)
 
 
 def cmd_solve(args):
-    from .harness import SweepSpec, run_case
     geom = _geometry(args)
     p = args.p[0] if args.p else 2.0
     eps = args.eps[0] if args.eps else 1e-3
     spec = SweepSpec(geometry=geom, p_list=(p,), eps_list=(eps,),
                      target_h=args.target_h, neck_layers=args.layers,
                      out_dir=args.out, seed=args.seed)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    spec.validate()
     row = run_case(geom, p, eps, spec)
     summary = {k: row[k] for k in ("p", "eps", "U1", "U2", "ugap", "energy",
                                    "flux1", "flux2", "kkt_residual", "maxgrad",
@@ -47,7 +50,6 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    from .harness import SweepSpec, run_sweep
     geom = _geometry(args)
     kwargs = {}
     if args.p:
@@ -75,8 +77,7 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
-    from .acceptance import criterion_oracle
-    result = criterion_oracle()
+    result = acceptance.criterion_oracle()
     ok = result.passed
     print(result.line())
     if args.out:
@@ -88,9 +89,8 @@ def cmd_oracle(args):
 
 
 def cmd_accept(args):
-    from .acceptance import run_acceptance
-    out = args.out or "acceptance_out"
-    results = run_acceptance(out, workers=args.workers, seed=args.seed)
+    results = acceptance.run_acceptance(args.out or "acceptance_out",
+                                        workers=args.workers, seed=args.seed)
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 1
@@ -119,7 +119,11 @@ def main(argv=None):
                             default=0.1)
             sp.add_argument("--layers", type=int, default=6)
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except NeckflowError as exc:
+        print(f"neckflow: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -147,8 +147,8 @@ class GapProfile:
         d = 1e-4 * self.chart
         return float((self.diff(d) - 2.0 * self.diff(0.0) + self.diff(-d)) / d**2)
 
-    def validate(self, n_samples=200, tol=1e-8):
-        xc = self.chart
+    def validate(self):
+        xc, n_samples, tol = self.chart, 200, 1e-8
         d = 1e-5 * xc
         for h, name in ((self.h1, "h1"), (self.h2, "h2")):
             if abs(float(h(0.0))) > tol:
@@ -424,26 +424,23 @@ class Geometry:
     def lower_wall(self, xprime):
         return -self.eps / 2.0 + self.gap.h2(xprime)
 
-    def phi_range(self, n=720):
-        """(min, max) of the boundary data over n points of the outer curve."""
-        a = np.linspace(0, 2 * math.pi, n, endpoint=False)
+    def phi_range(self):
+        """(min, max) of the boundary data at 720 points of the outer curve."""
+        a = np.linspace(0, 2 * math.pi, 720, endpoint=False)
         # outer curves are circles in every built-in construction
         c, r = self.outer.center, self.outer.radius
         pts = np.column_stack([c[0] + r * np.cos(a), c[1] + r * np.sin(a)])
         vals = self.phi(pts)
         return float(vals.min()), float(vals.max())
 
-    def phi_oscillation(self, n=720):
-        lo, hi = self.phi_range(n)
-        return hi - lo
-
-    def is_mirror_symmetric(self, n=50, tol=1e-12):
-        """Domain symmetry under x_n -> -x_n (not symmetry of phi)."""
+    def is_mirror_symmetric(self):
+        """Domain symmetry under x_n -> -x_n (not of phi), to tol = 1e-12."""
+        tol = 1e-12
         if self.kind == "annulus":
             return abs(self.outer.center[1]) < tol and abs(self.inclusion1.center[1]) < tol
         if abs(self.outer.center[1]) > tol:
             return False
-        x = np.linspace(-0.9 * self.gap.chart, 0.9 * self.gap.chart, n)
+        x = np.linspace(-0.9 * self.gap.chart, 0.9 * self.gap.chart, 50)
         return bool(np.max(np.abs(np.asarray(self.gap.h1(x)) + np.asarray(self.gap.h2(x)))) < tol)
 
     def validate(self, eps_values=None):

@@ -18,13 +18,11 @@ meshing its own eps; no disk cache is forced.
 
 Mesh reuse: set NECKFLOW_CACHE (or SweepSpec.cache_dir) to a directory and
 meshes are stored there as `mesh_<key>.npz` (meshing.save_mesh), keyed by
-the content of the geometry (not phi or its name), eps, the grading and the
-mesher.  Within one sweep, the separations that miss the cache share one
-meshing.FarField: the far field is relaxed once, on the first miss, and
-moved to each separation, so a fully cached sweep relaxes nothing.  With
-workers, each task gets its own copy and relaxes it on a miss.  Nothing is
-kept between sweeps, and a mesh is the same as generate's without a shared
-far field.
+meshing.mesh_content at the separation and the mesher version.  The
+separations share one meshing.FarField, relaxed once before dispatch when
+any of them misses the cache, so workers get it relaxed and a fully cached
+sweep relaxes nothing.  Nothing is kept between sweeps, and a mesh is the
+same as generate's without a shared far field.
 """
 
 import ctypes
@@ -39,7 +37,7 @@ import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -61,7 +59,9 @@ CSV_BASE_COLUMNS = (
 
 _log = logging.getLogger("neckflow")
 
-DEFAULT_FLUX_WINDOWS = (0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.07, 0.05)
+# every case's gradient probe abscissae x' and flux window radii
+PROBES = (0.0, 0.05)
+FLUX_WINDOWS = (0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.07, 0.05)
 # max_gradient looks only at triangles with centroid |x'| <= MAXGRAD_WINDOW
 MAXGRAD_WINDOW = 0.25
 
@@ -73,13 +73,10 @@ class SweepSpec:
     eps_list: tuple = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     target_h: float = 0.1
     neck_layers: int = 6
-    probes: tuple = (0.0, 0.05)
-    flux_windows: tuple = DEFAULT_FLUX_WINDOWS
     out_dir: str = None
     workers: int = 1
     seed: int = 0
     cache_dir: str = None
-    mesh_vertex_cap: int = 2_000_000
 
     def resolved_geometry(self):
         if isinstance(self.geometry, (str, os.PathLike)):
@@ -125,18 +122,14 @@ class SweepReport:
 # mesh cache
 # ---------------------------------------------------------------------------
 
-def _cache_dir(spec):
-    return spec.cache_dir or os.environ.get("NECKFLOW_CACHE")
-
-
 def _mesh_key(geom, spec, eps):
-    """sha256 of the pickled geometry at eps (without phi and name), grading
-    parameters, seed and mesher version.  The pickler keeps no memo, so an
-    object reached twice is written out twice: the bytes follow the content,
-    not which sub-objects happen to be shared.  A geometry that does not
-    pickle, or refers back to itself, raises MeshError."""
-    content = (replace(geom.with_eps(eps), phi=None, name=""),
-               float(spec.target_h), int(spec.neck_layers), int(spec.seed),
+    """sha256 of the pickled meshing.mesh_content at eps and the mesher
+    version.  The pickler keeps no memo, so an object reached twice is
+    written out twice: the bytes follow the content, not which sub-objects
+    happen to be shared.  A geometry that does not pickle, or refers back
+    to itself, raises MeshError."""
+    content = (*meshing.mesh_content(geom.with_eps(eps), spec.target_h,
+                                     spec.neck_layers, spec.seed),
                meshing.MESHER_VERSION)
     buf = io.BytesIO()
     pickler = pickle.Pickler(buf, protocol=4)
@@ -150,6 +143,12 @@ def _mesh_key(geom, spec, eps):
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
+def _cache_path(geom, spec, eps):
+    """The mesh-cache file of one separation, or None without a cache."""
+    cdir = spec.cache_dir or os.environ.get("NECKFLOW_CACHE")
+    return cdir and os.path.join(cdir, f"mesh_{_mesh_key(geom, spec, eps)}.npz")
+
+
 def case_mesh(geom, spec, eps, far=None):
     """The mesh of one separation, read from the mesh cache when it holds
     one, else generated with the far field `far` (a meshing.FarField of
@@ -159,21 +158,19 @@ def case_mesh(geom, spec, eps, far=None):
     generator's, as for a mesh made here.  A corrupt file raises
     MeshError."""
     g = geom.with_eps(eps)
-    cdir = _cache_dir(spec)
-    if cdir:
-        os.makedirs(cdir, exist_ok=True)
-        path = os.path.join(cdir, f"mesh_{_mesh_key(geom, spec, eps)}.npz")
-        if os.path.exists(path):
-            mesh = load_mesh(path, geometry=g)
-            try:
-                meshing.check_mirror(mesh)
-                meshing.check_mesh(mesh, min_angle=0.0)
-            except MeshError as exc:
-                raise MeshError(f"cached mesh {path}: {exc}") from exc
-            return mesh
+    path = _cache_path(geom, spec, eps)
+    if path and os.path.exists(path):
+        mesh = load_mesh(path, geometry=g)
+        try:
+            meshing.check_mirror(mesh)
+            meshing.check_mesh(mesh, min_angle=0.0)
+        except MeshError as exc:
+            raise MeshError(f"cached mesh {path}: {exc}") from exc
+        return mesh
     mesh = generate(g, spec.target_h, spec.neck_layers, seed=spec.seed,
-                    vertex_cap=spec.mesh_vertex_cap, far=far)
-    if cdir:
+                    far=far)
+    if path:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + f".tmp{os.getpid()}"
         save_mesh(mesh, tmp)
         os.replace(tmp, path)
@@ -213,7 +210,7 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
         "min_angle_deg": mesh.grading_report.min_angle_deg,
         "neck_layers": mesh.grading_report.neck_layers,
         "winflux": {float(r): fa.cross_section_flux(sol, mesh, r)
-                    for r in spec.flux_windows},
+                    for r in FLUX_WINDOWS},
         "probes": [],
         "history": [(e, en, res) for (e, en, res) in sol.energy_history],
         "linear_fallbacks": sol.linear_fallbacks,
@@ -221,7 +218,7 @@ def run_case(geom, p, eps, spec, mesh=None, cond=None):
         "floor_accepts": sol.floor_accepts,
         "n_dofs": cond.n_dofs, "odd_reduced": cond.mirror is not None,
     }
-    for xp in spec.probes:
+    for xp in PROBES:
         pr = fa.gradient_probe(sol, mesh, xp)
         row["probes"].append({"xprime": float(xp), "xn": pr.point.xn,
                               "grad_x": pr.grad[0], "grad_n": pr.grad[1],
@@ -409,6 +406,12 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     geom.validate(eps_values=spec.eps_list)
     _steady_memory()
     far = meshing.FarField(geom, spec.target_h, spec.neck_layers, spec.seed)
+    try:
+        paths = [_cache_path(geom, spec, eps) for eps in spec.eps_list]
+        if not all(path and os.path.exists(path) for path in paths):
+            far.relax()
+    except NeckflowError:
+        pass    # each separation it stops records the error itself
     task = functools.partial(_separation_task, geom, spec, far=far)
     if spec.workers == 1:
         results = list(map(task, spec.eps_list))
@@ -443,14 +446,14 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 
 def write_report(report: SweepReport, spec: SweepSpec):
     out = spec.out_dir
-    win_cols = [f"winflux_r{r:g}" for r in spec.flux_windows]
+    win_cols = [f"winflux_r{r:g}" for r in FLUX_WINDOWS]
     with open(os.path.join(out, "rows.csv"), "w") as fh:
         fh.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         fh.write(",".join(list(CSV_BASE_COLUMNS) + win_cols) + "\n")
         for r in report.rows:
             vals = [fa.csv_field(r[c]) for c in CSV_BASE_COLUMNS]
             vals += [fa.csv_field(r["winflux"][float(w)])
-                     for w in spec.flux_windows]
+                     for w in FLUX_WINDOWS]
             fh.write(",".join(vals) + "\n")
     # prediction entries carry every probes.csv column
     fa.write_probe_csv(os.path.join(out, "probes.csv"), report.predictions)

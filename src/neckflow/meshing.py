@@ -42,7 +42,7 @@ from .geometry import INC1, INC2, OUTER, Circle, curve_polyline
 
 _log = logging.getLogger("neckflow")
 
-_VERTEX_CAP = 2_000_000
+VERTEX_CAP = 2_000_000   # the most vertices a mesh may have
 
 # part of every mesh-cache key: bump it whenever a change to this module
 # changes the meshes it builds, so that stale cache files are not reused.
@@ -288,7 +288,7 @@ def _column_rows(delta, target_h, layers):
     return k + k % 2
 
 
-def _strip_columns_x(geom, target_h, layers, w, vertex_cap):
+def _strip_columns_x(geom, target_h, layers, w):
     """Column abscissae on [0, w], spacing ~ local gap / row count."""
     gap = geom.gap
     xs = [0.0]
@@ -299,12 +299,12 @@ def _strip_columns_x(geom, target_h, layers, w, vertex_cap):
         k = int(_column_rows(delta, target_h, layers))
         dx = delta / k
         count += k + 1
-        if count > vertex_cap:
+        if count > VERTEX_CAP:
             # vertices scale like 1/sqrt(eps); suggest a floor with margin
             frac = x / w if x > 0 else 1e-3
-            floor = geom.eps * (count / (frac * vertex_cap)) ** 2 * 4.0
+            floor = geom.eps * (count / (frac * VERTEX_CAP)) ** 2 * 4.0
             raise MeshCapacityError(
-                f"strip exceeds vertex cap {vertex_cap} before x'={w}",
+                f"strip exceeds vertex cap {VERTEX_CAP} before x'={w}",
                 eps_floor=floor)
         if x + dx >= w - 0.35 * dx:
             break
@@ -391,9 +391,8 @@ class _StripMesh:
     reflected by that index, so a symmetric geometry's strip is symmetric.
     """
 
-    def __init__(self, geom, target_h, layers, w, vertex_cap=_VERTEX_CAP,
-                 wall_rows=None):
-        xs_half = _strip_columns_x(geom, target_h, layers, w, vertex_cap)
+    def __init__(self, geom, target_h, layers, w, wall_rows=None):
+        xs_half = _strip_columns_x(geom, target_h, layers, w)
         xs = np.concatenate([-xs_half[::-1], xs_half[1:]])
         k = _column_rows(geom.eps + geom.gap.diff(xs), target_h, layers)
         if wall_rows is not None:
@@ -905,14 +904,13 @@ class _VertexPool:
 # generators
 # ---------------------------------------------------------------------------
 
-def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0,
-             far=None):
+def generate(geom, target_h, neck_layers=6, seed=0, far=None):
     """Mesh the perforated domain.
 
     Two-inclusion geometries require eps > 0 (the touching domain is never
     meshed); element size across the neck is at most gap/neck_layers.  Raises
-    MeshCapacityError with a suggested eps floor when the vertex budget would
-    be exceeded.
+    MeshCapacityError with a suggested eps floor when the mesh would have
+    more than VERTEX_CAP vertices.
 
     The far field is a FarField of the geometry and the other arguments,
     relaxed at eps = 0 and moved to geom.eps.  `far` passes one to share
@@ -931,11 +929,12 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0,
         raise MeshError("two-inclusion domains are meshed only for eps > 0")
     if far is None:
         far = FarField(geom, target_h, neck_layers, seed)
-    elif far.key != _far_key(geom, target_h, neck_layers, seed):
+    elif far.key != mesh_content(geom.with_eps(0.0), target_h, neck_layers,
+                                 seed):
         raise MeshError("the far field was built for another geometry or "
                         "other mesh settings")
 
-    strip = _StripMesh(geom, target_h, neck_layers, far.w, vertex_cap,
+    strip = _StripMesh(geom, target_h, neck_layers, far.w,
                        wall_rows=far.wall_rows[::-1])
     pool = _VertexPool(strip.vertices)
     qhull_calls = far.relax()
@@ -950,8 +949,8 @@ def generate(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP, seed=0,
     b_edges = np.vstack([s_edges, b_edges])
     b_tags = np.concatenate([s_tags, b_tags])
     all_tris = np.vstack([strip.triangles, tris])
-    if pool.n > vertex_cap:
-        raise MeshCapacityError(f"mesh exceeds vertex cap {vertex_cap}",
+    if pool.n > VERTEX_CAP:
+        raise MeshCapacityError(f"mesh exceeds vertex cap {VERTEX_CAP}",
                                 eps_floor=4.0 * geom.eps)
     mesh = TriMesh(pool.pts, all_tris, b_edges, b_tags, geometry=geom,
                    neck_layers=strip.neck_layers)
@@ -1040,10 +1039,10 @@ def _pocket_seeds(pool, walls, wall_sz, w, upper):
     return np.vstack(seeds)
 
 
-def _far_key(geom, target_h, neck_layers, seed):
-    """What a far field depends on: the geometry at eps = 0 without its
-    boundary data and name, and the mesh settings."""
-    return (replace(geom.with_eps(0.0), phi=None, name=""), float(target_h),
+def mesh_content(geom, target_h, neck_layers, seed):
+    """What a mesh of geom depends on: the geometry at its eps without its
+    boundary data and name, and the settings (a FarField's key at eps = 0)."""
+    return (replace(geom, phi=None, name=""), float(target_h),
             int(neck_layers), int(seed))
 
 
@@ -1075,7 +1074,8 @@ class FarField:
     """
 
     def __init__(self, geom, target_h, neck_layers=6, seed=0):
-        self.key = _far_key(geom, target_h, neck_layers, seed)
+        self.key = mesh_content(geom.with_eps(0.0), target_h, neck_layers,
+                                seed)
         g = self.key[0]
         self.w = 0.9 * g.gap.chart
         self.wall_rows = tuple(int(k) for k in _column_rows(
@@ -1224,7 +1224,7 @@ def _generate_annulus(geom, target_h):
                    geometry=geom, neck_layers=0)
 
 
-def generate_neck_strip(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP):
+def generate_neck_strip(geom, target_h, neck_layers=6):
     """Mesh only the neck strip over the gap chart, side walls tagged OUTER.
 
     This is the fixture for the zero-boundary auxiliary problem: homogeneous
@@ -1232,7 +1232,7 @@ def generate_neck_strip(geom, target_h, neck_layers=6, vertex_cap=_VERTEX_CAP):
     """
     if geom.eps <= 0:
         raise MeshError("strip meshes require eps > 0")
-    strip = _StripMesh(geom, target_h, neck_layers, geom.gap.chart, vertex_cap)
+    strip = _StripMesh(geom, target_h, neck_layers, geom.gap.chart)
     edges, tags = strip.boundary(walls_tag=OUTER)
     return TriMesh(strip.vertices, strip.triangles, edges, tags, geometry=geom,
                    neck_layers=strip.neck_layers)

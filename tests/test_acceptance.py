@@ -70,7 +70,8 @@ def test_criterion_04_fails_on_a_corrupted_row(acceptance):
     failed = [c for c in result.checks if not c.passed]
     assert len(failed) == 1 and failed[0].name.endswith("|U1 - row U1|")
     assert failed[0].value == pytest.approx(1e-4, rel=1e-9)
-    assert failed[0].gate == 1e-6 * geom.phi_oscillation()
+    lo, hi = geom.phi_range()
+    assert failed[0].gate == 1e-6 * (hi - lo)
     assert result.checks[0].name == "max |U1+U2|"
     assert result.checks[0].value == 0.0 and result.checks[0].passed
 

@@ -17,7 +17,7 @@ from neckflow import (FitError, GeometryError, INC1, INC2, OUTER,
                       write_probe_csv)
 from neckflow.analysis import (fit_log_decay, PROBE_CSV_HEADER,
                                recovered_vertex_gradients)
-from neckflow.harness import DEFAULT_FLUX_WINDOWS
+from neckflow.harness import FLUX_WINDOWS
 from neckflow.solver import ElementOps, dual_flux
 
 
@@ -127,7 +127,7 @@ class TestFluxes:
                 mask = m.vertex_tag == tag
                 assert kkt_condensed_flux(sol, m, tag) == ref(mask), (p, tag)
                 assert flux == ref(mask) / scale, (p, tag)
-            for r in DEFAULT_FLUX_WINDOWS:
+            for r in FLUX_WINDOWS:
                 mask = (m.vertex_tag == INC2) & (np.abs(m.vertices[:, 0]) <= r)
                 assert cross_section_flux(sol, m, r) == ref(mask), (p, r)
 

@@ -328,9 +328,6 @@ class TestLowerBoundRegion:
             pytest.approx(0.1)
 
     def test_critical(self):
-        # eps = exp(-exp(10)) underflows float64; pass its log directly
-        val = lower_bound_region(Regime(2.0, 3), ln_eps=-math.exp(10))
-        assert val == pytest.approx(0.01)
         val5 = lower_bound_region(Regime(2.0, 3), math.exp(-math.exp(5)))
         assert val5 == pytest.approx(0.02)
 

@@ -1,14 +1,17 @@
-"""The names the benchmark in `perfbench/` wraps still exist.
+"""The names the benchmark in `perfbench/` wraps, and the calls it makes,
+still work.
 
 `perfbench/spans.py` wraps neckflow callables by dotted name and reads some
-of their arguments by parameter name.  A renamed target would only print
-`absent` in a traced run, and a renamed parameter would break every timed
-run, so both are checked here.  spans.py is read from its path and executed
-in memory; nothing under `perfbench/` is written.  The traced
+of their arguments by parameter name, and `perfbench/workloads.py` calls
+neckflow's public functions.  A renamed target would only print `absent` in
+a traced run, and a renamed parameter or a changed signature would break
+every timed run, so all three are checked here.  spans.py is read from its
+path and executed in memory; nothing under `perfbench/` is written.  The traced
 `solver.hessian_calls` and `solver.reduce_hess_s` also assume that every
 Newton step calls `ElementOps.hessian` and `Condenser.reduce_hess` once.
 """
 
+import dataclasses
 import inspect
 import pathlib
 import types
@@ -16,7 +19,8 @@ from collections import Counter
 
 import pytest
 
-from neckflow import SolveConfig, harness, solve
+from neckflow import SolveConfig, acceptance, harness, meshing, solve
+from neckflow.geometry import Geometry
 from neckflow.solver import Condenser, ElementOps
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -49,6 +53,35 @@ def test_argument_readers_are_the_checked_functions(spans):
     assert set(spans._READS_ARGS) == {"neckflow.harness.solve",
                                       "neckflow.harness.case_mesh",
                                       "neckflow.harness.run_case"}
+
+
+# each call perfbench/workloads.py makes, with the arguments it passes
+# (placeholders stand for its geometries, meshes, specs and reports)
+@pytest.mark.parametrize("func, args, kwargs", [
+    (acceptance.canonical_spec, (), {"seed": 0}),
+    (harness.run_sweep, ("spec",), {}),
+    (harness.case_mesh, ("geom", "spec", 1e-2), {}),
+    (meshing.generate, ("g", 0.1, 6), {"seed": 0}),
+    (meshing.check_mesh, ("mesh",), {"min_angle": 20.0}),
+    (Geometry.validate, ("geom",), {"eps_values": (1e-2,)}),
+    (Geometry.is_mirror_symmetric, ("geom",), {}),
+    (acceptance.criterion_kkt, ("report",), {}),
+    (acceptance.criterion_potential_bounds, ("report", "geom"), {}),
+    (acceptance.criterion_symmetry, ("report", "geom"), {}),
+    (acceptance.criterion_slopes, ("report",), {}),
+    (acceptance.criterion_ugap, ("report",), {}),
+    (acceptance.criterion_sub_branch, ("report",), {}),
+    (acceptance.criterion_expansion, ("report",), {}),
+])
+def test_workload_calls_bind(func, args, kwargs):
+    inspect.signature(func).bind(*args, **kwargs)
+
+
+def test_workloads_replace_existing_spec_fields():
+    spec = acceptance.canonical_spec(seed=0)
+    dataclasses.replace(spec, out_dir="out", cache_dir="cache")
+    assert {"p_list", "eps_list", "neck_layers"} <= {
+        f.name for f in dataclasses.fields(spec)}
 
 
 def test_each_newton_step_assembles_once(disc_geom, disc_mesh_1e2,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from neckflow import (ConstantPotential, MeshError, NeckflowError,
-                      PolyPotential, SweepSpec,
+                      PolyPotential, SweepSpec, acceptance,
                       build_parabola_example, build_symmetric_disc_example,
                       build_table_example, harness, meshing, run_sweep)
 from neckflow.cli import main as cli_main
@@ -25,8 +25,7 @@ from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
 def tiny_spec(out_dir=None, **kw):
     geom = build_symmetric_disc_example(scale=1.0)
     base = dict(geometry=geom, p_list=(2.0,), eps_list=(1e-2,),
-                target_h=0.16, neck_layers=6, probes=(0.0,),
-                flux_windows=(0.3, 0.2, 0.1), out_dir=out_dir)
+                target_h=0.16, neck_layers=6, out_dir=out_dir)
     base.update(kw)
     return SweepSpec(**base)
 
@@ -70,8 +69,9 @@ class TestSingleCaseSweep:
         header = (tmp_path / "out" / "rows.csv").read_text().splitlines()[1]
         cols = header.split(",")
         assert cols[:len(CSV_BASE_COLUMNS)] == list(CSV_BASE_COLUMNS)
-        assert cols[len(CSV_BASE_COLUMNS):] == ["winflux_r0.3", "winflux_r0.2",
-                                                "winflux_r0.1"]
+        assert cols[len(CSV_BASE_COLUMNS):] == [
+            "winflux_r0.4", "winflux_r0.3", "winflux_r0.25", "winflux_r0.2",
+            "winflux_r0.15", "winflux_r0.1", "winflux_r0.07", "winflux_r0.05"]
 
 
 def test_solution_file_roundtrip_is_bitwise(tmp_path):
@@ -229,6 +229,17 @@ def test_cyclic_geometry_cannot_key_the_cache(tmp_path):
         _mesh_key(cyclic, tiny_spec(cache_dir=str(tmp_path)), 1e-2)
 
 
+def test_canonical_cache_keys_are_pinned():
+    # a change to what keys a mesh would turn every cache file into a
+    # silent miss; a deliberate one updates these
+    spec = acceptance.canonical_spec()
+    geom = spec.resolved_geometry()
+    assert _mesh_key(geom, spec, 1e-2) == (
+        "c61159660068c3b7f27cc2656d12d0fd8761e5ce89c88c85963ec9574b12affe")
+    assert _mesh_key(geom, spec, 1e-4) == (
+        "e495519a70f87b8ca0beb41a75a87501fa57fe8d36d448372ea50bd3ee590f40")
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("NECKFLOW_CACHE", str(cache))
@@ -254,13 +265,15 @@ def test_mesher_version_is_part_of_the_cache_key(tmp_path, monkeypatch):
     assert np.array_equal(first.vertices, second.vertices)
 
 
-def test_failure_isolation(tmp_path):
+def test_failure_isolation(tmp_path, monkeypatch):
     # a vertex cap that only the small-separation mesh exceeds; the serial
-    # and the worker-process sweep isolate it the same way
+    # and the worker-process sweep isolate it the same way.  The workers see
+    # the patched cap because they are forked (the default start method on
+    # Linux up to Python 3.13)
+    monkeypatch.setattr(meshing, "VERTEX_CAP", 6000)
     for workers in (1, 2):
         spec = tiny_spec(str(tmp_path / f"out{workers}"),
-                         eps_list=(1e-2, 1e-4), mesh_vertex_cap=6000,
-                         workers=workers)
+                         eps_list=(1e-2, 1e-4), workers=workers)
         report = run_sweep(spec)
         assert len(report.rows) == 1
         assert len(report.failures) == 1
@@ -350,6 +363,30 @@ def test_a_sweep_relaxes_each_region_once(case, regions, tmp_path,
     assert len(os.listdir(cache)) == len(spec.eps_list)
 
 
+def test_a_parallel_sweep_relaxes_in_the_parent(tmp_path, monkeypatch):
+    # the forked workers see the wrapper too, and a relaxation there fails
+    # its separation; a cold sweep relaxes both asymmetric regions in the
+    # parent before dispatch, a warm one nothing
+    parent, calls = os.getpid(), []
+    relax = meshing._relax_region
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MeshError("a worker relaxed the far field")
+        calls.append(1)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(meshing, "_relax_region", parent_only)
+    cache = str(tmp_path / "cache")
+    for out, relaxed in (("cold", 2), ("warm", 0)):
+        calls.clear()
+        spec = replace(_sharing_spec("asymmetric", str(tmp_path / out), cache),
+                       workers=2)
+        report = run_sweep(spec)
+        assert not report.failures, report.failures
+        assert len(calls) == relaxed, out
+
+
 @pytest.mark.parametrize("case", ["odd", "odd_cubic", "asymmetric",
                                   "constant", "even_term"])
 def test_only_odd_problems_are_odd_reduced(case):
@@ -389,8 +426,7 @@ from neckflow import build_symmetric_disc_example, harness
 assert "scipy.optimize" not in sys.modules, "import neckflow loaded it"
 spec = harness.SweepSpec(geometry=build_symmetric_disc_example(),
                          p_list=(2.0,), eps_list=(3e-3, 2e-3, 1e-3),
-                         target_h=0.2, probes=(0.0,),
-                         flux_windows=(0.3, 0.2, 0.1))
+                         target_h=0.2)
 report = harness.run_sweep(spec)
 assert report.ok and "flux_extrapolation" in report.fits[2.0]
 print("scipy.optimize" in sys.modules)
@@ -479,6 +515,17 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--p", "0.5"], "all exponents must exceed 1"),
+        (["sweep", "--eps", "1e-3,1e-2"], "eps_list must be strictly decreasing"),
+        (["solve", "--eps", "0"], "meshed only for eps > 0"),
+    ])
+    def test_bad_input_is_one_error_line(self, argv, message, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("neckflow: error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_solve_smoke(self, tmp_path, capsys):
         rc = cli_main(["solve", "--p", "2", "--eps", "1e-2",

@@ -221,27 +221,30 @@ def test_annulus_topology():
     assert m.grading_report.min_angle_deg >= 30.0
 
 
-def test_capacity_error_with_suggested_floor():
+def test_capacity_error_with_suggested_floor(monkeypatch):
     g = build_symmetric_disc_example(scale=1.0, eps=1e-4)
+    monkeypatch.setattr(meshing, "VERTEX_CAP", 4000)
     with pytest.raises(MeshCapacityError) as exc:
-        generate(g, 0.1, 6, vertex_cap=4000)
+        generate(g, 0.1, 6)
     assert exc.value.eps_floor is not None
     assert exc.value.eps_floor > 1e-4
 
 
-def test_strip_vertex_cap_counts_the_rows_built():
+def test_strip_vertex_cap_counts_the_rows_built(monkeypatch):
     # the cap counts k + 1 vertices per half-strip column from x' = 0 up to,
     # not including, the wall, with the k that is built: 0.1/7 builds 8 rows
     g = build_symmetric_disc_example(scale=1.0, eps=1e-2)
     w = 0.9 * g.gap.chart
-    xs = _strip_columns_x(g, 0.1, 7, w, 10**7)
+    xs = _strip_columns_x(g, 0.1, 7, w)
     strip = _StripMesh(g, 0.1, 7, w)
     k = (strip.top_idx - strip.bot_idx)[len(xs) - 1:]   # the columns at x' >= 0
     assert np.all(k == 8)
     n = int(np.sum(k[:-1] + 1))
-    assert np.array_equal(_strip_columns_x(g, 0.1, 7, w, n), xs)
+    monkeypatch.setattr(meshing, "VERTEX_CAP", n)
+    assert np.array_equal(_strip_columns_x(g, 0.1, 7, w), xs)
+    monkeypatch.setattr(meshing, "VERTEX_CAP", n - 1)
     with pytest.raises(MeshCapacityError):
-        _strip_columns_x(g, 0.1, 7, w, n - 1)
+        _strip_columns_x(g, 0.1, 7, w)
 
 
 @pytest.mark.parametrize("geom", [build_annulus(1.0, 2.0),
@@ -1139,7 +1142,7 @@ def _strip_loop(geom, target_h, layers, w):
     returning (vertices, triangles, boundary edges, tags, neck_layers).
     Every column has an even row count; unequal neighbours are stitched on
     their lower halves, and the stitch is reflected within each column."""
-    xs_half = _strip_columns_x(geom, target_h, layers, w, 10**7)
+    xs_half = _strip_columns_x(geom, target_h, layers, w)
     xs = np.concatenate([-xs_half[::-1], xs_half[1:]])
     cols_idx, cols_s, pts = [], [], []
     min_layers = None

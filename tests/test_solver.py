@@ -13,7 +13,7 @@ from neckflow import (INC1, INC2, OUTER, ConstantPotential, LinearPotential,
                       build_symmetric_disc_example, generate, solve,
                       uniqueness_probe)
 from neckflow.analysis import cross_section_flux
-from neckflow.harness import DEFAULT_FLUX_WINDOWS
+from neckflow.harness import FLUX_WINDOWS
 from neckflow import solver
 from neckflow.solver import (MAX_NEWTON_ITERS, NEWTON_TOL, PCG_MAXIT,
                              POLISH_ITERS, Condenser, ElementOps, _continuation,
@@ -137,7 +137,8 @@ class TestConstantData:
 
 class TestDiscFixture:
     def test_odd_symmetry(self, disc_geom, disc_solutions_1e2):
-        osc = disc_geom.phi_oscillation()
+        lo, hi = disc_geom.phi_range()
+        osc = hi - lo
         for p, sol in disc_solutions_1e2.items():
             assert abs(sol.U1 + sol.U2) <= 1e-6 * osc
 
@@ -514,7 +515,7 @@ class TestFixedPattern:
         for a, b in ((half.ugap, full.ugap), (half.energy, full.energy),
                      *((cross_section_flux(half, m, r),
                         cross_section_flux(full, m, r))
-                       for r in DEFAULT_FLUX_WINDOWS)):
+                       for r in FLUX_WINDOWS)):
             assert abs(a - b) <= 1e-11 * abs(b)
 
     def test_ordered_solve_matches_fresh_ordering(self, disc_geom,
