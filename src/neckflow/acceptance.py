@@ -17,7 +17,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,9 +159,7 @@ def criterion_symmetry(report, geom):
     gate = 1e-6 * (hi - lo)
     p, eps = FULL_SPACE_CASE
     row = next(r for r in report.rows if (r["p"], r["eps"]) == (p, eps))
-    spec = replace(SweepSpec(geometry=geom),
-                   **{k: v for k, v in report.spec.items() if k != "geometry"})
-    full = solve(case_mesh(geom, spec, eps), geom.with_eps(eps),
+    full = solve(case_mesh(geom, report.spec, eps), geom.with_eps(eps),
                  SolveConfig(p=p))
     case = f"full-space p={p:g} eps={eps:g}"
     return [Check(name, value, "<=", gate, ".2e") for name, value in (
@@ -270,7 +268,7 @@ def criterion_expansion(report):
 @_criterion(11, "Hölder-quotient boundedness")
 def criterion_holder(spec):
     u = np.load(solution_path(spec.out_dir, 2.0, 1e-4), allow_pickle=False)
-    mesh = case_mesh(spec.resolved_geometry(), spec, 1e-4)
+    mesh = case_mesh(spec.geometry, spec, 1e-4)
     dbars = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
     _, res = fa.holder_scan(mesh, ElementOps(mesh).gradients(u).T, beta=0.5,
                             points=[math.sqrt(d - 1e-4) for d in dbars])
@@ -326,7 +324,7 @@ def run_acceptance(out_dir, workers=1, seed=0):
     spec = canonical_spec(out_dir=os.path.join(out_dir, "sweep"),
                           workers=workers, seed=seed)
     report = run_sweep(spec)
-    geom = spec.resolved_geometry()
+    geom = spec.geometry
     results = [
         criterion_manufactured(), criterion_kkt(report),
         criterion_potential_bounds(report, geom),

@@ -7,8 +7,12 @@
   neckflow accept [--out DIR] [--seed N] [--workers N]
                                     full acceptance matrix; exit 0 iff green
 
-The mesh cache directory is taken from NECKFLOW_CACHE when set.  Bad input
-(a NeckflowError) prints one `neckflow: error: ...` line and exits with 2.
+`solve` is a sweep of one p and one eps: it builds the same SweepSpec and
+runs the same harness.run_separation.  `solve` and `sweep` take the mesh
+cache directory (SweepSpec.cache_dir) from NECKFLOW_CACHE when set; nothing
+below the command line reads the environment.  Bad input (a NeckflowError,
+or a failed `solve` case) prints one `neckflow: error: ...` line and exits
+with 2.
 """
 
 import argparse
@@ -20,7 +24,7 @@ import sys
 from . import acceptance
 from .errors import NeckflowError
 from .geometry import build_symmetric_disc_example, load_geometry_config
-from .harness import SweepSpec, run_case, run_sweep
+from .harness import SweepSpec, run_separation, run_sweep
 
 
 def _parse_list(text, cast=float):
@@ -34,14 +38,21 @@ def _geometry(args):
 
 
 def cmd_solve(args):
-    geom = _geometry(args)
-    p = args.p[0] if args.p else 2.0
-    eps = args.eps[0] if args.eps else 1e-3
-    spec = SweepSpec(geometry=geom, p_list=(p,), eps_list=(eps,),
-                     target_h=args.target_h, neck_layers=args.layers,
-                     out_dir=args.out, seed=args.seed)
+    p_list, eps_list = args.p or (2.0,), args.eps or (1e-3,)
+    if len(p_list) > 1 or len(eps_list) > 1:
+        raise NeckflowError(f"solve takes one --p and one --eps value, got "
+                            f"{len(p_list)} and {len(eps_list)} (sweep takes "
+                            f"lists)")
+    spec = SweepSpec(geometry=_geometry(args), p_list=p_list,
+                     eps_list=eps_list, target_h=args.target_h,
+                     neck_layers=args.layers, out_dir=args.out,
+                     seed=args.seed,
+                     cache_dir=os.environ.get("NECKFLOW_CACHE"))
     spec.validate()
-    row = run_case(geom, p, eps, spec)
+    rows, failures = run_separation(spec.geometry, spec, eps_list[0])
+    if failures:
+        raise NeckflowError(failures[0]["error"])
+    row, = rows
     summary = {k: row[k] for k in ("p", "eps", "U1", "U2", "ugap", "energy",
                                    "flux1", "flux2", "kkt_residual", "maxgrad",
                                    "nv", "nt")}
@@ -58,7 +69,8 @@ def cmd_sweep(args):
         kwargs["eps_list"] = args.eps
     spec = SweepSpec(geometry=geom, out_dir=args.out, workers=args.workers,
                      seed=args.seed, target_h=args.target_h,
-                     neck_layers=args.layers, **kwargs)
+                     neck_layers=args.layers,
+                     cache_dir=os.environ.get("NECKFLOW_CACHE"), **kwargs)
     report = run_sweep(spec)
     for p, fit in sorted(report.fits.items()):
         sf = fit["slope_fit"]

@@ -12,20 +12,22 @@ Outputs in the chosen directory:
   solution_<p>_<eps>.npy / .json   nodal values (row i is vertex i) +
                       scalar summary per case
 
-Each separation is meshed once and solved for every exponent.  With
-SweepSpec.workers = K > 1 the separations run in K worker processes, each
-meshing its own eps; no disk cache is forced.
+A sweep reads nothing but its SweepSpec (no environment variable, no
+process-wide setting) and returns everything in its SweepReport, whose
+`spec` is the SweepSpec that ran.  Each separation is meshed once and
+solved for every exponent (run_separation, which `neckflow solve` calls
+too).  With SweepSpec.workers = K > 1 the separations run in K worker
+processes, each meshing its own eps; no disk cache is forced.
 
-Mesh reuse: set NECKFLOW_CACHE (or SweepSpec.cache_dir) to a directory and
-meshes are stored there as `mesh_<key>.npz` (meshing.save_mesh), keyed by
-meshing.mesh_content at the separation and the mesher version.  The
-separations share one meshing.FarField, relaxed once before dispatch when
-any of them misses the cache, so workers get it relaxed and a fully cached
-sweep relaxes nothing.  Nothing is kept between sweeps, and a mesh is the
-same as generate's without a shared far field.
+Mesh reuse: set SweepSpec.cache_dir to a directory and meshes are stored
+there as `mesh_<key>.npz` (meshing.save_mesh), keyed by meshing.mesh_content
+at the separation and the mesher version.  The separations share one
+meshing.FarField, relaxed once before dispatch when any of them misses the
+cache, so workers get it relaxed and a fully cached sweep relaxes nothing.
+Nothing is kept between sweeps, and a mesh is the same as generate's without
+a shared far field.
 """
 
-import ctypes
 import functools
 import hashlib
 import io
@@ -34,10 +36,9 @@ import logging
 import math
 import os
 import pickle
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,8 +46,8 @@ from . import analysis as fa
 from . import asymptotics as asy
 from . import meshing
 from .errors import MeshError, NeckflowError
-from .geometry import (INC1, INC2, ConstantPotential,
-                       build_symmetric_disc_example, load_geometry_config)
+from .geometry import (INC1, INC2, ConstantPotential, Geometry,
+                       build_symmetric_disc_example)
 from .meshing import generate, generate_neck_strip, load_mesh, save_mesh
 from .solver import Condenser, SolveConfig, solve
 
@@ -68,7 +69,7 @@ MAXGRAD_WINDOW = 0.25
 
 @dataclass
 class SweepSpec:
-    geometry: object                  # Geometry or config-file path
+    geometry: Geometry
     p_list: tuple = (1.3, 2.0, 3.0)
     eps_list: tuple = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     target_h: float = 0.1
@@ -79,15 +80,25 @@ class SweepSpec:
     cache_dir: str = None
 
     def resolved_geometry(self):
-        if isinstance(self.geometry, (str, os.PathLike)):
-            return load_geometry_config(self.geometry)
         return self.geometry
 
     def validate(self):
+        """Refuse a spec that cannot run, before anything is meshed: the
+        geometry must be a two-inclusion Geometry (a config file is loaded
+        into one first) that is valid at every separation, and out_dir
+        must be writable."""
+        geom = self.geometry
+        if not isinstance(geom, Geometry):
+            raise NeckflowError(f"SweepSpec.geometry must be a Geometry, "
+                                f"not {type(geom).__name__} (load a config "
+                                f"file into one first)")
+        if geom.kind != "two_inclusion":
+            raise NeckflowError("sweeps require a two-inclusion geometry")
         if any(p <= 1 for p in self.p_list):
             raise NeckflowError("all exponents must exceed 1")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise NeckflowError("eps_list must be strictly decreasing")
+        geom.validate(eps_values=self.eps_list)
         if self.workers < 1:
             raise NeckflowError("workers must be at least 1")
         if self.out_dir is not None:
@@ -98,14 +109,13 @@ class SweepSpec:
             os.remove(probe)
 
     def meta(self):
-        d = asdict(self)
-        d["geometry"] = getattr(self.resolved_geometry(), "name", str(self.geometry))
-        return d
+        """The spec as report.json writes it, the geometry by name."""
+        return {**vars(self), "geometry": self.geometry.name}
 
 
 @dataclass
 class SweepReport:
-    spec: dict
+    spec: SweepSpec
     rows: list
     fits: dict
     predictions: list
@@ -145,8 +155,8 @@ def _mesh_key(geom, spec, eps):
 
 def _cache_path(geom, spec, eps):
     """The mesh-cache file of one separation, or None without a cache."""
-    cdir = spec.cache_dir or os.environ.get("NECKFLOW_CACHE")
-    return cdir and os.path.join(cdir, f"mesh_{_mesh_key(geom, spec, eps)}.npz")
+    return spec.cache_dir and os.path.join(
+        spec.cache_dir, f"mesh_{_mesh_key(geom, spec, eps)}.npz")
 
 
 def case_mesh(geom, spec, eps, far=None):
@@ -181,18 +191,13 @@ def case_mesh(geom, spec, eps, far=None):
 # single case
 # ---------------------------------------------------------------------------
 
-def run_case(geom, p, eps, spec, mesh=None, cond=None):
-    """Solve one (p, eps) case and collect the row dictionary.  Without cond
-    it builds the case's own, odd-reduced where it can be (Condenser with
-    odd=True); the row records the reduced system's size (`n_dofs`) and
-    whether it was odd-reduced (`odd_reduced`)."""
+def run_case(geom, p, eps, spec, mesh, cond):
+    """Solve one (p, eps) case on the separation's mesh and Condenser (see
+    run_separation) and collect the row dictionary; the row records the
+    reduced system's size (`n_dofs`) and whether it was odd-reduced
+    (`odd_reduced`)."""
     t0 = time.time()
-    g = geom.with_eps(eps)
-    if mesh is None:
-        mesh = case_mesh(geom, spec, eps)
-    if cond is None:
-        cond = Condenser(mesh, g, odd=True)
-    sol = solve(mesh, g, SolveConfig(p=p), cond)
+    sol = solve(mesh, geom.with_eps(eps), SolveConfig(p=p), cond)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
     row = {
@@ -250,7 +255,7 @@ def _persist_solution(sol, row, out_dir):
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def _separation_task(geom, spec, eps, far=None):
+def run_separation(geom, spec, eps, far=None):
     """Mesh one separation (case_mesh with the far field `far`) and build
     its Condenser (odd=True) once, and solve it for every exponent; returns
     (rows, failures).  A NeckflowError from the mesh or a solve becomes a
@@ -266,7 +271,7 @@ def _separation_task(geom, spec, eps, far=None):
     rows, failures = [], []
     for p in spec.p_list:
         try:
-            rows.append(run_case(geom, p, eps, spec, mesh=mesh, cond=cond))
+            rows.append(run_case(geom, p, eps, spec, mesh, cond))
         except NeckflowError as exc:
             failures.append(failure(p, exc))
     return rows, failures
@@ -363,25 +368,6 @@ def compare_prediction(rows, gap_hessian, fits):
 # sweep driver
 # ---------------------------------------------------------------------------
 
-_M_MMAP_THRESHOLD = -3        # glibc mallopt parameter
-_MMAP_THRESHOLD = 32 << 20    # glibc's ceiling for its sliding threshold
-
-
-def _steady_memory():
-    """Make a sweep's peak resident memory independent of what the process
-    ran before it.  glibc's sliding mmap threshold otherwise moves the
-    solver's arrays of a few MB from mmap to the heap once the first of them
-    is freed, which raises the peak of every sweep after the first.  Fix the
-    threshold at the ceiling of the sliding one, so that those arrays come
-    from the heap from the start (as fast as the slid threshold; a low fixed
-    one is 15-25% slower)."""
-    if sys.platform.startswith("linux"):
-        try:
-            ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-        except (OSError, AttributeError):
-            pass    # not glibc
-
-
 def mesh_warnings(rows):
     """One warning per separation whose mesh has a smallest angle below the
     quality gate meshing.MIN_ANGLE_DEG, also logged; its cases still run."""
@@ -400,11 +386,7 @@ def mesh_warnings(rows):
 def run_sweep(spec: SweepSpec) -> SweepReport:
     spec.validate()
     t0 = time.time()
-    geom = spec.resolved_geometry()
-    if geom.kind != "two_inclusion":
-        raise NeckflowError("sweeps require a two-inclusion geometry")
-    geom.validate(eps_values=spec.eps_list)
-    _steady_memory()
+    geom = spec.geometry
     far = meshing.FarField(geom, spec.target_h, spec.neck_layers, spec.seed)
     try:
         paths = [_cache_path(geom, spec, eps) for eps in spec.eps_list]
@@ -412,7 +394,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
             far.relax()
     except NeckflowError:
         pass    # each separation it stops records the error itself
-    task = functools.partial(_separation_task, geom, spec, far=far)
+    task = functools.partial(run_separation, geom, spec, far=far)
     if spec.workers == 1:
         results = list(map(task, spec.eps_list))
     else:
@@ -431,12 +413,12 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
             fits[p] = fit_case_family(fam, p, hess)
     predictions = compare_prediction(rows, hess, fits)
 
-    report = SweepReport(spec=spec.meta(), rows=rows, fits=fits,
+    report = SweepReport(spec=spec, rows=rows, fits=fits,
                          predictions=predictions, failures=failures,
                          runtime_s=time.time() - t0,
                          warnings=mesh_warnings(rows))
     if spec.out_dir:
-        write_report(report, spec)
+        write_report(report)
     return report
 
 
@@ -444,8 +426,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 # persistence
 # ---------------------------------------------------------------------------
 
-def write_report(report: SweepReport, spec: SweepSpec):
-    out = spec.out_dir
+def write_report(report: SweepReport):
+    out = report.spec.out_dir
     win_cols = [f"winflux_r{r:g}" for r in FLUX_WINDOWS]
     with open(os.path.join(out, "rows.csv"), "w") as fh:
         fh.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
@@ -457,7 +439,7 @@ def write_report(report: SweepReport, spec: SweepSpec):
             fh.write(",".join(vals) + "\n")
     # prediction entries carry every probes.csv column
     fa.write_probe_csv(os.path.join(out, "probes.csv"), report.predictions)
-    payload = {"spec": report.spec, "rows": report.rows,
+    payload = {"spec": report.spec.meta(), "rows": report.rows,
                "fits": {str(k): v for k, v in report.fits.items()},
                "predictions": report.predictions,
                "failures": report.failures,

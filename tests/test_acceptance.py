@@ -25,8 +25,12 @@ def acceptance(tmp_path_factory):
 
 
 def _report(out):
+    """The session sweep's report, read back from report.json, with the
+    spec that ran it."""
     data = json.loads(open(os.path.join(out, "sweep", "report.json")).read())
-    return SimpleNamespace(rows=data["rows"], spec=data["spec"],
+    spec = canonical_spec(out_dir=os.path.join(out, "sweep"))
+    assert json.loads(json.dumps(spec.meta())) == data["spec"]
+    return SimpleNamespace(rows=data["rows"], spec=spec,
                            predictions=data["predictions"],
                            runtime_s=data["runtime_s"],
                            fits={float(p): f for p, f in data["fits"].items()})

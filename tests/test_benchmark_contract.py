@@ -2,16 +2,19 @@
 still work.
 
 `perfbench/spans.py` wraps neckflow callables by dotted name and reads some
-of their arguments by parameter name, and `perfbench/workloads.py` calls
-neckflow's public functions.  A renamed target would only print `absent` in
-a traced run, and a renamed parameter or a changed signature would break
-every timed run, so all three are checked here.  spans.py is read from its
-path and executed in memory; nothing under `perfbench/` is written.  The traced
+of their arguments by parameter name, and `perfbench/workloads.py` imports
+names from neckflow and calls its public functions.  A renamed target would
+only print `absent` in a traced run, and a renamed parameter, a changed
+signature or a missing name would break every timed run, so all of them are
+checked here.  spans.py is read from its path and executed in memory, and
+workloads.py is only parsed; nothing under `perfbench/` is written.  The traced
 `solver.hessian_calls` and `solver.reduce_hess_s` also assume that every
 Newton step calls `ElementOps.hessian` and `Condenser.reduce_hess` once.
 """
 
+import ast
 import dataclasses
+import importlib
 import inspect
 import pathlib
 import types
@@ -23,7 +26,9 @@ from neckflow import SolveConfig, acceptance, harness, meshing, solve
 from neckflow.geometry import Geometry
 from neckflow.solver import Condenser, ElementOps
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +77,34 @@ def test_argument_readers_are_the_checked_functions(spans):
     (acceptance.criterion_ugap, ("report",), {}),
     (acceptance.criterion_sub_branch, ("report",), {}),
     (acceptance.criterion_expansion, ("report",), {}),
+    (harness.SweepSpec.resolved_geometry, ("spec",), {}),
 ])
 def test_workload_calls_bind(func, args, kwargs):
     inspect.signature(func).bind(*args, **kwargs)
+
+
+def test_workload_imports_resolve():
+    # each `from neckflow... import name` of workloads.py, and each
+    # attribute it reads off a neckflow module it imported that way
+    tree = ast.parse(WORKLOADS.read_text(), str(WORKLOADS))
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] \
+                == "neckflow":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(owner, alias.name, None)
+                if value is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value
+    assert modules and not missing, missing
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and not hasattr(modules[node.value.id], node.attr)):
+            missing.append(f"{node.value.id}.{node.attr}")
+    assert not missing, missing
 
 
 def test_workloads_replace_existing_spec_fields():

@@ -17,9 +17,16 @@ from neckflow import (ConstantPotential, MeshError, NeckflowError,
 from neckflow.cli import main as cli_main
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
-                               ParabolaProfile, TableProfile, _c2_bound)
+                               ParabolaProfile, TableProfile, _c2_bound,
+                               load_geometry_config)
 from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
                               compare_prediction)
+
+
+def _annulus_config(tmp_path):
+    cfg = tmp_path / "annulus.cfg"
+    cfg.write_text("shape = annulus\nr_inner = 1\nr_outer = 2\n")
+    return cfg
 
 
 def tiny_spec(out_dir=None, **kw):
@@ -40,10 +47,19 @@ class TestSweepSpec:
             tiny_spec(workers=0).validate()
         tiny_spec(str(tmp_path / "out")).validate()
 
+    def test_geometry_must_be_a_two_inclusion_geometry(self, tmp_path):
+        cfg = _annulus_config(tmp_path)
+        with pytest.raises(NeckflowError, match="must be a Geometry"):
+            tiny_spec(geometry=str(cfg)).validate()
+        with pytest.raises(NeckflowError, match="two-inclusion"):
+            tiny_spec(geometry=load_geometry_config(cfg)).validate()
+
 
 class TestSingleCaseSweep:
     def test_one_row_insufficient_slope(self, tmp_path):
-        report = run_sweep(tiny_spec(str(tmp_path / "out")))
+        spec = tiny_spec(str(tmp_path / "out"))
+        report = run_sweep(spec)
+        assert report.spec is spec
         assert len(report.rows) == 1
         assert report.rows[0]["linear_fallbacks"] == 0
         assert report.rows[0]["factorizations"] >= 1
@@ -240,11 +256,22 @@ def test_canonical_cache_keys_are_pinned():
         "e495519a70f87b8ca0beb41a75a87501fa57fe8d36d448372ea50bd3ee590f40")
 
 
-def test_cache_env_var(tmp_path, monkeypatch):
+def test_sweep_cli_fills_the_env_cache(tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("NECKFLOW_CACHE", str(cache))
-    run_sweep(tiny_spec(str(tmp_path / "out")))
+    assert cli_main(["sweep", "--p", "2", "--eps", "1e-2", "--target-h",
+                     "0.16", "--out", str(tmp_path / "out")]) == 0
     assert len(os.listdir(cache)) == 1
+
+
+def test_run_sweep_ignores_the_env_cache(tmp_path, monkeypatch):
+    # only the command line reads NECKFLOW_CACHE; a library sweep caches
+    # where its spec says, here nowhere
+    cache = tmp_path / "envcache"
+    monkeypatch.setenv("NECKFLOW_CACHE", str(cache))
+    spec = tiny_spec(str(tmp_path / "out"))
+    assert spec.cache_dir is None and run_sweep(spec).ok
+    assert not cache.exists()
 
 
 def test_mesher_version_is_part_of_the_cache_key(tmp_path, monkeypatch):
@@ -398,7 +425,7 @@ def test_only_odd_problems_are_odd_reduced(case):
             "even_term": replace(disc, phi=PolyPotential([(1.0, 0, 1),
                                                           (0.1, 0, 2)]))}[case]
     spec = tiny_spec(geometry=geom, target_h=0.2)
-    rows, failures = harness._separation_task(geom, spec, 1e-2)
+    rows, failures = harness.run_separation(geom, spec, 1e-2)
     assert not failures and len(rows) == 1
     mesh = case_mesh(geom, spec, 1e-2)
     interior = int((mesh.vertex_tag == 0).sum())
@@ -408,16 +435,6 @@ def test_only_odd_problems_are_odd_reduced(case):
     else:
         assert not rows[0]["odd_reduced"]
         assert rows[0]["n_dofs"] == interior + 2
-
-
-def test_run_case_solves_what_the_sweep_solves():
-    # `neckflow solve` calls run_case without a Condenser; it builds the
-    # sweep's, so odd data is odd-reduced there too
-    spec = tiny_spec(p_list=(1.3,))
-    (swept,), _ = harness._separation_task(spec.geometry, spec, 1e-2)
-    row = harness.run_case(spec.geometry, 1.3, 1e-2, spec)
-    assert row["odd_reduced"] and row["n_dofs"] == swept["n_dofs"]
-    assert abs(row["U1"] - swept["U1"]) <= 1e-12 * abs(swept["U1"])
 
 
 _NO_OPTIMIZE_PROBE = """
@@ -520,20 +537,42 @@ class TestCLI:
         (["solve", "--p", "0.5"], "all exponents must exceed 1"),
         (["sweep", "--eps", "1e-3,1e-2"], "eps_list must be strictly decreasing"),
         (["solve", "--eps", "0"], "meshed only for eps > 0"),
+        (["solve", "--p", "1.3,2"], "takes one --p and one --eps value"),
+        (["solve", "--eps", "1e-2,1e-3"], "takes one --p and one --eps value"),
+        (["solve", "--config", "{annulus}"], "two-inclusion"),
     ])
-    def test_bad_input_is_one_error_line(self, argv, message, capsys):
+    def test_bad_input_is_one_error_line(self, argv, message, capsys,
+                                         tmp_path):
+        cfg = str(_annulus_config(tmp_path))
+        argv = [cfg if a == "{annulus}" else a for a in argv]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("neckflow: error: ") and err.count("\n") == 1
         assert message in err
 
-    def test_solve_smoke(self, tmp_path, capsys):
+    def test_solve_smoke(self, tmp_path, capsys, monkeypatch):
+        # `neckflow solve` prints the row a one-case sweep computes
+        monkeypatch.delenv("NECKFLOW_CACHE", raising=False)
         rc = cli_main(["solve", "--p", "2", "--eps", "1e-2",
                        "--target-h", "0.2", "--out", str(tmp_path / "o")])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == 2.0
         assert abs(payload["U1"] + payload["U2"]) < 1e-8
+        (row,) = run_sweep(tiny_spec(target_h=0.2)).rows
+        assert [payload[k] for k in ("U1", "U2", "energy")] == \
+            [row[k] for k in ("U1", "U2", "energy")]
+
+    def test_bad_geometry_is_refused_before_meshing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def no_meshing(*args, **kwargs):
+            raise AssertionError("meshed a geometry the spec refuses")
+
+        monkeypatch.setattr(harness, "generate", no_meshing)
+        assert cli_main(["solve", "--config",
+                         str(_annulus_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "two-inclusion" in err
 
     def test_sweep_cli_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "geom.cfg"
