@@ -18,7 +18,7 @@ from neckflow import (Regime, SweepSpec, blowup_scale,
 
 geom = build_symmetric_disc_example(scale=1.0)
 spec = SweepSpec(geometry=geom, p_list=(1.3, 2.0), eps_list=(1e-2, 1e-3, 1e-4),
-                 target_h=0.1, neck_layers=6,
+                 target_h=0.1,
                  out_dir=tempfile.mkdtemp(prefix="neckflow_demo_"))
 report = run_sweep(spec)
 print(f"sweep of {len(report.rows)} cases finished in "

@@ -325,7 +325,9 @@ def _separable_fit(x, y, column, lo, hi, log):
     1973): a grid of _FIT_GRID values (log-spaced when `log`), golden
     section inside the bracket around the grid minimum, and one lstsq for
     (a, c).  column(x, t) must broadcast an (m, 1) array t against x.
-    Returns (a, c, t)."""
+    Returns (a, c, t, at_end), at_end telling that the grid minimum is an
+    end of [lo, hi]: the residual still falls beyond the range, so t is no
+    fit."""
     warp, unwarp = (np.log, np.exp) if log else (np.asarray, np.asarray)
     yc = y - y.mean()
 
@@ -350,7 +352,7 @@ def _separable_fit(x, y, column, lo, hi, log):
     z = column(x, t)
     coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(z), z]), y,
                                rcond=None)
-    return float(coef[0]), float(coef[1]), t
+    return float(coef[0]), float(coef[1]), t, k in (0, _FIT_GRID - 1)
 
 
 @dataclass(frozen=True)
@@ -374,9 +376,9 @@ def extrapolate_flux(rows):
     and return F_inf, with its leave-one-radius-out range (loo_range).
 
     rows: sequence of (r, windowed flux); radii need not be ordered.  With
-    fewer than three rows, or when the best fit misses a row by more than
-    0.2 of the largest |flux|, the smallest-radius value is returned with
-    the fallback flag."""
+    fewer than three rows, when the best B is an end of its range, or when
+    the best fit misses a row by more than 0.2 of the largest |flux|, the
+    smallest-radius value is returned with the fallback flag."""
     rows = sorted(rows, key=lambda t: -t[0])
     fit = _fit_flux(rows)
     if len(rows) < LOO_MIN_ROWS:
@@ -394,11 +396,12 @@ def _fit_flux(rows):
     f = np.array([t[1] for t in rows], dtype=float)
     if len(r) < 3 or np.any(r <= 0):
         return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
-    f_inf, a, b = _separable_fit(r, f, lambda rr, bb: np.exp(-bb / rr),
-                                 1e-6, 1e3, log=True)
+    f_inf, a, b, at_end = _separable_fit(
+        r, f, lambda rr, bb: np.exp(-bb / rr), 1e-6, 1e3, log=True)
     resid = f - f_inf - a * np.exp(-b / r)
     scale = max(float(np.abs(f).max()), 1e-300)
-    if not np.abs(resid).max() <= 0.2 * scale:    # a NaN falls back too
+    # at an end of B's range, F_inf and A trade off without bound
+    if at_end or not np.abs(resid).max() <= 0.2 * scale:    # NaN too
         return FluxExtrapolation(float(f[-1]), 0.0, 0.0, fallback=True)
     return FluxExtrapolation(f_inf, a, b)
 
@@ -433,8 +436,8 @@ def extrapolated_window_rows(tables, regime: Regime):
         if regime.branch == SUB:
             rows.append((r, float(vals[-1])))
         elif len(qual) >= WINDOW_MIN_PTS:
-            s0, _, _ = _separable_fit(np.array(qual), vals, np.power, 0.1, 1.5,
-                                      log=False)
+            s0, *_ = _separable_fit(np.array(qual), vals, np.power, 0.1, 1.5,
+                                    log=False)
             rows.append((r, s0))
     return rows
 

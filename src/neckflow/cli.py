@@ -128,8 +128,9 @@ def main(argv=None):
             sp.add_argument("--p", type=lambda s: _parse_list(s), default=None)
             sp.add_argument("--eps", type=lambda s: _parse_list(s), default=None)
             sp.add_argument("--target-h", dest="target_h", type=float,
-                            default=0.1)
-            sp.add_argument("--layers", type=int, default=6)
+                            default=SweepSpec.target_h)
+            sp.add_argument("--layers", type=int,
+                            default=SweepSpec.neck_layers)
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -73,7 +73,7 @@ class SweepSpec:
     p_list: tuple = (1.3, 2.0, 3.0)
     eps_list: tuple = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     target_h: float = 0.1
-    neck_layers: int = 6
+    neck_layers: int = meshing.NECK_LAYERS
     out_dir: str = None
     workers: int = 1
     seed: int = 0
@@ -85,8 +85,9 @@ class SweepSpec:
     def validate(self):
         """Refuse a spec that cannot run, before anything is meshed: the
         geometry must be a two-inclusion Geometry (a config file is loaded
-        into one first) that is valid at every separation, and out_dir
-        must be writable."""
+        into one first) that is valid at every separation, every separation
+        and target_h must be finite and positive, and out_dir must be
+        writable."""
         geom = self.geometry
         if not isinstance(geom, Geometry):
             raise NeckflowError(f"SweepSpec.geometry must be a Geometry, "
@@ -98,6 +99,11 @@ class SweepSpec:
             raise NeckflowError("all exponents must exceed 1")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise NeckflowError("eps_list must be strictly decreasing")
+        bad = [e for e in self.eps_list if not (math.isfinite(e) and e > 0)]
+        if bad:
+            raise NeckflowError(f"eps={bad[0]:g}: two-inclusion domains are "
+                                f"meshed only for eps > 0 and finite")
+        meshing.check_target_h(self.target_h)
         geom.validate(eps_values=self.eps_list)
         if self.workers < 1:
             raise NeckflowError("workers must be at least 1")

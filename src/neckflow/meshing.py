@@ -54,6 +54,12 @@ MESHER_VERSION = 7
 # sweep flags a mesh in its report
 MIN_ANGLE_DEG = 20.0
 
+# the fewest strip rows across the gap: the leading-order neck gradient
+# (U1 - U2)/delta(x') e_n is linear across it, which two P1 rows hold
+# exactly, and a two-row centre column (INC1, seam, INC2) adds no unknown
+# to the odd-reduced solve
+NECK_LAYERS = 2
+
 
 @dataclass(frozen=True)
 class GradingReport:
@@ -904,7 +910,14 @@ class _VertexPool:
 # generators
 # ---------------------------------------------------------------------------
 
-def generate(geom, target_h, neck_layers=6, seed=0, far=None):
+def check_target_h(target_h):
+    """Raise MeshError unless target_h is finite and positive: the mesher
+    steps by it, and a far field's wall grading would never end at 0."""
+    if not (math.isfinite(target_h) and target_h > 0):
+        raise MeshError("target_h must be finite and positive")
+
+
+def generate(geom, target_h, neck_layers=NECK_LAYERS, seed=0, far=None):
     """Mesh the perforated domain.
 
     Two-inclusion geometries require eps > 0 (the touching domain is never
@@ -921,8 +934,7 @@ def generate(geom, target_h, neck_layers=6, seed=0, far=None):
     or reused it, its largest move over the local size, and the qhull calls
     the call made.
     """
-    if not target_h > 0:
-        raise MeshError("target_h must be positive")
+    check_target_h(target_h)
     if geom.kind == "annulus":
         return _generate_annulus(geom, target_h)
     if geom.eps <= 0:
@@ -1070,10 +1082,12 @@ class FarField:
     extension is solved once, for eps = 1, and scaled.  Each region is then
     triangulated afresh, so every mesh is a Delaunay triangulation of its
     points region by region.  A move that inverts a triangle of that
-    triangulation raises MeshError.
+    triangulation raises MeshError, and so does a bad target_h
+    (check_target_h).
     """
 
-    def __init__(self, geom, target_h, neck_layers=6, seed=0):
+    def __init__(self, geom, target_h, neck_layers=NECK_LAYERS, seed=0):
+        check_target_h(target_h)
         self.key = mesh_content(geom.with_eps(0.0), target_h, neck_layers,
                                 seed)
         g = self.key[0]
@@ -1224,7 +1238,7 @@ def _generate_annulus(geom, target_h):
                    geometry=geom, neck_layers=0)
 
 
-def generate_neck_strip(geom, target_h, neck_layers=6):
+def generate_neck_strip(geom, target_h, neck_layers=NECK_LAYERS):
     """Mesh only the neck strip over the gap chart, side walls tagged OUTER.
 
     This is the fixture for the zero-boundary auxiliary problem: homogeneous

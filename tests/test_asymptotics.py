@@ -245,8 +245,10 @@ class TestFluxExtrapolation:
     ])
     def test_exact_power_model(self, eps, s0, c, q):
         x = np.array(eps)
-        got = _separable_fit(x, s0 + c * x**q, np.power, 0.1, 1.5, log=False)
+        *got, at_end = _separable_fit(x, s0 + c * x**q, np.power, 0.1, 1.5,
+                                      log=False)
         assert got == pytest.approx((s0, c, q), rel=1e-8)
+        assert at_end == (q == 1.5)
 
     def test_fallback_on_insufficient_rows(self):
         fx = extrapolate_flux([(0.2, 1.0), (0.1, 0.8)])
@@ -289,6 +291,27 @@ class TestFluxExtrapolation:
         alternating = [(0.5, 1.0), (0.4, -1.0), (0.3, 1.0), (0.2, -1.0),
                        (0.1, 1.0)]
         assert extrapolate_flux(alternating).loo_range is None
+
+    def test_rate_at_its_range_end_is_no_fit(self):
+        # p=2 window fluxes of a two-row canonical sweep: without r=0.2 the
+        # increments grow as r shrinks, B sits at its 1e-6 floor and F_inf
+        # and A trade off without bound (F_inf 1.5e6 before such a refit
+        # fell back)
+        rows = [(0.4, 22.4172), (0.3, 23.4686), (0.25, 24.7084),
+                (0.2, 24.8785)]
+        *_, at_end = _separable_fit(np.array([0.4, 0.3, 0.25]),
+                                    np.array([22.4172, 23.4686, 24.7084]),
+                                    lambda rr, bb: np.exp(-bb / rr),
+                                    1e-6, 1e3, log=True)
+        assert at_end
+        assert extrapolate_flux(rows[:3]).fallback
+        fx = extrapolate_flux(rows)
+        assert not fx.fallback and 1e-6 < fx.rate < 1e3
+        refits = [extrapolate_flux(rows[:i] + rows[i + 1:]) for i in range(3)]
+        assert not any(f.fallback for f in refits)
+        values = [f.value for f in refits]
+        assert fx.loo_range == (min(values), max(values))
+        assert 24 < fx.loo_range[0] < fx.loo_range[1] < 27
 
     def test_window_row_extrapolation(self):
         # synthetic table S(r, eps) = (F + A e^(-B/r)) (1 + c eps^0.4)

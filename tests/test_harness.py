@@ -14,6 +14,7 @@ from neckflow import (ConstantPotential, MeshError, NeckflowError,
                       PolyPotential, SweepSpec, acceptance,
                       build_parabola_example, build_symmetric_disc_example,
                       build_table_example, harness, meshing, run_sweep)
+from neckflow import cli
 from neckflow.cli import main as cli_main
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
@@ -32,7 +33,7 @@ def _annulus_config(tmp_path):
 def tiny_spec(out_dir=None, **kw):
     geom = build_symmetric_disc_example(scale=1.0)
     base = dict(geometry=geom, p_list=(2.0,), eps_list=(1e-2,),
-                target_h=0.16, neck_layers=6, out_dir=out_dir)
+                target_h=0.16, out_dir=out_dir)
     base.update(kw)
     return SweepSpec(**base)
 
@@ -46,6 +47,17 @@ class TestSweepSpec:
         with pytest.raises(NeckflowError):
             tiny_spec(workers=0).validate()
         tiny_spec(str(tmp_path / "out")).validate()
+
+    @pytest.mark.parametrize("eps_list", [(1e-2, 0.0), (1e-2, -1e-3),
+                                          (math.nan,), (math.inf,)])
+    def test_separations_must_be_finite_and_positive(self, eps_list):
+        with pytest.raises(NeckflowError, match="meshed only for eps > 0"):
+            tiny_spec(eps_list=eps_list).validate()
+
+    @pytest.mark.parametrize("target_h", [0.0, -0.1, math.nan, math.inf])
+    def test_target_h_must_be_finite_and_positive(self, target_h):
+        with pytest.raises(NeckflowError, match="target_h"):
+            tiny_spec(target_h=target_h).validate()
 
     def test_geometry_must_be_a_two_inclusion_geometry(self, tmp_path):
         cfg = _annulus_config(tmp_path)
@@ -251,9 +263,9 @@ def test_canonical_cache_keys_are_pinned():
     spec = acceptance.canonical_spec()
     geom = spec.resolved_geometry()
     assert _mesh_key(geom, spec, 1e-2) == (
-        "c61159660068c3b7f27cc2656d12d0fd8761e5ce89c88c85963ec9574b12affe")
+        "ca99bd6ea47b4a1e78a01db273a1753060ea76ad77c39e5f5cefc222b1ebcc57")
     assert _mesh_key(geom, spec, 1e-4) == (
-        "e495519a70f87b8ca0beb41a75a87501fa57fe8d36d448372ea50bd3ee590f40")
+        "92e812aef7b1ffe2b3693421784eb9a5d2f71b395c965ff1e7422f9b87213ddd")
 
 
 def test_sweep_cli_fills_the_env_cache(tmp_path, monkeypatch):
@@ -297,7 +309,7 @@ def test_failure_isolation(tmp_path, monkeypatch):
     # and the worker-process sweep isolate it the same way.  The workers see
     # the patched cap because they are forked (the default start method on
     # Linux up to Python 3.13)
-    monkeypatch.setattr(meshing, "VERTEX_CAP", 6000)
+    monkeypatch.setattr(meshing, "VERTEX_CAP", 4000)    # nv 2,655 and 5,067
     for workers in (1, 2):
         spec = tiny_spec(str(tmp_path / f"out{workers}"),
                          eps_list=(1e-2, 1e-4), workers=workers)
@@ -573,6 +585,39 @@ class TestCLI:
                          str(_annulus_config(tmp_path))]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "two-inclusion" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--eps", "1e-2,0"], "meshed only for eps > 0"),
+        (["--eps", "1e-2", "--target-h", "0"], "target_h"),
+        (["--eps", "1e-2", "--target-h", "-0.1"], "target_h"),
+    ])
+    def test_bad_sweep_is_refused_before_meshing(self, argv, message,
+                                                 monkeypatch, capsys):
+        # a target_h of 0 once spun in the far field's wall grading; a
+        # spec refused here never reaches it
+        def no_meshing(*args, **kwargs):
+            raise AssertionError("meshed a spec that is refused")
+
+        monkeypatch.setattr(harness, "generate", no_meshing)
+        monkeypatch.setattr(meshing, "_grade_spacing", no_meshing)
+        assert cli_main(["sweep", "--p", "2", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("neckflow: error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_mesh_options_default_to_the_spec(self, monkeypatch):
+        # --target-h and --layers read SweepSpec's defaults, not copies
+        seen = []
+
+        def record(spec):
+            seen.append(spec)
+            raise NeckflowError("recorded")
+
+        monkeypatch.setattr(cli, "run_sweep", record)
+        assert cli_main(["sweep", "--p", "2"]) == 2
+        (spec,) = seen
+        assert (spec.target_h, spec.neck_layers) == (SweepSpec.target_h,
+                                                     meshing.NECK_LAYERS)
 
     def test_sweep_cli_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "geom.cfg"

@@ -14,10 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
-                      SweepSpec, build_annulus, build_parabola_example,
-                      build_symmetric_disc_example, check_mesh, gap_width,
-                      generate, generate_neck_strip, harness, load_mesh,
-                      meshing, refine_uniform, save_mesh, solve)
+                      SweepSpec, acceptance, build_annulus,
+                      build_parabola_example, build_symmetric_disc_example,
+                      check_mesh, gap_width, generate, generate_neck_strip,
+                      harness, load_mesh, meshing, refine_uniform, save_mesh,
+                      solve)
 from neckflow.errors import MeshError
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
@@ -162,6 +163,47 @@ def test_smaller_separations_stay_valid():
         assert m.grading_report.neck_layers >= 6
 
 
+@pytest.fixture(scope="module")
+def canonical_meshes():
+    """The canonical sweep's five meshes, built on one shared far field."""
+    spec = acceptance.canonical_spec()
+    g = spec.geometry
+    far = meshing.FarField(g, spec.target_h, spec.neck_layers, spec.seed)
+    return {eps: generate(g.with_eps(eps), spec.target_h, spec.neck_layers,
+                          spec.seed, far=far) for eps in spec.eps_list}
+
+
+class TestTwoRowNeck:
+    """At NECK_LAYERS = 2 every centre strip column has one vertex on INC1,
+    one on the seam x_n = 0 and one on INC2, so the odd-reduced solve,
+    which fixes the seam and gives both inclusions one scalar, gains no
+    unknowns from the neck."""
+
+    def test_centre_neck_vertices_lie_on_the_seam(self, canonical_meshes):
+        for eps, m in canonical_meshes.items():
+            g = m.geometry
+            x, y = m.vertices.T
+            near = (m.vertex_tag == 0) & (np.abs(x) <= 0.5)
+            inside = (y[near] < g.upper_wall(x[near])) & \
+                (y[near] > g.lower_wall(x[near]))
+            assert inside.sum() > 50, eps
+            assert np.all(y[near][inside] == 0.0), eps
+
+    def test_odd_dofs_do_not_grow_as_eps_shrinks(self, canonical_meshes):
+        conds = [Condenser(m, m.geometry, odd=True) for m in
+                 (canonical_meshes[1e-2], canonical_meshes[1e-4])]
+        assert all(c.mirror is not None for c in conds)
+        assert abs(conds[0].n_dofs - conds[1].n_dofs) <= 2
+
+    def test_meshes_have_a_mirror_and_pass_the_angle_gate(
+            self, canonical_meshes):
+        # a sweep only warns below 20 degrees; the canonical meshes meet it
+        for m in canonical_meshes.values():
+            check_mirror(m)
+            check_mesh(m, min_angle=20.0)
+            assert m.grading_report.neck_layers == meshing.NECK_LAYERS
+
+
 @pytest.mark.parametrize("target_h,layers", [
     (0.1, 5), (0.1, 7), (0.07, 6), (0.05, 8), (0.1, 10)])
 def test_every_setting_meshes_with_a_mirror(target_h, layers):
@@ -250,10 +292,18 @@ def test_strip_vertex_cap_counts_the_rows_built(monkeypatch):
 @pytest.mark.parametrize("geom", [build_annulus(1.0, 2.0),
                                   build_symmetric_disc_example(eps=1e-2)],
                          ids=["annulus", "disc"])
-@pytest.mark.parametrize("target_h", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("target_h", [0.0, -1.0, math.nan, math.inf])
 def test_nonpositive_target_h_raises(geom, target_h):
     with pytest.raises(MeshError, match="target_h"):
         generate(geom, target_h)
+
+
+@pytest.mark.parametrize("target_h", [0.0, -0.1, math.nan, math.inf])
+def test_far_field_refuses_target_h(target_h):
+    # its wall grading steps by target_h and would never end at 0; only
+    # the refusal is tested, the grading is never run
+    with pytest.raises(MeshError, match="target_h"):
+        meshing.FarField(build_symmetric_disc_example(eps=1e-2), target_h)
 
 
 def test_touching_domain_never_meshed():
