@@ -97,9 +97,9 @@ def _criterion(index, name):
     return wrap
 
 
-def canonical_spec(out_dir=None, workers=1, seed=0):
+def canonical_spec(out_dir=None, seed=0):
     return SweepSpec(geometry=build_symmetric_disc_example(scale=1.0),
-                     out_dir=out_dir, workers=workers, seed=seed,
+                     out_dir=out_dir, seed=seed,
                      cache_dir=out_dir and os.path.join(out_dir, "mesh_cache"))
 
 
@@ -316,13 +316,12 @@ def criterion_properties(report, geom, spec):
                   ".1e")]
 
 
-def run_acceptance(out_dir, workers=1, seed=0):
+def run_acceptance(out_dir, seed=0):
     """Run the full acceptance matrix; returns the list of CriterionResult.
     A criterion that raises one of CRITERION_ERRORS fails on its own; the
     others are still run and written."""
     os.makedirs(out_dir, exist_ok=True)
-    spec = canonical_spec(out_dir=os.path.join(out_dir, "sweep"),
-                          workers=workers, seed=seed)
+    spec = canonical_spec(out_dir=os.path.join(out_dir, "sweep"), seed=seed)
     report = run_sweep(spec)
     geom = spec.geometry
     results = [

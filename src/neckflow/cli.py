@@ -1,18 +1,19 @@
 """Command-line entry points.
 
-  neckflow solve  --config geom.cfg --p 2 --eps 1e-3 [--out DIR] [--seed N]
-  neckflow sweep  --config geom.cfg [--p 1.3,2,3] [--eps 1e-2,...] --out DIR
-                  [--seed N] [--workers N]
+  neckflow solve  [--config geom.cfg] [--p 2] [--eps 1e-3] [--out DIR]
+                  [--seed N] [--target-h H] [--layers L]
+  neckflow sweep  [--config geom.cfg] [--p 1.3,2,3] [--eps 1e-2,...]
+                  [--out DIR] [--seed N] [--target-h H] [--layers L]
   neckflow oracle [--out DIR]       neck-integral self check, no PDE
-  neckflow accept [--out DIR] [--seed N] [--workers N]
+  neckflow accept [--out DIR] [--seed N]
                                     full acceptance matrix; exit 0 iff green
 
-`solve` is a sweep of one p and one eps: it builds the same SweepSpec and
-runs the same harness.run_separation.  `solve` and `sweep` take the mesh
-cache directory (SweepSpec.cache_dir) from NECKFLOW_CACHE when set; nothing
-below the command line reads the environment.  Bad input (a NeckflowError,
-or a failed `solve` case) prints one `neckflow: error: ...` line and exits
-with 2.
+`solve` is a sweep of one p and one eps: both build their SweepSpec with
+`_spec`, and `solve` runs the sweep's harness.run_separation.  `_spec` takes
+the mesh cache directory (SweepSpec.cache_dir) from NECKFLOW_CACHE when set;
+nothing below the command line reads the environment.  Bad input (a
+NeckflowError, or a failed `solve` case) prints one `neckflow: error: ...`
+line and exits with 2.
 """
 
 import argparse
@@ -37,19 +38,24 @@ def _geometry(args):
     return build_symmetric_disc_example(scale=1.0)
 
 
+def _spec(args, p_list, eps_list):
+    """The SweepSpec of a `solve` or `sweep` command line."""
+    return SweepSpec(geometry=_geometry(args), p_list=p_list,
+                     eps_list=eps_list, target_h=args.target_h,
+                     neck_layers=args.layers, out_dir=args.out,
+                     seed=args.seed,
+                     cache_dir=os.environ.get("NECKFLOW_CACHE"))
+
+
 def cmd_solve(args):
     p_list, eps_list = args.p or (2.0,), args.eps or (1e-3,)
     if len(p_list) > 1 or len(eps_list) > 1:
         raise NeckflowError(f"solve takes one --p and one --eps value, got "
                             f"{len(p_list)} and {len(eps_list)} (sweep takes "
                             f"lists)")
-    spec = SweepSpec(geometry=_geometry(args), p_list=p_list,
-                     eps_list=eps_list, target_h=args.target_h,
-                     neck_layers=args.layers, out_dir=args.out,
-                     seed=args.seed,
-                     cache_dir=os.environ.get("NECKFLOW_CACHE"))
+    spec = _spec(args, p_list, eps_list)
     spec.validate()
-    rows, failures = run_separation(spec.geometry, spec, eps_list[0])
+    rows, failures = run_separation(spec, eps_list[0])
     if failures:
         raise NeckflowError(failures[0]["error"])
     row, = rows
@@ -61,17 +67,8 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    geom = _geometry(args)
-    kwargs = {}
-    if args.p:
-        kwargs["p_list"] = args.p
-    if args.eps:
-        kwargs["eps_list"] = args.eps
-    spec = SweepSpec(geometry=geom, out_dir=args.out, workers=args.workers,
-                     seed=args.seed, target_h=args.target_h,
-                     neck_layers=args.layers,
-                     cache_dir=os.environ.get("NECKFLOW_CACHE"), **kwargs)
-    report = run_sweep(spec)
+    report = run_sweep(_spec(args, args.p or SweepSpec.p_list,
+                             args.eps or SweepSpec.eps_list))
     for p, fit in sorted(report.fits.items()):
         sf = fit["slope_fit"]
         slope = "insufficient points" if sf["status"] != "ok" \
@@ -102,7 +99,7 @@ def cmd_oracle(args):
 
 def cmd_accept(args):
     results = acceptance.run_acceptance(args.out or "acceptance_out",
-                                        workers=args.workers, seed=args.seed)
+                                        seed=args.seed)
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 1
@@ -121,8 +118,6 @@ def main(argv=None):
         sp.add_argument("--out", default=None)
         if name != "oracle":
             sp.add_argument("--seed", type=int, default=0)
-        if name in ("sweep", "accept"):
-            sp.add_argument("--workers", type=int, default=1)
         if name in ("solve", "sweep"):
             sp.add_argument("--config", default=None)
             sp.add_argument("--p", type=lambda s: _parse_list(s), default=None)

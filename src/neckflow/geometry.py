@@ -7,7 +7,8 @@ when the separation is zero, and near the origin their boundaries are graphs
 x_n = +/- eps/2 + h_i(x') over the transverse coordinate x'.  Everything a
 mesh generator or post-processor needs (gap widths, curve projection,
 boundary data) lives here.  All objects are immutable after construction and
-picklable, so they can be shared across worker processes.
+picklable: the mesh cache keys a mesh by its pickled geometry
+(harness._mesh_key).
 """
 
 import math

@@ -14,30 +14,29 @@ Outputs in the chosen directory:
 
 A sweep reads nothing but its SweepSpec (no environment variable, no
 process-wide setting) and returns everything in its SweepReport, whose
-`spec` is the SweepSpec that ran.  Each separation is meshed once and
-solved for every exponent (run_separation, which `neckflow solve` calls
-too).  With SweepSpec.workers = K > 1 the separations run in K worker
-processes, each meshing its own eps; no disk cache is forced.
+`spec` is the SweepSpec that ran.  The separations run one after another
+in the calling process; each is meshed once and solved for every exponent
+(run_separation, which `neckflow solve` calls too).
 
 Mesh reuse: set SweepSpec.cache_dir to a directory and meshes are stored
 there as `mesh_<key>.npz` (meshing.save_mesh), keyed by meshing.mesh_content
 at the separation and the mesher version.  The separations share one
-meshing.FarField, relaxed once before dispatch when any of them misses the
-cache, so workers get it relaxed and a fully cached sweep relaxes nothing.
+meshing.FarField, relaxed inside `generate` by the first separation that
+misses the cache, so a fully cached sweep relaxes nothing.  A relaxation
+that fails is tried again, and recorded, by each separation it stops.
 Nothing is kept between sweeps, and a mesh is the same as generate's without
 a shared far field.
 """
 
-import functools
 import hashlib
 import io
 import json
 import logging
 import math
+import numbers
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +74,6 @@ class SweepSpec:
     target_h: float = 0.1
     neck_layers: int = meshing.NECK_LAYERS
     out_dir: str = None
-    workers: int = 1
     seed: int = 0
     cache_dir: str = None
 
@@ -85,8 +83,9 @@ class SweepSpec:
     def validate(self):
         """Refuse a spec that cannot run, before anything is meshed: the
         geometry must be a two-inclusion Geometry (a config file is loaded
-        into one first) that is valid at every separation, every separation
-        and target_h must be finite and positive, and out_dir must be
+        into one first) that is valid at every separation, every exponent
+        must be finite and above 1, every separation and target_h finite
+        and positive, neck_layers an integer of at least 1, and out_dir
         writable."""
         geom = self.geometry
         if not isinstance(geom, Geometry):
@@ -95,8 +94,10 @@ class SweepSpec:
                                 f"file into one first)")
         if geom.kind != "two_inclusion":
             raise NeckflowError("sweeps require a two-inclusion geometry")
-        if any(p <= 1 for p in self.p_list):
-            raise NeckflowError("all exponents must exceed 1")
+        bad = [p for p in self.p_list if not (math.isfinite(p) and p > 1)]
+        if bad:
+            raise NeckflowError(f"p={bad[0]:g}: all exponents must exceed 1 "
+                                f"and be finite")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise NeckflowError("eps_list must be strictly decreasing")
         bad = [e for e in self.eps_list if not (math.isfinite(e) and e > 0)]
@@ -104,9 +105,11 @@ class SweepSpec:
             raise NeckflowError(f"eps={bad[0]:g}: two-inclusion domains are "
                                 f"meshed only for eps > 0 and finite")
         meshing.check_target_h(self.target_h)
+        if not (isinstance(self.neck_layers, numbers.Integral)
+                and self.neck_layers >= 1):
+            raise NeckflowError(f"neck_layers must be an integer of at least "
+                                f"1, not {self.neck_layers!r}")
         geom.validate(eps_values=self.eps_list)
-        if self.workers < 1:
-            raise NeckflowError("workers must be at least 1")
         if self.out_dir is not None:
             os.makedirs(self.out_dir, exist_ok=True)
             probe = os.path.join(self.out_dir, ".write_probe")
@@ -159,12 +162,6 @@ def _mesh_key(geom, spec, eps):
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
-def _cache_path(geom, spec, eps):
-    """The mesh-cache file of one separation, or None without a cache."""
-    return spec.cache_dir and os.path.join(
-        spec.cache_dir, f"mesh_{_mesh_key(geom, spec, eps)}.npz")
-
-
 def case_mesh(geom, spec, eps, far=None):
     """The mesh of one separation, read from the mesh cache when it holds
     one, else generated with the far field `far` (a meshing.FarField of
@@ -174,7 +171,8 @@ def case_mesh(geom, spec, eps, far=None):
     generator's, as for a mesh made here.  A corrupt file raises
     MeshError."""
     g = geom.with_eps(eps)
-    path = _cache_path(geom, spec, eps)
+    path = spec.cache_dir and os.path.join(
+        spec.cache_dir, f"mesh_{_mesh_key(geom, spec, eps)}.npz")
     if path and os.path.exists(path):
         mesh = load_mesh(path, geometry=g)
         try:
@@ -197,13 +195,13 @@ def case_mesh(geom, spec, eps, far=None):
 # single case
 # ---------------------------------------------------------------------------
 
-def run_case(geom, p, eps, spec, mesh, cond):
-    """Solve one (p, eps) case on the separation's mesh and Condenser (see
-    run_separation) and collect the row dictionary; the row records the
-    reduced system's size (`n_dofs`) and whether it was odd-reduced
-    (`odd_reduced`)."""
+def run_case(p, eps, spec, mesh, cond):
+    """Solve one (p, eps) case on the separation's mesh (which carries the
+    geometry at eps) and Condenser, see run_separation, and collect the row
+    dictionary; the row records the reduced system's size (`n_dofs`) and
+    whether it was odd-reduced (`odd_reduced`)."""
     t0 = time.time()
-    sol = solve(mesh, geom.with_eps(eps), SolveConfig(p=p), cond)
+    sol = solve(mesh, mesh.geometry, SolveConfig(p=p), cond)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
     row = {
@@ -261,23 +259,23 @@ def _persist_solution(sol, row, out_dir):
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def run_separation(geom, spec, eps, far=None):
-    """Mesh one separation (case_mesh with the far field `far`) and build
-    its Condenser (odd=True) once, and solve it for every exponent; returns
-    (rows, failures).  A NeckflowError from the mesh or a solve becomes a
-    failure entry for the (p, eps) cases it stops."""
+def run_separation(spec, eps, far=None):
+    """Mesh one separation of spec.geometry (case_mesh with the far field
+    `far`) and build its Condenser (odd=True) once, and solve it for every
+    exponent; returns (rows, failures).  A NeckflowError from the mesh or a
+    solve becomes a failure entry for the (p, eps) cases it stops."""
     def failure(p, exc):
         return {"p": p, "eps": eps, "error": f"{type(exc).__name__}: {exc}"}
 
     try:
-        mesh, g = case_mesh(geom, spec, eps, far), geom.with_eps(eps)
-        cond = Condenser(mesh, g, odd=True)
+        mesh = case_mesh(spec.geometry, spec, eps, far)
+        cond = Condenser(mesh, mesh.geometry, odd=True)
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list]
     rows, failures = [], []
     for p in spec.p_list:
         try:
-            rows.append(run_case(geom, p, eps, spec, mesh, cond))
+            rows.append(run_case(p, eps, spec, mesh, cond))
         except NeckflowError as exc:
             failures.append(failure(p, exc))
     return rows, failures
@@ -394,18 +392,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     t0 = time.time()
     geom = spec.geometry
     far = meshing.FarField(geom, spec.target_h, spec.neck_layers, spec.seed)
-    try:
-        paths = [_cache_path(geom, spec, eps) for eps in spec.eps_list]
-        if not all(path and os.path.exists(path) for path in paths):
-            far.relax()
-    except NeckflowError:
-        pass    # each separation it stops records the error itself
-    task = functools.partial(run_separation, geom, spec, far=far)
-    if spec.workers == 1:
-        results = list(map(task, spec.eps_list))
-    else:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(task, spec.eps_list))
+    results = [run_separation(spec, eps, far) for eps in spec.eps_list]
     rows = [r for case_rows, _ in results for r in case_rows]
     failures = [f for _, case_failures in results for f in case_failures]
     rows.sort(key=lambda r: (r["p"], -r["eps"]))

@@ -1053,9 +1053,13 @@ def _pocket_seeds(pool, walls, wall_sz, w, upper):
 
 def mesh_content(geom, target_h, neck_layers, seed):
     """What a mesh of geom depends on: the geometry at its eps without its
-    boundary data and name, and the settings (a FarField's key at eps = 0)."""
+    boundary data and name, and the settings (a FarField's key at eps = 0).
+    neck_layers enters as the fewest rows a strip column gets, since
+    _column_rows rounds every column up to an even count of at least 2:
+    layers 1 and 2 build the same mesh, and so do 3 and 4."""
+    layers = int(neck_layers)
     return (replace(geom, phi=None, name=""), float(target_h),
-            int(neck_layers), int(seed))
+            max(2, layers + layers % 2), int(seed))
 
 
 class FarField:

@@ -68,8 +68,8 @@ class SolveConfig:
     inclusion_values: dict = None   # {tag: value} pins an inclusion potential
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise ValueError("exponent p must exceed 1")
+        if not (math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError("exponent p must be finite and exceed 1")
 
 
 @dataclass

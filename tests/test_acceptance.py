@@ -20,7 +20,7 @@ from neckflow.acceptance import (FULL_SPACE_CASE, SENSES, Check,
 @pytest.fixture(scope="session")
 def acceptance(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("acceptance"))
-    results = run_acceptance(out, workers=1, seed=0)
+    results = run_acceptance(out, seed=0)
     return {r.index: r for r in results}, out
 
 

@@ -4,7 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,9 +44,18 @@ class TestSweepSpec:
             tiny_spec(p_list=(0.9,)).validate()
         with pytest.raises(NeckflowError):
             tiny_spec(eps_list=(1e-3, 1e-2)).validate()
-        with pytest.raises(NeckflowError):
-            tiny_spec(workers=0).validate()
         tiny_spec(str(tmp_path / "out")).validate()
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0])
+    def test_exponents_must_be_finite_and_above_one(self, p):
+        with pytest.raises(NeckflowError, match="must exceed 1 and be finite"):
+            tiny_spec(p_list=(2.0, p)).validate()
+
+    @pytest.mark.parametrize("layers", [0, -3, 2.5, 2.0])
+    def test_neck_layers_must_be_a_positive_integer(self, layers):
+        # 2.0 once reached the strip builder and raised a TypeError there
+        with pytest.raises(NeckflowError, match="neck_layers"):
+            tiny_spec(neck_layers=layers).validate()
 
     @pytest.mark.parametrize("eps_list", [(1e-2, 0.0), (1e-2, -1e-3),
                                           (math.nan,), (math.inf,)])
@@ -305,39 +314,39 @@ def test_mesher_version_is_part_of_the_cache_key(tmp_path, monkeypatch):
 
 
 def test_failure_isolation(tmp_path, monkeypatch):
-    # a vertex cap that only the small-separation mesh exceeds; the serial
-    # and the worker-process sweep isolate it the same way.  The workers see
-    # the patched cap because they are forked (the default start method on
-    # Linux up to Python 3.13)
+    # a vertex cap that only the small-separation mesh exceeds
     monkeypatch.setattr(meshing, "VERTEX_CAP", 4000)    # nv 2,655 and 5,067
-    for workers in (1, 2):
-        spec = tiny_spec(str(tmp_path / f"out{workers}"),
-                         eps_list=(1e-2, 1e-4), workers=workers)
-        report = run_sweep(spec)
-        assert len(report.rows) == 1
-        assert len(report.failures) == 1
-        assert report.failures[0]["eps"] == 1e-4
-        assert "MeshCapacityError" in report.failures[0]["error"]
-        assert not report.ok
-        assert spec.cache_dir is None
+    spec = tiny_spec(str(tmp_path / "out"), eps_list=(1e-2, 1e-4))
+    report = run_sweep(spec)
+    assert len(report.rows) == 1
+    assert len(report.failures) == 1
+    assert report.failures[0]["eps"] == 1e-4
+    assert "MeshCapacityError" in report.failures[0]["error"]
+    assert not report.ok
+    assert spec.cache_dir is None
 
 
-def test_workers_parallel_path(tmp_path):
-    outputs = {}
-    for workers in (1, 2):
-        out = tmp_path / f"out{workers}"
-        spec = tiny_spec(str(out), p_list=(2.0, 3.0), eps_list=(1e-2, 6e-3),
-                         workers=workers)
-        report = run_sweep(spec)
-        assert len(report.rows) == 4
-        assert report.ok
-        assert all(r["odd_reduced"] for r in report.rows)
-        rows = (out / "rows.csv").read_text().splitlines()
-        assert rows[0].startswith("# generated")
-        outputs[workers] = (rows[1:], (out / "probes.csv").read_bytes(),
-                            [(r["n_dofs"], r["odd_reduced"])
-                             for r in report.rows])
-    assert outputs[1] == outputs[2]
+def test_report_spec_lists_every_spec_field(tmp_path):
+    spec = tiny_spec(str(tmp_path / "out"))
+    run_sweep(spec)
+    written = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(written["spec"]) == {f.name for f in fields(SweepSpec)}
+    assert written["spec"]["geometry"] == spec.geometry.name
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (3, 4)])
+def test_neck_layers_that_build_one_mesh_share_its_key(pair):
+    # every strip column gets an even row count of at least 2
+    spec = tiny_spec()
+    geom = spec.resolved_geometry()
+    meshes = [meshing.generate(geom.with_eps(1e-2), spec.target_h, layers)
+              for layers in pair]
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        assert (getattr(meshes[0], name).tobytes()
+                == getattr(meshes[1], name).tobytes()), name
+    keys = {_mesh_key(geom, replace(spec, neck_layers=layers), 1e-2)
+            for layers in pair}
+    assert len(keys) == 1
 
 
 def _asymmetric_noses():
@@ -402,28 +411,51 @@ def test_a_sweep_relaxes_each_region_once(case, regions, tmp_path,
     assert len(os.listdir(cache)) == len(spec.eps_list)
 
 
-def test_a_parallel_sweep_relaxes_in_the_parent(tmp_path, monkeypatch):
-    # the forked workers see the wrapper too, and a relaxation there fails
-    # its separation; a cold sweep relaxes both asymmetric regions in the
-    # parent before dispatch, a warm one nothing
-    parent, calls = os.getpid(), []
-    relax = meshing._relax_region
+def test_a_failed_relaxation_fails_each_separation_it_stops(tmp_path,
+                                                            monkeypatch):
+    # no separation gets a far field, so each one tries the relaxation
+    # again and records the error for every exponent
+    calls = []
 
-    def parent_only(*args, **kwargs):
-        if os.getpid() != parent:
-            raise MeshError("a worker relaxed the far field")
+    def failing(*args, **kwargs):
         calls.append(1)
+        raise MeshError("relaxation failed")
+
+    monkeypatch.setattr(meshing, "_relax_region", failing)
+    spec = replace(_sharing_spec("disc", str(tmp_path / "out"),
+                                 str(tmp_path / "cache")), p_list=(2.0, 3.0))
+    report = run_sweep(spec)
+    assert not report.ok and not report.rows
+    assert [(f["p"], f["eps"]) for f in report.failures] == [
+        (p, eps) for p in spec.p_list for eps in spec.eps_list]
+    assert all(f["error"] == "MeshError: relaxation failed"
+               for f in report.failures)
+    assert len(calls) == len(spec.eps_list)
+
+
+@pytest.mark.parametrize("case", ["disc", "asymmetric"])
+def test_the_far_field_relaxes_inside_generate(case, tmp_path, monkeypatch):
+    # the relaxation is meshing work, timed in generate's span
+    inside, calls = [False], []
+    relax, gen = meshing._relax_region, meshing.generate
+
+    def relaxing(*args, **kwargs):
+        calls.append(inside[0])
         return relax(*args, **kwargs)
 
-    monkeypatch.setattr(meshing, "_relax_region", parent_only)
-    cache = str(tmp_path / "cache")
-    for out, relaxed in (("cold", 2), ("warm", 0)):
-        calls.clear()
-        spec = replace(_sharing_spec("asymmetric", str(tmp_path / out), cache),
-                       workers=2)
-        report = run_sweep(spec)
-        assert not report.failures, report.failures
-        assert len(calls) == relaxed, out
+    def generating(*args, **kwargs):
+        inside[0] = True
+        try:
+            return gen(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(meshing, "_relax_region", relaxing)
+    monkeypatch.setattr(meshing, "generate", generating)
+    monkeypatch.setattr(harness, "generate", generating)
+    spec = _sharing_spec(case, str(tmp_path / "out"), str(tmp_path / "cache"))
+    assert run_sweep(spec).ok
+    assert calls and all(calls)
 
 
 @pytest.mark.parametrize("case", ["odd", "odd_cubic", "asymmetric",
@@ -437,7 +469,7 @@ def test_only_odd_problems_are_odd_reduced(case):
             "even_term": replace(disc, phi=PolyPotential([(1.0, 0, 1),
                                                           (0.1, 0, 2)]))}[case]
     spec = tiny_spec(geometry=geom, target_h=0.2)
-    rows, failures = harness.run_separation(geom, spec, 1e-2)
+    rows, failures = harness.run_separation(spec, 1e-2)
     assert not failures and len(rows) == 1
     mesh = case_mesh(geom, spec, 1e-2)
     interior = int((mesh.vertex_tag == 0).sum())
@@ -539,7 +571,8 @@ class TestCLI:
         assert "oracle: ok" in out
 
     @pytest.mark.parametrize("argv", [["accept", "--config", "x"],
-                                      ["oracle", "--workers", "2"]])
+                                      ["sweep", "--workers", "2"],
+                                      ["accept", "--workers", "2"]])
     def test_options_a_subcommand_does_not_read_are_refused(self, argv):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
@@ -587,20 +620,24 @@ class TestCLI:
         assert err.count("\n") == 1 and "two-inclusion" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--eps", "1e-2,0"], "meshed only for eps > 0"),
-        (["--eps", "1e-2", "--target-h", "0"], "target_h"),
-        (["--eps", "1e-2", "--target-h", "-0.1"], "target_h"),
+        (["--p", "2", "--eps", "1e-2,0"], "meshed only for eps > 0"),
+        (["--p", "2", "--eps", "1e-2", "--target-h", "0"], "target_h"),
+        (["--p", "2", "--eps", "1e-2", "--target-h", "-0.1"], "target_h"),
+        (["--p", "nan", "--eps", "1e-2"], "exponents must exceed 1"),
+        (["--p", "2,inf", "--eps", "1e-2"], "exponents must exceed 1"),
+        (["--p", "2", "--eps", "1e-2", "--layers", "-3"], "neck_layers"),
     ])
     def test_bad_sweep_is_refused_before_meshing(self, argv, message,
                                                  monkeypatch, capsys):
-        # a target_h of 0 once spun in the far field's wall grading; a
-        # spec refused here never reaches it
+        # a target_h of 0 once spun in the far field's wall grading, and a
+        # NaN exponent ran the whole Levenberg loop; a spec refused here
+        # never reaches either
         def no_meshing(*args, **kwargs):
             raise AssertionError("meshed a spec that is refused")
 
         monkeypatch.setattr(harness, "generate", no_meshing)
         monkeypatch.setattr(meshing, "_grade_spacing", no_meshing)
-        assert cli_main(["sweep", "--p", "2", *argv]) == 2
+        assert cli_main(["sweep", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("neckflow: error: ") and err.count("\n") == 1
         assert message in err
@@ -636,7 +673,7 @@ class TestCLI:
                    acceptance.CriterionResult(
                        2, "b", [acceptance.Check("y", 3.0, "<", 2.0, ".1f")])]
         monkeypatch.setattr(acceptance, "run_acceptance",
-                            lambda out, workers, seed: results)
+                            lambda out, seed: results)
         assert cli_main(["accept", "--out", "unused"]) == 1
         assert capsys.readouterr().out.splitlines() == \
             ["[PASS]  1. a: x 1.000 <= 2.000",

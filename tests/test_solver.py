@@ -115,6 +115,11 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             SolveConfig(p=1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_exponent_must_be_finite(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            SolveConfig(p=p)
+
     def test_default_schedules(self):
         assert eta_schedule(2.5) == (0.0,)
         sched = eta_schedule(1.5)
