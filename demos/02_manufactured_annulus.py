@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from neckflow import (INC1, ConstantPotential, SolveConfig,
-                      annulus_circle_flux, build_annulus, generate,
-                      refine_uniform, solve)
+                      annulus_circle_flux, build_annulus, generate, solve)
 
 
 def exact(r, p):
@@ -43,12 +42,10 @@ print(f"  exact: {2*math.pi*c*c:.6f}")
 for rr in (1.2, 1.4, 1.6, 1.8):
     print(f"  r={rr}: {annulus_circle_flux(sol, mesh, rr):.6f}")
 
-print("\nEnergy convergence under uniform refinement (p=2, exact 2 pi/ln 2):")
+print("\nEnergy convergence as target_h halves (p=2, exact 2 pi/ln 2):")
 e_exact = 2 * math.pi / math.log(2.0)
-m = generate(geom, 0.2)
-for level in range(3):
+for h in (0.2, 0.1, 0.05):
+    m = generate(geom, h)
     sol = solve(m, geom, SolveConfig(p=2.0, inclusion_values={INC1: 0.0}))
-    print(f"  level {level}: {m.n_triangles:6d} triangles, "
+    print(f"  target_h {h:.2f}: {m.n_triangles:6d} triangles, "
           f"energy error {abs(sol.energy - e_exact):.3e}")
-    if level < 2:
-        m = refine_uniform(m)

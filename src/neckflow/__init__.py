@@ -14,14 +14,12 @@ from .geometry import (
     gap_width, load_geometry_config, model_gap_width,
 )
 from .meshing import (TriMesh, check_mesh, generate, generate_neck_strip,
-                      load_mesh, refine_uniform, save_mesh)
+                      load_mesh, save_mesh)
 from .solver import (SolveConfig, Solution, assemble_energy, solve,
                      uniqueness_probe)
-from .analysis import (GradientProbe, annulus_circle_flux,
-                       boundary_outward_fluxes, cross_section_flux,
-                       cutoff_volume_flux, decay_fit, gradient_probe,
-                       holder_quotient_scan, holder_scan,
-                       kkt_condensed_flux, max_gradient, write_probe_csv)
+from .analysis import (GradientProbe, annulus_circle_flux, cross_section_flux,
+                       decay_fit, gradient_probe, holder_quotient_scan,
+                       holder_scan, max_gradient, write_probe_csv)
 from .asymptotics import (CRITICAL, SUB, SUPER, AsymptoticPrediction, Regime,
                           blowup_scale, extrapolate_flux,
                           extrapolated_window_rows, fit_ugap_limit,

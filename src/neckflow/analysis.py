@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, GeometryError
-from .geometry import INC2, NeckPoint, TAG_NAMES, gap_width, model_gap_width
+from .geometry import INC2, NeckPoint, gap_width, model_gap_width
 from .solver import dual_flux
 
 MAX_TIE_RTOL = 1e-9
@@ -31,36 +31,6 @@ class GradientProbe:
 # ---------------------------------------------------------------------------
 # fluxes
 # ---------------------------------------------------------------------------
-
-def kkt_condensed_flux(sol, mesh, tag):
-    """Current out of the tagged inclusion, read off the condensed-DOF
-    stationarity residual (zero at convergence for floating inclusions)."""
-    return dual_flux(sol.grad_full, sol.p, mesh.vertex_tag == tag)
-
-
-def cutoff_volume_flux(sol, mesh, tag, band=None):
-    """Current out of the tagged component via the volume form
-    -int |grad u|^(p-2) grad u . grad chi over an explicit cutoff layer,
-    evaluated in its exact dual form -(1/p) sum_i chi_i dE/du_i."""
-    pts = mesh.vertices
-    bverts = np.flatnonzero(mesh.vertex_tag == tag)
-    if band is None:
-        band = 6.0 * mesh.grading_report.h_max
-    from scipy.spatial import cKDTree
-    tree = cKDTree(pts[bverts])
-    d, _ = tree.query(pts)
-    chi = np.clip(1.0 - d / band, 0.0, 1.0)
-    chi[mesh.vertex_tag == tag] = 1.0
-    chi[(mesh.vertex_tag != tag) & (mesh.vertex_tag != 0)] = 0.0
-    return dual_flux(sol.grad_full, sol.p, chi)
-
-
-def boundary_outward_fluxes(sol, mesh):
-    """Current out of the domain through each boundary component; the values
-    sum to zero up to the assembly residual."""
-    return {TAG_NAMES[int(tag)]: -kkt_condensed_flux(sol, mesh, tag)
-            for tag in np.unique(mesh.boundary_tags)}
-
 
 def cross_section_flux(sol, mesh, r):
     """Current flowing upward through the lower neck boundary restricted to

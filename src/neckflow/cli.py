@@ -38,24 +38,23 @@ def _geometry(args):
     return build_symmetric_disc_example(scale=1.0)
 
 
-def _spec(args, p_list, eps_list):
+def _spec(args):
     """The SweepSpec of a `solve` or `sweep` command line."""
-    return SweepSpec(geometry=_geometry(args), p_list=p_list,
-                     eps_list=eps_list, target_h=args.target_h,
+    return SweepSpec(geometry=_geometry(args), p_list=args.p,
+                     eps_list=args.eps, target_h=args.target_h,
                      neck_layers=args.layers, out_dir=args.out,
                      seed=args.seed,
                      cache_dir=os.environ.get("NECKFLOW_CACHE"))
 
 
 def cmd_solve(args):
-    p_list, eps_list = args.p or (2.0,), args.eps or (1e-3,)
-    if len(p_list) > 1 or len(eps_list) > 1:
+    if len(args.p) > 1 or len(args.eps) > 1:
         raise NeckflowError(f"solve takes one --p and one --eps value, got "
-                            f"{len(p_list)} and {len(eps_list)} (sweep takes "
+                            f"{len(args.p)} and {len(args.eps)} (sweep takes "
                             f"lists)")
-    spec = _spec(args, p_list, eps_list)
+    spec = _spec(args)
     spec.validate()
-    rows, failures = run_separation(spec, eps_list[0])
+    rows, failures = run_separation(spec, args.eps[0])
     if failures:
         raise NeckflowError(failures[0]["error"])
     row, = rows
@@ -67,8 +66,7 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    report = run_sweep(_spec(args, args.p or SweepSpec.p_list,
-                             args.eps or SweepSpec.eps_list))
+    report = run_sweep(_spec(args))
     for p, fit in sorted(report.fits.items()):
         sf = fit["slope_fit"]
         slope = "insufficient points" if sf["status"] != "ok" \
@@ -120,8 +118,11 @@ def main(argv=None):
             sp.add_argument("--seed", type=int, default=0)
         if name in ("solve", "sweep"):
             sp.add_argument("--config", default=None)
-            sp.add_argument("--p", type=lambda s: _parse_list(s), default=None)
-            sp.add_argument("--eps", type=lambda s: _parse_list(s), default=None)
+            # an empty list ("--p ,") is passed on for validate to refuse
+            p_list, eps_list = (((2.0,), (1e-3,)) if name == "solve" else
+                                (SweepSpec.p_list, SweepSpec.eps_list))
+            sp.add_argument("--p", type=_parse_list, default=p_list)
+            sp.add_argument("--eps", type=_parse_list, default=eps_list)
             sp.add_argument("--target-h", dest="target_h", type=float,
                             default=SweepSpec.target_h)
             sp.add_argument("--layers", type=int,

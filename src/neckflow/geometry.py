@@ -20,7 +20,6 @@ from .errors import GeometryError
 
 # boundary component tags used throughout the package
 OUTER, INC1, INC2 = 1, 2, 3
-TAG_NAMES = {OUTER: "OUTER", INC1: "INC1", INC2: "INC2"}
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +408,6 @@ class Geometry:
             return None
         return self.inclusion2.translated(-self.eps / 2.0)
 
-    def curve_for_tag(self, tag):
-        if tag == OUTER:
-            return self.outer
-        if tag == INC1:
-            return self.inclusion1_eps
-        if tag == INC2:
-            return self.inclusion2_eps
-        raise GeometryError(f"unknown boundary tag {tag}")
-
     def upper_wall(self, xprime):
         """x_n of the upper neck boundary: eps/2 + h1(x')."""
         return self.eps / 2.0 + self.gap.h1(xprime)
@@ -659,12 +649,13 @@ def parse_config(path):
 def load_geometry_config(path):
     """Build a Geometry from a key-value config file.
 
-    Recognized keys: shape = disc|parabola|table|annulus, eps and scale
-    (not annulus), phi = linear_xn|custom_poly|const, phi_poly (triples
-    coef:i:j; custom_poly), phi_value (const), table (path to two-column
-    profile; table), parabola_a (parabola), r_inner/r_outer (annulus).
-    A key that is unknown, or that the chosen shape and phi do not read,
-    raises GeometryError.
+    Recognized keys: shape = disc|parabola|table, scale, phi =
+    linear_xn|custom_poly|const, phi_poly (triples coef:i:j; custom_poly),
+    phi_value (const), table (path to two-column profile; table) and
+    parabola_a (parabola).  The geometry is built at eps = 0: separations
+    come from the sweep, not from the file.  A key that is unknown (eps
+    included), or that the chosen shape and phi do not read, raises
+    GeometryError.
     """
     import os
 
@@ -696,26 +687,22 @@ def load_geometry_config(path):
     else:
         raise GeometryError(f"unknown phi kind {phi_kind!r}")
 
-    if shape == "annulus":
-        geom = build_annulus(value("r_inner", "1"), value("r_outer", "2"),
-                             phi=phi)
-    elif shape in ("disc", "parabola", "table"):
-        eps, scale = value("eps", "0.01"), value("scale", "1")
-        if shape == "disc":
-            geom = build_symmetric_disc_example(scale=scale, eps=eps, phi=phi)
-        elif shape == "parabola":
-            geom = build_parabola_example(a=value("parabola_a", "0.25"),
-                                          eps=eps, scale=scale, phi=phi)
-        else:
-            table = get("table")
-            if table is None:
-                raise GeometryError("shape=table requires a 'table' path")
-            if not os.path.isabs(table):
-                table = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                     table)
-            geom = build_table_example(table, eps=eps, scale=scale, phi=phi)
-    else:
+    if shape not in ("disc", "parabola", "table"):
         raise GeometryError(f"unknown shape {shape!r}")
+    scale = value("scale", "1")
+    if shape == "disc":
+        geom = build_symmetric_disc_example(scale=scale, phi=phi)
+    elif shape == "parabola":
+        geom = build_parabola_example(a=value("parabola_a", "0.25"),
+                                      scale=scale, phi=phi)
+    else:
+        table = get("table")
+        if table is None:
+            raise GeometryError("shape=table requires a 'table' path")
+        if not os.path.isabs(table):
+            table = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                 table)
+        geom = build_table_example(table, scale=scale, phi=phi)
     for key in cfg:
         if key not in read:
             raise GeometryError(f"{path}: key {key!r} is unknown or not read "

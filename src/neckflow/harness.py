@@ -83,10 +83,10 @@ class SweepSpec:
     def validate(self):
         """Refuse a spec that cannot run, before anything is meshed: the
         geometry must be a two-inclusion Geometry (a config file is loaded
-        into one first) that is valid at every separation, every exponent
-        must be finite and above 1, every separation and target_h finite
-        and positive, neck_layers an integer of at least 1, and out_dir
-        writable."""
+        into one first) that is valid at every separation, p_list and
+        eps_list must not be empty, every exponent must be finite and above
+        1, every separation and target_h finite and positive, neck_layers
+        an integer of at least 1, and out_dir writable."""
         geom = self.geometry
         if not isinstance(geom, Geometry):
             raise NeckflowError(f"SweepSpec.geometry must be a Geometry, "
@@ -94,6 +94,8 @@ class SweepSpec:
                                 f"file into one first)")
         if geom.kind != "two_inclusion":
             raise NeckflowError("sweeps require a two-inclusion geometry")
+        if not (self.p_list and self.eps_list):
+            raise NeckflowError("p_list and eps_list must not be empty")
         bad = [p for p in self.p_list if not (math.isfinite(p) and p > 1)]
         if bad:
             raise NeckflowError(f"p={bad[0]:g}: all exponents must exceed 1 "

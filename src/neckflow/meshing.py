@@ -75,8 +75,9 @@ class TriMesh:
     vertices: (nv, 2) float; triangles: (nt, 3) int, counterclockwise;
     boundary_edges: (nbe, 2) int; boundary_tags: (nbe,) int in
     {OUTER, INC1, INC2}.  `vertex_tag` is 0 for interior vertices and the
-    component tag for boundary vertices (used for curve projection after
-    refinement).  `areas` are the (positive) triangle areas.
+    component tag for boundary vertices (the inclusion masks of the
+    condensation and the fluxes).  `areas` are the (positive) triangle
+    areas.
 
     `mirror` is None or the (nv,) vertex map of the reflection x_n -> -x_n
     under which the mesh is invariant: vertices[mirror] == vertices * (1, -1)
@@ -1254,53 +1255,6 @@ def generate_neck_strip(geom, target_h, neck_layers=NECK_LAYERS):
     edges, tags = strip.boundary(walls_tag=OUTER)
     return TriMesh(strip.vertices, strip.triangles, edges, tags, geometry=geom,
                    neck_layers=strip.neck_layers)
-
-
-# ---------------------------------------------------------------------------
-# refinement
-# ---------------------------------------------------------------------------
-
-def refine_uniform(mesh):
-    """Split every triangle into four; new boundary vertices are projected
-    back onto the analytic boundary curves when a geometry is attached."""
-    pts = mesh.vertices
-    tris = mesh.triangles
-    n = len(pts)
-    keys, inv = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), n).ravel(),
-                          return_inverse=True)
-    lo, hi = np.divmod(keys, n)
-    mid = 0.5 * (pts[lo] + pts[hi])
-    mid_idx = n + np.arange(len(keys))
-
-    # which unique edges are boundary edges, and their tags
-    be = mesh.boundary_edges
-    uniq_of_bedge = np.searchsorted(keys, _edge_keys(be[:, 0], be[:, 1], n))
-
-    mid_tag = np.zeros(len(keys), dtype=np.int64)
-    mid_tag[uniq_of_bedge] = mesh.boundary_tags
-    if mesh.geometry is not None:
-        for tag in (OUTER, INC1, INC2):
-            sel = mid_tag == tag
-            if np.any(sel):
-                curve = mesh.geometry.curve_for_tag(tag)
-                if curve is not None:
-                    mid[sel] = curve.project(mid[sel])
-
-    new_pts = np.vstack([pts, mid])
-    e01, e12, e20 = mid_idx[inv.reshape(-1, 3)].T
-    new_tris = np.concatenate([
-        np.column_stack([tris[:, 0], e01, e20]),
-        np.column_stack([tris[:, 1], e12, e01]),
-        np.column_stack([tris[:, 2], e20, e12]),
-        np.column_stack([e01, e12, e20]),
-    ])
-    # each boundary edge (a, b) becomes (a, m), (m, b)
-    m = mid_idx[uniq_of_bedge]
-    new_bedges = np.column_stack([be[:, 0], m, m, be[:, 1]]).reshape(-1, 2)
-    return TriMesh(new_pts, new_tris, new_bedges,
-                   np.repeat(mesh.boundary_tags, 2), geometry=mesh.geometry,
-                   neck_layers=2 * mesh.grading_report.neck_layers
-                   if mesh.grading_report.neck_layers else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -147,15 +147,14 @@ def test_annulus_geometry():
 class TestConfigLoading:
     def test_disc_config(self, tmp_path):
         cfg = tmp_path / "geom.cfg"
-        cfg.write_text("shape = disc\neps = 0.003\nscale = 1\n"
+        cfg.write_text("shape = disc\nscale = 1\n"
                        "phi = linear_xn\n# comment\n")
         g = load_geometry_config(str(cfg))
-        assert g.eps == 0.003
-        assert g.kind == "two_inclusion"
+        assert (g.name, g.kind, g.eps) == ("disc_scale1", "two_inclusion", 0.0)
 
     def test_poly_phi_config(self, tmp_path):
         cfg = tmp_path / "geom.cfg"
-        cfg.write_text("shape = parabola\neps = 0.01\nphi = custom_poly\n"
+        cfg.write_text("shape = parabola\nphi = custom_poly\n"
                        "phi_poly = 1:0:1 0.5:2:0\n")
         g = load_geometry_config(str(cfg))
         val = g.phi(np.array([[1.0, 2.0]]))
@@ -165,15 +164,17 @@ class TestConfigLoading:
         x = np.linspace(-1.3, 1.3, 80)
         np.savetxt(tmp_path / "prof.dat", np.column_stack([x, 0.3 * x * x]))
         cfg = tmp_path / "geom.cfg"
-        cfg.write_text("shape = table\ntable = prof.dat\neps = 0.002\n")
+        cfg.write_text("shape = table\ntable = prof.dat\n")
         g = load_geometry_config(str(cfg))
-        assert gap_width(g, 0.0) == pytest.approx(0.002)
+        assert gap_width(g.with_eps(0.002), 0.0) == pytest.approx(0.002)
 
     def test_annulus_config(self, tmp_path):
+        # no command runs an annulus, so a config file cannot load one
         cfg = tmp_path / "geom.cfg"
         cfg.write_text("shape = annulus\nr_inner = 1\nr_outer = 2\n"
                        "phi = const\nphi_value = 1\n")
-        assert load_geometry_config(str(cfg)).kind == "annulus"
+        with pytest.raises(GeometryError, match="unknown shape 'annulus'"):
+            load_geometry_config(str(cfg))
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = tmp_path / "geom.cfg"
@@ -184,7 +185,7 @@ class TestConfigLoading:
         with pytest.raises(GeometryError):
             load_geometry_config(str(cfg))
         # malformed values and exponents the evaluator cannot represent
-        for text, key in (("eps = abc", "eps"),
+        for text, key in (("scale = abc", "scale"),
                           ("phi = custom_poly\nphi_poly = 1:0", "phi_poly"),
                           ("phi = custom_poly\nphi_poly = 1:0:-1", "phi_poly"),
                           ("phi = custom_poly\nphi_poly = 1:0.7:1",
@@ -192,11 +193,13 @@ class TestConfigLoading:
             cfg.write_text(text + "\n")
             with pytest.raises(GeometryError, match=f"geom.cfg: bad {key}"):
                 load_geometry_config(str(cfg))
-        # a typo, and keys the chosen shape or phi does not read
+        # a typo, keys the chosen shape or phi does not read, and a
+        # separation, which commands take from --eps only
         for text, key in (("esp = 0.001\nphi_value = 3", "esp"),
                           ("phi = linear_xn\nphi_value = 3", "phi_value"),
                           ("shape = disc\nparabola_a = 0.5", "parabola_a"),
-                          ("shape = annulus\neps = 0.001", "eps")):
+                          ("shape = parabola\nr_inner = 1", "r_inner"),
+                          ("shape = disc\neps = 0.5", "eps")):
             cfg.write_text(text + "\n")
             with pytest.raises(GeometryError,
                                match=f"geom.cfg: key '{key}' is unknown"):

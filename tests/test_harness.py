@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from neckflow import (ConstantPotential, MeshError, NeckflowError,
-                      PolyPotential, SweepSpec, acceptance,
+                      PolyPotential, SweepSpec, acceptance, build_annulus,
                       build_parabola_example, build_symmetric_disc_example,
                       build_table_example, harness, meshing, run_sweep)
 from neckflow import cli
 from neckflow.cli import main as cli_main
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
-                               ParabolaProfile, TableProfile, _c2_bound,
-                               load_geometry_config)
+                               ParabolaProfile, TableProfile, _c2_bound)
 from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
                               compare_prediction)
 
@@ -44,6 +43,10 @@ class TestSweepSpec:
             tiny_spec(p_list=(0.9,)).validate()
         with pytest.raises(NeckflowError):
             tiny_spec(eps_list=(1e-3, 1e-2)).validate()
+        # an empty list once meshed and returned ok with no rows or fits
+        for empty in ("p_list", "eps_list"):
+            with pytest.raises(NeckflowError, match="must not be empty"):
+                tiny_spec(**{empty: ()}).validate()
         tiny_spec(str(tmp_path / "out")).validate()
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0])
@@ -68,12 +71,11 @@ class TestSweepSpec:
         with pytest.raises(NeckflowError, match="target_h"):
             tiny_spec(target_h=target_h).validate()
 
-    def test_geometry_must_be_a_two_inclusion_geometry(self, tmp_path):
-        cfg = _annulus_config(tmp_path)
+    def test_geometry_must_be_a_two_inclusion_geometry(self):
         with pytest.raises(NeckflowError, match="must be a Geometry"):
-            tiny_spec(geometry=str(cfg)).validate()
+            tiny_spec(geometry="geom.cfg").validate()
         with pytest.raises(NeckflowError, match="two-inclusion"):
-            tiny_spec(geometry=load_geometry_config(cfg)).validate()
+            tiny_spec(geometry=build_annulus()).validate()
 
 
 class TestSingleCaseSweep:
@@ -584,7 +586,8 @@ class TestCLI:
         (["solve", "--eps", "0"], "meshed only for eps > 0"),
         (["solve", "--p", "1.3,2"], "takes one --p and one --eps value"),
         (["solve", "--eps", "1e-2,1e-3"], "takes one --p and one --eps value"),
-        (["solve", "--config", "{annulus}"], "two-inclusion"),
+        (["solve", "--config", "{annulus}"], "unknown shape"),
+        (["solve", "--p", ","], "must not be empty"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys,
                                          tmp_path):
@@ -617,7 +620,7 @@ class TestCLI:
         assert cli_main(["solve", "--config",
                          str(_annulus_config(tmp_path))]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "two-inclusion" in err
+        assert err.count("\n") == 1 and "unknown shape 'annulus'" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--p", "2", "--eps", "1e-2,0"], "meshed only for eps > 0"),
@@ -626,6 +629,8 @@ class TestCLI:
         (["--p", "nan", "--eps", "1e-2"], "exponents must exceed 1"),
         (["--p", "2,inf", "--eps", "1e-2"], "exponents must exceed 1"),
         (["--p", "2", "--eps", "1e-2", "--layers", "-3"], "neck_layers"),
+        (["--p", ",", "--eps", "1e-2"], "must not be empty"),
+        (["--p", "2", "--eps", ","], "must not be empty"),
     ])
     def test_bad_sweep_is_refused_before_meshing(self, argv, message,
                                                  monkeypatch, capsys):

@@ -17,7 +17,7 @@ from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
                       SweepSpec, acceptance, build_annulus,
                       build_parabola_example, build_symmetric_disc_example,
                       check_mesh, gap_width, generate, generate_neck_strip,
-                      harness, load_mesh, meshing, refine_uniform, save_mesh,
+                      harness, load_mesh, meshing, save_mesh,
                       solve)
 from neckflow.errors import MeshError
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
@@ -216,17 +216,6 @@ def test_every_setting_meshes_with_a_mirror(target_h, layers):
     assert m.grading_report.neck_layers == layers + layers % 2
 
 
-def _assert_odd_solve_matches_full(m, g, p):
-    full = solve(m, g, SolveConfig(p=p))
-    cond = Condenser(m, g, odd=True)
-    assert cond.mirror is m.mirror is not None
-    half = solve(m, g, SolveConfig(p=p), cond)
-    for a, b in ((half.ugap, full.ugap), (half.energy, full.energy)):
-        assert abs(a - b) <= 1e-12 * abs(b)
-    scale = np.abs(full.nodal_values).max()
-    assert np.abs(half.nodal_values - full.nodal_values).max() <= 1e-10 * scale
-
-
 def test_odd_solve_on_a_stitched_mesh_matches_full_solve():
     # 0.07/6 stitches the strip's walls to its inner columns
     g = build_symmetric_disc_example(scale=1.0, eps=1e-2)
@@ -234,7 +223,14 @@ def test_odd_solve_on_a_stitched_mesh_matches_full_solve():
     strip = _StripMesh(g, 0.07, 6, 0.9 * g.gap.chart)
     k = strip.top_idx - strip.bot_idx
     assert np.count_nonzero(k[:-1] != k[1:]) > 0
-    _assert_odd_solve_matches_full(m, g, 2.0)
+    full = solve(m, g, SolveConfig(p=2.0))
+    cond = Condenser(m, g, odd=True)
+    assert cond.mirror is m.mirror is not None
+    half = solve(m, g, SolveConfig(p=2.0), cond)
+    for a, b in ((half.ugap, full.ugap), (half.energy, full.energy)):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    scale = np.abs(full.nodal_values).max()
+    assert np.abs(half.nodal_values - full.nodal_values).max() <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("seed,target_h,eps", [
@@ -411,55 +407,16 @@ def test_check_mesh_sees_holes_and_overlaps(damage):
         check_mesh(bad)
 
 
-class TestRefine:
-    def test_counts_and_projection(self):
-        g = build_annulus(1.0, 2.0)
-        m = generate(g, 0.1)
-        r = refine_uniform(m)
-        assert r.n_triangles == 4 * m.n_triangles
-        # Euler bookkeeping: new vertex per unique edge
-        edges = np.vstack([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
-                           m.triangles[:, [2, 0]]])
-        n_edges = len(np.unique(np.sort(edges, axis=1), axis=0))
-        assert r.n_vertices == m.n_vertices + n_edges
-        inner = r.vertices[r.vertex_tag == INC1]
-        outer = r.vertices[r.vertex_tag == OUTER]
-        assert np.abs(np.linalg.norm(inner, axis=1) - 1.0).max() <= 1e-12
-        assert np.abs(np.linalg.norm(outer, axis=1) - 2.0).max() <= 1e-12
-
-    def test_min_angle_slack(self, disc_mesh):
-        _, m = disc_mesh
-        r = refine_uniform(m)
-        assert r.grading_report.min_angle_deg >= \
-            m.grading_report.min_angle_deg - 1.0
-
-    def test_boundary_edges_double(self, disc_mesh):
-        _, m = disc_mesh
-        r = refine_uniform(m)
-        assert len(r.boundary_edges) == 2 * len(m.boundary_edges)
-        assert r.boundary_loops_ok()
-
-    def test_refined_mesh_has_a_mirror(self, disc_mesh):
-        # midpoints of mirror-image edges, projected onto mirror-image
-        # curves, are mirror images bit for bit
-        g, m = disc_mesh
-        r = refine_uniform(m)
-        assert r.mirror is not None
-        check_mirror(r)
-        _assert_odd_solve_matches_full(r, g, 1.3)
-
-
 def test_energy_error_drops_3x_per_refinement():
     # manufactured radial state on the annulus: energy converges at second
-    # order, so each uniform refinement shrinks the energy error >= 3x
+    # order, so each halving of target_h shrinks the energy error >= 3x
     g = build_annulus(1.0, 2.0)
     e_exact = 2 * math.pi / math.log(2.0)
     errs = []
-    m = generate(g, 0.2)
-    for _ in range(3):
-        sol = solve(m, g, SolveConfig(p=2.0, inclusion_values={INC1: 0.0}))
+    for h in (0.2, 0.1, 0.05):
+        sol = solve(generate(g, h), g,
+                    SolveConfig(p=2.0, inclusion_values={INC1: 0.0}))
         errs.append(abs(sol.energy - e_exact))
-        m = refine_uniform(m)
     assert errs[0] / errs[1] >= 3.0
     assert errs[1] / errs[2] >= 3.0
 
