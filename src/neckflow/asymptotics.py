@@ -314,7 +314,11 @@ def fit_ugap_limit(rows, regime: Regime, hessian_gap):
 
 
 _FIT_GRID = 401          # grid points of the nonlinear parameter
-_FIT_GOLDEN_STEPS = 60   # golden-section steps inside the grid bracket
+# sub-grid rounds inside the grid bracket, each of _FIT_SUBGRID points and
+# narrowing the bracket to two of its spacings: (2 / 128)^7 = 2.3e-13 of the
+# grid bracket in all, far below where rounding hides the residual's minimum
+_FIT_SUBGRID = 129
+_FIT_ROUNDS = 7
 
 
 def _separable_fit(x, y, column, lo, hi, log):
@@ -322,12 +326,13 @@ def _separable_fit(x, y, column, lo, hi, log):
 
     For fixed t the pair (a, c) is a linear regression with a closed-form
     residual, so only t is searched (variable projection, Golub & Pereyra
-    1973): a grid of _FIT_GRID values (log-spaced when `log`), golden
-    section inside the bracket around the grid minimum, and one lstsq for
-    (a, c).  column(x, t) must broadcast an (m, 1) array t against x.
-    Returns (a, c, t, at_end), at_end telling that the grid minimum is an
-    end of [lo, hi]: the residual still falls beyond the range, so t is no
-    fit."""
+    1973): a grid of _FIT_GRID values (log-spaced when `log`), then
+    _FIT_ROUNDS rounds of a _FIT_SUBGRID-point grid over the bracket around
+    the last minimum, each one vectorized residual evaluation, and one
+    lstsq for (a, c).  column(x, t) must broadcast an (m, 1) array t
+    against x.  Returns (a, c, t, at_end), at_end telling that the grid
+    minimum is an end of [lo, hi]: the residual still falls beyond the
+    range, so t is no fit."""
     warp, unwarp = (np.log, np.exp) if log else (np.asarray, np.asarray)
     yc = y - y.mean()
 
@@ -340,19 +345,19 @@ def _separable_fit(x, y, column, lo, hi, log):
         c = np.divide(z @ yc, szz, out=np.zeros_like(szz), where=szz > 0)
         return ((yc - c[:, None] * z) ** 2).sum(axis=1)
 
-    grid = np.linspace(warp(lo), warp(hi), _FIT_GRID)
-    k = int(np.argmin(rss(grid)))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, _FIT_GRID - 1)]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(_FIT_GOLDEN_STEPS):
-        u, v = b - g * (b - a), a + g * (b - a)
-        fu, fv = rss([u, v])
-        a, b = (a, v) if fu < fv else (u, b)
+    def bracket(grid):
+        k = int(np.argmin(rss(grid)))
+        return k, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+
+    k, a, b = bracket(np.linspace(warp(lo), warp(hi), _FIT_GRID))
+    at_end = k in (0, _FIT_GRID - 1)
+    for _ in range(_FIT_ROUNDS):
+        _, a, b = bracket(np.linspace(a, b, _FIT_SUBGRID))
     t = float(unwarp((a + b) / 2))
     z = column(x, t)
     coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(z), z]), y,
                                rcond=None)
-    return float(coef[0]), float(coef[1]), t, k in (0, _FIT_GRID - 1)
+    return float(coef[0]), float(coef[1]), t, at_end
 
 
 @dataclass(frozen=True)

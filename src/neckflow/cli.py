@@ -28,8 +28,13 @@ from .geometry import build_symmetric_disc_example, load_geometry_config
 from .harness import SweepSpec, run_separation, run_sweep
 
 
-def _parse_list(text, cast=float):
-    return tuple(cast(tok) for tok in text.replace(",", " ").split())
+def _numbers(text, option):
+    """The numbers of a --p or --eps value, separated by commas or spaces."""
+    try:
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise NeckflowError(f"{option} takes numbers separated by commas, "
+                            f"not {text!r}") from None
 
 
 def _geometry(args):
@@ -40,21 +45,23 @@ def _geometry(args):
 
 def _spec(args):
     """The SweepSpec of a `solve` or `sweep` command line."""
-    return SweepSpec(geometry=_geometry(args), p_list=args.p,
-                     eps_list=args.eps, target_h=args.target_h,
+    return SweepSpec(geometry=_geometry(args),
+                     p_list=_numbers(args.p, "--p"),
+                     eps_list=_numbers(args.eps, "--eps"),
+                     target_h=args.target_h,
                      neck_layers=args.layers, out_dir=args.out,
                      seed=args.seed,
                      cache_dir=os.environ.get("NECKFLOW_CACHE"))
 
 
 def cmd_solve(args):
-    if len(args.p) > 1 or len(args.eps) > 1:
-        raise NeckflowError(f"solve takes one --p and one --eps value, got "
-                            f"{len(args.p)} and {len(args.eps)} (sweep takes "
-                            f"lists)")
     spec = _spec(args)
+    if len(spec.p_list) > 1 or len(spec.eps_list) > 1:
+        raise NeckflowError(f"solve takes one --p and one --eps value, got "
+                            f"{len(spec.p_list)} and {len(spec.eps_list)} "
+                            f"(sweep takes lists)")
     spec.validate()
-    rows, failures = run_separation(spec, args.eps[0])
+    rows, failures, _ = run_separation(spec, spec.eps_list[0])
     if failures:
         raise NeckflowError(failures[0]["error"])
     row, = rows
@@ -118,11 +125,12 @@ def main(argv=None):
             sp.add_argument("--seed", type=int, default=0)
         if name in ("solve", "sweep"):
             sp.add_argument("--config", default=None)
-            # an empty list ("--p ,") is passed on for validate to refuse
+            # read by _spec, where a value that does not parse is bad input
+            # and an empty list ("--p ,") is passed on for validate to refuse
             p_list, eps_list = (((2.0,), (1e-3,)) if name == "solve" else
                                 (SweepSpec.p_list, SweepSpec.eps_list))
-            sp.add_argument("--p", type=_parse_list, default=p_list)
-            sp.add_argument("--eps", type=_parse_list, default=eps_list)
+            sp.add_argument("--p", default=",".join(map(repr, p_list)))
+            sp.add_argument("--eps", default=",".join(map(repr, eps_list)))
             sp.add_argument("--target-h", dest="target_h", type=float,
                             default=SweepSpec.target_h)
             sp.add_argument("--layers", type=int,

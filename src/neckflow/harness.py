@@ -18,6 +18,14 @@ process-wide setting) and returns everything in its SweepReport, whose
 in the calling process; each is meshed once and solved for every exponent
 (run_separation, which `neckflow solve` calls too).
 
+Carried from one separation to the next: the mesh's vertices and, for each
+exponent p != 2 solved there, its nodal values and inclusion potentials.
+The next separation starts those exponents' solves from them (moved onto
+its mesh by nearest vertex); nothing else, not the mesh nor its Condenser,
+outlives its separation.  The first separation, an exponent whose solve
+failed at the previous one, and every separation after a failed mesh take
+solver.solve's own start from the p = 2 solution.
+
 Mesh reuse: set SweepSpec.cache_dir to a directory and meshes are stored
 there as `mesh_<key>.npz` (meshing.save_mesh), keyed by meshing.mesh_content
 at the separation and the mesher version.  The separations share one
@@ -40,6 +48,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import analysis as fa
 from . import asymptotics as asy
@@ -197,13 +206,16 @@ def case_mesh(geom, spec, eps, far=None):
 # single case
 # ---------------------------------------------------------------------------
 
-def run_case(p, eps, spec, mesh, cond):
+def run_case(p, eps, spec, mesh, cond, start=None):
     """Solve one (p, eps) case on the separation's mesh (which carries the
-    geometry at eps) and Condenser, see run_separation, and collect the row
-    dictionary; the row records the reduced system's size (`n_dofs`) and
-    whether it was odd-reduced (`odd_reduced`)."""
+    geometry at eps) and Condenser from `start` (solver.solve's), see
+    run_separation; returns the row dictionary and the Solution.  The row
+    records the reduced system's size (`n_dofs`), whether it was
+    odd-reduced (`odd_reduced`), the Newton steps (`newton_iters`) and the
+    start taken (`start`): "previous separation", or "p2" for solve's own
+    start from the p = 2 solution (at p = 2, the solve itself)."""
     t0 = time.time()
-    sol = solve(mesh, mesh.geometry, SolveConfig(p=p), cond)
+    sol = solve(mesh, mesh.geometry, SolveConfig(p=p), cond, start)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
     row = {
@@ -226,8 +238,9 @@ def run_case(p, eps, spec, mesh, cond):
         "history": [(e, en, res) for (e, en, res) in sol.energy_history],
         "linear_fallbacks": sol.linear_fallbacks,
         "factorizations": sol.factorizations, "cg_iters": sol.cg_iters,
-        "floor_accepts": sol.floor_accepts,
+        "floor_accepts": sol.floor_accepts, "newton_iters": sol.newton_iters,
         "n_dofs": cond.n_dofs, "odd_reduced": cond.mirror is not None,
+        "start": "p2" if start is None else "previous separation",
     }
     for xp in PROBES:
         pr = fa.gradient_probe(sol, mesh, xp)
@@ -237,7 +250,7 @@ def run_case(p, eps, spec, mesh, cond):
     row["runtime_s"] = time.time() - t0
     if spec.out_dir:
         _persist_solution(sol, row, spec.out_dir)
-    return row
+    return row, sol
 
 
 def solution_path(out_dir, p, eps):
@@ -261,10 +274,19 @@ def _persist_solution(sol, row, out_dir):
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def run_separation(spec, eps, far=None):
+def run_separation(spec, eps, far=None, previous=None):
     """Mesh one separation of spec.geometry (case_mesh with the far field
     `far`) and build its Condenser (odd=True) once, and solve it for every
-    exponent; returns (rows, failures).  A NeckflowError from the mesh or a
+    exponent; returns (rows, failures, solved).
+
+    `solved` is what the next separation starts from: the mesh's vertices
+    and, for each exponent p != 2 solved here, the nodal values and
+    inclusion potentials {tag: value}; None when the mesh failed.  Given
+    the previous separation's as `previous`, each p != 2 that it solved
+    starts from its values moved onto this mesh by nearest vertex (one
+    k-d tree query, shared by the exponents); every other case takes
+    solver.solve's own start.  A p = 2 solve is one Newton step from any
+    start, so none is kept for it.  A NeckflowError from the mesh or a
     solve becomes a failure entry for the (p, eps) cases it stops."""
     def failure(p, exc):
         return {"p": p, "eps": eps, "error": f"{type(exc).__name__}: {exc}"}
@@ -273,14 +295,26 @@ def run_separation(spec, eps, far=None):
         mesh = case_mesh(spec.geometry, spec, eps, far)
         cond = Condenser(mesh, mesh.geometry, odd=True)
     except NeckflowError as exc:
-        return [], [failure(p, exc) for p in spec.p_list]
-    rows, failures = [], []
+        return [], [failure(p, exc) for p in spec.p_list], None
+    starts = previous[1] if previous else {}
+    if starts:
+        nearest = cKDTree(previous[0]).query(mesh.vertices)[1]
+    rows, failures, solved = [], [], {}
     for p in spec.p_list:
+        start = None
+        if p in starts:
+            u, potentials = starts[p]
+            start = u[nearest], potentials
         try:
-            rows.append(run_case(p, eps, spec, mesh, cond))
+            row, sol = run_case(p, eps, spec, mesh, cond, start)
         except NeckflowError as exc:
             failures.append(failure(p, exc))
-    return rows, failures
+            continue
+        rows.append(row)
+        if p != 2.0:
+            solved[p] = sol.nodal_values, {INC1: sol.U1, INC2: sol.U2}
+        del sol   # before the next solve, a lower peak: only these outlive it
+    return rows, failures, (mesh.vertices, solved)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +428,11 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     t0 = time.time()
     geom = spec.geometry
     far = meshing.FarField(geom, spec.target_h, spec.neck_layers, spec.seed)
-    results = [run_separation(spec, eps, far) for eps in spec.eps_list]
-    rows = [r for case_rows, _ in results for r in case_rows]
-    failures = [f for _, case_failures in results for f in case_failures]
+    rows, failures, solved = [], [], None
+    for eps in spec.eps_list:
+        eps_rows, eps_failures, solved = run_separation(spec, eps, far, solved)
+        rows += eps_rows
+        failures += eps_failures
     rows.sort(key=lambda r: (r["p"], -r["eps"]))
     failures.sort(key=lambda f: (f["p"], -f["eps"]))
 

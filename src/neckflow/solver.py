@@ -392,6 +392,23 @@ class Condenser:
     def initial_q(self):
         return np.zeros(self.n_dofs)
 
+    def condense(self, u, potentials):
+        """The inverse of `nodal`: the reduced vector of nodal values u, with
+        the floating inclusions' scalars taken from potentials ({tag: value},
+        as `potentials` returns them).  A DOF that stands for two vertices
+        (mirror images) takes the mean of their signed values, so an u that
+        is not odd gives its odd part."""
+        v = u - self.lift
+        if self._sign is not None:
+            v *= self._sign[0]
+        own = self.dof >= 0
+        n = self.n_dofs
+        q = (np.bincount(self.dof[own], v[own], minlength=n)
+             / np.bincount(self.dof[own], minlength=n))
+        for t, k in self.iU.items():
+            q[k] = self._sU[t] * potentials[t]
+        return q
+
     def potentials(self, q):
         return {t: self._sU[t] * float(q[self.iU[t]]) if t in self.iU
                 else float(self.inclusion_values.get(t, math.nan))
@@ -567,9 +584,9 @@ def _newton(cond, q, p, eta, stats, tol, max_iters, polish):
     return q, res
 
 
-def _continuation(cond, q, p, stats):
-    """Newton through eta_schedule(p) from q; returns (q, scaled residual,
-    eta_sensitivity).
+def _continuation(cond, q, p, stats, sched=None):
+    """Newton through the eta stages sched (eta_schedule(p) when None) from
+    q; returns (q, scaled residual, eta_sensitivity).
 
     Stages before the last two run at the looser of NEWTON_TOL and
     LOOSE_STAGE_TOL without polish (inexact continuation).  The last two run
@@ -577,7 +594,7 @@ def _continuation(cond, q, p, stats):
     the relative change of the gap U1 - U2 between the last two stages, is
     only meaningful when both are converged tightly.
     """
-    sched = eta_schedule(p)
+    sched = eta_schedule(p) if sched is None else sched
     gaps = []
     for stage, eta in enumerate(sched):
         if stage < len(sched) - 2:
@@ -601,28 +618,39 @@ def dual_flux(grad_full, p, w):
     return -float((w[i] * grad_full[i]).sum()) / p
 
 
-def solve(mesh, geom, cfg: SolveConfig, cond=None) -> Solution:
+def solve(mesh, geom, cfg: SolveConfig, cond=None, start=None) -> Solution:
     """Continuation-Newton solve of the condensed minimization problem.
 
     Solves on one mesh can share their mesh constants by passing one
-    Condenser of it (same geometry and cfg.inclusion_values) as cond."""
+    Condenser of it (same geometry and cfg.inclusion_values) as cond.
+
+    Without a start, Newton starts from zero (a p != 2 solve from the
+    p = 2 solution, itself solved from zero) and runs every stage of
+    eta_schedule(p).  A start, a
+    pair (nodal values on mesh, inclusion potentials {tag: value}) that is
+    close to the solution, is condensed (Condenser.condense) and Newton runs
+    from it through the last two eta stages only, the two that
+    eta_sensitivity compares (the single eta = 0 stage for p >= 2)."""
     if cond is None:
         cond = Condenser(mesh, geom, cfg.inclusion_values)
     elif cond.ops.mesh is not mesh or \
             cond.inclusion_values != dict(cfg.inclusion_values or {}):
         raise ValueError("cond was built for another mesh or inclusion_values")
     stats = _Stats()
-    q = cond.initial_q()
+    sched = eta_schedule(cfg.p)
+    if start is not None:
+        q, sched = cond.condense(*start), sched[-2:]
+    else:
+        q = cond.initial_q()
+        if cfg.p != 2.0:
+            # warm start from the p = 2 solution; its steps are not in the
+            # history.  It only supplies the start (so 1e-9), and its energy
+            # is quadratic (so 10 steps are plenty)
+            q, _ = _newton(cond, q, 2.0, 0.0, stats, 1e-9, 10, POLISH_ITERS)
+            stats.history.clear()
+    q, res, sensitivity = _continuation(cond, q, cfg.p, stats, sched)
 
-    if cfg.p != 2.0:
-        # warm start from the p = 2 solution; its steps are not in the
-        # history.  It only supplies the start (so 1e-9), and its energy is
-        # quadratic (so 10 steps are plenty)
-        q, _ = _newton(cond, q, 2.0, 0.0, stats, 1e-9, 10, POLISH_ITERS)
-        stats.history.clear()
-    q, res, sensitivity = _continuation(cond, q, cfg.p, stats)
-
-    eta_final = eta_schedule(cfg.p)[-1]
+    eta_final = sched[-1]
     u = cond.nodal(q)
     energy, grad_full, kern = cond.full_ops.energy_grad(u, cfg.p, eta_final)
     scale = max(1.0, abs(energy))

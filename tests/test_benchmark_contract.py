@@ -114,17 +114,22 @@ def test_workloads_replace_existing_spec_fields():
         f.name for f in dataclasses.fields(spec)}
 
 
-def test_each_newton_step_assembles_once(disc_geom, disc_mesh_1e2,
-                                         monkeypatch):
-    # each Newton step, polish steps and the p = 2 warm start included, in
-    # the full space and on the odd-reduced system the sweep solves (one
-    # Condenser shared by the exponents, as in the sweep)
+def _count_assembly(monkeypatch):
     calls = Counter()
     for owner, name in ((ElementOps, "hessian"), (Condenser, "reduce_hess")):
         def counting(*args, _orig=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_each_newton_step_assembles_once(disc_geom, disc_mesh_1e2,
+                                         monkeypatch):
+    # each Newton step, polish steps and the p = 2 warm start included, in
+    # the full space and on the odd-reduced system the sweep solves (one
+    # Condenser shared by the exponents, as in the sweep)
+    calls = _count_assembly(monkeypatch)
     g = disc_geom.with_eps(1e-2)
     odd = Condenser(disc_mesh_1e2, g, odd=True)
     assert odd.mirror is not None
@@ -134,3 +139,26 @@ def test_each_newton_step_assembles_once(disc_geom, disc_mesh_1e2,
             sol = solve(disc_mesh_1e2, g, SolveConfig(p=p), cond)
             assert calls["hessian"] == calls["reduce_hess"] \
                 == sol.newton_iters > 0
+
+
+def test_each_newton_step_from_a_transferred_start_assembles_once(
+        disc_geom, monkeypatch):
+    # the sweep starts p != 2 at its second separation from the first's
+    # solution; each of those solves too assembles once per Newton step
+    calls = _count_assembly(monkeypatch)
+    starts = []
+
+    def checked(mesh, geom, cfg, cond=None, start=None):
+        calls.clear()
+        sol = harness_solve(mesh, geom, cfg, cond, start)
+        assert calls["hessian"] == calls["reduce_hess"] \
+            == sol.newton_iters > 0
+        starts.append(start is not None)
+        return sol
+
+    harness_solve = harness.solve
+    monkeypatch.setattr(harness, "solve", checked)
+    spec = harness.SweepSpec(geometry=disc_geom, p_list=(1.3, 2.0, 3.0),
+                             eps_list=(1e-2, 3e-3), target_h=0.2)
+    assert harness.run_sweep(spec).ok
+    assert starts == [False] * 3 + [True, False, True]

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from neckflow import (ConstantPotential, MeshError, NeckflowError,
-                      PolyPotential, SweepSpec, acceptance, build_annulus,
-                      build_parabola_example, build_symmetric_disc_example,
-                      build_table_example, harness, meshing, run_sweep)
+                      PolyPotential, SolverError, SweepSpec, acceptance,
+                      build_annulus, build_parabola_example,
+                      build_symmetric_disc_example, build_table_example,
+                      harness, meshing, run_sweep)
 from neckflow import cli
 from neckflow.cli import main as cli_main
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
@@ -471,7 +472,7 @@ def test_only_odd_problems_are_odd_reduced(case):
             "even_term": replace(disc, phi=PolyPotential([(1.0, 0, 1),
                                                           (0.1, 0, 2)]))}[case]
     spec = tiny_spec(geometry=geom, target_h=0.2)
-    rows, failures = harness.run_separation(spec, 1e-2)
+    rows, failures, _ = harness.run_separation(spec, 1e-2)
     assert not failures and len(rows) == 1
     mesh = case_mesh(geom, spec, 1e-2)
     interior = int((mesh.vertex_tag == 0).sum())
@@ -481,6 +482,73 @@ def test_only_odd_problems_are_odd_reduced(case):
     else:
         assert not rows[0]["odd_reduced"]
         assert rows[0]["n_dofs"] == interior + 2
+
+
+@pytest.mark.parametrize("case", ["jump", "asymmetric"])
+def test_a_case_started_from_the_previous_separation_matches_it_alone(
+        case, tmp_path):
+    # p != 2 after the first separation starts from the previous solution;
+    # it must reach the minimizer that the p = 2 start reaches, across a
+    # large jump in eps and on a mesh without a mirror (no odd reduction)
+    geom, eps_list = {
+        "jump": (build_symmetric_disc_example(scale=1.0), (0.1, 1e-4)),
+        "asymmetric": (_asymmetric_noses(), (1e-2, 3e-3))}[case]
+    spec = tiny_spec(geometry=geom, p_list=(1.3, 3.0), eps_list=eps_list,
+                     target_h=0.2, cache_dir=str(tmp_path))
+    report = run_sweep(spec)
+    assert report.ok
+    assert [(r["eps"], r["start"]) for r in report.rows] == [
+        (eps_list[0], "p2"), (eps_list[1], "previous separation")] * 2
+    for row in report.rows:
+        assert row["odd_reduced"] == (case == "jump")
+        (alone,), _, _ = harness.run_separation(
+            replace(spec, p_list=(row["p"],)), row["eps"])
+        assert alone["start"] == "p2"
+        assert row["ugap"] == pytest.approx(alone["ugap"], rel=1e-9)
+        # a relative change of about 1e-6: rel=1e-9 alone would ask the two
+        # stages' gaps to agree to 1e-15, below Newton's tolerance
+        assert row["eta_sensitivity"] == pytest.approx(
+            alone["eta_sensitivity"], rel=1e-9, abs=1e-12, nan_ok=True)
+        # the net inclusion currents are zero to the residual
+        for key in ("flux1", "flux2"):
+            assert row[key] == pytest.approx(alone[key], abs=1e-12)
+        assert row["winflux"] == pytest.approx(alone["winflux"], rel=1e-9)
+
+
+@pytest.mark.parametrize("fails", ["solve", "mesh"])
+def test_a_case_after_a_failure_takes_the_p2_start(fails, monkeypatch):
+    # a failed solve gives its p nothing to start from at the next
+    # separation, and a failed mesh gives no exponent anything
+    eps_list = (1e-2, 6e-3, 3e-3)
+    failing = {"solve": (1.3, eps_list[0]), "mesh": (None, eps_list[1])}[fails]
+    solve, mesh = harness.solve, harness.case_mesh
+
+    def failing_solve(mesh_, geom, cfg, cond=None, start=None):
+        if (cfg.p, mesh_.geometry.eps) == failing:
+            raise SolverError("line search stagnated")
+        return solve(mesh_, geom, cfg, cond, start)
+
+    def failing_mesh(geom, spec, eps, far=None):
+        if failing == (None, eps):
+            raise MeshError("no mesh")
+        return mesh(geom, spec, eps, far)
+
+    monkeypatch.setattr(harness, "solve", failing_solve)
+    monkeypatch.setattr(harness, "case_mesh", failing_mesh)
+    report = run_sweep(tiny_spec(p_list=(1.3, 2.0, 3.0), eps_list=eps_list,
+                                 target_h=0.2))
+    starts = {(r["p"], r["eps"]): r["start"] for r in report.rows}
+    after = "previous separation"
+    if fails == "solve":
+        assert [(f["p"], f["eps"]) for f in report.failures] == [failing]
+        assert starts == {(1.3, 6e-3): "p2", (1.3, 3e-3): after,
+                          (2.0, 1e-2): "p2", (2.0, 6e-3): "p2",
+                          (2.0, 3e-3): "p2", (3.0, 1e-2): "p2",
+                          (3.0, 6e-3): after, (3.0, 3e-3): after}
+    else:
+        assert len(report.failures) == 3
+        assert set(starts.values()) == {"p2"}
+        assert len(starts) == 6
 
 
 _NO_OPTIMIZE_PROBE = """
@@ -588,6 +656,8 @@ class TestCLI:
         (["solve", "--eps", "1e-2,1e-3"], "takes one --p and one --eps value"),
         (["solve", "--config", "{annulus}"], "unknown shape"),
         (["solve", "--p", ","], "must not be empty"),
+        (["solve", "--p", "abc"], "--p takes numbers separated by commas"),
+        (["sweep", "--eps", "1e-2,x"], "--eps takes numbers"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys,
                                          tmp_path):

@@ -489,6 +489,25 @@ class TestFixedPattern:
         assert abs(cond.ops.area.sum() - m.areas.sum()) <= 1e-14
         assert_odd_reduction(cond, m, rng)
 
+    @pytest.mark.parametrize("kind", ["full", "odd", "pinned"])
+    def test_condense_inverts_nodal(self, disc_geom, disc_mesh_1e2, rng,
+                                    kind):
+        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        cond = Condenser(m, g, {INC2: 0.5} if kind == "pinned" else None,
+                         odd=kind == "odd")
+        assert (cond.mirror is not None) == (kind == "odd")
+        q = rng.normal(size=cond.n_dofs)
+        assert np.array_equal(cond.condense(cond.nodal(q),
+                                            cond.potentials(q)), q)
+        # nodal values that are not odd condense to their odd part
+        if kind == "odd":
+            u = rng.normal(size=m.n_vertices)
+            v = cond.nodal(cond.condense(u, {INC1: 1.0, INC2: -1.0}))
+            inner = (m.vertex_tag == 0) & (m.vertices[:, 1] != 0)
+            assert np.allclose(v[inner], (u - u[m.mirror])[inner] / 2,
+                               rtol=0, atol=1e-15)
+            assert np.all(v[m.vertex_tag == INC1] == 1.0)
+
     def test_mirror_needs_odd_data(self, disc_geom, disc_mesh_1e2):
         # odd=True reduces only odd data with floating inclusions on a mesh
         # with a mirror map; every other case stays in the full space
