@@ -10,11 +10,10 @@ K and the limiting flux F.  This demo runs a reduced sweep (three
 separations); the full acceptance matrix uses five.
 """
 
-import math
 import tempfile
 
-from neckflow import (Regime, SweepSpec, blowup_scale,
-                      build_symmetric_disc_example, gap_constant, run_sweep)
+from neckflow import (Regime, SweepSpec, build_symmetric_disc_example,
+                      gap_constant, run_sweep)
 
 geom = build_symmetric_disc_example(scale=1.0)
 spec = SweepSpec(geometry=geom, p_list=(1.3, 2.0), eps_list=(1e-2, 1e-3, 1e-4),

@@ -15,7 +15,7 @@ from neckflow import (SolveConfig, build_symmetric_disc_example, generate,
 eps = 1e-4
 geom = build_symmetric_disc_example(scale=1.0).with_eps(eps)
 mesh = generate(geom, 0.1, 6, seed=0)
-sol = solve(mesh, geom, SolveConfig(p=2.0))
+sol = solve(mesh, SolveConfig(p=2.0))
 print(f"solved: {mesh.n_vertices} vertices, residual {sol.kkt_residual:.1e}\n")
 
 dbars = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)

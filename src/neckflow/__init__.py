@@ -9,7 +9,7 @@ potential-gap scaling, and the closed-form neck constant) numerically.
 
 from .geometry import (
     INC1, INC2, OUTER, Circle, ConstantPotential, GapProfile, Geometry,
-    LinearPotential, NeckPoint, PolyPotential, build_annulus,
+    LinearPotential, PolyPotential, build_annulus,
     build_parabola_example, build_symmetric_disc_example, build_table_example,
     gap_width, load_geometry_config, model_gap_width,
 )

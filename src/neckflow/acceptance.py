@@ -120,7 +120,7 @@ def criterion_manufactured():
     r, checks = np.linalg.norm(mesh.vertices, axis=1), []
     for p in (1.5, 2.0, 3.0):
         t0 = time.time()
-        sol = solve(mesh, geom, SolveConfig(p=p, inclusion_values={INC1: 0.0}))
+        sol = solve(mesh, SolveConfig(p=p, inclusion_values={INC1: 0.0}))
         err = np.abs(sol.nodal_values - _radial_exact(r, p)).max()
         fluxes = [fa.annulus_circle_flux(sol, mesh, rr)
                   for rr in (1.2, 1.4, 1.6, 1.8)]
@@ -159,8 +159,7 @@ def criterion_symmetry(report, geom):
     gate = 1e-6 * (hi - lo)
     p, eps = FULL_SPACE_CASE
     row = next(r for r in report.rows if (r["p"], r["eps"]) == (p, eps))
-    full = solve(case_mesh(geom, report.spec, eps), geom.with_eps(eps),
-                 SolveConfig(p=p))
+    full = solve(case_mesh(geom, report.spec, eps), SolveConfig(p=p))
     case = f"full-space p={p:g} eps={eps:g}"
     return [Check(name, value, "<=", gate, ".2e") for name, value in (
         ("max |U1+U2|", np.max([abs(r["U1"] + r["U2"]) for r in report.rows])),
@@ -302,7 +301,7 @@ def criterion_properties(report, geom, spec):
     g = build_symmetric_disc_example(scale=1.0).with_eps(1e-2)
     mesh = generate(g, 0.18, 6, seed=spec.seed)
     # the probes solve to NEWTON_TOL and are gated at multiples of it
-    dist = {p: uniqueness_probe(mesh, g, SolveConfig(p=p), seed=spec.seed)
+    dist = {p: uniqueness_probe(mesh, SolveConfig(p=p), seed=spec.seed)
             for p in (2.0, 1.3)}
     return [Check("grad vs FD rel", np.max(rel), "<=", 1e-6, ".1e"),
             Check("energy rise per stage", np.max(np.concatenate(rises)), "<=",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, GeometryError
-from .geometry import INC2, NeckPoint, gap_width, model_gap_width
+from .geometry import INC2, gap_width, model_gap_width
 from .solver import dual_flux
 
 MAX_TIE_RTOL = 1e-9
@@ -23,7 +23,10 @@ ANNULUS_BAND_CELLS = 4.0   # annulus_circle_flux's layer width in h_max
 
 @dataclass(frozen=True)
 class GradientProbe:
-    point: NeckPoint
+    """Element gradient and gap width at the neck point (xprime, xn)."""
+
+    xprime: float
+    xn: float
     grad: tuple
     delta_at_point: float
 
@@ -81,16 +84,16 @@ def max_gradient(sol, mesh, window=None):
 
 def gradient_probe(sol, mesh, xprime):
     """Element gradient of the triangle containing the neck point midway
-    between the two walls (no recovery smoothing)."""
+    between the two walls at x' = xprime (no recovery smoothing), as a
+    GradientProbe."""
     geom = mesh.geometry
-    y = 0.5 * geom.lower_wall(xprime) + 0.5 * geom.upper_wall(xprime)
-    pt = NeckPoint(float(xprime), float(y))
-    tri, _ = mesh.locate(pt.as_array()[None, :])
+    xp = float(xprime)
+    y = float(0.5 * geom.lower_wall(xp) + 0.5 * geom.upper_wall(xp))
+    tri, _ = mesh.locate(np.array([[xp, y]]))
     if tri[0] < 0:
-        raise GeometryError(f"probe point {pt} not inside the mesh")
+        raise GeometryError(f"probe point ({xp}, {y}) not inside the mesh")
     gx, gy = sol.element_gradients[tri[0]]
-    return GradientProbe(pt, (float(gx), float(gy)),
-                         gap_width(geom, pt))
+    return GradientProbe(xp, y, (float(gx), float(gy)), gap_width(geom, xp))
 
 
 def probe_value_and_gradient(sol, mesh, pts):
@@ -180,10 +183,11 @@ def _ball_sample_points(geom, x0, radius, n_x=9, n_t=7):
 def holder_quotient_scan(grad_eval, geom, beta, points):
     """Empirical Hölder-quotient scan.
 
-    grad_eval maps an (n, 2) point array to gradients.  For each neck point x
-    the scan takes the max over sampled pairs y, z within the window of
-    half-width sqrt(model_gap(x))/4 of |G(y)-G(z)| / |y-z|^beta, normalized by
-    model_gap(x)^(-beta/2) times the sup of |G| over the twice-wider window.
+    grad_eval maps an (n, 2) point array to gradients.  For each transverse
+    coordinate x in points (floats) the scan takes the max over sampled pairs
+    y, z within the window of half-width sqrt(model_gap(x))/4 of
+    |G(y)-G(z)| / |y-z|^beta, normalized by model_gap(x)^(-beta/2) times the
+    sup of |G| over the twice-wider window.
     Returns (max normalized quotient, per-point list); points whose window
     leaves the chart are skipped with a warning entry (value None).
     """
@@ -191,7 +195,7 @@ def holder_quotient_scan(grad_eval, geom, beta, points):
         raise ValueError("beta must lie in (0, 1)")
     results = []
     for pt in points:
-        x0 = pt.xprime if isinstance(pt, NeckPoint) else float(pt)
+        x0 = float(pt)
         dbar = model_gap_width(geom, x0)
         r_small = math.sqrt(dbar) / 4.0
         r_big = math.sqrt(dbar) / 2.0

@@ -16,26 +16,17 @@ class MeshError(NeckflowError):
 class MeshCapacityError(MeshError):
     """Requested resolution exceeds the vertex budget.
 
-    Carries the smallest separation `eps_floor` expected to fit the budget
+    The message names the smallest separation expected to fit the budget
     at the same target size and layer count.
     """
-
-    def __init__(self, message, eps_floor=None):
-        super().__init__(message)
-        self.eps_floor = eps_floor
 
 
 class SolverError(NeckflowError):
     """Nonlinear solve failed to reach the requested tolerance.
 
-    Carries the last scaled residual and the regularization stage at which
-    the iteration stagnated.
+    A Newton failure's message names the last scaled residual and the
+    regularization stage at which the iteration stagnated.
     """
-
-    def __init__(self, message, residual=None, eta=None):
-        super().__init__(message)
-        self.residual = residual
-        self.eta = eta
 
 
 class FitError(NeckflowError):

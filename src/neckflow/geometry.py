@@ -5,8 +5,8 @@ The computational domain is an outer convex curve minus one or two convex
 inclusions.  In the two-inclusion case the inclusions touch at the origin
 when the separation is zero, and near the origin their boundaries are graphs
 x_n = +/- eps/2 + h_i(x') over the transverse coordinate x'.  Everything a
-mesh generator or post-processor needs (gap widths, curve projection,
-boundary data) lives here.  All objects are immutable after construction and
+mesh generator or post-processor needs (gap widths, curve offsets, boundary
+data) lives here.  All objects are immutable after construction and
 picklable: the mesh cache keys a mesh by its pickled geometry
 (harness._mesh_key).
 """
@@ -201,13 +201,6 @@ class Circle:
         return np.column_stack([cx + self.radius * np.cos(a),
                                 cy + self.radius * np.sin(a)])
 
-    def project(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        v = pts - np.asarray(self.center)
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
-        norm[norm == 0] = 1.0
-        return np.asarray(self.center) + v / norm * self.radius
-
     def signed_distance(self, pts):
         """< 0 inside the circle."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -245,38 +238,6 @@ class CappedGraphCurve:
     def graph_y(self, x):
         return self.y_off + self.profile(x)
 
-    def project(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty_like(pts)
-        cx, cy = self.cap_center
-        for k, (px, py) in enumerate(pts):
-            # candidate on the cap arc
-            ang = math.atan2(py - cy, px - cx)
-            lo, hi = self._theta_join, math.pi - self._theta_join
-            if ang < lo:
-                ang += 2 * math.pi
-            ang = min(max(ang, lo), hi)
-            cand_arc = (cx + self.cap_radius * math.cos(ang),
-                        cy + self.cap_radius * math.sin(ang))
-            # candidate on the graph: minimize (x-px)^2 + (g(x)-py)^2
-            xs = np.linspace(-self.xc, self.xc, 101)
-            d2 = (xs - px) ** 2 + (self.graph_y(xs) - py) ** 2
-            x0 = xs[int(np.argmin(d2))]
-            for _ in range(30):
-                g = self.graph_y(x0)
-                gp = float(self.profile.deriv(x0))
-                f = (x0 - px) + (g - py) * gp
-                df = 1 + gp * gp  # drop g'' term; safe contraction near the curve
-                step = f / df
-                x0 = float(np.clip(x0 - step, -self.xc, self.xc))
-                if abs(step) < 1e-14:
-                    break
-            cand_graph = (x0, float(self.graph_y(x0)))
-            da = math.hypot(cand_arc[0] - px, cand_arc[1] - py)
-            dg = math.hypot(cand_graph[0] - px, cand_graph[1] - py)
-            out[k] = cand_graph if dg <= da else cand_arc
-        return out
-
     def boundary_polyline(self, spacing_fn):
         """Closed CCW polyline: graph left-to-right, then the cap arc from the
         right joint over the top back toward the left joint."""
@@ -312,9 +273,6 @@ class MirroredCurve:
         pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
         pts[:, 1] = -pts[:, 1]
         return pts
-
-    def project(self, pts):
-        return self._flip(self.base.project(self._flip(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +415,8 @@ class Geometry:
         x = np.linspace(-0.5 * self.gap.chart, 0.5 * self.gap.chart, 41)
         up = np.column_stack([x, self.upper_wall(x)])
         lo = np.column_stack([x, self.lower_wall(x)])
-        d1 = np.linalg.norm(self.inclusion1_eps.project(up) - up, axis=1)
-        d2 = np.linalg.norm(self.inclusion2_eps.project(lo) - lo, axis=1)
+        d1 = np.abs(curve_offset(self.inclusion1_eps, up))
+        d2 = np.abs(curve_offset(self.inclusion2_eps, lo))
         if max(d1.max(), d2.max()) > 1e-9 * max(1.0, self.scale):
             raise GeometryError("gap profile inconsistent with the inclusion curves")
         return True
@@ -479,41 +437,43 @@ def curve_polyline(curve, n):
     raise GeometryError(f"unsupported curve type {type(curve)}")
 
 
-@dataclass(frozen=True)
-class NeckPoint:
-    """A point in the neck, in (transverse, vertical) coordinates."""
-
-    xprime: float
-    xn: float = 0.0
-
-    def as_array(self):
-        return np.array([self.xprime, self.xn])
+def curve_offset(curve, pts):
+    """Exact signed offset of the (n, 2) points pts from a curve, zero on it
+    and negative inside: a circle's signed distance; on a capped graph the
+    graph height minus y where |x'| <= xc below the joints, and the cap
+    circle's signed distance elsewhere; a mirrored curve's base offset at
+    the reflected points."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if isinstance(curve, Circle):
+        return curve.signed_distance(pts)
+    if isinstance(curve, CappedGraphCurve):
+        x, y = pts[:, 0], pts[:, 1]
+        graph = (np.abs(x) <= curve.xc) & (y <= curve.graph_y(curve.xc))
+        cap = Circle(curve.cap_center, curve.cap_radius)
+        return np.where(graph, curve.graph_y(x) - y, cap.signed_distance(pts))
+    if isinstance(curve, MirroredCurve):
+        return curve_offset(curve.base, MirroredCurve._flip(pts))
+    raise GeometryError(f"unsupported curve type {type(curve)}")
 
 
 # ---------------------------------------------------------------------------
 # gap widths
 # ---------------------------------------------------------------------------
 
-def _xprime_of(x):
-    if isinstance(x, NeckPoint):
-        return x.xprime
-    return float(x)
-
-
-def gap_width(geom, x):
-    """Vertical neck width eps + h1(x') - h2(x') at the point's transverse
-    coordinate.  Raises outside the gap-profile chart."""
+def gap_width(geom, xprime):
+    """Vertical neck width eps + h1(x') - h2(x') at the transverse
+    coordinate xprime.  Raises outside the gap-profile chart."""
     if geom.gap is None:
         raise GeometryError("geometry has no gap profile")
-    xp = _xprime_of(x)
+    xp = float(xprime)
     if abs(xp) >= geom.gap.chart:
         raise GeometryError(f"|x'|={abs(xp)} outside the chart radius {geom.gap.chart}")
     return float(geom.eps + geom.gap.diff(xp))
 
 
-def model_gap_width(geom, x):
+def model_gap_width(geom, xprime):
     """The comparable model width eps + |x'|^2."""
-    xp = _xprime_of(x)
+    xp = float(xprime)
     if geom.gap is not None and abs(xp) >= geom.gap.chart:
         raise GeometryError(f"|x'|={abs(xp)} outside the chart radius {geom.gap.chart}")
     return float(geom.eps + xp * xp)

@@ -215,7 +215,7 @@ def run_case(p, eps, spec, mesh, cond, start=None):
     start taken (`start`): "previous separation", or "p2" for solve's own
     start from the p = 2 solution (at p = 2, the solve itself)."""
     t0 = time.time()
-    sol = solve(mesh, mesh.geometry, SolveConfig(p=p), cond, start)
+    sol = solve(mesh, SolveConfig(p=p), cond, start)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
     regime = asy.Regime(p, 2)
     row = {
@@ -244,7 +244,7 @@ def run_case(p, eps, spec, mesh, cond, start=None):
     }
     for xp in PROBES:
         pr = fa.gradient_probe(sol, mesh, xp)
-        row["probes"].append({"xprime": float(xp), "xn": pr.point.xn,
+        row["probes"].append({"xprime": float(xp), "xn": pr.xn,
                               "grad_x": pr.grad[0], "grad_n": pr.grad[1],
                               "delta": pr.delta_at_point})
     row["runtime_s"] = time.time() - t0
@@ -293,7 +293,7 @@ def run_separation(spec, eps, far=None, previous=None):
 
     try:
         mesh = case_mesh(spec.geometry, spec, eps, far)
-        cond = Condenser(mesh, mesh.geometry, odd=True)
+        cond = Condenser(mesh, odd=True)
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list], None
     starts = previous[1] if previous else {}
@@ -495,7 +495,7 @@ def solve_decay_fixture(eps=1e-3, p=2.0):
     and fit the interior decay.  Returns (slope estimate, r^2, solution, mesh)."""
     geom = build_symmetric_disc_example(eps=eps, phi=ConstantPotential(1.0))
     mesh = generate_neck_strip(geom, 0.05, 8)
-    sol = solve(mesh, geom, SolveConfig(p=p, inclusion_values={INC1: 0.0,
-                                                               INC2: 0.0}))
+    sol = solve(mesh, SolveConfig(p=p, inclusion_values={INC1: 0.0,
+                                                         INC2: 0.0}))
     c2, r2 = fa.decay_fit(sol, mesh, np.linspace(0.25, 0.85, 25))
     return c2, r2, sol, mesh

@@ -94,17 +94,13 @@ class TriMesh:
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
-        # drop vertices not referenced by any triangle (relaxation leftovers)
+        # row i of a saved solution is vertex i, so vertices are never
+        # renumbered: one that no triangle references is refused
         used = np.zeros(len(vertices), dtype=bool)
         used[triangles.ravel()] = True
-        if not np.all(used[boundary_edges.ravel()]):
-            raise MeshError("boundary edge references an unused vertex")
         if not np.all(used):
-            remap = -np.ones(len(vertices), dtype=np.int64)
-            remap[used] = np.arange(int(used.sum()))
-            vertices = vertices[used]
-            triangles = remap[triangles]
-            boundary_edges = remap[boundary_edges]
+            raise MeshError(f"vertex {np.argmin(used)} and "
+                            f"{int((~used).sum()) - 1} more are on no triangle")
         self.vertices = vertices
         self.triangles = triangles
         self.boundary_edges = boundary_edges
@@ -311,8 +307,8 @@ def _strip_columns_x(geom, target_h, layers, w):
             frac = x / w if x > 0 else 1e-3
             floor = geom.eps * (count / (frac * VERTEX_CAP)) ** 2 * 4.0
             raise MeshCapacityError(
-                f"strip exceeds vertex cap {VERTEX_CAP} before x'={w}",
-                eps_floor=floor)
+                f"strip exceeds vertex cap {VERTEX_CAP} before x'={w}; "
+                f"try eps >= {floor:.3g}")
         if x + dx >= w - 0.35 * dx:
             break
         x += dx
@@ -963,8 +959,8 @@ def generate(geom, target_h, neck_layers=NECK_LAYERS, seed=0, far=None):
     b_tags = np.concatenate([s_tags, b_tags])
     all_tris = np.vstack([strip.triangles, tris])
     if pool.n > VERTEX_CAP:
-        raise MeshCapacityError(f"mesh exceeds vertex cap {VERTEX_CAP}",
-                                eps_floor=4.0 * geom.eps)
+        raise MeshCapacityError(f"mesh exceeds vertex cap {VERTEX_CAP}; try "
+                                f"eps >= {4.0 * geom.eps:.3g}")
     mesh = TriMesh(pool.pts, all_tris, b_edges, b_tags, geometry=geom,
                    neck_layers=strip.neck_layers)
     check_mirror(mesh)

@@ -1,16 +1,18 @@
 """Minimization of the regularized p-Dirichlet energy over piecewise-linear
 fields with floating inclusion potentials.
 
-The discrete energy is sum_T area_T (eta^2 + |grad u|_T^2)^(p/2).  Outer
-boundary vertices carry interpolated Dirichlet data; all vertices of an
-inclusion share a single free scalar (condensation), so the stationarity of
-that scalar is literally the zero-net-flux condition through the inclusion
-boundary.  A damped Newton iteration with exact gradient/Hessian and Armijo
-backtracking runs inside a continuation loop over decreasing eta; for p >= 2
-the energy is already C^2 and eta = 0 is used directly.  The reduced Newton
-system's pattern and fill-reducing order are mesh constants (see Condenser);
-a Newton step solves it only to a forcing term, by CG preconditioned with
-the solve's last factorization (see Condenser.linear_solve).
+The discrete energy is sum_T area_T (eta^2 + |grad u|_T^2)^(p/2).  The
+problem is the mesh's: outer boundary vertices carry the Dirichlet data phi
+of mesh.geometry, interpolated, and no other geometry is read; all vertices
+of an inclusion share a single free scalar (condensation), so the
+stationarity of that scalar is literally the zero-net-flux condition through
+the inclusion boundary.  A damped Newton iteration with exact
+gradient/Hessian and Armijo backtracking runs inside a continuation loop
+over decreasing eta; for p >= 2 the energy is already C^2 and eta = 0 is
+used directly.  The reduced Newton system's pattern and fill-reducing order
+are mesh constants (see Condenser); a Newton step solves it only to a
+forcing term, by CG preconditioned with the solve's last factorization (see
+Condenser.linear_solve).
 
 When the mesh is its own mirror image under x_n -> -x_n and the outer data
 is odd under it, the minimizer is odd, and a Condenser built with odd=True
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverError
+from .errors import MeshError, SolverError
 from .geometry import INC1, INC2, OUTER
 from .meshing import TriMesh
 
@@ -266,10 +268,10 @@ class Condenser:
     can share a Condenser.
     """
 
-    def __init__(self, mesh, geom, inclusion_values=None, odd=False):
+    def __init__(self, mesh, inclusion_values=None, odd=False):
         inclusion_values = inclusion_values or {}
         tag = mesh.vertex_tag
-        self.lift = _outer_lift(mesh, geom)
+        self.lift = _outer_lift(mesh)
         mirror = mesh.mirror if odd else None   # derived on first use
         if not (mirror is not None and not inclusion_values
                 and np.array_equal(self.lift[mirror], -self.lift)):
@@ -415,11 +417,14 @@ class Condenser:
                 for t in (INC1, INC2)}
 
 
-def _outer_lift(mesh, geom):
-    """Nodal vector of the outer data geom.phi, zero off the outer boundary."""
+def _outer_lift(mesh):
+    """Nodal vector of the outer data phi of mesh.geometry, zero off the
+    outer boundary; a mesh without a geometry raises MeshError."""
+    if mesh.geometry is None:
+        raise MeshError("the mesh carries no geometry, so no outer data phi")
     lift = np.zeros(mesh.n_vertices)
     outer = mesh.vertex_tag == OUTER
-    lift[outer] = geom.phi(mesh.vertices[outer])
+    lift[outer] = mesh.geometry.phi(mesh.vertices[outer])
     return lift
 
 
@@ -574,13 +579,14 @@ def _newton(cond, q, p, eta, stats, tol, max_iters, polish):
             if res <= 100 * tol:
                 stats.floor_accepts += 1
                 return q, res   # at the rounding floor; accept
-            raise SolverError("line search stagnated", residual=res, eta=eta)
+            raise SolverError(f"line search stagnated at residual {res:.3e}, "
+                              f"eta={eta:g}")
         q = q + t * d
         stats.newton_iters += 1
     res = _scaled_residual(cond, q, p, eta)
     if res > tol:
-        raise SolverError(f"Newton did not converge in {max_iters} iterations",
-                          residual=res, eta=eta)
+        raise SolverError(f"Newton did not converge in {max_iters} iterations:"
+                          f" residual {res:.3e} at eta={eta:g}")
     return q, res
 
 
@@ -618,11 +624,12 @@ def dual_flux(grad_full, p, w):
     return -float((w[i] * grad_full[i]).sum()) / p
 
 
-def solve(mesh, geom, cfg: SolveConfig, cond=None, start=None) -> Solution:
-    """Continuation-Newton solve of the condensed minimization problem.
+def solve(mesh, cfg: SolveConfig, cond=None, start=None) -> Solution:
+    """Continuation-Newton solve of the condensed minimization problem on
+    mesh, whose geometry supplies the domain and the outer data phi.
 
     Solves on one mesh can share their mesh constants by passing one
-    Condenser of it (same geometry and cfg.inclusion_values) as cond.
+    Condenser of it (same cfg.inclusion_values) as cond.
 
     Without a start, Newton starts from zero (a p != 2 solve from the
     p = 2 solution, itself solved from zero) and runs every stage of
@@ -632,7 +639,7 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None, start=None) -> Solution:
     from it through the last two eta stages only, the two that
     eta_sensitivity compares (the single eta = 0 stage for p >= 2)."""
     if cond is None:
-        cond = Condenser(mesh, geom, cfg.inclusion_values)
+        cond = Condenser(mesh, cfg.inclusion_values)
     elif cond.ops.mesh is not mesh or \
             cond.inclusion_values != dict(cfg.inclusion_values or {}):
         raise ValueError("cond was built for another mesh or inclusion_values")
@@ -672,7 +679,7 @@ def solve(mesh, geom, cfg: SolveConfig, cond=None, start=None) -> Solution:
         factorizations=stats.factorizations, floor_accepts=stats.floor_accepts)
 
 
-def uniqueness_probe(mesh, geom, cfg, seed=0):
+def uniqueness_probe(mesh, cfg, seed=0):
     """Solve from the zero state and two random ones; return the max
     pairwise relative nodal-l2 distance between the converged states.
 
@@ -682,8 +689,8 @@ def uniqueness_probe(mesh, geom, cfg, seed=0):
     identically zero) reports the absolute RMS difference.
     """
     rng = np.random.default_rng(seed)
-    cond = Condenser(mesh, geom, cfg.inclusion_values)
-    vals = np.atleast_1d(geom.phi(mesh.vertices[mesh.vertex_tag == OUTER]))
+    cond = Condenser(mesh, cfg.inclusion_values)
+    vals = cond.lift[mesh.vertex_tag == OUTER]
     lo, hi = (vals.min(), vals.max()) if len(vals) else (0.0, 0.0)
     sols = []
     for k in range(3):

@@ -124,19 +124,17 @@ def _count_assembly(monkeypatch):
     return calls
 
 
-def test_each_newton_step_assembles_once(disc_geom, disc_mesh_1e2,
-                                         monkeypatch):
+def test_each_newton_step_assembles_once(disc_mesh_1e2, monkeypatch):
     # each Newton step, polish steps and the p = 2 warm start included, in
     # the full space and on the odd-reduced system the sweep solves (one
     # Condenser shared by the exponents, as in the sweep)
     calls = _count_assembly(monkeypatch)
-    g = disc_geom.with_eps(1e-2)
-    odd = Condenser(disc_mesh_1e2, g, odd=True)
+    odd = Condenser(disc_mesh_1e2, odd=True)
     assert odd.mirror is not None
     for cond in (None, odd):
         for p in (1.3, 2.0, 3.0):
             calls.clear()
-            sol = solve(disc_mesh_1e2, g, SolveConfig(p=p), cond)
+            sol = solve(disc_mesh_1e2, SolveConfig(p=p), cond)
             assert calls["hessian"] == calls["reduce_hess"] \
                 == sol.newton_iters > 0
 
@@ -148,9 +146,9 @@ def test_each_newton_step_from_a_transferred_start_assembles_once(
     calls = _count_assembly(monkeypatch)
     starts = []
 
-    def checked(mesh, geom, cfg, cond=None, start=None):
+    def checked(mesh, cfg, cond=None, start=None):
         calls.clear()
-        sol = harness_solve(mesh, geom, cfg, cond, start)
+        sol = harness_solve(mesh, cfg, cond, start)
         assert calls["hessian"] == calls["reduce_hess"] \
             == sol.newton_iters > 0
         starts.append(start is not None)

@@ -1,4 +1,4 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 from neckflow import (GeometryError, build_annulus, build_parabola_example,
                       build_symmetric_disc_example, build_table_example,
                       gap_width, load_geometry_config, model_gap_width)
-from neckflow.geometry import (ConstantPotential, GapProfile, LinearPotential,
-                               ParabolaProfile, PolyPotential, TableProfile)
+from neckflow.geometry import (CappedGraphCurve, Circle, ConstantPotential,
+                               GapProfile, LinearPotential, MirroredCurve,
+                               ParabolaProfile, PolyPotential, TableProfile,
+                               curve_offset, curve_polyline)
+
+from conftest import asymmetric_noses
 
 
 def test_gap_width_touching_discs_is_zero():
@@ -124,6 +128,51 @@ class TestGapProfile:
         assert gap_width(g, 0.25) == pytest.approx(1e-3 + 0.8 * 0.0625,
                                                    rel=1e-6)
         assert g.gap.gap_hessian0() == pytest.approx(1.6, rel=1e-4)
+
+
+@pytest.mark.parametrize("curve", [
+    Circle((0.0, 2.0), 2.0),
+    CappedGraphCurve(ParabolaProfile(0.25), 0.999),
+    MirroredCurve(CappedGraphCurve(ParabolaProfile(0.5), 0.6, y_off=0.1)),
+], ids=["circle", "capped_graph", "mirrored"])
+def test_curve_offset_vanishes_on_the_curve(curve):
+    # on the curve (graph and cap alike), then halfway to the centroid
+    # (inside the convex curve) and as far again outside
+    pts = curve_polyline(curve, 64)
+    assert np.abs(curve_offset(curve, pts)).max() <= 1e-12
+    centre = pts.mean(axis=0)
+    assert np.all(curve_offset(curve, 0.5 * (pts + centre)) < 0)
+    assert np.all(curve_offset(curve, 2.0 * pts - centre) > 0)
+
+
+def _table_example():
+    x = np.linspace(-1.3, 1.3, 120)
+    return build_table_example(TableProfile(x, 0.4 * x * x), eps=1e-2)
+
+
+def _swapped_noses():
+    noses = asymmetric_noses(1e-2)
+    return replace(noses, inclusion1=noses.inclusion2.base,
+                   inclusion2=MirroredCurve(noses.inclusion1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_symmetric_disc_example(eps=1e-2),
+    lambda: build_parabola_example(eps=1e-2), _table_example,
+    lambda: asymmetric_noses(1e-2),
+], ids=["disc", "parabola", "table", "noses"])
+def test_walls_on_the_inclusion_curves_validate(build):
+    assert build().validate()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: replace(build_symmetric_disc_example(eps=1e-2),
+                    gap=build_parabola_example().gap),
+    _swapped_noses,
+], ids=["disc_with_parabola_gap", "swapped_noses"])
+def test_walls_off_the_inclusion_curves_raise(build):
+    with pytest.raises(GeometryError, match="gap profile inconsistent"):
+        build().validate()
 
 
 def test_potentials():

@@ -23,6 +23,8 @@ from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
 from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
                               compare_prediction)
 
+from conftest import asymmetric_noses
+
 
 def _annulus_config(tmp_path):
     cfg = tmp_path / "annulus.cfg"
@@ -352,22 +354,10 @@ def test_neck_layers_that_build_one_mesh_share_its_key(pair):
     assert len(keys) == 1
 
 
-def _asymmetric_noses():
-    """Parabola noses of different curvature (a=0.3 above, 0.5 below): a
-    mesh without a mirror map."""
-    up, lo = ParabolaProfile(0.3), ParabolaProfile(0.5)
-    gap = GapProfile(h1=up, h2=NegatedProfile(lo), c1=0.79,
-                     c2=_c2_bound(lo, 1.0), chart=1.0)
-    return Geometry(outer=Circle((0, 0), 5.0),
-                    inclusion1=CappedGraphCurve(up, 0.999),
-                    inclusion2=MirroredCurve(CappedGraphCurve(lo, 0.999)),
-                    eps=0.0, gap=gap, phi=LinearPotential(), name="asym")
-
-
 def _sharing_spec(case, out_dir, cache_dir):
     """A two-separation sweep of the tiny disc or the asymmetric noses."""
     geom = {"disc": build_symmetric_disc_example(scale=1.0),
-            "asymmetric": _asymmetric_noses()}[case]
+            "asymmetric": asymmetric_noses()}[case]
     return tiny_spec(out_dir, geometry=geom, target_h=0.2,
                      eps_list=(1e-2, 3e-3), cache_dir=cache_dir)
 
@@ -466,7 +456,7 @@ def test_the_far_field_relaxes_inside_generate(case, tmp_path, monkeypatch):
 def test_only_odd_problems_are_odd_reduced(case):
     # odd_cubic: x_n^3 must be odd bit for bit, which float ** is not
     disc = build_symmetric_disc_example(scale=1.0)
-    geom = {"odd": disc, "asymmetric": _asymmetric_noses(),
+    geom = {"odd": disc, "asymmetric": asymmetric_noses(),
             "odd_cubic": replace(disc, phi=PolyPotential([(1.0, 0, 3)])),
             "constant": replace(disc, phi=ConstantPotential(1.0)),
             "even_term": replace(disc, phi=PolyPotential([(1.0, 0, 1),
@@ -492,7 +482,7 @@ def test_a_case_started_from_the_previous_separation_matches_it_alone(
     # large jump in eps and on a mesh without a mirror (no odd reduction)
     geom, eps_list = {
         "jump": (build_symmetric_disc_example(scale=1.0), (0.1, 1e-4)),
-        "asymmetric": (_asymmetric_noses(), (1e-2, 3e-3))}[case]
+        "asymmetric": (asymmetric_noses(), (1e-2, 3e-3))}[case]
     spec = tiny_spec(geometry=geom, p_list=(1.3, 3.0), eps_list=eps_list,
                      target_h=0.2, cache_dir=str(tmp_path))
     report = run_sweep(spec)
@@ -523,10 +513,10 @@ def test_a_case_after_a_failure_takes_the_p2_start(fails, monkeypatch):
     failing = {"solve": (1.3, eps_list[0]), "mesh": (None, eps_list[1])}[fails]
     solve, mesh = harness.solve, harness.case_mesh
 
-    def failing_solve(mesh_, geom, cfg, cond=None, start=None):
+    def failing_solve(mesh_, cfg, cond=None, start=None):
         if (cfg.p, mesh_.geometry.eps) == failing:
             raise SolverError("line search stagnated")
-        return solve(mesh_, geom, cfg, cond, start)
+        return solve(mesh_, cfg, cond, start)
 
     def failing_mesh(geom, spec, eps, far=None):
         if failing == (None, eps):

@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, every demo and every test file uses each
+name it imports.
 
-`__init__.py` is left out: its imports are the package's public names.  An
-import kept for its side effect is marked `# noqa: F401` on its line.
+The package's `__init__.py` is left out: its imports are the package's
+public names.  An import kept for its side effect is marked `# noqa: F401`
+on its line.
 """
 
 import ast
@@ -9,8 +11,12 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "neckflow"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# package modules by file name, demos and tests by path from the repo root
+FILES = {p.name: p for p in (ROOT / "src" / "neckflow").glob("*.py")
+         if p.name != "__init__.py"}
+FILES.update({str(p.relative_to(ROOT)): p for d in ("demos", "tests")
+              for p in (ROOT / d).glob("*.py")})
 
 
 def unused_imports(source):
@@ -37,6 +43,6 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(src) == ["dumps", "os", "pi"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(FILES[module].read_text()) == []

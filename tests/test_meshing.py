@@ -20,15 +20,15 @@ from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
                       harness, load_mesh, meshing, save_mesh,
                       solve)
 from neckflow.errors import MeshError
-from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
-                               LinearPotential, MirroredCurve, NegatedProfile,
-                               ParabolaProfile, _c2_bound)
+from neckflow.geometry import Circle
 from neckflow.solver import Condenser, ElementOps
 from neckflow.meshing import (TriMesh, _chain, _check_loop_covered,
                               _mirror_map, _points_in_loops, _RepairFailed,
                               _SegmentField, _signed_areas, _SizeField,
                               _split_quad_rows, _stitch_columns,
                               _strip_columns_x, _StripMesh, check_mirror)
+
+from conftest import asymmetric_noses
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +190,7 @@ class TestTwoRowNeck:
             assert np.all(y[near][inside] == 0.0), eps
 
     def test_odd_dofs_do_not_grow_as_eps_shrinks(self, canonical_meshes):
-        conds = [Condenser(m, m.geometry, odd=True) for m in
+        conds = [Condenser(m, odd=True) for m in
                  (canonical_meshes[1e-2], canonical_meshes[1e-4])]
         assert all(c.mirror is not None for c in conds)
         assert abs(conds[0].n_dofs - conds[1].n_dofs) <= 2
@@ -223,10 +223,10 @@ def test_odd_solve_on_a_stitched_mesh_matches_full_solve():
     strip = _StripMesh(g, 0.07, 6, 0.9 * g.gap.chart)
     k = strip.top_idx - strip.bot_idx
     assert np.count_nonzero(k[:-1] != k[1:]) > 0
-    full = solve(m, g, SolveConfig(p=2.0))
-    cond = Condenser(m, g, odd=True)
+    full = solve(m, SolveConfig(p=2.0))
+    cond = Condenser(m, odd=True)
     assert cond.mirror is m.mirror is not None
-    half = solve(m, g, SolveConfig(p=2.0), cond)
+    half = solve(m, SolveConfig(p=2.0), cond)
     for a, b in ((half.ugap, full.ugap), (half.energy, full.energy)):
         assert abs(a - b) <= 1e-12 * abs(b)
     scale = np.abs(full.nodal_values).max()
@@ -264,8 +264,8 @@ def test_capacity_error_with_suggested_floor(monkeypatch):
     monkeypatch.setattr(meshing, "VERTEX_CAP", 4000)
     with pytest.raises(MeshCapacityError) as exc:
         generate(g, 0.1, 6)
-    assert exc.value.eps_floor is not None
-    assert exc.value.eps_floor > 1e-4
+    floor = re.search(r"try eps >= (\S+)$", str(exc.value))
+    assert float(floor.group(1)) > 1e-4
 
 
 def test_strip_vertex_cap_counts_the_rows_built(monkeypatch):
@@ -314,29 +314,13 @@ def test_parabola_geometry_meshes():
     check_mesh(m, min_angle=20.0)
 
 
-def _asymmetric_geometry(eps):
-    # different nose curvatures break the mirror symmetry, so the lower
-    # far-field region is relaxed, not reflected
-    h1 = ParabolaProfile(0.3)
-    h2 = ParabolaProfile(0.5)
-    gap = GapProfile(h1=h1, h2=NegatedProfile(h2), c1=0.79,
-                     c2=_c2_bound(h2, 1.0), chart=1.0)
-    geom = Geometry(outer=Circle((0, 0), 5.0),
-                    inclusion1=CappedGraphCurve(h1, 0.999),
-                    inclusion2=MirroredCurve(CappedGraphCurve(h2, 0.999)),
-                    eps=eps, gap=gap, phi=LinearPotential(), name="asym")
-    geom.validate()
-    assert not geom.is_mirror_symmetric()
-    return geom
-
-
 def test_asymmetric_geometry_far_field():
-    geom = _asymmetric_geometry(5e-3)
+    geom = asymmetric_noses(5e-3)
     m = generate(geom, 0.12, 6, seed=0)
     check_mesh(m, min_angle=20.0)
     assert m.mirror is None
     assert m.boundary_edges_conform()
-    sol = solve(m, geom, SolveConfig(p=2.0))
+    sol = solve(m, SolveConfig(p=2.0))
     assert sol.kkt_residual <= 1e-10
     assert sol.U1 > sol.U2   # upward data still drives the gap sign
 
@@ -344,7 +328,7 @@ def test_asymmetric_geometry_far_field():
 @pytest.mark.parametrize("geom", [
     replace(build_symmetric_disc_example(scale=1.0, eps=1e-2),
             outer=Circle((0.5, 0.0), 5.0)),
-    _asymmetric_geometry(1e-2),
+    asymmetric_noses(1e-2),
 ], ids=["off_centre", "asymmetric"])
 def test_outer_vertices_lie_on_the_outer_circle(geom):
     # the seams end on geom.outer and the rims follow it, wherever its
@@ -407,6 +391,13 @@ def test_check_mesh_sees_holes_and_overlaps(damage):
         check_mesh(bad)
 
 
+def test_a_vertex_on_no_triangle_is_refused():
+    # row i of a saved solution is vertex i, so a mesh is never renumbered
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (0.0, 1.0)])
+    with pytest.raises(MeshError, match="vertex 2 and 0 more are on no"):
+        TriMesh(pts, [(0, 1, 3)], [(0, 1), (1, 3), (3, 0)], [OUTER] * 3)
+
+
 def test_energy_error_drops_3x_per_refinement():
     # manufactured radial state on the annulus: energy converges at second
     # order, so each halving of target_h shrinks the energy error >= 3x
@@ -414,7 +405,7 @@ def test_energy_error_drops_3x_per_refinement():
     e_exact = 2 * math.pi / math.log(2.0)
     errs = []
     for h in (0.2, 0.1, 0.05):
-        sol = solve(generate(g, h), g,
+        sol = solve(generate(g, h),
                     SolveConfig(p=2.0, inclusion_values={INC1: 0.0}))
         errs.append(abs(sol.energy - e_exact))
     assert errs[0] / errs[1] >= 3.0
@@ -608,7 +599,7 @@ class TestMeshIO:
     def test_holed_cached_mesh_raises_mesh_error(self, tmp_path):
         # an asymmetric geometry's cached mesh has no mirror to check; one
         # interior triangle removed still fails the read
-        spec = SweepSpec(geometry=_asymmetric_geometry(1e-2), target_h=0.2,
+        spec = SweepSpec(geometry=asymmetric_noses(1e-2), target_h=0.2,
                          cache_dir=str(tmp_path))
         m = harness.case_mesh(spec.geometry, spec, 1e-2)
         arrays = _mesh_arrays(m)
@@ -648,7 +639,7 @@ def test_grading_report_matches_every_angle_and_edge(kind, disc_mesh):
          "strip": lambda: generate_neck_strip(
              build_symmetric_disc_example(eps=1e-2), 0.1, 6),
          "annulus": lambda: generate(build_annulus(), 0.3),
-         "asym": lambda: generate(_asymmetric_geometry(1e-2), 0.2, 6)}[kind]()
+         "asym": lambda: generate(asymmetric_noses(1e-2), 0.2, 6)}[kind]()
     ang = _angles_deg_reference(m)
     c = m.vertices[m.triangles]
     edges = np.concatenate([np.linalg.norm(c[:, i] - c[:, j], axis=1)
@@ -671,7 +662,7 @@ def test_determinism_same_seed(disc_mesh):
 
 
 def test_determinism_same_seed_general_far_field():
-    g = _asymmetric_geometry(5e-3)
+    g = asymmetric_noses(5e-3)
     m, m2 = (generate(g, 0.2, 6, seed=5) for _ in range(2))
     for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
         assert np.array_equal(getattr(m, name), getattr(m2, name)), name
@@ -750,7 +741,7 @@ def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("geom", [
-    build_symmetric_disc_example(scale=1.0, eps=1e-2), _asymmetric_geometry(5e-3),
+    build_symmetric_disc_example(scale=1.0, eps=1e-2), asymmetric_noses(5e-3),
 ], ids=["symmetric", "general"])
 def test_relaxation_reuses_triangulations(geom, monkeypatch):
     # the symmetric far field relaxes its upper region, the general one both
@@ -838,7 +829,7 @@ def test_relaxation_logs_its_fallbacks(monkeypatch, caplog):
     monkeypatch.setattr(meshing, "_relax_region", relaxing)
     monkeypatch.setattr(meshing, "_flip_repair", repairing)
     caplog.set_level(logging.DEBUG, logger="neckflow")
-    check_mesh(generate(_asymmetric_geometry(5e-3), 0.2, 6, seed=0))
+    check_mesh(generate(asymmetric_noses(5e-3), 0.2, 6, seed=0))
     messages = [r.getMessage() for r in caplog.records]
     records = [m for m in messages if m.startswith("far-field region")]
     assert len(records) == len(regions) == 2, records
@@ -960,7 +951,7 @@ _MESH_HASHES = {
 @pytest.mark.parametrize("path", ["symmetric", "general", "general_stitched"])
 def test_mesher_version_pins_output(path):
     geom = (build_symmetric_disc_example(scale=1.0, eps=1e-2)
-            if path == "symmetric" else _asymmetric_geometry(1e-2))
+            if path == "symmetric" else asymmetric_noses(1e-2))
     m = generate(geom, 0.1 if path == "general_stitched" else 0.2, 6, seed=0)
     h = hashlib.sha256((np.round(m.vertices, 12) + 0.0).tobytes())   # -0.0 is 0.0
     for a in (m.triangles, m.boundary_edges, m.boundary_tags):
@@ -1212,7 +1203,7 @@ def test_strip_matches_column_loop(asym, log_eps, target_h, layers,
                                    chart_frac):
     # chart_frac 1.0 is generate_neck_strip's strip, 0.9 generate's
     eps = 10.0 ** log_eps
-    geom = (_asymmetric_geometry(eps) if asym
+    geom = (asymmetric_noses(eps) if asym
             else build_symmetric_disc_example(eps=eps))
     w = chart_frac * geom.gap.chart
     strip = _StripMesh(geom, target_h, layers, w)

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from neckflow import (INC1, INC2, OUTER, ConstantPotential, LinearPotential,
-                      PolyPotential, SolveConfig,
+                      NeckflowError, PolyPotential, SolveConfig,
                       SolverError, TriMesh, assemble_energy, build_annulus,
                       build_symmetric_disc_example, generate, solve,
                       uniqueness_probe)
@@ -131,7 +132,7 @@ class TestConstantData:
         g = build_symmetric_disc_example(eps=1e-2, phi=ConstantPotential(7.0))
         m = generate(g, 0.18, 6, seed=0)
         for p in (1.3, 2.0):
-            sol = solve(m, g, SolveConfig(p=p))
+            sol = solve(m, SolveConfig(p=p))
             assert sol.U1 == pytest.approx(7.0, abs=1e-9)
             assert sol.U2 == pytest.approx(7.0, abs=1e-9)
             assert np.abs(sol.nodal_values - 7.0).max() <= 1e-8
@@ -187,13 +188,11 @@ class TestDiscFixture:
 
 
 class TestContinuation:
-    def test_loose_early_stages_match_full_tolerance(self, disc_geom,
-                                                     disc_mesh_1e2,
+    def test_loose_early_stages_match_full_tolerance(self, disc_mesh_1e2,
                                                      disc_solutions_1e2):
         # reference: the same p=2 warm start, then every stage at the full
         # tolerance with polish
-        g = disc_geom.with_eps(1e-2)
-        cond = Condenser(disc_mesh_1e2, g)
+        cond = Condenser(disc_mesh_1e2)
         stats = _Stats()
         q, _ = _newton(cond, cond.initial_q(), 2.0, 0.0, stats, 1e-9, 10,
                        POLISH_ITERS)
@@ -326,9 +325,17 @@ def mirrored_grid_mesh():
     for r, tag in ((3, INC1), (0, INC2)):
         edges += [(v(i, r), v(i + 1, r)) for i in range(4)]
         tags += [tag] * 4
-    mesh = TriMesh(np.array(pts, float), tris, edges, tags)
+    mesh = TriMesh(np.array(pts, float), tris, edges, tags,
+                   geometry=SimpleNamespace(phi=LinearPotential()))
     assert mesh.mirror.tolist() == [mirror(i) for i in range(len(pts))]
     return mesh
+
+
+def with_phi(mesh, phi):
+    """A shallow copy of mesh whose geometry has the outer data phi."""
+    out = copy.copy(mesh)
+    out.geometry = replace(mesh.geometry, phi=phi)
+    return out
 
 
 def assert_odd_reduction(cond, mesh, rng):
@@ -399,10 +406,9 @@ class TestComponentMajorKernels:
     @pytest.mark.parametrize("pinned", [{}, {INC2: 0.5}])
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
     @pytest.mark.parametrize("eta", [0.0, 1e-2])
-    def test_match_einsum_reference(self, disc_geom, disc_mesh_1e2, pinned,
-                                    p, eta):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        cond, C = Condenser(m, g, pinned), constraint_matrix(m, pinned)
+    def test_match_einsum_reference(self, disc_mesh_1e2, pinned, p, eta):
+        m = disc_mesh_1e2
+        cond, C = Condenser(m, pinned), constraint_matrix(m, pinned)
         u = cond.nodal(np.random.default_rng(6).normal(size=cond.n_dofs))
         energy, ge, kern = cond.ops.element_grad(u, p, eta)
         blocks = cond.ops.hessian(kern)
@@ -432,11 +438,10 @@ class TestComponentMajorKernels:
         ref = EinsumOps(m).kernels(u1, 2.0, 0.0)[2]
         assert np.array_equal(b1, ref.reshape(-1, 9).T)
 
-    def test_flat_triangles_have_zero_blocks_at_p3(self, disc_geom,
-                                                   disc_mesh_1e2):
+    def test_flat_triangles_have_zero_blocks_at_p3(self, disc_mesh_1e2):
         # zero interior and inclusion values: only triangles that touch the
         # outer boundary have a nonzero gradient
-        cond = Condenser(disc_mesh_1e2, disc_geom.with_eps(1e-2))
+        cond = Condenser(disc_mesh_1e2)
         ops, u = cond.ops, cond.nodal(cond.initial_q())
         blocks = ops.hessian(ops.element_grad(u, 3.0, 0.0)[2])
         flat = np.all(u[ops.tri] == 0.0, axis=0)
@@ -447,10 +452,9 @@ class TestComponentMajorKernels:
 
 class TestFixedPattern:
     @pytest.mark.parametrize("pinned", [{}, {INC2: 0.5}])
-    def test_reduction_matches_reference(self, disc_geom, disc_mesh_1e2,
-                                         rng, pinned):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        ops, cond = ElementOps(m), Condenser(m, g, pinned)
+    def test_reduction_matches_reference(self, disc_mesh_1e2, rng, pinned):
+        m = disc_mesh_1e2
+        ops, cond = ElementOps(m), Condenser(m, pinned)
         C = constraint_matrix(m, pinned)
         assert cond.n_dofs == C.shape[1]
         q = rng.normal(size=cond.n_dofs)
@@ -466,10 +470,9 @@ class TestFixedPattern:
             assert np.abs(cond.reduce_grad(ge) - ref).max() \
                 <= 1e-12 * np.abs(ref).max()
 
-    def test_odd_reduction_matches_reference(self, disc_geom, disc_mesh_1e2,
-                                             rng):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        cond = Condenser(m, g, odd=True)
+    def test_odd_reduction_matches_reference(self, disc_mesh_1e2, rng):
+        m = disc_mesh_1e2
+        cond = Condenser(m, odd=True)
         assert cond.mirror is m.mirror
         # one triangle per mirror pair, of twice its area
         assert cond.ops.tri.shape == (3, m.n_triangles // 2)
@@ -480,7 +483,7 @@ class TestFixedPattern:
         m = mirrored_grid_mesh()
         fixed = np.count_nonzero(m.mirror_triangles == np.arange(m.n_triangles))
         assert (m.n_triangles, fixed) == (32, 8)
-        cond = Condenser(m, SimpleNamespace(phi=LinearPotential()), odd=True)
+        cond = Condenser(m, odd=True)
         assert cond.mirror is m.mirror
         # three upper interior vertices and INC1; one triangle per pair and
         # each self-mirrored one, of its own area
@@ -490,10 +493,9 @@ class TestFixedPattern:
         assert_odd_reduction(cond, m, rng)
 
     @pytest.mark.parametrize("kind", ["full", "odd", "pinned"])
-    def test_condense_inverts_nodal(self, disc_geom, disc_mesh_1e2, rng,
-                                    kind):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        cond = Condenser(m, g, {INC2: 0.5} if kind == "pinned" else None,
+    def test_condense_inverts_nodal(self, disc_mesh_1e2, rng, kind):
+        m = disc_mesh_1e2
+        cond = Condenser(m, {INC2: 0.5} if kind == "pinned" else None,
                          odd=kind == "odd")
         assert (cond.mirror is not None) == (kind == "odd")
         q = rng.normal(size=cond.n_dofs)
@@ -508,31 +510,31 @@ class TestFixedPattern:
                                rtol=0, atol=1e-15)
             assert np.all(v[m.vertex_tag == INC1] == 1.0)
 
-    def test_mirror_needs_odd_data(self, disc_geom, disc_mesh_1e2):
+    def test_mirror_needs_odd_data(self, disc_mesh_1e2):
         # odd=True reduces only odd data with floating inclusions on a mesh
         # with a mirror map; every other case stays in the full space
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        full = Condenser(m, g).n_dofs
-        assert Condenser(m, g).mirror is None
-        odd = PolyPotential([(1.0, 0, 1), (0.5, 2, 1)])
-        assert Condenser(m, replace(g, phi=odd), odd=True).mirror is m.mirror
+        m = disc_mesh_1e2
+        full = Condenser(m).n_dofs
+        assert Condenser(m).mirror is None
+        odd = with_phi(m, PolyPotential([(1.0, 0, 1), (0.5, 2, 1)]))
+        assert Condenser(odd, odd=True).mirror is odd.mirror is not None
         for phi in (ConstantPotential(1.0),
                     PolyPotential([(1.0, 0, 1), (0.1, 0, 2)])):
-            cond = Condenser(m, replace(g, phi=phi), odd=True)
+            cond = Condenser(with_phi(m, phi), odd=True)
             assert (cond.mirror, cond.copies, cond.n_dofs) == (None, 1, full)
-        pinned = Condenser(m, g, {INC1: 0.0, INC2: 0.0}, odd=True)
+        pinned = Condenser(m, {INC1: 0.0, INC2: 0.0}, odd=True)
         assert (pinned.mirror, pinned.n_dofs) == (None, full - 2)
         annulus = generate(build_annulus(1.0, 2.0), 0.3)
-        cond = Condenser(annulus, build_annulus(1.0, 2.0), odd=True)
+        cond = Condenser(annulus, odd=True)
         assert cond.mirror is None
         assert cond.n_dofs == int((annulus.vertex_tag == 0).sum()) + 1
 
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
-    def test_odd_solve_matches_full_solve(self, disc_geom, disc_mesh_1e2,
+    def test_odd_solve_matches_full_solve(self, disc_mesh_1e2,
                                           disc_solutions_1e2, p):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        m = disc_mesh_1e2
         cfg, full = SolveConfig(p=p), disc_solutions_1e2[p]
-        half = solve(m, g, cfg, Condenser(m, g, odd=True))
+        half = solve(m, cfg, Condenser(m, odd=True))
         assert half.U1 == -half.U2
         assert np.array_equal(half.nodal_values[m.mirror], -half.nodal_values)
         assert half.kkt_residual <= NEWTON_TOL
@@ -542,11 +544,10 @@ class TestFixedPattern:
                        for r in FLUX_WINDOWS)):
             assert abs(a - b) <= 1e-11 * abs(b)
 
-    def test_ordered_solve_matches_fresh_ordering(self, disc_geom,
-                                                   disc_mesh_1e2, rng,
-                                                   monkeypatch):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        ops, cond = ElementOps(m), Condenser(m, g)
+    def test_ordered_solve_matches_fresh_ordering(self, disc_mesh_1e2, rng,
+                                                  monkeypatch):
+        m = disc_mesh_1e2
+        ops, cond = ElementOps(m), Condenser(m)
         specs, splu = [], spla.splu
 
         def recording_splu(A, permc_spec=None, **kw):
@@ -570,7 +571,7 @@ class TestFixedPattern:
         d = cond.linear_solve(cond.reduce_hess(b), rhs, stats)
         assert stats.linear_fallbacks == 0
         assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
-        H = Condenser(m, g).reduce_hess(b)      # reduced layout
+        H = Condenser(m).reduce_hess(b)      # reduced layout
         lu = spla.splu(H, **SYMMETRIC_MMD)
         ref = lu.solve(rhs)
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -578,10 +579,10 @@ class TestFixedPattern:
                             **dict(SYMMETRIC_MMD, permc_spec="NATURAL"))
         assert ordered.L.nnz + ordered.U.nnz == lu.L.nnz + lu.U.nnz
 
-    def test_singular_ordered_hessian_takes_levenberg(self, disc_geom,
-                                                      disc_mesh_1e2, rng):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        ops, cond = ElementOps(m), Condenser(m, g)
+    def test_singular_ordered_hessian_takes_levenberg(self, disc_mesh_1e2,
+                                                      rng):
+        m = disc_mesh_1e2
+        ops, cond = ElementOps(m), Condenser(m)
         u = cond.nodal(cond.initial_q())
         rhs = rng.normal(size=cond.n_dofs)
         stats = _Stats()
@@ -593,24 +594,24 @@ class TestFixedPattern:
         b = ops.hessian(ops.element_grad(u, 3.0, 0.0)[2])
         d = cond.linear_solve(cond.reduce_hess(b), rhs, stats)
         assert stats.linear_fallbacks == 1
-        ref = _linear_solve(Condenser(m, g).reduce_hess(b), rhs, _Stats())
+        ref = _linear_solve(Condenser(m).reduce_hess(b), rhs, _Stats())
         assert np.abs(d - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_shared_condenser_matches_fresh_solves(self, disc_geom,
                                                    disc_mesh_1e2,
                                                    disc_solutions_1e2):
         g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        cond = Condenser(m, g)
+        cond = Condenser(m)
         for p in (1.3, 2.0, 3.0):
-            sol, ref = solve(m, g, SolveConfig(p=p), cond), disc_solutions_1e2[p]
+            sol, ref = solve(m, SolveConfig(p=p), cond), disc_solutions_1e2[p]
             assert sol.newton_iters == ref.newton_iters
             assert np.abs(sol.nodal_values - ref.nodal_values).max() <= 1e-12
         # a Condenser of another mesh or constraint layout is refused
         with pytest.raises(ValueError):
-            solve(m, g, SolveConfig(p=2.0, inclusion_values={INC1: 0.0}), cond)
+            solve(m, SolveConfig(p=2.0, inclusion_values={INC1: 0.0}), cond)
         other = generate(g, 0.35, 6, seed=0)
         with pytest.raises(ValueError):
-            solve(other, g, SolveConfig(p=2.0), cond)
+            solve(other, SolveConfig(p=2.0), cond)
 
 
 def random_spd(rng, n):
@@ -660,11 +661,10 @@ class TestPCG:
 
 
 class TestInexactNewton:
-    def test_fewer_factorizations_same_end_state(self, disc_geom,
-                                                 disc_mesh_1e2,
+    def test_fewer_factorizations_same_end_state(self, disc_mesh_1e2,
                                                  disc_solutions_1e2,
                                                  monkeypatch):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+        m = disc_mesh_1e2
         sol = disc_solutions_1e2[1.3]
         assert 1 <= sol.factorizations < sol.newton_iters
         assert sol.cg_iters > 0 and sol.linear_fallbacks == 0
@@ -673,7 +673,7 @@ class TestInexactNewton:
         monkeypatch.setattr(Condenser, "linear_solve",
                             lambda self, H, rhs, stats, forcing=None:
                             direct(self, H, rhs, stats))
-        ref = solve(m, g, SolveConfig(p=1.3))
+        ref = solve(m, SolveConfig(p=1.3))
         assert ref.cg_iters == 0 and ref.factorizations >= ref.newton_iters
         assert sol.U1 == pytest.approx(ref.U1, rel=1e-8)
         assert sol.U2 == pytest.approx(ref.U2, rel=1e-8)
@@ -682,11 +682,10 @@ class TestInexactNewton:
         assert sol.eta_sensitivity == pytest.approx(ref.eta_sensitivity,
                                                     rel=1e-6)
 
-    def test_old_factorization_dropped_before_the_next(self, disc_geom,
-                                                       disc_mesh_1e2,
+    def test_old_factorization_dropped_before_the_next(self, disc_mesh_1e2,
                                                        monkeypatch):
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        cond, stats = Condenser(m, g), _Stats()
+        m = disc_mesh_1e2
+        cond, stats = Condenser(m), _Stats()
         cleared, splu = [], spla.splu
 
         def checking_splu(*args, **kw):
@@ -698,23 +697,21 @@ class TestInexactNewton:
         assert stats.cg_iters > 0
         assert len(cleared) == stats.factorizations > 1 and all(cleared)
 
-    def test_each_solve_starts_without_a_preconditioner(self, disc_geom,
-                                                        disc_mesh_1e2,
+    def test_each_solve_starts_without_a_preconditioner(self, disc_mesh_1e2,
                                                         disc_solutions_1e2):
         # a shared Condenser takes the same linear solves as a fresh one
-        g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
-        cond = Condenser(m, g)
+        m = disc_mesh_1e2
+        cond = Condenser(m)
         for p in (1.3, 2.0, 3.0):
-            sol, ref = solve(m, g, SolveConfig(p=p), cond), disc_solutions_1e2[p]
+            sol, ref = solve(m, SolveConfig(p=p), cond), disc_solutions_1e2[p]
             assert (sol.factorizations, sol.cg_iters) == \
                 (ref.factorizations, ref.cg_iters)
 
 
 class TestLinearCase:
-    def test_one_newton_step(self, disc_geom, disc_mesh_1e2, monkeypatch):
-        g = disc_geom.with_eps(1e-2)
+    def test_one_newton_step(self, disc_mesh_1e2, monkeypatch):
         monkeypatch.setattr(solver, "POLISH_ITERS", 0)
-        sol = solve(disc_mesh_1e2, g, SolveConfig(p=2.0))
+        sol = solve(disc_mesh_1e2, SolveConfig(p=2.0))
         assert sol.newton_iters == 1
         assert sol.kkt_residual <= 1e-10
         assert sol.linear_fallbacks == 0
@@ -725,7 +722,7 @@ class TestManufactured:
     def test_radial_solution(self, p):
         g = build_annulus(1.0, 2.0, phi=ConstantPotential(1.0))
         m = generate(g, 0.05)
-        sol = solve(m, g, SolveConfig(p=p, inclusion_values={INC1: 0.0}))
+        sol = solve(m, SolveConfig(p=p, inclusion_values={INC1: 0.0}))
         r = np.linalg.norm(m.vertices, axis=1)
         err = np.abs(sol.nodal_values - radial_exact(r, p)).max()
         assert err <= 1e-4
@@ -737,23 +734,23 @@ class TestUniqueness:
         g = disc_geom.with_eps(1e-2)
         m = generate(g, 0.2, 6, seed=0)
         for p in (2.0, 3.0):
-            d = uniqueness_probe(m, g, SolveConfig(p=p), seed=1)
+            d = uniqueness_probe(m, SolveConfig(p=p), seed=1)
             assert d <= 10 * 1e-10
 
     def test_degenerate_regime(self, disc_geom):
         g = disc_geom.with_eps(1e-2)
         m = generate(g, 0.2, 6, seed=0)
-        d = uniqueness_probe(m, g, SolveConfig(p=1.3), seed=2)
+        d = uniqueness_probe(m, SolveConfig(p=1.3), seed=2)
         assert d <= 100 * 1e-10
 
     def test_zero_data(self):
         g = build_symmetric_disc_example(eps=1e-2, phi=ConstantPotential(0.0))
         m = generate(g, 0.25, 6, seed=0)
         cfg = SolveConfig(p=2.0)
-        sol = solve(m, g, cfg)
+        sol = solve(m, cfg)
         assert np.abs(sol.nodal_values).max() <= 1e-10
         # every randomized start also lands on the zero state
-        d = uniqueness_probe(m, g, cfg, seed=3)
+        d = uniqueness_probe(m, cfg, seed=3)
         assert d <= 10 * NEWTON_TOL
 
 
@@ -763,8 +760,8 @@ class TestHessianSpectrum:
         m = generate(g, 0.35, 6, seed=0)
         for p in (1.3, 2.0, 3.0):
             cfg = SolveConfig(p=p)
-            sol = solve(m, g, cfg)
-            cond = Condenser(m, g)
+            sol = solve(m, cfg)
+            cond = Condenser(m)
             _, _, state = cond.ops.element_grad(sol.nodal_values, p,
                                                 eta_schedule(p)[-1])
             H = cond.reduce_hess(cond.ops.hessian(state)).toarray()
@@ -772,38 +769,44 @@ class TestHessianSpectrum:
             assert lam[0] >= -1e-10 * abs(lam[-1])
 
 
-def test_stagnation_diagnostic(disc_geom, disc_mesh_1e2, monkeypatch):
-    g = disc_geom.with_eps(1e-2)
+def test_stagnation_diagnostic(disc_mesh_1e2, monkeypatch):
     for name, value in (("MAX_NEWTON_ITERS", 1), ("NEWTON_TOL", 1e-14),
                         ("POLISH_ITERS", 0)):
         monkeypatch.setattr(solver, name, value)
-    with pytest.raises(SolverError) as exc:
-        solve(disc_mesh_1e2, g, SolveConfig(p=3.0))
-    assert exc.value.residual is not None
-    assert exc.value.eta == 0.0
+    with pytest.raises(SolverError, match=r"residual \d\.\d+e[-+]\d+ at eta=0$"):
+        solve(disc_mesh_1e2, SolveConfig(p=3.0))
 
 
-def test_floor_accept_is_counted(disc_geom, disc_mesh_1e2,
-                                 disc_solutions_1e2, monkeypatch):
+def test_floor_accept_is_counted(disc_mesh_1e2, disc_solutions_1e2,
+                                 monkeypatch):
     # a line search that never finds a decrease: from a residual within
     # 100 NEWTON_TOL the iterate is accepted at the rounding floor, counted
-    g, m = disc_geom.with_eps(1e-2), disc_mesh_1e2
+    m = disc_mesh_1e2
     assert all(s.floor_accepts == 0 for s in disc_solutions_1e2.values())
-    cond = Condenser(m, g)
+    cond = Condenser(m)
     res0 = _scaled_residual(cond, cond.initial_q(), 2.0, 0.0)
     monkeypatch.setattr(ElementOps, "energy", lambda *args: math.inf)
     monkeypatch.setattr(solver, "NEWTON_TOL", res0 / 50)
-    sol = solve(m, g, SolveConfig(p=2.0), cond)
+    sol = solve(m, SolveConfig(p=2.0), cond)
     assert (sol.floor_accepts, sol.newton_iters) == (1, 0)
     assert sol.kkt_residual == res0
     monkeypatch.setattr(solver, "NEWTON_TOL", res0 / 200)
     with pytest.raises(SolverError, match="stagnated"):
-        solve(m, g, SolveConfig(p=2.0), cond)
+        solve(m, SolveConfig(p=2.0), cond)
 
 
-def test_condenser_layout(disc_geom, disc_mesh_1e2):
-    g = disc_geom.with_eps(1e-2)
-    cond = Condenser(disc_mesh_1e2, g)
+def test_a_mesh_without_geometry_is_refused(disc_mesh_1e2):
+    # the outer data phi come from the mesh's geometry alone
+    m = copy.copy(disc_mesh_1e2)
+    m.geometry = None
+    for call in (lambda: Condenser(m), lambda: solve(m, SolveConfig(p=2.0)),
+                 lambda: uniqueness_probe(m, SolveConfig(p=2.0))):
+        with pytest.raises(NeckflowError, match="carries no geometry"):
+            call()
+
+
+def test_condenser_layout(disc_mesh_1e2):
+    cond = Condenser(disc_mesh_1e2)
     n_int = int((disc_mesh_1e2.vertex_tag == 0).sum())
     assert cond.n_dofs == n_int + 2
     q = cond.initial_q()
