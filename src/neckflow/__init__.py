@@ -19,12 +19,11 @@ from .solver import (SolveConfig, Solution, assemble_energy, solve,
                      uniqueness_probe)
 from .analysis import (GradientProbe, annulus_circle_flux, cross_section_flux,
                        decay_fit, gradient_probe, holder_quotient_scan,
-                       holder_scan, max_gradient, write_probe_csv)
-from .asymptotics import (CRITICAL, SUB, SUPER, AsymptoticPrediction, Regime,
-                          blowup_scale, extrapolate_flux,
-                          extrapolated_window_rows, fit_ugap_limit,
-                          gap_constant, lower_bound_region, neck_integral,
-                          neck_integral_limit, predict_expansion)
+                       holder_scan, max_gradient, write_csv)
+from .asymptotics import (CRITICAL, SUB, SUPER, Regime, blowup_scale,
+                          extrapolate_flux, extrapolated_window_rows,
+                          fit_ugap_limit, gap_constant, lower_bound_region,
+                          neck_integral, neck_integral_limit, predicted_grad_n)
 from .harness import (SweepReport, SweepSpec, compare_prediction, run_case,
                       run_sweep, solve_decay_fixture)
 from .errors import (BranchError, FitError, GeometryError, MeshCapacityError,

@@ -192,11 +192,13 @@ def _last_variation(report, p, key):
 
 def _loo_checks(report, p, fmt):
     """The leave-one-radius-out range of F_inf at p (NaN when there is
-    none), shown, not gated."""
-    lo, hi = (report.fits[p]["flux_extrapolation"]["loo_range"]
-              or (math.nan, math.nan))
+    none) and how many of its refits fell back, shown, not gated."""
+    fx = report.fits[p]["flux_extrapolation"]
+    lo, hi = fx["loo_range"] or (math.nan, math.nan)
     return [Check(f"p={p:g} F_inf leave-one-out min", lo, fmt=fmt),
-            Check(f"p={p:g} F_inf leave-one-out max", hi, fmt=fmt)]
+            Check(f"p={p:g} F_inf leave-one-out max", hi, fmt=fmt),
+            Check(f"p={p:g} F_inf leave-one-out fallbacks",
+                  fx["loo_fallbacks"], fmt="d")]
 
 
 @_criterion(6, "potential-gap scaling (p=2)")
@@ -257,9 +259,8 @@ def criterion_expansion(report):
     # shown, not gated, for the p = 1.3 probe e: the SUB prediction above is
     # built from the gap at the same separation, this one from the
     # extrapolated gap limit
-    pred = asy.predict_expansion(report.fits[1.3]["ugap_fit"]["limit"],
-                                 asy.Regime(1.3, 2), 1e-4)
-    dn = pred.predicted_dn(e["delta"])
+    dn = asy.predicted_grad_n(report.fits[1.3]["ugap_fit"]["limit"],
+                              asy.Regime(1.3, 2), 1e-4, e["delta"])
     return checks + [Check("p=1.3 rel vs gap limit",
                            abs(e["grad_n"] - dn) / abs(dn))]
 

@@ -23,12 +23,14 @@ ANNULUS_BAND_CELLS = 4.0   # annulus_circle_flux's layer width in h_max
 
 @dataclass(frozen=True)
 class GradientProbe:
-    """Element gradient and gap width at the neck point (xprime, xn)."""
+    """Element gradient (grad_x, grad_n) and gap width delta at the neck
+    point (xprime, xn); a sweep row's `probes` are these records as dicts."""
 
     xprime: float
     xn: float
-    grad: tuple
-    delta_at_point: float
+    grad_x: float
+    grad_n: float
+    delta: float
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def gradient_probe(sol, mesh, xprime):
     if tri[0] < 0:
         raise GeometryError(f"probe point ({xp}, {y}) not inside the mesh")
     gx, gy = sol.element_gradients[tri[0]]
-    return GradientProbe(xp, y, (float(gx), float(gy)), gap_width(geom, xp))
+    return GradientProbe(xp, y, float(gx), float(gy), gap_width(geom, xp))
 
 
 def probe_value_and_gradient(sol, mesh, pts):
@@ -237,19 +239,23 @@ def holder_scan(mesh, grads, beta, points):
 
 
 # ---------------------------------------------------------------------------
-# probe CSV
+# CSV output
 # ---------------------------------------------------------------------------
 
-PROBE_CSV_HEADER = "eps,p,xprime,xn,delta,grad_x,grad_n,predicted_grad_n"
+PROBE_CSV_COLUMNS = ("eps", "p", "xprime", "xn", "delta", "grad_x", "grad_n",
+                     "predicted_grad_n")
 
 
-def write_probe_csv(path, rows):
-    """One row per probe: eps,p,xprime,xn,delta,grad_x,grad_n,predicted_grad_n."""
+def write_csv(path, columns, records, first_line=None):
+    """first_line (if given), the comma-joined column names, then one line
+    per record (a mapping) with csv_field of its value under each column.
+    Writes rows.csv and, with PROBE_CSV_COLUMNS, probes.csv."""
     with open(path, "w") as fh:
-        fh.write(PROBE_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(csv_field(row[k])
-                              for k in PROBE_CSV_HEADER.split(",")) + "\n")
+        if first_line is not None:
+            fh.write(first_line + "\n")
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            fh.write(",".join(csv_field(rec[c]) for c in columns) + "\n")
 
 
 def csv_field(x):

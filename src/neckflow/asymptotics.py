@@ -1,6 +1,8 @@
 """Closed-form asymptotic layer: the blow-up scale factor, the Gamma-based
-neck constant, the quadrature oracle that validates it, expansion
-predictions, and the extrapolation fits used by the sweep harness.
+neck constant, the quadrature oracle that validates it, the leading-order
+gradient prediction (predicted_grad_n), and the extrapolation fits used by
+the sweep harness, whose results (UGapFit, FluxExtrapolation) the sweep
+report stores field for field.
 
 Everything here is a pure function of scalars and small matrices; no PDE
 state is touched.  The exponent branches split at p = (n+1)/2:
@@ -215,50 +217,25 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    """Leading-order prediction of the vertical neck gradient.
-
-    predicted_dn(delta) returns the predicted vertical derivative at a point
-    with local gap width delta; the transverse component is zero at leading
-    order.  The error envelope decays like gap^(beta/2) with an unspecified
-    beta in (0,1), so no rate is attached here.
-    """
-
-    branch: str
-    eps: float
-    scale_factor: float            # blow-up scale at this eps (1 on SUB)
-    neck_constant: float           # K (None on SUB)
-    leading_coeff: float           # sgn(F)(K|F|)^(1/(p-1)), or the potential gap
-    zero_leading: bool = False
-
-    def predicted_dn(self, delta):
-        if delta <= 0:
-            raise GeometryError("gap width must be positive")
-        return self.scale_factor * self.leading_coeff / delta
-
-
-def predict_expansion(F_or_gap, regime: Regime, eps, hessian_gap=None):
-    """Build the leading-order gradient prediction.
-
-    SUPER/CRITICAL take the limiting flux; SUB takes the potential gap
-    (U1 - U2).  A zero flux yields an identically zero leading order, which
-    is valid and flagged."""
-    b = regime.branch
-    if b in (SUPER, CRITICAL):
-        if hessian_gap is None:
-            raise GeometryError("flux branches need the gap Hessian")
-        K = gap_constant(hessian_gap, regime)
-        F = float(F_or_gap)
-        lead = _sgn(F) * (K * abs(F)) ** (1.0 / (regime.p - 1.0))
-        return AsymptoticPrediction(branch=b, eps=float(eps),
-                                    scale_factor=blowup_scale(eps, regime),
-                                    neck_constant=K, leading_coeff=lead,
-                                    zero_leading=(F == 0.0))
-    gap = float(F_or_gap)
-    return AsymptoticPrediction(branch=b, eps=float(eps), scale_factor=1.0,
-                                neck_constant=None, leading_coeff=gap,
-                                zero_leading=(gap == 0.0))
+def predicted_grad_n(value, regime: Regime, eps, delta, hessian_gap=None):
+    """Leading-order vertical neck gradient at a point of local gap width
+    delta: scale(eps) sgn(F) (K |F|)^(1/(p-1)) / delta on SUPER/CRITICAL,
+    where value is the limiting flux F, and (U1 - U2) / delta on SUB, where
+    value is the potential gap.  The transverse component is zero at
+    leading order.  The error envelope decays like gap^(beta/2) with an
+    unspecified beta in (0,1), so no rate is attached here."""
+    if regime.branch == SUB:
+        scale, lead = 1.0, float(value)
+    elif hessian_gap is None:
+        raise GeometryError("flux branches need the gap Hessian")
+    else:
+        F = float(value)
+        scale = blowup_scale(eps, regime)
+        lead = _sgn(F) * (gap_constant(hessian_gap, regime) * abs(F)) ** (
+            1.0 / (regime.p - 1.0))
+    if delta <= 0:
+        raise GeometryError("gap width must be positive")
+    return scale * lead / delta
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +347,8 @@ class FluxExtrapolation:
     # the refits that do not fall back; None with fewer than LOO_MIN_ROWS
     # rows or when every refit falls back
     loo_range: tuple = None
+    # how many of those refits fell back (0 with no refits)
+    loo_fallbacks: int = 0
 
 
 # the fewest rows whose leave-one-radius-out refits are fitted
@@ -378,7 +357,8 @@ LOO_MIN_ROWS = 4
 
 def extrapolate_flux(rows):
     """Fit F(r) = F_inf + A exp(-B/r), B in [1e-6, 1e3], over window radii
-    and return F_inf, with its leave-one-radius-out range (loo_range).
+    and return F_inf, with its leave-one-radius-out range (loo_range) and
+    the number of those refits that fell back (loo_fallbacks).
 
     rows: sequence of (r, windowed flux); radii need not be ordered.  With
     fewer than three rows, when the best B is an end of its range, or when
@@ -391,7 +371,7 @@ def extrapolate_flux(rows):
     refits = [_fit_flux(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
     values = [f.value for f in refits if not f.fallback]
     return replace(fit, loo_range=(min(values), max(values)) if values
-                   else None)
+                   else None, loo_fallbacks=len(refits) - len(values))
 
 
 def _fit_flux(rows):

@@ -127,7 +127,9 @@ class GapProfile:
     h1 bounds the upper inclusion from below, h2 the lower one from above
     (both before the +/- eps/2 translation).  c1 is the relative-convexity
     constant (c1 |x'|^2 <= h1 - h2) and c2 bounds the C^2 norms; both are
-    verified by sampling in `validate`.
+    verified by sampling in `validate`.  A profile provides `__call__` (its
+    height), `deriv` (its slope) and `curvature0` (its second derivative at
+    0), as DiscProfile, ParabolaProfile, TableProfile and NegatedProfile do.
     """
 
     h1: object
@@ -142,10 +144,7 @@ class GapProfile:
 
     def gap_hessian0(self):
         """(h1 - h2)''(0), the 1x1 gap Hessian at the touching point."""
-        if hasattr(self.h1, "curvature0") and hasattr(self.h2, "curvature0"):
-            return self.h1.curvature0() - self.h2.curvature0()
-        d = 1e-4 * self.chart
-        return float((self.diff(d) - 2.0 * self.diff(0.0) + self.diff(-d)) / d**2)
+        return self.h1.curvature0() - self.h2.curvature0()
 
     def validate(self):
         xc, n_samples, tol = self.chart, 200, 1e-8
@@ -156,6 +155,8 @@ class GapProfile:
             slope = (float(h(d)) - float(h(-d))) / (2 * d)
             if abs(slope) > 1e-4:
                 raise GeometryError(f"{name} has nonzero slope at 0")
+            if not callable(getattr(h, "curvature0", None)):
+                raise GeometryError(f"{name} has no curvature0 method")
         x = np.linspace(-xc, xc, n_samples)
         x = x[np.abs(x) > 1e-12]
         gap = self.diff(x)

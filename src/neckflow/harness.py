@@ -7,10 +7,14 @@ Outputs in the chosen directory:
   rows.csv            frozen column order (see CSV_BASE_COLUMNS + one
                       `winflux_r<r>` column per flux window), one row per
                       (p, eps) case, byte-stable for a fixed config and seed
-  probes.csv          one row per gradient probe (analysis CSV schema)
+  probes.csv          one row per prediction entry, analysis.PROBE_CSV_COLUMNS
   report.json         everything, including fits and per-case runtimes
-  solution_<p>_<eps>.npy / .json   nodal values (row i is vertex i) +
-                      scalar summary per case
+  solution_<p>_<eps>.npy   nodal values per case (entry i is vertex i)
+
+Results are stored as computed: a row's `probes` are analysis.GradientProbe
+records, a fit's `ugap_fit` and `flux_extrapolation` the fields of the
+asymptotics.UGapFit and FluxExtrapolation results (the latter plus the window
+`rows`), and a prediction entry is a probe record plus its predicted_grad_n.
 
 A sweep reads nothing but its SweepSpec (no environment variable, no
 process-wide setting) and returns everything in its SweepReport, whose
@@ -45,7 +49,7 @@ import numbers
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -234,19 +238,14 @@ def run_case(p, eps, spec, mesh, cond, start=None):
         "neck_layers": mesh.grading_report.neck_layers,
         "winflux": {float(r): fa.cross_section_flux(sol, mesh, r)
                     for r in FLUX_WINDOWS},
-        "probes": [],
-        "history": [(e, en, res) for (e, en, res) in sol.energy_history],
+        "probes": [asdict(fa.gradient_probe(sol, mesh, xp)) for xp in PROBES],
+        "history": sol.energy_history,
         "linear_fallbacks": sol.linear_fallbacks,
         "factorizations": sol.factorizations, "cg_iters": sol.cg_iters,
         "floor_accepts": sol.floor_accepts, "newton_iters": sol.newton_iters,
         "n_dofs": cond.n_dofs, "odd_reduced": cond.mirror is not None,
         "start": "p2" if start is None else "previous separation",
     }
-    for xp in PROBES:
-        pr = fa.gradient_probe(sol, mesh, xp)
-        row["probes"].append({"xprime": float(xp), "xn": pr.xn,
-                              "grad_x": pr.grad[0], "grad_n": pr.grad[1],
-                              "delta": pr.delta_at_point})
     row["runtime_s"] = time.time() - t0
     if spec.out_dir:
         _persist_solution(sol, row, spec.out_dir)
@@ -254,24 +253,13 @@ def run_case(p, eps, spec, mesh, cond, start=None):
 
 
 def solution_path(out_dir, p, eps):
-    """The .npy file of the (p, eps) case's nodal values in a sweep's out_dir;
-    its scalar summary is the .json file of the same stem."""
+    """The .npy file of the (p, eps) case's nodal values in a sweep's
+    out_dir."""
     return os.path.join(out_dir, f"solution_{p:g}_{eps:g}.npy")
 
 
 def _persist_solution(sol, row, out_dir):
-    path = solution_path(out_dir, row["p"], row["eps"])
-    np.save(path, sol.nodal_values)
-    summary = {
-        "p": row["p"], "eps": row["eps"], "U1": row["U1"], "U2": row["U2"],
-        "energy": row["energy"], "flux1": row["flux1"], "flux2": row["flux2"],
-        "kkt_residual": row["kkt_residual"],
-        "mesh_stats": {"nv": row["nv"], "nt": row["nt"],
-                       "min_angle_deg": row["min_angle_deg"],
-                       "neck_layers": row["neck_layers"]},
-    }
-    with open(os.path.splitext(path)[0] + ".json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+    np.save(solution_path(out_dir, row["p"], row["eps"]), sol.nodal_values)
 
 
 def run_separation(spec, eps, far=None, previous=None):
@@ -333,26 +321,19 @@ def slope_fit(rows):
 
 
 def fit_case_family(rows, p, gap_hessian):
-    """Slope, potential-gap limit, and flux extrapolation for one exponent."""
+    """Slope, potential-gap limit (asymptotics.UGapFit), and flux
+    extrapolation (FluxExtrapolation, plus its window `rows`) for one p."""
     regime = asy.Regime(p, 2)
     out = {"p": p, "branch": regime.branch, "slope_fit": slope_fit(rows)}
     gap_rows = [(r["eps"], r["ugap"]) for r in rows]
     if len(gap_rows) >= 3:
-        fit = asy.fit_ugap_limit(gap_rows, regime, gap_hessian)
-        out["ugap_fit"] = {"limit": fit.limit, "flux_implied": fit.flux_implied,
-                           "ratios": list(fit.ratios),
-                           "extrapolated": fit.extrapolated,
-                           "warning": fit.warning}
+        out["ugap_fit"] = asdict(asy.fit_ugap_limit(gap_rows, regime,
+                                                    gap_hessian))
     tables = {r["eps"]: r["winflux"] for r in rows}
     wrows = asy.extrapolated_window_rows(tables, regime)
     if wrows:
-        fx = asy.extrapolate_flux(wrows)
-        out["flux_extrapolation"] = {"value": fx.value,
-                                     "amplitude": fx.amplitude,
-                                     "rate": fx.rate, "fallback": fx.fallback,
-                                     "loo_range": fx.loo_range and list(
-                                         fx.loo_range),
-                                     "rows": [[r, v] for r, v in wrows]}
+        out["flux_extrapolation"] = {**asdict(asy.extrapolate_flux(wrows)),
+                                     "rows": wrows}
     return out
 
 
@@ -369,38 +350,30 @@ def compare_prediction(rows, gap_hessian, fits):
     for row in rows:
         p, eps = row["p"], row["eps"]
         regime = asy.Regime(p, 2)
-        fit = fits.get(p, {})
+        try:
+            region = asy.lower_bound_region(regime, eps)
+        except NeckflowError:
+            region = 0.0
+        value = (row["ugap"] if regime.branch == asy.SUB else
+                 fits.get(p, {}).get("ugap_fit", {}).get("flux_implied",
+                                                         math.nan))
         for probe in row["probes"]:
-            entry = {"p": p, "eps": eps, "xprime": probe["xprime"],
-                     "xn": probe["xn"], "delta": probe["delta"],
-                     "grad_x": probe["grad_x"], "grad_n": probe["grad_n"]}
-            try:
-                region = asy.lower_bound_region(regime, eps)
-            except NeckflowError:
-                region = 0.0
-            if abs(probe["xprime"]) > region:
-                entry.update(status="EXCLUDED", predicted_grad_n=math.nan,
-                             rel_error=math.nan)
-                table.append(entry)
-                continue
-            if regime.branch == asy.SUB:
-                pred = asy.predict_expansion(row["ugap"], regime, eps)
-            else:
-                F = fit.get("ugap_fit", {}).get("flux_implied", math.nan)
-                if not math.isfinite(F):
-                    entry.update(status="NO_FIT", predicted_grad_n=math.nan,
-                                 rel_error=math.nan)
-                    table.append(entry)
-                    continue
-                pred = asy.predict_expansion(F, regime, eps, gap_hessian)
-            pval = pred.predicted_dn(probe["delta"])
-            entry["predicted_grad_n"] = pval
-            if pval == 0.0 or pred.zero_leading:
-                entry.update(status="ABS", rel_error=abs(probe["grad_n"]))
-            else:
-                entry.update(status="OK",
-                             rel_error=abs(probe["grad_n"] - pval) / abs(pval))
+            entry = {"p": p, "eps": eps, **probe, "status": "EXCLUDED",
+                     "predicted_grad_n": math.nan, "rel_error": math.nan}
             table.append(entry)
+            if abs(probe["xprime"]) > region:
+                continue
+            if not math.isfinite(value) and regime.branch != asy.SUB:
+                entry["status"] = "NO_FIT"
+                continue
+            pval = asy.predicted_grad_n(value, regime, eps, probe["delta"],
+                                        gap_hessian)
+            if pval == 0.0:    # a zero flux or gap: no relative error
+                entry.update(status="ABS", predicted_grad_n=pval,
+                             rel_error=abs(probe["grad_n"]))
+            else:
+                entry.update(status="OK", predicted_grad_n=pval,
+                             rel_error=abs(probe["grad_n"] - pval) / abs(pval))
     return table
 
 
@@ -459,17 +432,14 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 
 def write_report(report: SweepReport):
     out = report.spec.out_dir
-    win_cols = [f"winflux_r{r:g}" for r in FLUX_WINDOWS]
-    with open(os.path.join(out, "rows.csv"), "w") as fh:
-        fh.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        fh.write(",".join(list(CSV_BASE_COLUMNS) + win_cols) + "\n")
-        for r in report.rows:
-            vals = [fa.csv_field(r[c]) for c in CSV_BASE_COLUMNS]
-            vals += [fa.csv_field(r["winflux"][float(w)])
-                     for w in FLUX_WINDOWS]
-            fh.write(",".join(vals) + "\n")
+    win_cols = {f"winflux_r{r:g}": r for r in FLUX_WINDOWS}
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+    fa.write_csv(os.path.join(out, "rows.csv"), [*CSV_BASE_COLUMNS, *win_cols],
+                 ({**r, **{c: r["winflux"][w] for c, w in win_cols.items()}}
+                  for r in report.rows), first_line=f"# generated {stamp}")
     # prediction entries carry every probes.csv column
-    fa.write_probe_csv(os.path.join(out, "probes.csv"), report.predictions)
+    fa.write_csv(os.path.join(out, "probes.csv"), fa.PROBE_CSV_COLUMNS,
+                 report.predictions)
     payload = {"spec": report.spec.meta(), "rows": report.rows,
                "fits": {str(k): v for k, v in report.fits.items()},
                "predictions": report.predictions,

@@ -117,6 +117,21 @@ def test_criterion_10_shows_the_sub_branch_against_the_gap_limit(
     assert checks["p=1.3 rel"].value < 1e-4 < 0.05 < shown.value < 0.2
 
 
+def test_leave_one_out_fallbacks_are_shown(acceptance):
+    # ungated, next to the range: at seed 0 the p=2 refit without r=0.2
+    # falls back, so the p=2 range comes from 3 of its 4 refits
+    results, out = acceptance
+    fits = _report(out).fits
+    shown = []
+    for index, p in ((6, 2.0), (7, 1.3)):
+        (check,) = [c for c in results[index].checks
+                    if c.name == f"p={p:g} F_inf leave-one-out fallbacks"]
+        assert (check.gate, check.sense) == (None, None)
+        assert check.value == fits[p]["flux_extrapolation"]["loo_fallbacks"]
+        shown.append(check.value)
+    assert shown == [1, 0]
+
+
 def test_criterion_11_holder_boundedness(acceptance):
     _check(acceptance, 11)
 

@@ -9,8 +9,8 @@ from neckflow import (FitError, GeometryError, INC1, INC2, ConstantPotential,
                       build_parabola_example, build_symmetric_disc_example,
                       cross_section_flux, generate, gradient_probe,
                       holder_quotient_scan, holder_scan, max_gradient, solve,
-                      solve_decay_fixture, write_probe_csv)
-from neckflow.analysis import (fit_log_decay, PROBE_CSV_HEADER,
+                      solve_decay_fixture, write_csv)
+from neckflow.analysis import (fit_log_decay, PROBE_CSV_COLUMNS,
                                recovered_vertex_gradients)
 from neckflow.harness import FLUX_WINDOWS
 from neckflow.solver import ElementOps, dual_flux
@@ -192,8 +192,9 @@ class TestMaxGradient:
         sol = disc_solutions_1e2[2.0]
         pr = gradient_probe(sol, disc_mesh_1e2, 0.0)
         tri, _ = disc_mesh_1e2.locate(np.array([[pr.xprime, pr.xn]]))
-        assert np.allclose(sol.element_gradients[tri[0]], pr.grad)
-        assert pr.delta_at_point == pytest.approx(1e-2)
+        assert np.allclose(sol.element_gradients[tri[0]],
+                           (pr.grad_x, pr.grad_n))
+        assert pr.delta == pytest.approx(1e-2)
 
 
 class TestDecayFit:
@@ -285,7 +286,9 @@ def test_probe_csv(tmp_path):
     rows = [{"eps": 1e-3, "p": 2.0, "xprime": 0.0, "xn": 0.0, "delta": 1e-3,
              "grad_x": 0.0, "grad_n": 12.5, "predicted_grad_n": 12.0}]
     path = tmp_path / "probes.csv"
-    write_probe_csv(str(path), rows)
+    write_csv(str(path), PROBE_CSV_COLUMNS, rows)
     lines = path.read_text().splitlines()
-    assert lines[0] == PROBE_CSV_HEADER
+    assert lines[0] == "eps,p,xprime,xn,delta,grad_x,grad_n,predicted_grad_n"
     assert lines[1].startswith("0.001,2,0,0,0.001,0,12.5,12")
+    write_csv(str(path), ("p", "eps"), rows, first_line="# note")
+    assert path.read_text() == "# note\np,eps\n2,0.001\n"

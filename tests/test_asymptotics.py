@@ -9,7 +9,7 @@ from neckflow import (BranchError, FitError, GeometryError, Regime,
                       blowup_scale, extrapolate_flux, extrapolated_window_rows,
                       fit_ugap_limit, gap_constant,
                       lower_bound_region, neck_integral, neck_integral_limit,
-                      predict_expansion)
+                      predicted_grad_n)
 from neckflow.asymptotics import (CRITICAL, SUB, SUPER, _aitken,
                                   _separable_fit)
 
@@ -144,30 +144,34 @@ class TestNeckIntegral:
 
 class TestPredictExpansion:
     def test_zero_flux_flagged(self):
-        pred = predict_expansion(0.0, Regime(2.0, 2), 1e-4, [[1.0]])
-        assert pred.zero_leading
-        assert pred.leading_coeff == 0.0
+        # a zero flux predicts an identically zero leading order
+        assert predicted_grad_n(0.0, Regime(2.0, 2), 1e-4, 1e-4, [[1.0]]) \
+            == 0.0
 
     def test_super_composition(self):
-        pred = predict_expansion(1.0, Regime(2.0, 2), 1e-4, [[2.0]])
-        assert pred.predicted_dn(1e-4) == pytest.approx(100.0 / math.pi,
-                                                        rel=1e-12)
+        assert predicted_grad_n(1.0, Regime(2.0, 2), 1e-4, 1e-4, [[2.0]]) \
+            == pytest.approx(100.0 / math.pi, rel=1e-12)
+        with pytest.raises(GeometryError, match="gap Hessian"):
+            predicted_grad_n(1.0, Regime(2.0, 2), 1e-4, 1e-4)
+        with pytest.raises(GeometryError, match="gap width"):
+            predicted_grad_n(1.0, Regime(2.0, 2), 1e-4, 0.0, [[2.0]])
 
     def test_sub_formula(self):
-        pred = predict_expansion(0.3, Regime(1.3, 2), 1e-4)
-        assert pred.predicted_dn(0.01) == pytest.approx(30.0)
+        # the potential gap over the gap width, in that order
+        assert predicted_grad_n(0.3, Regime(1.3, 2), 1e-4, 0.01) == 0.3 / 0.01
+        with pytest.raises(GeometryError, match="gap width"):
+            predicted_grad_n(0.3, Regime(1.3, 2), 1e-4, -0.01)
 
     def test_sign_convention(self):
-        pred = predict_expansion(-2.0, Regime(2.0, 2), 1e-4, [[1.0]])
-        assert pred.leading_coeff < 0
+        assert predicted_grad_n(-2.0, Regime(2.0, 2), 1e-4, 1e-4, [[1.0]]) < 0
 
     @settings(max_examples=40, deadline=None)
     @given(f1=st.floats(0.0, 50.0), df=st.floats(0.0, 50.0),
            p=st.floats(1.51, 4.0))
     def test_monotone_in_flux(self, f1, df, p):
         reg = Regime(p, 2)
-        a = predict_expansion(f1, reg, 1e-4, [[1.0]]).leading_coeff
-        b = predict_expansion(f1 + df, reg, 1e-4, [[1.0]]).leading_coeff
+        a = predicted_grad_n(f1, reg, 1e-4, 1.0, [[1.0]])
+        b = predicted_grad_n(f1 + df, reg, 1e-4, 1.0, [[1.0]])
         assert b >= a - 1e-12
 
 
@@ -284,13 +288,16 @@ class TestFluxExtrapolation:
         refits = [extrapolate_flux(rows[:i] + rows[i + 1:]) for i in range(4)]
         assert all(f.loo_range is None and not f.fallback for f in refits)
         values = [f.value for f in refits]
-        assert extrapolate_flux(rows).loo_range == (min(values), max(values))
+        fx = extrapolate_flux(rows)
+        assert fx.loo_range == (min(values), max(values))
+        assert fx.loo_fallbacks == 0
         assert values[1] == pytest.approx(F, rel=1e-8)
         assert max(values) - min(values) > 1e-3
         # refits that fall back are left out, and with them all, the range
         alternating = [(0.5, 1.0), (0.4, -1.0), (0.3, 1.0), (0.2, -1.0),
                        (0.1, 1.0)]
-        assert extrapolate_flux(alternating).loo_range is None
+        fx = extrapolate_flux(alternating)
+        assert fx.loo_range is None and fx.loo_fallbacks == 5
 
     def test_rate_at_its_range_end_is_no_fit(self):
         # p=2 window fluxes of a two-row canonical sweep: without r=0.2 the
@@ -311,6 +318,7 @@ class TestFluxExtrapolation:
         assert not any(f.fallback for f in refits)
         values = [f.value for f in refits]
         assert fx.loo_range == (min(values), max(values))
+        assert fx.loo_fallbacks == 1    # the refit without r=0.2
         assert 24 < fx.loo_range[0] < fx.loo_range[1] < 27
 
     def test_window_row_extrapolation(self):

@@ -160,3 +160,16 @@ def test_each_newton_step_from_a_transferred_start_assembles_once(
                              eps_list=(1e-2, 3e-3), target_h=0.2)
     assert harness.run_sweep(spec).ok
     assert starts == [False] * 3 + [True, False, True]
+
+
+def test_sweep_results_carry_the_keys_workloads_read(disc_geom):
+    # workloads.py reads these through .get(key, default), so a renamed key
+    # would read as a pass there, and its work counts read these row keys
+    spec = harness.SweepSpec(geometry=disc_geom, p_list=(2.0,),
+                             eps_list=(3e-3, 2e-3, 1e-3), target_h=0.2)
+    report = harness.run_sweep(spec)
+    fit = report.fits[2.0]
+    assert isinstance(fit["flux_extrapolation"]["fallback"], bool)
+    assert isinstance(fit["ugap_fit"]["warning"], str)
+    for row in report.rows:
+        assert {"eps", "nv", "nt", "min_angle_deg"} <= set(row)

@@ -113,6 +113,12 @@ class TestGapProfile:
         with pytest.raises(GeometryError):
             shifted.validate()
 
+    def test_profile_without_curvature0_rejected(self):
+        # gap_hessian0 reads curvature0; a bare function has none
+        gap = build_parabola_example(eps=0.0).gap
+        with pytest.raises(GeometryError, match="h1 has no curvature0"):
+            replace(gap, h1=lambda t: gap.h1(t)).validate()
+
     def test_too_large_c1_rejected(self):
         g = build_symmetric_disc_example(eps=0.0)
         bad = GapProfile(h1=g.gap.h1, h2=g.gap.h2, c1=5.0, c2=g.gap.c2,

@@ -4,7 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +20,8 @@ from neckflow.cli import main as cli_main
 from neckflow.geometry import (CappedGraphCurve, Circle, GapProfile, Geometry,
                                LinearPotential, MirroredCurve, NegatedProfile,
                                ParabolaProfile, TableProfile, _c2_bound)
+from neckflow.analysis import GradientProbe
+from neckflow.asymptotics import FluxExtrapolation, UGapFit
 from neckflow.harness import (CSV_BASE_COLUMNS, _mesh_key, case_mesh,
                               compare_prediction)
 
@@ -101,9 +103,15 @@ class TestSingleCaseSweep:
         assert values.shape == (report.rows[0]["nv"],)
         assert values.min() == report.rows[0]["u_min"]
         assert values.max() == report.rows[0]["u_max"]
-        summary = json.loads((out / "solution_2_0.01.json").read_text())
-        assert summary["p"] == 2.0
-        assert abs(summary["flux1"]) <= 1e-8
+        # the case's scalars are in its report.json row, not in a file of
+        # their own
+        assert sorted(p.name for p in out.glob("solution_*")) == \
+            ["solution_2_0.01.npy"]
+        probe_fields = {f.name for f in fields(GradientProbe)}
+        assert [set(pr) for pr in report.rows[0]["probes"]] == \
+            [probe_fields] * len(harness.PROBES)
+        assert [set(e) for e in report.predictions] == [probe_fields | {
+            "p", "eps", "status", "predicted_grad_n", "rel_error"}] * 2
 
     def test_csv_columns_frozen(self, tmp_path):
         spec = tiny_spec(str(tmp_path / "out"))
@@ -121,12 +129,8 @@ def test_solution_file_roundtrip_is_bitwise(tmp_path):
     values = np.concatenate([
         np.random.default_rng(0).normal(size=40) * 10.0 ** np.arange(-20, 20),
         [0.0, -0.0, 5e-324, 1.0 / 3.0, -1e300, math.inf, math.nan]])
-    row = dict.fromkeys(["U1", "U2", "energy", "flux1", "flux2",
-                         "kkt_residual", "nv", "nt", "min_angle_deg",
-                         "neck_layers"], 0.0)
-    row.update(p=2.0, eps=0.01)
-    harness._persist_solution(SimpleNamespace(nodal_values=values), row,
-                              str(tmp_path))
+    harness._persist_solution(SimpleNamespace(nodal_values=values),
+                              {"p": 2.0, "eps": 0.01}, str(tmp_path))
     back = np.load(tmp_path / "solution_2_0.01.npy", allow_pickle=False)
     assert back.dtype == np.float64 and back.shape == values.shape
     assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
@@ -137,11 +141,22 @@ def _npz_arrays(path):
         return {name: npz[name] for name in npz.files}
 
 
+def _report_without_runtimes(out):
+    """report.json of the sweep in out without its runtime_s fields and the
+    spec's out_dir and cache_dir."""
+    data = json.loads((pathlib.Path(out) / "report.json").read_text())
+    del data["runtime_s"], data["spec"]["out_dir"], data["spec"]["cache_dir"]
+    for row in data["rows"]:
+        del row["runtime_s"]
+    return data
+
+
 def test_rerun_is_byte_identical_modulo_timestamp(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (a, b):
         run_sweep(tiny_spec(out, eps_list=(1e-2, 6e-3), seed=3,
                             cache_dir=os.path.join(out, "cache")))
+    assert _report_without_runtimes(a) == _report_without_runtimes(b)
     ra = (pathlib.Path(a) / "rows.csv").read_text().splitlines()
     rb = (pathlib.Path(b) / "rows.csv").read_text().splitlines()
     assert ra[0].startswith("#") and rb[0].startswith("#")
@@ -570,9 +585,10 @@ def test_flux_extrapolation_recorded():
     rows = [{"eps": e, "ugap": 1.0 - e, "maxgrad": e ** -0.5,
              "winflux": {r: r * (1 + e**0.4) for r in radii}}
             for e in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)]
-    fx = harness.fit_case_family(rows, 2.0, [[1.0]])["flux_extrapolation"]
-    assert sorted(fx) == ["amplitude", "fallback", "loo_range", "rate",
-                          "rows", "value"]
+    fits = harness.fit_case_family(rows, 2.0, [[1.0]])
+    assert set(fits["ugap_fit"]) == {f.name for f in fields(UGapFit)}
+    fx = fits["flux_extrapolation"]
+    assert set(fx) == {f.name for f in fields(FluxExtrapolation)} | {"rows"}
     assert not fx["fallback"]
     assert fx["loo_range"] is None    # three radii: no leave-one-out refits
     assert [r for r, _ in fx["rows"]] == list(radii)
@@ -580,6 +596,11 @@ def test_flux_extrapolation_recorded():
         assert s0 == pytest.approx(r, rel=1e-8)
         assert fx["value"] + fx["amplitude"] * math.exp(-fx["rate"] / r) == \
             pytest.approx(r, rel=1e-8)
+
+
+def _probe(xprime, grad_n, delta):
+    """A sweep row's probe record: vertical gradient grad_n at (xprime, 0)."""
+    return asdict(GradientProbe(xprime, 0.0, 0.0, grad_n, delta))
 
 
 class TestComparePrediction:
@@ -591,8 +612,7 @@ class TestComparePrediction:
         delta = eps
         dn = asy.blowup_scale(eps, asy.Regime(2.0, 2)) * (K * F) / delta
         rows = [{"p": 2.0, "eps": eps, "ugap": 0.0,
-                 "probes": [{"xprime": 0.0, "xn": 0.0, "grad_x": 0.0,
-                             "grad_n": dn, "delta": delta}]}]
+                 "probes": [_probe(0.0, dn, delta)]}]
         fits = {2.0: {"ugap_fit": {"flux_implied": F}}}
         table = compare_prediction(rows, [[1.0]], fits)
         assert table[0]["status"] == "OK"
@@ -600,16 +620,17 @@ class TestComparePrediction:
 
     def test_probe_outside_region_excluded(self):
         rows = [{"p": 2.0, "eps": 1e-2, "ugap": 0.1,
-                 "probes": [{"xprime": 0.5, "xn": 0.0, "grad_x": 0.0,
-                             "grad_n": 1.0, "delta": 1e-2}]}]
+                 "probes": [_probe(0.5, 1.0, 1e-2), _probe(0.0, 1.0, 1e-2)]}]
         fits = {2.0: {"ugap_fit": {"flux_implied": 1.0}}}
         table = compare_prediction(rows, [[1.0]], fits)
-        assert table[0]["status"] == "EXCLUDED"
+        assert [e["status"] for e in table] == ["EXCLUDED", "OK"]
+        # without a gap fit there is no flux to predict from
+        assert [e["status"] for e in compare_prediction(rows, [[1.0]], {})] \
+            == ["EXCLUDED", "NO_FIT"]
 
     def test_zero_prediction_reports_absolute(self):
         rows = [{"p": 2.0, "eps": 1e-4, "ugap": 0.0,
-                 "probes": [{"xprime": 0.0, "xn": 0.0, "grad_x": 0.0,
-                             "grad_n": 0.25, "delta": 1e-4}]}]
+                 "probes": [_probe(0.0, 0.25, 1e-4)]}]
         fits = {2.0: {"ugap_fit": {"flux_implied": 0.0}}}
         table = compare_prediction(rows, [[1.0]], fits)
         assert table[0]["status"] == "ABS"
@@ -617,8 +638,7 @@ class TestComparePrediction:
 
     def test_sub_branch_uses_same_eps_gap(self):
         rows = [{"p": 1.3, "eps": 1e-4, "ugap": 0.3,
-                 "probes": [{"xprime": 0.0, "xn": 0.0, "grad_x": 0.0,
-                             "grad_n": 0.3 / 1e-4, "delta": 1e-4}]}]
+                 "probes": [_probe(0.0, 0.3 / 1e-4, 1e-4)]}]
         table = compare_prediction(rows, [[1.0]], {1.3: {}})
         assert table[0]["status"] == "OK"
         assert table[0]["rel_error"] == pytest.approx(0.0, abs=1e-14)
