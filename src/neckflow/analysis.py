@@ -38,16 +38,31 @@ class GradientProbe:
 # ---------------------------------------------------------------------------
 
 def cross_section_flux(sol, mesh, r):
-    """Current flowing upward through the lower neck boundary restricted to
-    |x'| <= r (the window flux whose eps -> 0 limit is the touching-problem
-    flux)."""
+    """Current flowing upward through the lower wall over |x'| <= r (the
+    window flux whose eps -> 0 limit is the touching-problem flux): the
+    dual flux of the vertices of _wall_window."""
+    return dual_flux(sol.grad_full, sol.p, _wall_window(mesh, r))
+
+
+def _wall_window(mesh, r):
+    """Mask of the INC2 vertices on the lower wall's graph over |x'| <= r.
+    The far side of the lower inclusion, which also has |x'| <= r, is left
+    out."""
     geom = mesh.geometry
     if geom is None or geom.gap is None:
         raise GeometryError("cross-section flux needs a two-inclusion geometry")
     if not 0 < r < geom.gap.chart:
         raise GeometryError(f"window radius {r} outside (0, {geom.gap.chart})")
-    window = (mesh.vertex_tag == INC2) & (np.abs(mesh.vertices[:, 0]) <= r)
-    return dual_flux(sol.grad_full, sol.p, window)
+    v = mesh.vertices
+    near = np.flatnonzero((mesh.vertex_tag == INC2) & (np.abs(v[:, 0]) <= r))
+    # the walls are evaluated only inside the chart.  A wall vertex lies on
+    # the graph up to rounding, and the far side lies the inclusion's
+    # height below it, so half the local gap width tells them apart
+    x, y = v[near, 0], v[near, 1]
+    lo = geom.lower_wall(x)
+    window = np.zeros(len(v), dtype=bool)
+    window[near[np.abs(y - lo) < 0.5 * (geom.upper_wall(x) - lo)]] = True
+    return window
 
 
 def annulus_circle_flux(sol, mesh, r):

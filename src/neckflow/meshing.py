@@ -7,11 +7,9 @@ Two-inclusion domains are meshed in two parts that share vertices exactly:
   the requested number of element layers), and
 * an unstructured far field produced by a short spring-relaxation loop over
   a Delaunay triangulation (distmesh-style), seeded from a graded lattice.
-  qhull triangulates each far-field region about twice during the
-  relaxation: once at the start, and once after the last relaxation step.
-  In between, Lawson edge flips repair the last triangulation after the
-  points have moved, and qhull runs again only when a repair meets an
-  inverted triangle or its round cap.
+  Its size field is target_h near the neck and grows away from it
+  (_SizeField), and qhull triangulates a region afresh whenever its points
+  have moved far enough (_relax_region).
 
 The far field is split into an upper and a lower region by a seam from
 each strip wall's mid vertex straight out to the outer circle.  It is
@@ -46,9 +44,8 @@ VERTEX_CAP = 2_000_000   # the most vertices a mesh may have
 
 # part of every mesh-cache key: bump it whenever a change to this module
 # changes the meshes it builds, so that stale cache files are not reused.
-# Version 7 relaxes the far field once, at eps = 0, and moves it to each
-# separation
-MESHER_VERSION = 7
+# Version 8 grades the far field's size away from the neck
+MESHER_VERSION = 8
 
 # the mesh-quality gate: check_mesh's default, and the angle below which a
 # sweep flags a mesh in its report
@@ -535,11 +532,22 @@ class _SegmentField:
         return clear
 
 
-class _SizeField:
-    """min(target, anchor_size + growth * distance-to-anchor)."""
+# the far field's base size grows by _FAR_GROWTH per unit distance from the
+# neck beyond _FAR_START chart radii, up to _FAR_H (or target_h when that is
+# coarser): away from the neck the solution is close to linear
+_FAR_START = 1.5
+_FAR_GROWTH = 0.1
+_FAR_H = 0.3
 
-    def __init__(self, target_h, anchors=(), growth=0.4):
+
+class _SizeField:
+    """min(base, anchor_size + growth * distance-to-anchor), where base is
+    min(max(_FAR_H, target), target + _FAR_GROWTH * max(0, |x| - r0)): the
+    target size within r0 of the neck (the origin), graded beyond."""
+
+    def __init__(self, target_h, r0, anchors=(), growth=0.4):
         self.target_h = float(target_h)
+        self.r0 = float(r0)
         self.anchors = [(np.asarray(p, dtype=float), float(s)) for p, s in anchors]
         self.growth = growth
 
@@ -547,7 +555,9 @@ class _SizeField:
         """Sizes at an (n, 2) array of points (or one point), as an array."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         x, y = pts[:, 0], pts[:, 1]
-        out = np.full(len(pts), self.target_h)
+        far = np.maximum(np.sqrt(x * x + y * y) - self.r0, 0.0)
+        out = np.minimum(max(_FAR_H, self.target_h),
+                         self.target_h + _FAR_GROWTH * far)
         for (px, py), s in self.anchors:
             # the same rounding as np.linalg.norm(pts - p, axis=1)
             dx, dy = x - px, y - py
@@ -572,128 +582,21 @@ _RELAX_ITERS = 30   # spring-relaxation steps per far-field region
 # retriangulate once some free point has moved this fraction of its local
 # size since the last triangulation (Persson & Strang, SIAM Review 2004)
 _REBUILD_MOVE = 0.2
-_FLIP_ROUNDS = 32   # flip rounds in one repair before falling back to qhull
 
 
-class _RepairFailed(Exception):
-    """A flip repair gave up; the message is the reason."""
-
-
-def _cross(u, v):
-    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-
-
-def _delaunay_state(pts):
-    """qhull's Delaunay triangulation of pts as int32 counterclockwise
-    simplices and the neighbour table (nbr[t, k] is the triangle across from
-    vertex k of t, -1 on the hull)."""
-    tri = Delaunay(pts)
-    simp = tri.simplices.astype(np.int32)
-    nbr = tri.neighbors.astype(np.int32)
-    c = pts[simp]
-    cw = _cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) < 0
-    simp[cw] = simp[cw][:, [0, 2, 1]]
-    nbr[cw] = nbr[cw][:, [0, 2, 1]]
-    return simp, nbr
-
-
-def _flip_repair(pts, simp, nbr):
-    """Lawson edge flips (Lawson 1977) that turn a triangulation into the
-    Delaunay triangulation of the moved points pts, in place on the
-    counterclockwise simplices and neighbour table of _delaunay_state.
-    Returns the number of rounds that flipped.
-
-    Raises _RepairFailed when a triangle is inverted at pts (flips cannot
-    unfold a folded triangulation) or after _FLIP_ROUNDS rounds.
-    Each round tests its candidate edges with the in-circle determinant and
-    flips only where it exceeds 1e-12 (|A|² + |B|² + |C|²)², so near-ties
-    cannot cycle.  A flip rewrites its two triangles and the back-pointers of
-    their four outer neighbours, so each candidate claims those six, and it
-    flips only if it holds all six by lowest candidate id: the lowest one
-    always does.  The next round tests the outer edges of every flipped quad
-    and the candidates that lost.
-    """
-    c = pts[simp]
-    if not np.all(_cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) > 0):
-        raise _RepairFailed("inverted triangle")
-    # each interior edge once: from its lower-numbered triangle
-    t, k = np.nonzero(nbr > np.arange(len(simp), dtype=np.int32)[:, None])
-    t, k = t.astype(np.int32), k.astype(np.int32)
-    owner = np.empty(len(simp), dtype=np.int32)
-    for rounds in range(_FLIP_ROUNDS + 1):
-        # the edge b-c of t = (a, b, c) is c-b of its neighbour u = (d, c, b)
-        u = nbr[t, k]
-        j = np.argmax(nbr[u] == t[:, None], axis=1).astype(np.int32)
-        a, b, cc = simp[t, k], simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]
-        d = simp[u, j]
-        A, B, C = pts[a] - pts[d], pts[b] - pts[d], pts[cc] - pts[d]
-        la, lb, lc = (np.einsum("ij,ij->i", v, v) for v in (A, B, C))
-        det = la * _cross(B, C) + lb * _cross(C, A) + lc * _cross(A, B)
-        bad = np.flatnonzero(det > 1e-12 * (la + lb + lc) ** 2)
-        if not bad.size:
-            return rounds
-        if rounds == _FLIP_ROUNDS:
-            break
-        t, k, u, j, a, b, cc, d = (v[bad] for v in (t, k, u, j, a, b, cc, d))
-        n_ab, n_ca = nbr[t, (k + 2) % 3], nbr[t, (k + 1) % 3]
-        n_bd, n_dc = nbr[u, (j + 1) % 3], nbr[u, (j + 2) % 3]
-        six = np.column_stack([t, u, n_ab, n_ca, n_bd, n_dc])
-        ids = np.broadcast_to(np.arange(len(t), dtype=np.int32)[:, None],
-                              six.shape)
-        real = six >= 0
-        owner.fill(len(t))
-        np.minimum.at(owner, six[real], ids[real])
-        win = np.all((owner[six] == ids) | ~real, axis=1)
-        # (a, b, c) + (d, c, b) -> (a, b, d) + (a, d, c); the neighbours
-        # across b-d and c-a change sides
-        tw, uw = t[win], u[win]
-        simp[tw] = np.column_stack([a[win], b[win], d[win]])
-        simp[uw] = np.column_stack([a[win], d[win], cc[win]])
-        nbr[tw] = np.column_stack([n_bd[win], uw, n_ab[win]])
-        nbr[uw] = np.column_stack([n_dc[win], n_ca[win], tw])
-        for n, old, new in ((n_bd[win], uw, tw), (n_ca[win], tw, uw)):
-            on = n >= 0
-            n, old, new = n[on], old[on], new[on]
-            nbr[n, np.argmax(nbr[n] == old[:, None], axis=1)] = new
-        flipped = np.zeros(len(simp), dtype=bool)
-        flipped[tw] = flipped[uw] = True
-        lost = ~win & ~flipped[t] & ~flipped[u]
-        # outer edges of the flipped quads: b-d and a-b of (a, b, d), d-c
-        # and c-a of (a, d, c)
-        slots = np.repeat(np.array([0, 2, 0, 1], dtype=np.int32), len(tw))
-        t = np.concatenate([t[lost], tw, tw, uw, uw])
-        k = np.concatenate([k[lost], slots])
-        inner = nbr[t, k] >= 0
-        t, k = t[inner], k[inner]
-    raise _RepairFailed("round cap")
-
-
-def _kept_edge_keys(simp, nbr, keep, active, n):
-    """Sorted keys (_edge_keys) of the edges of the kept triangles, each
-    listed once: from the lower-numbered of its two triangles, or from the
-    kept side when the other side is missing or not kept.  The same array
-    as np.unique over all three edges of every kept triangle."""
-    kt = np.flatnonzero(keep)
-    nb = nbr[kt]
-    once = (nb < 0) | (nb > kt[:, None]) | ~keep[nb]
-    tt, kk = np.nonzero(once)
-    t = kt[tt]
-    i, j = active[simp[t, (kk + 1) % 3]], active[simp[t, (kk + 2) % 3]]
-    return np.sort(_edge_keys(i, j, n))
-
-
-def _grade_spacing(length, s0, s1, target_h, growth=1.25):
-    """Node fractions along a segment, spacing s0 at one end, s1 at the other,
-    at most target_h in between, geometric growth."""
+def _grade_spacing(length, s0, s1, cap, growth=1.25):
+    """Node positions along a segment, spacing s0 at one end, s1 at the
+    other, at most cap(pos) at distance pos from the first end in between,
+    geometric growth."""
     steps = []
     pos = 0.0
-    s = min(s0, target_h)
+    s = min(s0, cap(pos))
     while pos < length:
         steps.append(s)
         pos += s
         # grow, but leave room to shrink back toward s1 at the far end
         remaining = length - pos
-        s = min(target_h, s * growth, max(s1, remaining * (growth - 1) + s1))
+        s = min(cap(pos), s * growth, max(s1, remaining * (growth - 1) + s1))
     arr = np.asarray(steps)
     arr *= length / arr.sum()
     return np.concatenate([[0.0], np.cumsum(arr)])
@@ -719,19 +622,13 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
     moving them to a separation (FarField).
 
     Each relaxation step pushes the free points apart along the edges of the
-    last Delaunay triangulation.  That triangulation, and its edge list, are
-    rebuilt only once some free point has moved more than _REBUILD_MOVE of
-    its local size since it was built.  The first build calls qhull; every
-    later one repairs the previous full triangulation (the convex hull of
-    the region's points) by Lawson edge flips (_flip_repair), and calls
-    qhull again only when the repair fails: a triangle inverted at the new
-    positions, or _FLIP_ROUNDS rounds without convergence.  The edge list
-    is the sorted edges of the triangles whose centroids lie inside the
-    loop, which do not depend on triangle order.
-    After the last step, one fresh qhull triangulation serves all three
-    Laplacian passes (the relaxation's last one left slivers on coarse
-    meshes).  One DEBUG record on the "neckflow" logger gives the qhull
-    calls, flip repairs and fallbacks of the region.
+    last triangulation (_triangulate).  That triangulation, and its edge
+    list, are rebuilt only once some free point has moved more than
+    _REBUILD_MOVE of its local size since it was built.  After the last
+    step, one fresh triangulation serves all three Laplacian passes (the
+    relaxation's last one left slivers on coarse meshes), so a region takes
+    one qhull call per rebuild and one more.  One DEBUG record on the
+    "neckflow" logger gives the region's qhull calls.
 
     Each free point keeps a lower bound on its distance to the loop, taken
     at each rebuild and shortened by every step it takes, so that a step is
@@ -773,29 +670,16 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
 
     h = size(pool.pts[free])
     last = None   # free point positions at the last triangulation
-    state = None  # the full triangulation of pool.pts[active] at `last`
-    repairs, most_rounds, fallbacks = 0, 0, []
+    qhull_calls = 1   # the Laplacian passes' triangulation
     for step in range(_RELAX_ITERS):
         x = pool.pts[free]
         if last is None or np.max(np.linalg.norm(x - last, axis=1) / h,
                                   initial=0.0) > _REBUILD_MOVE:
-            pts = pool.pts[active]
-            if state is None:
-                state = _delaunay_state(pts)
-            else:
-                try:
-                    most_rounds = max(most_rounds, _flip_repair(pts, *state))
-                    repairs += 1
-                except _RepairFailed as exc:
-                    fallbacks.append(f"step {step}: {exc}")
-                    state = _delaunay_state(pts)
-            simp, nbr = state
-            keep = _points_in_loops(pts[simp].mean(axis=1),
-                                    segfield.a, segfield.b)
+            lo, hi = _edges(_triangulate(pool.pts, active, loop_pts),
+                            pool.n)
+            qhull_calls += 1
             last = x
             bound = segfield.lower_bound(x)
-            lo, hi = np.divmod(_kept_edge_keys(simp, nbr, keep, active, pool.n),
-                               pool.n)
         pa = pool.pts[lo]
         pb = pool.pts[hi]
         vec = pb - pa
@@ -823,15 +707,11 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
         if norm.size and norm.max() < 0.005 * h0:
             break
 
-    qhull_calls = 2 + len(fallbacks)
     _log.debug("far-field region: %d points, %d relaxation steps, %d qhull "
-               "calls, %d flip repairs (at most %d rounds), fallbacks: %s",
-               len(active), step + 1, qhull_calls, repairs, most_rounds,
-               fallbacks or "none")
+               "calls", len(active), step + 1, qhull_calls)
 
     # three Laplacian smoothing passes on the free points, all on one fresh
     # triangulation: every triangle edge adds each end to the other's sum
-    state = simp = nbr = None
     tris = _triangulate(pool.pts, active, loop_pts)
     nxt = np.roll(tris, -1, axis=1).ravel()
     ends = np.concatenate([tris.ravel(), nxt])
@@ -853,8 +733,7 @@ def _harmonic(tris, free, u):
     the edges of tris: each free vertex takes the mean of its neighbours'
     values (0 when it has none), the others keep theirs."""
     n, nf = len(u), len(free)
-    keys = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), n))
-    lo, hi = np.divmod(keys, n)
+    lo, hi = _edges(tris, n)
     pos = np.full(n, -1)
     pos[free] = np.arange(nf)
     # each edge once from each end; rows are the free ends
@@ -878,6 +757,13 @@ def _check_loop_covered(tris, loop):
     if not np.isin(_edge_keys(loop, np.roll(loop, -1), n), have).all():
         raise MeshError("far-field triangulation missed a boundary edge; "
                         "adjust target_h")
+
+
+def _edges(tris, n):
+    """The (lo, hi) ends of the edges of triangles tris among n vertices,
+    each edge once, in sorted _edge_keys order."""
+    return np.divmod(np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), n)),
+                     n)
 
 
 def _edge_keys(i, j, n):
@@ -1115,17 +1001,19 @@ class FarField:
             x = sgn * w
             anchors.append(((x, float(g.upper_wall(x))), wall_sz[sgn]))
             anchors.append(((x, float(g.lower_wall(x))), wall_sz[sgn]))
-        size = _SizeField(target_h, anchors)
+        size = _SizeField(target_h, _FAR_START * g.gap.chart, anchors)
         rng = np.random.default_rng(seed)
 
         def seam(sgn, wall):
             """Horizontal seam from the wall's mid vertex to the outer
-            circle: its points between the two, and its end on the circle."""
+            circle, spaced by the size field along it: its points between
+            the two, and its end on the circle."""
             x0, y = pool.pts[wall[len(wall) // 2]]
             x1 = cx + sgn * math.sqrt(r_out ** 2 - (y - cy) ** 2)
-            frac = _grade_spacing(abs(x1 - x0), wall_sz[sgn], target_h,
-                                  target_h)
-            xs = x0 + np.sign(x1 - x0) * frac[1:-1]
+            sign = np.sign(x1 - x0)
+            pos = _grade_spacing(abs(x1 - x0), wall_sz[sgn], size.at((x1, y)),
+                                 lambda d: size.at((x0 + sign * d, y)))
+            xs = x0 + sign * pos[1:-1]
             return pool.add(np.column_stack([xs, np.full(len(xs), y)])), (x1, y)
 
         (seam_r, end_r), (seam_l, end_l) = (seam(sgn, wall)
@@ -1134,10 +1022,12 @@ class FarField:
 
         def rim_points(upper):
             """The outer circle from the right seam end to the left one, over
-            the top or under the bottom, ends exact."""
+            the top or under the bottom, ends exact, evenly spaced by the
+            finer of the sizes at its ends."""
             a0, a1 = (_arc_ccw_angles(t_r, t_l) if upper
                       else _arc_ccw_angles(t_l, t_r)[::-1])
-            n = max(8, int(abs(a1 - a0) * r_out / target_h))
+            n = max(8, int(abs(a1 - a0) * r_out
+                           / min(size.at(end_r), size.at(end_l))))
             ang = np.linspace(a0, a1, n + 1)
             pts = np.column_stack([cx + r_out * np.cos(ang),
                                    cy + r_out * np.sin(ang)])

@@ -118,8 +118,9 @@ def test_criterion_10_shows_the_sub_branch_against_the_gap_limit(
 
 
 def test_leave_one_out_fallbacks_are_shown(acceptance):
-    # ungated, next to the range: at seed 0 the p=2 refit without r=0.2
-    # falls back, so the p=2 range comes from 3 of its 4 refits
+    # ungated, next to the range: at seed 0 the p=2 refits without r=0.25
+    # and without r=0.2 fall back, so the p=2 range comes from 2 of its 4
+    # refits
     results, out = acceptance
     fits = _report(out).fits
     shown = []
@@ -129,7 +130,7 @@ def test_leave_one_out_fallbacks_are_shown(acceptance):
         assert (check.gate, check.sense) == (None, None)
         assert check.value == fits[p]["flux_extrapolation"]["loo_fallbacks"]
         shown.append(check.value)
-    assert shown == [1, 0]
+    assert shown == [2, 0]
 
 
 def test_criterion_11_holder_boundedness(acceptance):

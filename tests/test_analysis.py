@@ -10,10 +10,12 @@ from neckflow import (FitError, GeometryError, INC1, INC2, ConstantPotential,
                       cross_section_flux, generate, gradient_probe,
                       holder_quotient_scan, holder_scan, max_gradient, solve,
                       solve_decay_fixture, write_csv)
-from neckflow.analysis import (fit_log_decay, PROBE_CSV_COLUMNS,
-                               recovered_vertex_gradients)
+from neckflow.analysis import (_wall_window, fit_log_decay,
+                               PROBE_CSV_COLUMNS, recovered_vertex_gradients)
 from neckflow.harness import FLUX_WINDOWS
 from neckflow.solver import ElementOps, dual_flux
+
+from conftest import asymmetric_noses
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,7 @@ class TestFluxes:
         # boundary, each summed on its own, less the total inclusion flux
         sol, m = disc_solutions_1e2[2.0], disc_mesh_1e2
         s_r = cross_section_flux(sol, m, 0.2)
-        rest = (m.vertex_tag == INC2) & (np.abs(m.vertices[:, 0]) > 0.2)
+        rest = (m.vertex_tag == INC2) & ~_wall_window(m, 0.2)
         complement = dual_flux(sol.grad_full, sol.p, rest)
         total = dual_flux(sol.grad_full, sol.p, m.vertex_tag == INC2)
         assert abs(s_r + complement - total) <= 1e-12 * max(1.0,
@@ -111,8 +113,27 @@ class TestFluxes:
                     (p, tag)
                 assert flux == ref(mask) / scale, (p, tag)
             for r in FLUX_WINDOWS:
-                mask = (m.vertex_tag == INC2) & (np.abs(m.vertices[:, 0]) <= r)
+                mask = _wall_window(m, r)
                 assert cross_section_flux(sol, m, r) == ref(mask), (p, r)
+
+    @pytest.mark.parametrize("geom", [
+        build_symmetric_disc_example(scale=1.0, eps=1e-3),
+        asymmetric_noses(1e-3)], ids=["disc", "asymmetric"])
+    def test_window_is_the_lower_wall(self, geom):
+        # of the INC2 vertices over |x'| <= r, the window takes those on the
+        # lower wall's graph and leaves out the far side of the inclusion,
+        # which the widest window reaches on both geometries
+        m = generate(geom, 0.1, 2, seed=0)
+        x, y = m.vertices.T
+        for r in FLUX_WINDOWS:
+            window = _wall_window(m, r)
+            near = (m.vertex_tag == INC2) & (np.abs(x) <= r)
+            assert np.all(near[window]) and window.any(), r
+            wall = geom.lower_wall(x[window])
+            assert np.abs(y[window] - wall).max() <= 1e-12, r
+            assert np.all(y[near & ~window] < -1.0), r
+            if r == max(FLUX_WINDOWS):
+                assert np.any(near & (y < -1.0))
 
     def test_cutoff_fluxes_match_the_weighted_product(self, annulus_p3):
         # a cutoff-field flux gathers the nonzero weights; against the

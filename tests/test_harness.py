@@ -292,9 +292,9 @@ def test_canonical_cache_keys_are_pinned():
     spec = acceptance.canonical_spec()
     geom = spec.resolved_geometry()
     assert _mesh_key(geom, spec, 1e-2) == (
-        "ca99bd6ea47b4a1e78a01db273a1753060ea76ad77c39e5f5cefc222b1ebcc57")
+        "be3a747a062316819574f184b13ed1248256d09a2eba3b4d017966526bb3446c")
     assert _mesh_key(geom, spec, 1e-4) == (
-        "92e812aef7b1ffe2b3693421784eb9a5d2f71b395c965ff1e7422f9b87213ddd")
+        "ecc87279d13bc530156216513e2d3d6260e953bd4293c2333b86edd8d7653915")
 
 
 def test_sweep_cli_fills_the_env_cache(tmp_path, monkeypatch):
@@ -335,8 +335,13 @@ def test_mesher_version_is_part_of_the_cache_key(tmp_path, monkeypatch):
 
 def test_failure_isolation(tmp_path, monkeypatch):
     # a vertex cap that only the small-separation mesh exceeds
-    monkeypatch.setattr(meshing, "VERTEX_CAP", 4000)    # nv 2,655 and 5,067
     spec = tiny_spec(str(tmp_path / "out"), eps_list=(1e-2, 1e-4))
+    geom = spec.resolved_geometry()
+    small, large = (meshing.generate(geom.with_eps(eps), spec.target_h,
+                                     spec.neck_layers).n_vertices
+                    for eps in spec.eps_list)
+    assert small < large
+    monkeypatch.setattr(meshing, "VERTEX_CAP", (small + large) // 2)
     report = run_sweep(spec)
     assert len(report.rows) == 1
     assert len(report.failures) == 1

@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.spatial import Delaunay
 
 from neckflow import (INC1, INC2, OUTER, MeshCapacityError, SolveConfig,
                       SweepSpec, acceptance, build_annulus,
@@ -23,7 +22,7 @@ from neckflow.errors import MeshError
 from neckflow.geometry import Circle
 from neckflow.solver import Condenser, ElementOps
 from neckflow.meshing import (TriMesh, _chain, _check_loop_covered,
-                              _mirror_map, _points_in_loops, _RepairFailed,
+                              _mirror_map, _points_in_loops,
                               _SegmentField, _signed_areas, _SizeField,
                               _split_quad_rows, _stitch_columns,
                               _strip_columns_x, _StripMesh, check_mirror)
@@ -203,6 +202,14 @@ class TestTwoRowNeck:
             check_mesh(m, min_angle=20.0)
             assert m.grading_report.neck_layers == meshing.NECK_LAYERS
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_coarse_far_field_passes_the_angle_gate(self, eps):
+        # an ungraded far field left a sliver at the inclusion arc beside
+        # the strip wall's joint here (19.1-19.4 degrees)
+        m = generate(build_symmetric_disc_example(scale=1.0, eps=eps), 0.2,
+                     meshing.NECK_LAYERS, seed=0)
+        check_mesh(m, min_angle=20.0)
+
 
 @pytest.mark.parametrize("target_h,layers", [
     (0.1, 5), (0.1, 7), (0.07, 6), (0.05, 8), (0.1, 10)])
@@ -342,10 +349,20 @@ def test_outer_vertices_lie_on_the_outer_circle(geom):
     assert np.abs(dist - geom.outer.radius).max() <= 1e-12
 
 
-def test_a_far_field_serves_only_its_own_key(caplog):
+def test_a_far_field_serves_only_its_own_key(caplog, monkeypatch):
     # a shared far field gives the mesh generate builds alone, and is
     # relaxed only by its first mesh; one of other settings is refused, and
-    # a move that folds a triangle raises
+    # a move that folds a triangle raises.  The first mesh's qhull calls are
+    # the one relaxed region's, one per rebuild (each takes lower_bound) and
+    # one more, and one for its triangulation at eps; the second mesh makes
+    # only the last
+    rebuilds, lower_bound = [0], _SegmentField.lower_bound
+
+    def rebuilding(self, pts):
+        rebuilds[0] += 1
+        return lower_bound(self, pts)
+
+    monkeypatch.setattr(_SegmentField, "lower_bound", rebuilding)
     g = build_symmetric_disc_example(scale=1.0, eps=1e-2)
     far = meshing.FarField(g, 0.2, 6, seed=0)
     caplog.set_level(logging.DEBUG, logger="neckflow")
@@ -354,7 +371,8 @@ def test_a_far_field_serves_only_its_own_key(caplog):
     records = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("mesh at eps")]
     assert records[0].startswith("mesh at eps=0.003: far field relaxed")
-    assert records[0].endswith(", 3 qhull calls"), records
+    assert rebuilds[0] > 1
+    assert records[0].endswith(f", {rebuilds[0] + 2} qhull calls"), records
     assert records[1].startswith("mesh at eps=0.01: far field reused")
     assert records[1].endswith(", 1 qhull calls"), records
     alone = generate(g, 0.2, 6, seed=0)
@@ -743,33 +761,23 @@ def test_points_in_loops_outer_loop_with_hole(radii, n_out, seed, cap):
 @pytest.mark.parametrize("geom", [
     build_symmetric_disc_example(scale=1.0, eps=1e-2), asymmetric_noses(5e-3),
 ], ids=["symmetric", "general"])
-def test_relaxation_reuses_triangulations(geom, monkeypatch):
+def test_relaxation_reuses_triangulations(geom, monkeypatch, caplog):
     # the symmetric far field relaxes its upper region, the general one both
-    # regions.  Each rebuild takes the free points' distance bounds
-    # (lower_bound); a region's first rebuild calls qhull (D) and every
-    # later one repairs the last triangulation by flips (R), falling back to
-    # qhull when the repair fails (F, then D).  Each relaxation step and
-    # each of the 3 Laplacian passes admits its moves once (A); the passes
-    # share one fresh triangulation, so exactly one qhull call follows a
-    # region's last relaxation step.  When every region is relaxed, each is
-    # moved to the mesh's eps and triangulated once more (D).  Most moves
-    # are far from the loops, and admit tests only the others
+    # regions.  Each rebuild calls qhull (D) and takes the free points'
+    # distance bounds (lower_bound, B); each relaxation step and each of the
+    # 3 Laplacian passes admits its moves once (A).  The passes share one
+    # fresh triangulation, so a region takes one qhull call per rebuild and
+    # one more.  When every region is relaxed, each is moved to the mesh's
+    # eps and triangulated once more (D).  Each region's DEBUG record gives
+    # its qhull calls.  Most moves are far from the loops, and admit tests
+    # only the others
     events, moves, tested = [], [0], [0]
-    delaunay, repair = meshing.Delaunay, meshing._flip_repair
+    delaunay = meshing.Delaunay
     admit, lower_bound = _SegmentField.admit, _SegmentField.lower_bound
 
     def counting(pts):
         events.append("D")
         return delaunay(pts)
-
-    def repairing(pts, simp, nbr):
-        try:
-            rounds = repair(pts, simp, nbr)
-        except _RepairFailed:
-            events.append("F")
-            raise
-        events.append("R")
-        return rounds
 
     def admitting(self, pts, r, bound):
         events.append("A")
@@ -782,148 +790,25 @@ def test_relaxation_reuses_triangulations(geom, monkeypatch):
         return lower_bound(self, pts)
 
     monkeypatch.setattr(meshing, "Delaunay", counting)
-    monkeypatch.setattr(meshing, "_flip_repair", repairing)
     monkeypatch.setattr(_SegmentField, "admit", admitting)
     monkeypatch.setattr(_SegmentField, "lower_bound", rebuilding)
+    caplog.set_level(logging.DEBUG, logger="neckflow")
     m = generate(geom, 0.2, 6, seed=0)
     check_mesh(m, min_angle=20.0)
+    records = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("far-field region")]
     events = "".join(events)
     n = 1 if geom.is_mirror_symmetric() else 2
     assert events.endswith("A" + "D" * n), events
-    # ADAAA ends a region's relaxation, and only there does A precede D
-    regions = re.findall(".*?ADAAA", events[:-n])
+    regions = re.findall("(?:DBA+)+DAAA", events[:-n])
     assert "".join(regions) == events[:-n], events
-    assert len(regions) == n, events
-    for region in regions:
-        assert region.count("D") == 2 + region.count("F"), region
-        assert (region.count("R") + region.count("F")
-                == region.count("B") - 1), region
-        assert region.count("R") > 0, region
+    assert len(regions) == n == len(records), events
+    for region, msg in zip(regions, records):
+        assert region.count("D") == 1 + region.count("B"), region
+        assert msg.endswith(f", {region.count('D')} qhull calls"), msg
+        # some step moved a point far enough to rebuild
+        assert region.count("B") > 1, region
     assert tested[0] < 0.25 * moves[0]
-
-
-def test_relaxation_logs_its_fallbacks(monkeypatch, caplog):
-    # the first and third flip repairs of each general-path region are made
-    # to fail; each region's one DEBUG record names each fallback, forced or
-    # not, with its reason, and counts a qhull call for it.  The mesh's
-    # record adds one qhull call per region for its triangulation at eps
-    forced = {1: "inverted triangle", 3: "round cap"}
-    regions = []   # per region: each repair call's failure reason, or None
-    relax, repair = meshing._relax_region, meshing._flip_repair
-
-    def relaxing(*args, **kwargs):
-        regions.append([])
-        return relax(*args, **kwargs)
-
-    def repairing(pts, simp, nbr):
-        calls = regions[-1]
-        calls.append(forced.get(len(calls) + 1))
-        if calls[-1]:
-            raise _RepairFailed(calls[-1])
-        try:
-            return repair(pts, simp, nbr)
-        except _RepairFailed as exc:
-            calls[-1] = str(exc)
-            raise
-
-    monkeypatch.setattr(meshing, "_relax_region", relaxing)
-    monkeypatch.setattr(meshing, "_flip_repair", repairing)
-    caplog.set_level(logging.DEBUG, logger="neckflow")
-    check_mesh(generate(asymmetric_noses(5e-3), 0.2, 6, seed=0))
-    messages = [r.getMessage() for r in caplog.records]
-    records = [m for m in messages if m.startswith("far-field region")]
-    assert len(records) == len(regions) == 2, records
-    qhull_calls = 2
-    for msg, calls in zip(records, regions):
-        assert len(calls) >= 3, msg
-        failed = [reason for reason in calls if reason]
-        assert f"{2 + len(failed)} qhull calls" in msg, msg
-        qhull_calls += 2 + len(failed)
-        for reason in forced.values():
-            assert msg.count(reason) == failed.count(reason) > 0, msg
-    (mesh_record,) = [m for m in messages if m.startswith("mesh at eps")]
-    assert "far field relaxed" in mesh_record, mesh_record
-    assert mesh_record.endswith(f", {qhull_calls} qhull calls"), mesh_record
-
-
-def _assert_consistent(pts, simp, nbr):
-    """Counterclockwise triangles whose neighbour table matches their shared
-    edges: nbr[t, k] is the triangle across the edge opposite vertex k of
-    t, or -1 when that edge is on no other triangle."""
-    c = pts[simp]
-    assert np.all(meshing._cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) > 0)
-    sides = {}
-    for t, tri in enumerate(simp.tolist()):
-        for k in range(3):
-            edge = frozenset((tri[(k + 1) % 3], tri[(k + 2) % 3]))
-            sides.setdefault(edge, []).append((t, k))
-    for pair in sides.values():
-        assert len(pair) <= 2
-        if len(pair) == 1:
-            assert nbr[pair[0]] == -1
-        else:
-            (t, k), (u, j) = pair
-            assert nbr[t, k] == u and nbr[u, j] == t
-
-
-def _triangle_set(simp):
-    return {tuple(sorted(t)) for t in simp.tolist()}
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(3, 150), seed=st.integers(0, 2**32 - 1),
-       step=st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
-def test_flip_repair_matches_qhull(n, seed, step):
-    # random points in the unit square move by uniform steps of at most
-    # `step` per coordinate, five times; a fixed square frame around them
-    # keeps the convex hull, as the fixed boundary loops do in _relax_region
-    rng = np.random.default_rng(seed)
-    frame = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 2.0], [-1.0, 2.0]])
-    pts = np.vstack([frame, rng.uniform(0.0, 1.0, (n, 2))])
-    simp, nbr = meshing._delaunay_state(pts)
-    _assert_consistent(pts, simp, nbr)
-    for _ in range(5):
-        new = pts.copy()
-        new[4:] += rng.uniform(-step, step, (n, 2))
-        c = new[simp]
-        if np.all(meshing._cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]) > 0):
-            meshing._flip_repair(new, simp, nbr)
-            _assert_consistent(new, simp, nbr)
-            assert _triangle_set(simp) == _triangle_set(Delaunay(new).simplices)
-        else:
-            with pytest.raises(_RepairFailed, match="inverted triangle"):
-                meshing._flip_repair(new, simp, nbr)
-            simp, nbr = meshing._delaunay_state(new)
-        pts = new
-        # edge keys of the kept triangles against np.unique over all edges
-        keep = rng.uniform(size=len(simp)) < 0.7
-        active = np.arange(len(pts)) + 5
-        tris = active[simp[keep]]
-        want = np.unique(meshing._edge_keys(tris, np.roll(tris, -1, axis=1),
-                                            len(pts) + 5))
-        got = meshing._kept_edge_keys(simp, nbr, keep, active, len(pts) + 5)
-        assert np.array_equal(got, want)
-
-
-def test_flip_repair_reports_failure(monkeypatch):
-    # a kite whose Delaunay diagonal is 0-2; vertex 3 then moves past that
-    # diagonal (an inverted triangle), or towards it until 1-3 is the
-    # Delaunay edge, which one round flips and a cap of 0 rounds refuses
-    kite = np.array([[0.0, 0.0], [1.2, -0.2], [1.0, 1.0], [-0.2, 1.2]])
-    for moved, reason, cap in (([0.6, 0.4], "inverted triangle", 32),
-                               ([0.4, 0.6], "round cap", 0)):
-        pts = kite.copy()
-        pts[3] = moved
-        simp, nbr = meshing._delaunay_state(kite)
-        assert _triangle_set(simp) == {(0, 1, 2), (0, 2, 3)}
-        monkeypatch.setattr(meshing, "_FLIP_ROUNDS", cap)
-        with pytest.raises(_RepairFailed, match=reason):
-            meshing._flip_repair(pts, simp, nbr)
-    monkeypatch.setattr(meshing, "_FLIP_ROUNDS", 32)
-    simp, nbr = meshing._delaunay_state(kite)
-    assert meshing._flip_repair(pts, simp, nbr) == 1
-    assert _triangle_set(simp) == {(0, 1, 3), (1, 2, 3)}
-    _assert_consistent(pts, simp, nbr)
 
 
 # sha256 of the mesh of each far-field path at eps 1e-2 and seed 0 (integer
@@ -945,6 +830,12 @@ _MESH_HASHES = {
                    "1717146d76e883e8d012e65cf94bd981",
         "general_stitched": "eecbe72f0eba4f7c2454622a49f07911"
                             "bf6196289f219f46f0344d8eeda4aa78"},
+    8: {"symmetric": "5ff6be27436fd953ccd15894fcc3f4d7"
+                     "e9373d30c52e1759a362cb6e7d7a30dc",
+        "general": "2155485d49fce4e5cd6fe94f7ab62abf"
+                   "75cd35a175af3b16e3266a8cd9710617",
+        "general_stitched": "6455777fec3f2ccdd5189e1af21e9455"
+                            "f6485f692716f80bf27eb5b78cfe9d7f"},
 }
 
 
@@ -1089,13 +980,18 @@ _coord = st.floats(-2.0, 2.0)
 @given(anchors=st.lists(st.tuples(st.tuples(_coord, _coord),
                                   st.floats(1e-4, 1.0)), max_size=5),
        pts=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30),
-       target_h=st.floats(1e-3, 10.0), growth=st.floats(0.0, 2.0))
-def test_size_field_matches_norm_reference(anchors, pts, target_h, growth):
+       target_h=st.floats(1e-3, 10.0), growth=st.floats(0.0, 2.0),
+       r0=st.floats(0.0, 2.0))
+def test_size_field_matches_norm_reference(anchors, pts, target_h, growth,
+                                           r0):
+    # target_h within r0 of the origin, graded beyond up to the far size
     pts = np.asarray(pts)
-    ref = np.full(len(pts), target_h)
+    far = np.maximum(np.linalg.norm(pts, axis=1) - r0, 0.0)
+    ref = np.minimum(max(meshing._FAR_H, target_h),
+                     target_h + meshing._FAR_GROWTH * far)
     for p, s in anchors:
         ref = np.minimum(ref, s + growth * np.linalg.norm(pts - p, axis=1))
-    got = _SizeField(target_h, anchors, growth)(pts)
+    got = _SizeField(target_h, r0, anchors, growth)(pts)
     assert got.tobytes() == ref.tobytes()
 
 
