@@ -198,9 +198,13 @@ class Circle:
             t += dt
             angles.append(t)
         angles.append(a1)
-        a = np.asarray(angles)
-        return np.column_stack([cx + self.radius * np.cos(a),
-                                cy + self.radius * np.sin(a)])
+        return self.points_at(np.asarray(angles))
+
+    def points_at(self, angles):
+        """The (n, 2) points of the circle at the given angles."""
+        cx, cy = self.center
+        return np.column_stack([cx + self.radius * np.cos(angles),
+                                cy + self.radius * np.sin(angles)])
 
     def signed_distance(self, pts):
         """< 0 inside the circle."""
@@ -239,25 +243,27 @@ class CappedGraphCurve:
     def graph_y(self, x):
         return self.y_off + self.profile(x)
 
-    def boundary_polyline(self, spacing_fn):
-        """Closed CCW polyline: graph left-to-right, then the cap arc from the
-        right joint over the top back toward the left joint."""
-        xs = [-self.xc]
-        x = -self.xc
-        while True:
-            pt = (x, float(self.graph_y(x)))
-            dx = max(1e-5, float(spacing_fn(pt)))
-            if x + dx >= self.xc - 0.3 * dx:
-                break
-            x += dx
-            xs.append(x)
-        xs.append(self.xc)
-        xs = np.asarray(xs)
-        graph = np.column_stack([xs, self.graph_y(xs)])
+    def boundary_polyline(self, step):
+        """Closed CCW polyline: the graph left to right at x spacing step,
+        then the cap arc from the right joint over the top back toward the
+        left joint at arc length step (_march both)."""
+        xs = _march(-self.xc, self.xc, max(1e-5, step))
         cap = Circle(self.cap_center, self.cap_radius)
-        arc = cap.arc_points(self._theta_join, math.pi - self._theta_join, spacing_fn)
-        # arc[0] is the right joint (= graph[-1]) and arc[-1] the left joint
-        return np.vstack([graph, arc[1:-1]])
+        arc = cap.points_at(_march(self._theta_join, math.pi - self._theta_join,
+                                   max(1e-4, step / cap.radius)))
+        # arc[0] is the right joint (= the graph's end) and arc[-1] the left joint
+        return np.vstack([np.column_stack([xs, self.graph_y(xs)]), arc[1:-1]])
+
+
+def _march(start, stop, step):
+    """start, start + step, ... while one more step stays short of
+    stop - 0.3 step, then stop: the loop `x += step` in closed form, since a
+    cumulative sum adds in the same order and rounds alike."""
+    t = np.full(int((stop - start) / step) + 3, step)
+    t[0] = start
+    np.cumsum(t, out=t)
+    last = int(np.argmax(t[1:] >= stop - 0.3 * step))
+    return np.append(t[:last + 1], stop)
 
 
 class MirroredCurve:
@@ -378,9 +384,7 @@ class Geometry:
         """(min, max) of the boundary data at 720 points of the outer curve."""
         a = np.linspace(0, 2 * math.pi, 720, endpoint=False)
         # outer curves are circles in every built-in construction
-        c, r = self.outer.center, self.outer.radius
-        pts = np.column_stack([c[0] + r * np.cos(a), c[1] + r * np.sin(a)])
-        vals = self.phi(pts)
+        vals = self.phi(self.outer.points_at(a))
         return float(vals.min()), float(vals.max())
 
     def is_mirror_symmetric(self):
@@ -428,11 +432,9 @@ def curve_polyline(curve, n):
     points about 1/n of the cap circumference apart on a capped graph, and a
     mirrored curve's base points flipped, in reverse order."""
     if isinstance(curve, Circle):
-        a = np.linspace(0, 2 * math.pi, n, endpoint=False)
-        return np.column_stack([curve.center[0] + curve.radius * np.cos(a),
-                                curve.center[1] + curve.radius * np.sin(a)])
+        return curve.points_at(np.linspace(0, 2 * math.pi, n, endpoint=False))
     if isinstance(curve, CappedGraphCurve):
-        return curve.boundary_polyline(lambda p: 2 * math.pi * curve.cap_radius / n)
+        return curve.boundary_polyline(2 * math.pi * curve.cap_radius / n)
     if isinstance(curve, MirroredCurve):
         return MirroredCurve._flip(curve_polyline(curve.base, n))[::-1]
     raise GeometryError(f"unsupported curve type {type(curve)}")

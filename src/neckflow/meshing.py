@@ -117,7 +117,7 @@ class TriMesh:
             h_min=float(length.min()), h_max=float(length.max()),
             min_angle_deg=float(np.degrees(np.arccos(cos_max))),
             neck_layers=int(neck_layers))
-        self.vertex_tag = np.zeros(len(self.vertices), dtype=np.int64)
+        self.vertex_tag = np.zeros(len(self.vertices), dtype=np.int8)
         for tag in (OUTER, INC1, INC2):
             sel = self.boundary_edges[self.boundary_tags == tag]
             self.vertex_tag[sel.ravel()] = tag
@@ -187,7 +187,7 @@ class TriMesh:
         listed once, and no edge is on more than two triangles: a hole or an
         overlap in the triangulation fails."""
         t, be, n = self.triangles, self.boundary_edges, self.n_vertices
-        keys, counts = np.unique(_edge_keys(t, np.roll(t, -1, axis=1), n),
+        keys, counts = np.unique(_edge_keys(t, t[:, [1, 2, 0]], n),
                                  return_counts=True)
         return bool(counts.max(initial=0) <= 2 and np.array_equal(
             np.sort(_edge_keys(be[:, 0], be[:, 1], n)), keys[counts == 1]))
@@ -260,7 +260,7 @@ def _angle_cosines(dx, dy, length):
     """Cosine of each triangle's angle at vertex k, between edge k and the
     reversed edge k-1, from _triangle_edges' output."""
     def prev(a):
-        return np.roll(a, 1, axis=1)
+        return a[:, [2, 0, 1]]
     return -(dx * prev(dx) + dy * prev(dy)) / (length * prev(length))
 
 
@@ -504,31 +504,32 @@ class _SegmentField:
         """Whether each point is farther than r (per point) from the loops.
 
         The distance is taken to the k segments with the nearest midpoints,
-        an upper bound on the true distance.  A point whose nearest midpoint
-        lies beyond max(r) + half the longest segment (with a small margin)
-        is farther than r from every segment, so it is clear by either
-        measure, and only the points within that reach are measured.
+        an upper bound on the true distance.  A segment whose midpoint lies
+        beyond max(r) + half the longest segment (with a small margin) is
+        farther than r, so one k-nearest query bounded by that reach finds
+        every segment that can decide the test; a point with none in reach
+        is clear.  All k projections are taken in one (n, k, 2) pass.
         """
         pts = np.atleast_2d(pts)
         r = np.broadcast_to(np.asarray(r, dtype=float), (len(pts),))
         reach = (1.0 + 1e-6) * (r.max(initial=0.0) + self.half_len)
-        d0, _ = self.tree.query(pts, k=1, distance_upper_bound=reach)
-        near = np.flatnonzero(np.isfinite(d0))
-        p = pts[near]
         k = min(k, len(self.a))
-        _, idx = self.tree.query(p, k=k)
-        idx = idx.reshape(len(p), k)
-        best = np.full(len(p), np.inf)
-        for col in range(idx.shape[1]):
-            i = idx[:, col]
-            pa = self.a[i]
-            d = self.b[i] - pa
-            t = np.clip(np.einsum("ij,ij->i", p - pa, d)
-                        / np.maximum(np.einsum("ij,ij->i", d, d), 1e-300), 0, 1)
-            proj = pa + t[:, None] * d
-            best = np.minimum(best, np.linalg.norm(p - proj, axis=1))
+        _, idx = self.tree.query(pts, k=k, distance_upper_bound=reach)
+        idx = idx.reshape(len(pts), k)
+        # a neighbour beyond the reach comes back as index len(self.a)
+        near = np.flatnonzero(idx[:, 0] < len(self.a))
+        idx = idx[near]
+        found = idx < len(self.a)
+        idx[~found] = 0
+        p = pts[near][:, None]
+        pa = self.a[idx]
+        d = self.b[idx] - pa
+        t = np.clip(np.einsum("ijk,ijk->ij", p - pa, d)
+                    / np.maximum(np.einsum("ijk,ijk->ij", d, d), 1e-300), 0, 1)
+        proj = pa + t[..., None] * d
+        dist = np.where(found, np.linalg.norm(p - proj, axis=2), np.inf)
         clear = np.ones(len(pts), dtype=bool)
-        clear[near] = best > r[near]
+        clear[near] = dist.min(axis=1, initial=np.inf) > r[near]
         return clear
 
 
@@ -548,7 +549,7 @@ class _SizeField:
     def __init__(self, target_h, r0, anchors=(), growth=0.4):
         self.target_h = float(target_h)
         self.r0 = float(r0)
-        self.anchors = [(np.asarray(p, dtype=float), float(s)) for p, s in anchors]
+        self.anchors = [((float(p[0]), float(p[1])), float(s)) for p, s in anchors]
         self.growth = growth
 
     def __call__(self, pts):
@@ -565,8 +566,16 @@ class _SizeField:
         return out
 
     def at(self, point):
-        """Size at one point, as a float."""
-        return float(self(point)[0])
+        """Size at one point, as a float: __call__'s operations in its order
+        on math scalars, which round as numpy's do, so the two agree bit
+        for bit."""
+        x, y = float(point[0]), float(point[1])
+        out = min(max(_FAR_H, self.target_h), self.target_h + _FAR_GROWTH
+                  * max(math.sqrt(x * x + y * y) - self.r0, 0.0))
+        for (px, py), s in self.anchors:
+            dx, dy = x - px, y - py
+            out = min(out, s + self.growth * math.sqrt(dx * dx + dy * dy))
+        return out
 
     def min_size(self):
         if not self.anchors:
@@ -608,7 +617,9 @@ def _triangulate(pts, active, loop_pts):
     triples into pts, in qhull's order."""
     p = pts[active]
     simp = Delaunay(p).simplices
-    keep = _points_in_loops(p[simp].mean(axis=1), loop_pts,
+    c = p[simp]
+    # the centroids, summed in the order mean(axis=1) sums
+    keep = _points_in_loops((c[:, 0] + c[:, 1] + c[:, 2]) / 3, loop_pts,
                             np.roll(loop_pts, -1, axis=0))
     return active[simp[keep]]
 
@@ -677,6 +688,7 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
                                   initial=0.0) > _REBUILD_MOVE:
             lo, hi = _edges(_triangulate(pool.pts, active, loop_pts),
                             pool.n)
+            ends = np.concatenate([lo, hi])
             qhull_calls += 1
             last = x
             bound = segfield.lower_bound(x)
@@ -689,11 +701,9 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
         push = vec * f[:, None]
         # one bincount per coordinate adds the -push of every lo end, then
         # the push of every hi end, in the order np.add.at would
-        ends = np.concatenate([lo, hi])
-        force = np.column_stack([
+        move = 0.25 * np.column_stack([
             np.bincount(ends, np.concatenate([-push[:, c], push[:, c]]),
-                        minlength=pool.n) for c in (0, 1)])
-        move = 0.25 * force[free]
+                        minlength=pool.n)[free] for c in (0, 1)])
         norm = np.linalg.norm(move, axis=1)
         scalef = np.minimum(1.0, 0.4 * h / np.maximum(norm, 1e-300))
         move *= scalef[:, None]
@@ -713,7 +723,7 @@ def _relax_region(pool, loop, size, rng, extra_seeds):
     # three Laplacian smoothing passes on the free points, all on one fresh
     # triangulation: every triangle edge adds each end to the other's sum
     tris = _triangulate(pool.pts, active, loop_pts)
-    nxt = np.roll(tris, -1, axis=1).ravel()
+    nxt = tris[:, [1, 2, 0]].ravel()
     ends = np.concatenate([tris.ravel(), nxt])
     other = np.concatenate([nxt, tris.ravel()])
     nbr_cnt = np.maximum(np.bincount(ends, minlength=pool.n)[free], 1)
@@ -753,7 +763,7 @@ def _harmonic(tris, free, u):
 
 def _check_loop_covered(tris, loop):
     n = int(max(tris.max(), loop.max())) + 1
-    have = _edge_keys(tris, np.roll(tris, -1, axis=1), n)
+    have = _edge_keys(tris, tris[:, [1, 2, 0]], n)
     if not np.isin(_edge_keys(loop, np.roll(loop, -1), n), have).all():
         raise MeshError("far-field triangulation missed a boundary edge; "
                         "adjust target_h")
@@ -761,14 +771,15 @@ def _check_loop_covered(tris, loop):
 
 def _edges(tris, n):
     """The (lo, hi) ends of the edges of triangles tris among n vertices,
-    each edge once, in sorted _edge_keys order."""
-    return np.divmod(np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), n)),
-                     n)
+    each edge once, in sorted _edge_keys order (a sort and a neighbour
+    test, several times faster than np.unique's hashing)."""
+    keys = np.sort(_edge_keys(tris, tris[:, [1, 2, 0]], n), axis=None)
+    return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], n)
 
 
 def _edge_keys(i, j, n):
     """int64 keys lo*n + hi of the undirected edges (i, j) among n vertices
-    (for triangles t, pass t and np.roll(t, -1, axis=1)).  Sorted keys order
+    (for triangles t, pass t and t[:, [1, 2, 0]]).  Sorted keys order
     the edges as np.unique(axis=0) orders (lo, hi) pairs; np.divmod(key, n)
     gives the pair back."""
     return np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j)
@@ -896,9 +907,8 @@ def _cut_and_resample(poly, p_start, p_end, size):
     d_end = np.linalg.norm(poly - np.asarray(p_end), axis=1)
     i0, i1 = int(d_start.argmin()), int(d_end.argmin())
     n = len(poly)
-    path_a = [poly[k % n] for k in range(i0, i0 + (i1 - i0) % n + 1)]
-    path_b = [poly[k % n] for k in range(i1, i1 + (i0 - i1) % n + 1)][::-1]
-    pa, pb = np.asarray(path_a), np.asarray(path_b)
+    pa = poly[np.arange(i0, i0 + (i1 - i0) % n + 1) % n]
+    pb = poly[np.arange(i1, i1 + (i0 - i1) % n + 1) % n][::-1]
     # pick the branch whose extreme |x_n| is larger (the one over the cap)
     pick = pa if np.abs(pa[:, 1]).max() >= np.abs(pb[:, 1]).max() else pb
     seg = np.linalg.norm(np.diff(pick, axis=0), axis=1)
@@ -910,7 +920,7 @@ def _cut_and_resample(poly, p_start, p_end, size):
 
     marks = [0.0]
     while True:
-        step = size.at(at(marks[-1]))
+        step = size.at(at(marks[-1])[0])
         if marks[-1] + step >= total - 0.4 * step:
             break
         marks.append(marks[-1] + step)
@@ -1028,9 +1038,7 @@ class FarField:
                       else _arc_ccw_angles(t_l, t_r)[::-1])
             n = max(8, int(abs(a1 - a0) * r_out
                            / min(size.at(end_r), size.at(end_l))))
-            ang = np.linspace(a0, a1, n + 1)
-            pts = np.column_stack([cx + r_out * np.cos(ang),
-                                   cy + r_out * np.sin(ang)])
+            pts = g.outer.points_at(np.linspace(a0, a1, n + 1))
             pts[0], pts[-1] = end_r, end_l
             return pts
 

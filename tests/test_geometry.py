@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +150,45 @@ def test_curve_offset_vanishes_on_the_curve(curve):
     centre = pts.mean(axis=0)
     assert np.all(curve_offset(curve, 0.5 * (pts + centre)) < 0)
     assert np.all(curve_offset(curve, 2.0 * pts - centre) > 0)
+
+
+def _marching_polyline(curve, n):
+    """Reference: the capped graph's polyline as the marching loops built
+    it, x += dx along the graph and t += dt along the cap, at
+    curve_polyline's step."""
+    step = 2 * math.pi * curve.cap_radius / n
+    dx = max(1e-5, step)
+    xs, x = [-curve.xc], -curve.xc
+    while not x + dx >= curve.xc - 0.3 * dx:
+        x += dx
+        xs.append(x)
+    xs = np.asarray(xs + [curve.xc])
+    a0, a1 = curve._theta_join, math.pi - curve._theta_join
+    dt = max(1e-4, step / curve.cap_radius)
+    ts, t = [a0], a0
+    while not t + dt >= a1 - 0.3 * dt:
+        t += dt
+        ts.append(t)
+    ts = np.asarray(ts + [a1])
+    (cx, cy), rad = curve.cap_center, curve.cap_radius
+    arc = np.column_stack([cx + rad * np.cos(ts), cy + rad * np.sin(ts)])
+    return np.vstack([np.column_stack([xs, curve.graph_y(xs)]), arc[1:-1]])
+
+
+_TABLE_X = np.linspace(-1.3, 1.3, 120)
+
+
+@pytest.mark.parametrize("n", [64, 4000])
+@pytest.mark.parametrize("xc", [0.5, 0.999])
+@pytest.mark.parametrize("profile", [
+    ParabolaProfile(0.25), ParabolaProfile(0.3), ParabolaProfile(0.5),
+    TableProfile(_TABLE_X, 0.4 * _TABLE_X ** 2 + 0.05 * _TABLE_X ** 4),
+], ids=["parabola0.25", "parabola0.3", "parabola0.5", "table"])
+def test_capped_graph_polyline_is_the_marching_loop(profile, xc, n):
+    curve = CappedGraphCurve(profile, xc, y_off=0.01)
+    got, want = curve_polyline(curve, n), _marching_polyline(curve, n)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _table_example():

@@ -45,6 +45,16 @@ class TestInvariants:
         _, m = disc_mesh
         assert m.grading_report.min_angle_deg >= 20.0
 
+    def test_vertex_tags_are_int8_component_tags(self, disc_mesh):
+        # 0 inside, each boundary vertex its edges' tag, one byte each
+        _, m = disc_mesh
+        assert m.vertex_tag.dtype == np.int8
+        ref = np.zeros(m.n_vertices, dtype=np.int64)
+        for tag in (OUTER, INC1, INC2):
+            ref[m.boundary_edges[m.boundary_tags == tag].ravel()] = tag
+        assert np.array_equal(m.vertex_tag, ref)
+        assert set(np.unique(m.vertex_tag)) == {0, OUTER, INC1, INC2}
+
     def test_closed_loops_per_tag(self, disc_mesh):
         _, m = disc_mesh
         assert m.boundary_loops_ok()
@@ -918,6 +928,29 @@ def test_clear_of_outer_loop_with_hole(radii, n_out, seed):
     assert not field.clear_of(np.zeros((0, 2)), np.zeros(0)).size
 
 
+def test_clear_of_where_the_reach_cuts_off_later_neighbours():
+    # one long segment (half length 1) beside short ones whose midpoints lie
+    # at least 1.15 from its middle: near that middle the bounded query
+    # finds the long segment's midpoint and none of the seven later ones
+    right = np.column_stack([np.linspace(1.0, 1.6, 3), np.zeros(3)])
+    up = np.column_stack([np.full(10, 1.6), np.linspace(0.3, 3.0, 10)])
+    top = np.column_stack([np.linspace(1.3, -1.6, 30), np.full(30, 3.0)])
+    down = np.column_stack([np.full(9, -1.6), np.linspace(2.7, 0.3, 9)])
+    left = np.column_stack([np.linspace(-1.6, -1.0, 3), np.zeros(3)])
+    field = _SegmentField([np.vstack([right, up, top, down, left])])
+    assert field.half_len == 1.0
+    x, y = np.meshgrid(np.linspace(-0.1, 0.1, 9), [0.002, 0.004, 0.006, 0.008])
+    pts = np.column_stack([x.ravel(), y.ravel()])
+    r = np.tile([0.003, 0.005, 0.0039, 0.01], len(pts) // 4)
+    reach = (1.0 + 1e-6) * (r.max() + field.half_len)
+    _, idx = field.tree.query(pts, k=8, distance_upper_bound=reach)
+    assert (idx[:, 0] < len(field.a)).all()
+    assert (idx[:, 1:] == len(field.a)).all()
+    _assert_clear_of_matches(field, pts, r)
+    clear = field.clear_of(pts, r)
+    assert clear.any() and not clear.all()
+
+
 def _assert_admit_exact(field, pts, rng, scale):
     """Random step sequences from inside the loops, with the bound retaken
     now and then as at a rebuild: every point the bound lets through
@@ -993,6 +1026,34 @@ def test_size_field_matches_norm_reference(anchors, pts, target_h, growth,
         ref = np.minimum(ref, s + growth * np.linalg.norm(pts - p, axis=1))
     got = _SizeField(target_h, r0, anchors, growth)(pts)
     assert got.tobytes() == ref.tobytes()
+
+
+_four_anchors = st.lists(st.tuples(st.tuples(_coord, _coord),
+                                   st.floats(1e-4, 1.0)),
+                         min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchors=st.one_of(st.just([]), _four_anchors),
+       target_h=st.one_of(st.floats(1e-3, meshing._FAR_H),
+                          st.floats(meshing._FAR_H, 10.0)),
+       r0=st.floats(0.0, 2.0), growth=st.floats(0.0, 2.0),
+       inside=st.floats(0.0, 1.0), beyond=st.floats(0.0, 5.0),
+       angle=st.floats(0.0, 2 * math.pi))
+def test_size_at_is_the_array_form_bit_for_bit(anchors, target_h, r0, growth,
+                                               inside, beyond, angle):
+    # at the origin, inside and beyond r0, on r0 and on every anchor
+    field = _SizeField(target_h, r0, anchors, growth)
+    u = (math.cos(angle), math.sin(angle))
+    pts = np.array([(0.0, 0.0), (inside * r0 * u[0], inside * r0 * u[1]),
+                    ((r0 + beyond) * u[0], (r0 + beyond) * u[1]), (r0, 0.0)]
+                   + [p for p, _ in anchors])
+    want = field(pts)
+    for p, w in zip(pts, want):
+        for point in (p, tuple(float(c) for c in p)):
+            got = field.at(point)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == w.view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
