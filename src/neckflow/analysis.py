@@ -40,14 +40,14 @@ class GradientProbe:
 def cross_section_flux(sol, mesh, r):
     """Current flowing upward through the lower wall over |x'| <= r (the
     window flux whose eps -> 0 limit is the touching-problem flux): the
-    dual flux of the vertices of _wall_window."""
-    return dual_flux(sol.grad_full, sol.p, _wall_window(mesh, r))
+    dual flux of the vertices of wall_window."""
+    return dual_flux(sol.grad_full, sol.p, wall_window(mesh, r))
 
 
-def _wall_window(mesh, r):
-    """Mask of the INC2 vertices on the lower wall's graph over |x'| <= r.
-    The far side of the lower inclusion, which also has |x'| <= r, is left
-    out."""
+def wall_window(mesh, r):
+    """Mask of the INC2 vertices on the lower wall's graph over |x'| <= r, a
+    mesh constant.  The far side of the lower inclusion, which also has
+    |x'| <= r, is left out."""
     geom = mesh.geometry
     if geom is None or geom.gap is None:
         raise GeometryError("cross-section flux needs a two-inclusion geometry")
@@ -103,14 +103,27 @@ def gradient_probe(sol, mesh, xprime):
     """Element gradient of the triangle containing the neck point midway
     between the two walls at x' = xprime (no recovery smoothing), as a
     GradientProbe."""
+    return probe_at(sol, probe_site(mesh, xprime))
+
+
+def probe_site(mesh, xprime):
+    """The neck point midway between the two walls at x' = xprime, the
+    triangle containing it and the gap width there, (xprime, xn, triangle,
+    delta): a mesh constant."""
     geom = mesh.geometry
     xp = float(xprime)
     y = float(0.5 * geom.lower_wall(xp) + 0.5 * geom.upper_wall(xp))
     tri, _ = mesh.locate(np.array([[xp, y]]))
     if tri[0] < 0:
         raise GeometryError(f"probe point ({xp}, {y}) not inside the mesh")
-    gx, gy = sol.element_gradients[tri[0]]
-    return GradientProbe(xp, y, float(gx), float(gy), gap_width(geom, xp))
+    return xp, y, tri[0], gap_width(geom, xp)
+
+
+def probe_at(sol, site):
+    """The GradientProbe of sol at a probe_site."""
+    xp, y, tri, delta = site
+    gx, gy = sol.element_gradients[tri]
+    return GradientProbe(xp, y, float(gx), float(gy), delta)
 
 
 def probe_value_and_gradient(sol, mesh, pts):

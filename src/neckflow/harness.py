@@ -61,7 +61,7 @@ from .errors import MeshError, NeckflowError
 from .geometry import (INC1, INC2, ConstantPotential, Geometry,
                        build_symmetric_disc_example)
 from .meshing import generate, generate_neck_strip, load_mesh, save_mesh
-from .solver import Condenser, SolveConfig, solve
+from .solver import Condenser, SolveConfig, dual_flux, solve
 
 CSV_BASE_COLUMNS = (
     "p", "eps", "U1", "U2", "ugap", "ugap_over_scale", "maxgrad",
@@ -210,14 +210,23 @@ def case_mesh(geom, spec, eps, far=None):
 # single case
 # ---------------------------------------------------------------------------
 
-def run_case(p, eps, spec, mesh, cond, start=None):
-    """Solve one (p, eps) case on the separation's mesh (which carries the
-    geometry at eps) and Condenser from `start` (solver.solve's), see
-    run_separation; returns the row dictionary and the Solution.  The row
-    records the reduced system's size (`n_dofs`), whether it was
-    odd-reduced (`odd_reduced`), the Newton steps (`newton_iters`) and the
-    start taken (`start`): "previous separation", or "p2" for solve's own
-    start from the p = 2 solution (at p = 2, the solve itself)."""
+def neck_sites(mesh):
+    """The flux window (analysis.wall_window) of each FLUX_WINDOWS radius,
+    by radius, and the probe site (analysis.probe_site) of each PROBES
+    abscissa on mesh: mesh constants, formed once per separation."""
+    return ({float(r): fa.wall_window(mesh, r) for r in FLUX_WINDOWS},
+            [fa.probe_site(mesh, xp) for xp in PROBES])
+
+
+def run_case(p, eps, spec, mesh, cond, sites, start=None):
+    """Solve one (p, eps) case from `start` (solver.solve's) on the
+    separation's mesh (which carries the geometry at eps), Condenser and
+    neck_sites, see run_separation; returns the row dictionary and the
+    Solution.  The row records the reduced system's size (`n_dofs`),
+    whether it was odd-reduced (`odd_reduced`), the Newton steps
+    (`newton_iters`) and the start taken (`start`): "previous separation",
+    or "p2" for solve's own start from the p = 2 solution (at p = 2, the
+    solve itself)."""
     t0 = time.time()
     sol = solve(mesh, SolveConfig(p=p), cond, start)
     mg, loc = fa.max_gradient(sol, mesh, window=MAXGRAD_WINDOW)
@@ -236,9 +245,9 @@ def run_case(p, eps, spec, mesh, cond, start=None):
         "nv": mesh.n_vertices, "nt": mesh.n_triangles,
         "min_angle_deg": mesh.grading_report.min_angle_deg,
         "neck_layers": mesh.grading_report.neck_layers,
-        "winflux": {float(r): fa.cross_section_flux(sol, mesh, r)
-                    for r in FLUX_WINDOWS},
-        "probes": [asdict(fa.gradient_probe(sol, mesh, xp)) for xp in PROBES],
+        "winflux": {r: dual_flux(sol.grad_full, sol.p, window)
+                    for r, window in sites[0].items()},
+        "probes": [asdict(fa.probe_at(sol, site)) for site in sites[1]],
         "history": sol.energy_history,
         "linear_fallbacks": sol.linear_fallbacks,
         "factorizations": sol.factorizations, "cg_iters": sol.cg_iters,
@@ -264,8 +273,8 @@ def _persist_solution(sol, row, out_dir):
 
 def run_separation(spec, eps, far=None, previous=None):
     """Mesh one separation of spec.geometry (case_mesh with the far field
-    `far`) and build its Condenser (odd=True) once, and solve it for every
-    exponent; returns (rows, failures, solved).
+    `far`), build its Condenser (odd=True) and neck_sites once, and solve
+    it for every exponent; returns (rows, failures, solved).
 
     `solved` is what the next separation starts from: the mesh's vertices
     and, for each exponent p != 2 solved here, the nodal values and
@@ -282,6 +291,7 @@ def run_separation(spec, eps, far=None, previous=None):
     try:
         mesh = case_mesh(spec.geometry, spec, eps, far)
         cond = Condenser(mesh, odd=True)
+        sites = neck_sites(mesh)
     except NeckflowError as exc:
         return [], [failure(p, exc) for p in spec.p_list], None
     starts = previous[1] if previous else {}
@@ -294,7 +304,7 @@ def run_separation(spec, eps, far=None, previous=None):
             u, potentials = starts[p]
             start = u[nearest], potentials
         try:
-            row, sol = run_case(p, eps, spec, mesh, cond, start)
+            row, sol = run_case(p, eps, spec, mesh, cond, sites, start)
         except NeckflowError as exc:
             failures.append(failure(p, exc))
             continue

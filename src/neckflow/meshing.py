@@ -194,20 +194,20 @@ class TriMesh:
 
     def boundary_loops_ok(self):
         """Each tag's edges form one closed loop: every vertex on them has
-        two of them, and they are connected."""
-        for tag in np.unique(self.boundary_tags):
-            edges = self.boundary_edges[self.boundary_tags == tag]
-            _, ends, counts = np.unique(edges.ravel(), return_inverse=True,
-                                        return_counts=True)
-            if np.any(counts != 2):
-                return False
-            ends = ends.reshape(-1, 2)
-            graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
-                               shape=(len(counts), len(counts)))
-            if connected_components(graph, directed=False,
-                                    return_labels=False) != 1:
-                return False
-        return True
+        two of them, and they are connected.  One graph holds every tag's
+        edges, its nodes (tag, vertex) pairs, so that loops of two tags that
+        share a vertex stay apart; it must have one component per tag."""
+        tags, tag = np.unique(self.boundary_tags, return_inverse=True)
+        node = tag[:, None] * self.n_vertices + self.boundary_edges
+        _, ends, counts = np.unique(node.ravel(), return_inverse=True,
+                                    return_counts=True)
+        if np.any(counts != 2):
+            return False
+        ends = ends.reshape(-1, 2)
+        graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                           shape=(len(counts), len(counts)))
+        return len(tags) == 0 or connected_components(
+            graph, directed=False, return_labels=False) == len(tags)
 
     # -- point location -------------------------------------------------------
 

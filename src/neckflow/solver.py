@@ -150,15 +150,21 @@ class ElementOps:
         g = self.gradients(u)
         return g, eta * eta + (g[0] * g[0] + g[1] * g[1])
 
-    def energy(self, u, p, eta):
-        return float(np.dot(self.area, self.state(u, eta)[1] ** (p / 2.0)))
+    def trial(self, u, p, eta):
+        """Energy at u and its `state`, (energy, g, w): a line-search trial,
+        which `element_grad` continues from once it is accepted."""
+        g, w = self.state(u, eta)
+        return float(np.dot(self.area, w ** (p / 2.0))), g, w
 
-    def element_grad(self, u, p, eta):
+    def element_grad(self, u, p, eta, trial=None):
         """Energy, the (3, nt) per-triangle gradient contributions, and the
         state (p, g, w, fac = p area w^(p/2-1), Bg = B^T g) that `hessian`
-        reuses."""
-        g, w = self.state(u, eta)
-        energy = float(np.dot(self.area, w ** (p / 2.0)))
+        reuses.  Given u's `trial`, u is not evaluated again."""
+        if trial is None:
+            g, w = self.state(u, eta)
+            energy = float(np.dot(self.area, w ** (p / 2.0)))
+        else:
+            energy, g, w = trial
         wm = np.where(w > 0, w, 1.0)
         fac = self.area * p * np.where(w > 0, wm ** (p / 2.0 - 1.0), 0.0)
         Bg = self.Bx * g[0] + self.By * g[1]
@@ -181,40 +187,45 @@ class ElementOps:
         if p == 2.0:
             return (p * self.area) * self.BtB
         fac2 = np.divide((p - 2.0) * fac, w, out=np.zeros_like(w), where=w > 0)
-        blocks = np.empty_like(self.BtB)
-        for k, l in zip(*np.triu_indices(3)):
-            blocks[3 * k + l] = blocks[3 * l + k] = (
-                Bg[k] * Bg[l] * fac2 + fac * self.BtB[3 * k + l])
+        # Bg[k] Bg[l] == Bg[l] Bg[k] in IEEE, so the blocks are symmetric
+        blocks = (Bg[:, None] * Bg).reshape(9, -1)
+        blocks *= fac2
+        blocks += fac * self.BtB
         return blocks
 
 
-def _pattern(key, n):
-    """CSC structure (indptr, indices) of the entries of an (n, n) matrix with
-    column-major keys col * n + row, and the data slot (intp) of each entry;
-    entries keyed n * n get slot nnz, past the end, and are dropped."""
-    keys, slot = np.unique(key, return_inverse=True)
-    keys = keys[keys < n * n]
+def _csc_structure(keys, n):
+    """CSC structure (indptr, indices) of the entries of an (n, n) matrix
+    with the sorted distinct column-major keys col * n + row."""
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return indptr, (keys % n).astype(np.int32), slot
+    return indptr, (keys % n).astype(np.int32)
 
 
-def _block_pattern(te, n):
-    """`_pattern` of the 9 * nt element-block entries in the (9, nt) layout
-    of `ElementOps.hessian`; te is the (3, nt) table of triangle DOFs, n for
-    a vertex without one."""
-    row, col, ok = te[:, None], te[None, :].astype(np.int64), te < n
-    return _pattern(np.where(ok[:, None] & ok[None, :], col * n + row,
-                             n * n).ravel(), n)
+def _block_pattern(te, n, sign=None):
+    """CSC structure (indptr, indices) of the (n, n) matrix of the (9, nt)
+    element blocks of `ElementOps.hessian`, te being the (3, nt) table of
+    triangle DOFs (n for a vertex without one), and the `_summation`
+    operator from the raveled blocks, times sign, to the matrix's data."""
+    # entry 3 k + l is (row te[k], column te[l]); repeat and tile, as
+    # broadcasting (3, 1, nt) against (1, 3, nt) is slower
+    row, col = np.repeat(te, 3, axis=0), np.tile(te, (3, 1)).astype(np.int64)
+    keys, slot = np.unique(np.where((row < n) & (col < n), col * n + row,
+                                    n * n).ravel(), return_inverse=True)
+    keys = keys[keys < n * n]
+    return (*_csc_structure(keys, n), _summation(slot, len(keys), sign))
 
 
-def _scatter(pattern, blocks):
-    """The CSC matrix of (9, nt) element blocks: a single bincount."""
-    indptr, indices, slot = pattern
-    n, nnz = len(indptr) - 1, len(indices)
-    data = np.bincount(slot, blocks.ravel(), minlength=nnz + 1)[:nnz]
-    # its own structure arrays: a Condenser renumbers its pattern in place
-    return sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+def _summation(index, n, sign=None):
+    """The (n, len(index)) CSR operator that adds entry k of a vector, times
+    sign[k] (+-1, else 1), into row index[k], dropping entries indexed n.
+    Each row lists its entries by ascending k (the COO to CSR conversion is
+    a stable counting sort), so its product adds the same terms in the same
+    order as np.bincount(index, sign * x): bit for bit."""
+    index = np.ravel(index)
+    k = np.flatnonzero(index < n)
+    data = np.ones(len(k)) if sign is None else np.ravel(sign)[k].astype(float)
+    return sp.csr_matrix((data, (index[k], k)), shape=(n, len(index)))
 
 
 def assemble_energy(mesh, v, p, eta, ops=None):
@@ -225,7 +236,10 @@ def assemble_energy(mesh, v, p, eta, ops=None):
         raise SolverError("non-finite nodal values passed to assembly")
     ops = ops if ops is not None else ElementOps(mesh)
     energy, grad, kern = ops.energy_grad(v, p, eta)
-    H = _scatter(_block_pattern(ops.tri, mesh.n_vertices), ops.hessian(kern))
+    n = mesh.n_vertices
+    indptr, indices, op = _block_pattern(ops.tri, n)
+    H = sp.csc_matrix((op @ ops.hessian(kern).ravel(), indices, indptr),
+                      shape=(n, n))
     if not (np.isfinite(energy) and np.all(np.isfinite(grad))):
         raise SolverError("non-finite assembly output")
     return energy, grad, H
@@ -258,14 +272,15 @@ class Condenser:
     mesh's up to rounding.  `full_ops`, formed once on first use, covers
     every triangle, for the full-space quantities of a solve's last state.
 
-    The element factors (`ops`), the reduced Hessian's pattern, the slot of
-    every element-block entry in it and the int8 sign tables of the element
-    contributions are computed once, so `reduce_grad` and `reduce_hess` are
-    one bincount each.  The first factorization's fill-reducing order is a
-    mesh constant too: the pattern is renumbered into it, and later
-    Hessians are factored without reordering (`linear_solve` permutes the
-    right-hand side and the direction by a gather).  The solves on one mesh
-    can share a Condenser.
+    The element factors (`ops`), the reduced Hessian's pattern and two
+    signed `_summation` operators, from the element contributions to the
+    reduced gradient and from the element blocks to the Hessian's entries,
+    are computed once, so `reduce_grad` and `reduce_hess` are one sparse
+    product each.  The first factorization's fill-reducing order is a mesh
+    constant too: the pattern and the Hessian operator's rows are
+    renumbered into it, and later Hessians are factored without reordering
+    (`linear_solve` permutes the right-hand side and the direction by a
+    gather).  The solves on one mesh can share a Condenser.
     """
 
     def __init__(self, mesh, inclusion_values=None, odd=False):
@@ -295,8 +310,9 @@ class Condenser:
                 self.iU[t], self._sU[t] = ndof, 1.0
                 ndof += 1
         self.n_dofs, self.mirror = ndof, mirror
-        self.copies, self._sign = 1, None
+        self.copies = 1
         triangles, rep, weight = mesh.triangles, None, None
+        self._vsign = s3 = s9 = None   # signs per vertex, contribution, entry
         if mirror is not None:
             owners = np.flatnonzero(self.dof >= 0)
             self.dof[mirror[owners]] = self.dof[owners]
@@ -308,13 +324,13 @@ class Condenser:
             rep = np.flatnonzero(partner >= np.arange(len(partner)))
             weight = np.where(partner[rep] == rep, 1.0, 2.0)
             triangles = mesh.triangles[rep]
-            s3 = np.ascontiguousarray(vsign[triangles].T)
-            # per vertex, per (3, nt) contribution, per (9, nt) block entry
-            self.copies = 2
-            self._sign = vsign, s3, (s3[:, None] * s3).reshape(9, -1)
-        self._te = np.ascontiguousarray(
-            np.where(self.dof < 0, ndof, self.dof)[triangles].T, np.intp)
-        self._pattern = _block_pattern(self._te, ndof)
+            self.copies, self._vsign = 2, vsign
+            s3 = vsign[triangles.T]
+            s9 = np.repeat(s3, 3, axis=0) * np.tile(s3, (3, 1))
+        te = np.where(self.dof < 0, ndof, self.dof)[triangles.T]
+        self._grad_sum = _summation(te, ndof, s3)
+        indptr, indices, self._hess_sum = _block_pattern(te, ndof, s9)
+        self._pattern = indptr, indices
         self._perm = self._inv = None   # factor position of each DOF, inverse
         self.inclusion_values = dict(inclusion_values)
         # after the pattern's sort: a lower peak
@@ -329,29 +345,23 @@ class Condenser:
     def nodal(self, q):
         # dof -1 picks the appended zero: u = lift there
         v = np.append(q, 0.0)[self.dof]
-        if self._sign is not None:
-            v *= self._sign[0]
+        if self._vsign is not None:
+            v *= self._vsign
         return self.lift + v
 
     def reduce_grad(self, ge):
-        """Reduced gradient from the (3, nt) element contributions; with a
-        mirror they are signed in place (no copy at the peak), so ge is
-        spent."""
-        n = self.n_dofs
-        if self._sign is not None:
-            np.multiply(ge, self._sign[1], out=ge)
-        g = np.bincount(self._te.ravel(), ge.ravel(), minlength=n + 1)[:n]
-        return g / self.copies
+        """Reduced gradient from the (3, nt) element contributions."""
+        return (self._grad_sum @ ge.ravel()) / self.copies
 
     def reduce_hess(self, blocks):
-        """Reduced Hessian (CSC) from the (9, nt) element blocks, in the
-        reduced layout until the first `linear_solve`, in factor order after.
-        With a mirror the blocks are signed in place, as in `reduce_grad`."""
-        if self._sign is not None:
-            np.multiply(blocks, self._sign[2], out=blocks)
-        H = _scatter(self._pattern, blocks)
-        H.data /= self.copies
-        return H
+        """Reduced Hessian (CSC) from the (9, nt) element blocks; reduced
+        layout until the first `linear_solve`, factor order after."""
+        data = self._hess_sum @ blocks.ravel()
+        data /= self.copies
+        indptr, indices = self._pattern
+        # its own structure arrays: no caller can change the pattern through H
+        return sp.csc_matrix((data, indices.copy(), indptr.copy()),
+                             shape=(self.n_dofs, self.n_dofs))
 
     def linear_solve(self, H, rhs, stats, forcing=None):
         """Solve H d = rhs for H from `reduce_hess`, rhs in the reduced layout.
@@ -379,14 +389,15 @@ class Condenser:
     def _adopt_order(self, lu, stats):
         # perm_c[i] is DOF i's position in factor order (copied: the array is
         # a view that keeps the factorization alive).  Renumber the pattern's
-        # entries by it, each slot moving with its entry, in place: arrays
-        # that live as long as the Condenser stay where set-up put them
-        self._perm, (indptr, indices, slot) = lu.perm_c.copy(), self._pattern
+        # entries by it; the Hessian operator's rows, one per entry, move
+        # with them (a row permutation keeps each row's order)
+        self._perm, (indptr, indices) = lu.perm_c.copy(), self._pattern
         self._inv, n = np.argsort(self._perm), self.n_dofs
         cols = self._perm[np.repeat(np.arange(n), np.diff(indptr))]
-        key = np.append(cols.astype(np.int64) * n + self._perm[indices], n * n)
-        new_indptr, new_indices, rank = _pattern(key, n)
-        indptr[:], indices[:], slot[:] = new_indptr, new_indices, rank[slot]
+        key = cols.astype(np.int64) * n + self._perm[indices]
+        order = np.argsort(key)
+        self._pattern = _csc_structure(key[order], n)
+        self._hess_sum = self._hess_sum[order]
         # lu is in the reduced layout; the preconditioner works in factor order
         perm, inv = self._perm, self._inv
         stats.precond = lambda r: lu.solve(r[perm])[inv]
@@ -401,8 +412,8 @@ class Condenser:
         (mirror images) takes the mean of their signed values, so an u that
         is not odd gives its odd part."""
         v = u - self.lift
-        if self._sign is not None:
-            v *= self._sign[0]
+        if self._vsign is not None:
+            v *= self._vsign
         own = self.dof >= 0
         n = self.n_dofs
         q = (np.bincount(self.dof[own], v[own], minlength=n)
@@ -520,9 +531,13 @@ def _linear_solve(H, rhs, stats, permc_spec=FILL_REDUCING_ORDER,
     raise SolverError("linear solve failed even with damping")
 
 
-def _scaled_residual(cond, q, p, eta):
-    energy, ge, _ = cond.ops.element_grad(cond.nodal(q), p, eta)
-    return float(np.abs(cond.reduce_grad(ge)).max()) / max(1.0, abs(energy))
+def _evaluate(cond, u, p, eta, trial=None):
+    """Energy, reduced gradient, `element_grad`'s state and scaled residual
+    at the nodal vector u, continued from u's line-search trial if given."""
+    energy, ge, kern = cond.ops.element_grad(u, p, eta, trial)
+    grad = cond.reduce_grad(ge)
+    res = float(np.abs(grad).max()) / max(1.0, abs(energy))
+    return energy, grad, kern, res
 
 
 def _newton(cond, q, p, eta, stats, tol, max_iters, polish):
@@ -531,16 +546,16 @@ def _newton(cond, q, p, eta, stats, tol, max_iters, polish):
 
     After the tolerance is met, up to `polish` extra full steps are taken
     while they keep lowering the residual; downstream flux sums benefit from
-    residuals well below the stopping tolerance."""
+    residuals well below the stopping tolerance.  Each state is evaluated
+    once: the point a step moves to keeps the evaluation its trial made."""
     ops = cond.ops
     polish_left = polish
+    at = _evaluate(cond, cond.nodal(q), p, eta)
     # every pass that does not return takes one step, so `it` counts steps
     for it in range(max_iters + polish):
-        energy, ge, kern = ops.element_grad(cond.nodal(q), p, eta)
-        grad = cond.reduce_grad(ge)
-        del ge
+        energy, grad, kern, res = at
+        del at
         scale = max(1.0, abs(energy))
-        res = float(np.abs(grad).max()) / scale
         stats.history.append((eta, energy, res))
         done = res <= tol and it > 0
         if done and (polish_left <= 0 or res <= 1e-3 * tol):
@@ -556,7 +571,8 @@ def _newton(cond, q, p, eta, stats, tol, max_iters, polish):
         if done:
             polish_left -= 1
             q_try = q + d
-            if _scaled_residual(cond, q_try, p, eta) < res:
+            at = _evaluate(cond, cond.nodal(q_try), p, eta)
+            if at[3] < res:
                 q = q_try
                 stats.newton_iters += 1
                 continue
@@ -568,22 +584,23 @@ def _newton(cond, q, p, eta, stats, tol, max_iters, polish):
             d = -d
             slope = -slope
         t = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            e_try = ops.energy(cond.nodal(q + t * d), p, eta)
-            if e_try <= energy + ARMIJO_C * t * slope + 1e-15 * scale:
-                accepted = True
+            q_try = q + t * d
+            u_try = cond.nodal(q_try)
+            trial = ops.trial(u_try, p, eta)
+            if trial[0] <= energy + ARMIJO_C * t * slope + 1e-15 * scale:
                 break
             t *= BACKTRACK
-        if not accepted:
+        else:
             if res <= 100 * tol:
                 stats.floor_accepts += 1
                 return q, res   # at the rounding floor; accept
             raise SolverError(f"line search stagnated at residual {res:.3e}, "
                               f"eta={eta:g}")
-        q = q + t * d
+        q = q_try
+        at = _evaluate(cond, u_try, p, eta, trial)
         stats.newton_iters += 1
-    res = _scaled_residual(cond, q, p, eta)
+    res = at[3]
     if res > tol:
         raise SolverError(f"Newton did not converge in {max_iters} iterations:"
                           f" residual {res:.3e} at eta={eta:g}")

@@ -10,8 +10,8 @@ from neckflow import (FitError, GeometryError, INC1, INC2, ConstantPotential,
                       cross_section_flux, generate, gradient_probe,
                       holder_quotient_scan, holder_scan, max_gradient, solve,
                       solve_decay_fixture, write_csv)
-from neckflow.analysis import (_wall_window, fit_log_decay,
-                               PROBE_CSV_COLUMNS, recovered_vertex_gradients)
+from neckflow.analysis import (fit_log_decay, PROBE_CSV_COLUMNS,
+                               recovered_vertex_gradients, wall_window)
 from neckflow.harness import FLUX_WINDOWS
 from neckflow.solver import ElementOps, dual_flux
 
@@ -63,7 +63,7 @@ class TestFluxes:
         # boundary, each summed on its own, less the total inclusion flux
         sol, m = disc_solutions_1e2[2.0], disc_mesh_1e2
         s_r = cross_section_flux(sol, m, 0.2)
-        rest = (m.vertex_tag == INC2) & ~_wall_window(m, 0.2)
+        rest = (m.vertex_tag == INC2) & ~wall_window(m, 0.2)
         complement = dual_flux(sol.grad_full, sol.p, rest)
         total = dual_flux(sol.grad_full, sol.p, m.vertex_tag == INC2)
         assert abs(s_r + complement - total) <= 1e-12 * max(1.0,
@@ -113,7 +113,7 @@ class TestFluxes:
                     (p, tag)
                 assert flux == ref(mask) / scale, (p, tag)
             for r in FLUX_WINDOWS:
-                mask = _wall_window(m, r)
+                mask = wall_window(m, r)
                 assert cross_section_flux(sol, m, r) == ref(mask), (p, r)
 
     @pytest.mark.parametrize("geom", [
@@ -126,7 +126,7 @@ class TestFluxes:
         m = generate(geom, 0.1, 2, seed=0)
         x, y = m.vertices.T
         for r in FLUX_WINDOWS:
-            window = _wall_window(m, r)
+            window = wall_window(m, r)
             near = (m.vertex_tag == INC2) & (np.abs(x) <= r)
             assert np.all(near[window]) and window.any(), r
             wall = geom.lower_wall(x[window])

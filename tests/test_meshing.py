@@ -1324,3 +1324,9 @@ class TestBoundaryLoops:
     def test_figure_eight(self):
         # vertex 0 has four edges of the tag
         assert not self._mesh(self.SHARED, [OUTER, OUTER]).boundary_loops_ok()
+
+    def test_open_chain(self):
+        # two edges of a triangle under one tag: the chain's ends have one
+        pts, tris = self.APART
+        chain = TriMesh(pts, np.asarray(tris), _chain(tris[0]), [OUTER] * 2)
+        assert not chain.boundary_loops_ok()

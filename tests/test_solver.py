@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -17,9 +18,9 @@ from neckflow.analysis import cross_section_flux
 from neckflow.harness import FLUX_WINDOWS
 from neckflow import solver
 from neckflow.solver import (MAX_NEWTON_ITERS, NEWTON_TOL, PCG_MAXIT,
-                             POLISH_ITERS, Condenser, ElementOps, _continuation,
-                             _linear_solve, _newton, _pcg, _scaled_residual,
-                             _Stats, eta_schedule)
+                             POLISH_ITERS, Condenser, ElementOps,
+                             _continuation, _evaluate, _linear_solve,
+                             _newton, _pcg, _Stats, eta_schedule)
 
 SYMMETRIC_MMD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
@@ -353,7 +354,7 @@ def assert_odd_reduction(cond, mesh, rng):
         energy, grad, H = assemble_energy(mesh, u, p, eta)
         e_half, ge, kern = cond.ops.element_grad(u, p, eta)
         assert abs(e_half - energy) <= 1e-12 * abs(energy)
-        assert cond.ops.energy(u, p, eta) == e_half
+        assert cond.ops.trial(u, p, eta)[0] == e_half
         ref = 0.5 * (S.T @ grad)
         assert np.abs(cond.reduce_grad(ge) - ref).max() \
             <= 1e-12 * np.abs(ref).max()
@@ -614,6 +615,158 @@ class TestFixedPattern:
             solve(other, SolveConfig(p=2.0), cond)
 
 
+def bincount_reductions(cond, ge, blocks):
+    """The reference of reduce_grad and reduce_hess: np.bincount sums of the
+    element contributions, signed by int8 tables of the vertex signs, in
+    the reduced layout (the gradient) and over the sorted distinct
+    (column, row) keys of the block entries in the Condenser's current
+    numbering (the Hessian); returns the gradient and the Hessian's
+    (indptr, indices, data)."""
+    n, tri = cond.n_dofs, cond.ops.tri
+    te = np.where(cond.dof < 0, n, cond.dof)[tri]
+    s3 = (np.ones(cond.dof.shape, np.int8) if cond._vsign is None
+          else cond._vsign)[tri]
+    s9 = (s3[:, None] * s3).reshape(9, -1)
+    grad = np.bincount(te.ravel(), (ge * s3).ravel(), minlength=n + 1)[:n]
+    if cond._perm is not None:   # renumbered into factor order
+        te = np.append(cond._perm, n)[te]
+    row, col = (a.ravel() for a in np.broadcast_arrays(te[:, None],
+                                                       te[None, :]))
+    keep = (row < n) & (col < n)
+    key = col[keep].astype(np.int64) * n + row[keep]
+    keys = np.unique(key)
+    data = np.bincount(np.searchsorted(keys, key), (blocks * s9).ravel()[keep],
+                       minlength=len(keys))
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+    return grad / cond.copies, (indptr, keys % n, data / cond.copies)
+
+
+class TestSummationOperators:
+    @pytest.mark.parametrize("kind",
+                             ["odd", "full", "pinned", "self-mirrored"])
+    def test_bitwise_bincount_sums(self, disc_mesh_1e2, rng, kind):
+        # before the first factorization and after it has renumbered the
+        # pattern, the sparse products equal the bincount sums bit for bit
+        m = mirrored_grid_mesh() if kind == "self-mirrored" else disc_mesh_1e2
+        cond = Condenser(m, {INC2: 0.5} if kind == "pinned" else None,
+                         odd=kind in ("odd", "self-mirrored"))
+        assert (cond.mirror is not None) == (kind in ("odd", "self-mirrored"))
+        stats = _Stats()
+        for ordered in (False, True):
+            assert (cond._perm is not None) == ordered
+            for p, eta in ((1.3, 1e-2), (3.0, 0.0)):
+                u = cond.nodal(0.1 * rng.normal(size=cond.n_dofs))
+                _, ge, kern = cond.ops.element_grad(u, p, eta)
+                blocks = cond.ops.hessian(kern)
+                grad, (indptr, indices, data) = bincount_reductions(
+                    cond, ge, blocks)
+                assert np.array_equal(cond.reduce_grad(ge).view(np.uint64),
+                                      grad.view(np.uint64))
+                H = cond.reduce_hess(blocks)
+                assert np.array_equal(H.indptr, indptr)
+                assert np.array_equal(H.indices, indices)
+                assert np.array_equal(H.data.view(np.uint64),
+                                      data.view(np.uint64))
+            cond.linear_solve(H, rng.normal(size=cond.n_dofs), stats)
+
+
+def record_states(monkeypatch):
+    """From here on, each _newton run appends a fresh list to the returned
+    list, and every ElementOps.state evaluation inside the run adds its
+    nodal vector's bytes to it; evaluations outside a run are not kept."""
+    runs, current = [], []
+    newton, state = solver._newton, ElementOps.state
+
+    def recording_newton(*args, **kw):
+        runs.append([])
+        current.append(runs[-1])
+        try:
+            return newton(*args, **kw)
+        finally:
+            current.pop()
+
+    def recording_state(self, u, eta):
+        if current:
+            current[-1].append(u.tobytes())
+        return state(self, u, eta)
+
+    monkeypatch.setattr(solver, "_newton", recording_newton)
+    monkeypatch.setattr(ElementOps, "state", recording_state)
+    return runs
+
+
+class TestEachStateOnce:
+    # a run has one p, eta and ops, so a nodal vector evaluated twice in it
+    # is evaluated twice for nothing
+    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    def test_no_state_is_evaluated_twice(self, disc_mesh_1e2,
+                                         disc_solutions_1e2, monkeypatch,
+                                         odd, p):
+        m, ref = disc_mesh_1e2, disc_solutions_1e2[p]
+        cond = Condenser(m, odd=odd)
+        runs = record_states(monkeypatch)
+        solve(m, SolveConfig(p=p), cond)
+        # a transferred start: the solution, perturbed oddly
+        start = (ref.nodal_values + 1e-3 * m.vertices[:, 1],
+                 {INC1: ref.U1 + 1e-3, INC2: ref.U2 - 1e-3})
+        solve(m, SolveConfig(p=p), cond, start)
+        # the p = 2 start (p != 2), every stage, then the last two stages
+        sched = eta_schedule(p)
+        assert len(runs) == (p != 2.0) + len(sched) + len(sched[-2:])
+        for states in runs:
+            assert len(states) == len(set(states)) > 1
+
+    def test_exhausted_run_keeps_its_last_state(self, disc_mesh_1e2,
+                                                monkeypatch):
+        # the closing residual of a run that takes all MAX_NEWTON_ITERS
+        # steps is the last step's own evaluation
+        for name, value in (("MAX_NEWTON_ITERS", 2), ("NEWTON_TOL", 1e-14),
+                            ("POLISH_ITERS", 0)):
+            monkeypatch.setattr(solver, name, value)
+        runs = record_states(monkeypatch)
+        with pytest.raises(SolverError, match="did not converge in 2"):
+            solve(disc_mesh_1e2, SolveConfig(p=3.0))
+        assert len(runs) == 2   # the p = 2 start, then the exhausted run
+        for states in runs:
+            assert len(states) == len(set(states))
+        assert len(runs[-1]) >= 3   # the start and a trial per step
+
+
+# sha256 of a solve's nodal_values, energy_history and (U1, U2, flux1,
+# flux2, kkt_residual) on disc_mesh_1e2, with the odd and the full
+# Condenser.  These are exact float bits, recorded with numpy 2.4.6 and
+# scipy 1.17.1: a numpy or SuperLU upgrade may move them without a change
+# here, as it may not move test_mesher_version_pins_output's rounded ones.
+_SOLUTION_HASHES = {
+    ("odd", 1.3): "3da3914f11894736e409fdd98c48cc07"
+                  "05d2939c29d57c7348459aed1fb29235",
+    ("odd", 2.0): "86d386a43088451f7f023343959bcf5a"
+                  "d83eb6ae98967371bd043a0e79c363e1",
+    ("odd", 3.0): "e3a656d1b901d80e3eec563dacf7ca48"
+                  "6eccbb7e84c478661272e99f4c6c3999",
+    ("full", 1.3): "97762b03ab7d141bdbe4cfcdcbf9a659"
+                   "047bc42c8cdd61338d7429069e2fb12b",
+    ("full", 2.0): "9cd4542da9c674c40615e081480f2e1f"
+                   "5206fd4a405e4aaffd54d516d7ca6c2d",
+    ("full", 3.0): "add96784c9778804f0d8c8c0f0f03769"
+                   "1a231bf95f93175f875e1ccb1c1e531f",
+}
+
+
+@pytest.mark.parametrize("kind, p", sorted(_SOLUTION_HASHES))
+def test_solver_pins_output(disc_mesh_1e2, disc_solutions_1e2, kind, p):
+    m = disc_mesh_1e2
+    sol = (solve(m, SolveConfig(p=p), Condenser(m, odd=True))
+           if kind == "odd" else disc_solutions_1e2[p])
+    h = hashlib.sha256(sol.nodal_values.tobytes())
+    h.update(np.array(sol.energy_history, dtype=float).tobytes())
+    h.update(np.array([sol.U1, sol.U2, sol.flux1, sol.flux2,
+                       sol.kkt_residual]).tobytes())
+    assert h.hexdigest() == _SOLUTION_HASHES[kind, p], (
+        "the solver's output bits changed")
+
+
 def random_spd(rng, n):
     """Weighted graph Laplacian of a random sparse graph plus a diagonal."""
     i, j = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
@@ -784,8 +937,9 @@ def test_floor_accept_is_counted(disc_mesh_1e2, disc_solutions_1e2,
     m = disc_mesh_1e2
     assert all(s.floor_accepts == 0 for s in disc_solutions_1e2.values())
     cond = Condenser(m)
-    res0 = _scaled_residual(cond, cond.initial_q(), 2.0, 0.0)
-    monkeypatch.setattr(ElementOps, "energy", lambda *args: math.inf)
+    res0 = _evaluate(cond, cond.nodal(cond.initial_q()), 2.0, 0.0)[3]
+    monkeypatch.setattr(ElementOps, "trial",
+                        lambda *args: (math.inf, None, None))
     monkeypatch.setattr(solver, "NEWTON_TOL", res0 / 50)
     sol = solve(m, SolveConfig(p=2.0), cond)
     assert (sol.floor_accepts, sol.newton_iters) == (1, 0)
